@@ -1,47 +1,47 @@
 """Paged KV-cache block manager with prefix reuse.
 
-A faithful (if simplified) PagedAttention-style block manager: KV state
-lives in fixed-size blocks; a sequence owns a chain of blocks; blocks of
-a shared prefix are reference-counted so multiple requests over the same
-image reuse one copy (§5 "KV cache reuse", after CacheBlend / SGLang).
+KV state lives in fixed-size blocks; the full blocks of a shared prefix
+are kept once and reused by every request over the same image (§5 "KV
+cache reuse", after CacheBlend / SGLang).  Accounting is per entry, not
+per block: every block of a prefix entry has the same holders, so one
+holder count per entry frees exactly what per-block refcounts would,
+and ``allocate``/``append_token``/``free`` are O(1).  A sequence holds
+its exclusively owned block count plus (optionally) one prefix entry;
+an entry is held by the registry while its key is registered and by
+each sequence sharing it, and its blocks free with the last holder.
 
-Invariants (property-tested in ``tests/runtime/test_kv_cache.py``):
+Invariants (:meth:`PagedKVCache.check_invariants`, property-tested in
+``tests/runtime/test_kv_cache.py``):
 
-* ``free_blocks + used_blocks == num_blocks`` at all times;
-* every block's refcount is >= 1 while referenced, 0 once freed;
-* a sequence's token capacity always covers its token count.
+* owned blocks + live entries' blocks + free blocks == ``num_blocks``;
+* an entry's holder count is (1 if registered) + its sharing sequences;
+* a sequence's token capacity equals its blocks and covers its tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 
 class BlockAllocationError(RuntimeError):
     """Raised when the cache cannot serve an allocation."""
 
 
-@dataclass(slots=True)
-class _Block:
-    block_id: int
-    refcount: int = 0
+@dataclass(slots=True, eq=False)
+class _PrefixEntry:
+    num_blocks: int
+    num_tokens: int
+    last_used: float
+    holders: int
 
 
 @dataclass(slots=True)
 class _Sequence:
-    seq_id: int
-    blocks: List[int] = field(default_factory=list)
-    num_tokens: int = 0
-    prefix_blocks: int = 0      # leading blocks shared via a prefix entry
-
-
-@dataclass(slots=True)
-class _PrefixEntry:
-    key: str
-    blocks: List[int]
+    own_blocks: int                 # blocks not shared via the entry
+    entry: Optional[_PrefixEntry]
     num_tokens: int
-    last_used: float = 0.0
+    capacity: int                   # tokens the sequence's blocks hold
 
 
 class PagedKVCache:
@@ -56,8 +56,7 @@ class PagedKVCache:
         self.num_blocks = num_blocks
         self.block_size = block_size
         self.kv_bytes_per_token = kv_bytes_per_token
-        self._blocks = [_Block(i) for i in range(num_blocks)]
-        self._free: List[int] = list(range(num_blocks - 1, -1, -1))
+        self._free = num_blocks
         self._sequences: Dict[int, _Sequence] = {}
         self._prefixes: Dict[str, _PrefixEntry] = {}
         #: Blocks made temporarily unusable (injected memory pressure).
@@ -67,7 +66,7 @@ class PagedKVCache:
 
     @property
     def free_blocks(self) -> int:
-        return max(0, len(self._free) - self.reserved_blocks)
+        return max(0, self._free - self.reserved_blocks)
 
     def set_reserved(self, num_blocks: int) -> None:
         """Reserve ``num_blocks`` blocks away from the allocatable pool.
@@ -95,16 +94,13 @@ class PagedKVCache:
 
     # -- allocation ------------------------------------------------------------------
 
-    def _take_blocks(self, count: int) -> List[int]:
+    def _take_blocks(self, count: int) -> None:
         if count > self.free_blocks:
             raise BlockAllocationError(
                 f"need {count} blocks, only {self.free_blocks} free "
                 f"({self.reserved_blocks} reserved)"
             )
-        taken = [self._free.pop() for _ in range(count)]
-        for b in taken:
-            self._blocks[b].refcount = 1
-        return taken
+        self._free -= count
 
     def allocate(self, seq_id: int, num_tokens: int,
                  prefix_key: Optional[str] = None,
@@ -114,7 +110,8 @@ class PagedKVCache:
 
         Returns the number of tokens *reused* from a cached prefix (0 if
         no prefix hit).  On a miss with a ``prefix_key``, the prefix's
-        full blocks are registered for future reuse.
+        full blocks are registered for future reuse.  A failed
+        allocation leaves the cache unchanged.
         """
         if seq_id in self._sequences:
             raise BlockAllocationError(f"sequence {seq_id} already allocated")
@@ -125,49 +122,42 @@ class PagedKVCache:
                 f"prefix_tokens {prefix_tokens} outside [0, {num_tokens}]"
             )
 
-        reused_tokens = 0
-        shared_blocks: List[int] = []
-        if prefix_key is not None and prefix_tokens >= self.block_size:
-            entry = self._prefixes.get(prefix_key)
-            if entry is not None:
-                shared_blocks = list(entry.blocks)
-                reused_tokens = entry.num_tokens
-                entry.last_used = now
-                for b in shared_blocks:
-                    self._blocks[b].refcount += 1
-
-        remaining = num_tokens - reused_tokens
-        own = self._take_blocks(self._blocks_for(remaining) if remaining > 0 else 0)
-        seq = _Sequence(
-            seq_id=seq_id,
-            blocks=shared_blocks + own,
-            num_tokens=num_tokens,
-            prefix_blocks=len(shared_blocks),
-        )
-        self._sequences[seq_id] = seq
-
-        # Register a fresh prefix for future requests (only full blocks
-        # are shareable).
-        if (prefix_key is not None and reused_tokens == 0
-                and prefix_tokens >= self.block_size):
-            full = prefix_tokens // self.block_size
-            prefix_blocks = own[:full]
-            for b in prefix_blocks:
-                self._blocks[b].refcount += 1
-            self._prefixes[prefix_key] = _PrefixEntry(
-                key=prefix_key,
-                blocks=list(prefix_blocks),
-                num_tokens=full * self.block_size,
-                last_used=now,
+        bs = self.block_size
+        shareable = prefix_key is not None and prefix_tokens >= bs
+        entry = self._prefixes.get(prefix_key) if shareable else None
+        if entry is not None:
+            # Hit: the sequence shares the entry's blocks and owns only
+            # the remainder.
+            remaining = num_tokens - entry.num_tokens
+            own = self._blocks_for(remaining) if remaining > 0 else 0
+            self._take_blocks(own)
+            entry.holders += 1
+            entry.last_used = now
+            self._sequences[seq_id] = _Sequence(
+                own, entry, num_tokens, (entry.num_blocks + own) * bs,
             )
-        return reused_tokens
+            return entry.num_tokens
+
+        own = self._blocks_for(num_tokens)
+        self._take_blocks(own)
+        capacity = own * bs
+        if shareable:
+            # Miss: register the prefix's full blocks (only full blocks
+            # are shareable), held by the registry and this sequence.
+            full = prefix_tokens // bs
+            entry = _PrefixEntry(full, full * bs, now, 2)
+            self._prefixes[prefix_key] = entry
+            own -= full
+        self._sequences[seq_id] = _Sequence(own, entry, num_tokens, capacity)
+        return 0
 
     def append_token(self, seq_id: int) -> None:
         """Extend a sequence by one decoded token, growing it if needed."""
         seq = self._seq(seq_id)
-        capacity = len(seq.blocks) * self.block_size
-        if seq.num_tokens + 1 > capacity:
-            seq.blocks.extend(self._take_blocks(1))
+        if seq.num_tokens + 1 > seq.capacity:
+            self._take_blocks(1)
+            seq.own_blocks += 1
+            seq.capacity += self.block_size
         seq.num_tokens += 1
 
     def free(self, seq_id: int) -> None:
@@ -175,16 +165,14 @@ class PagedKVCache:
         seq = self._sequences.pop(seq_id, None)
         if seq is None:
             raise BlockAllocationError(f"unknown sequence {seq_id}")
-        for b in seq.blocks:
-            self._release_block(b)
+        self._free += seq.own_blocks
+        if seq.entry is not None:
+            self._release(seq.entry)
 
-    def _release_block(self, block_id: int) -> None:
-        block = self._blocks[block_id]
-        if block.refcount <= 0:
-            raise BlockAllocationError(f"double free of block {block_id}")
-        block.refcount -= 1
-        if block.refcount == 0:
-            self._free.append(block_id)
+    def _release(self, entry: _PrefixEntry) -> None:
+        entry.holders -= 1
+        if not entry.holders:
+            self._free += entry.num_blocks
 
     # -- prefix management ----------------------------------------------------------------
 
@@ -193,8 +181,7 @@ class PagedKVCache:
         entry = self._prefixes.pop(prefix_key, None)
         if entry is None:
             raise KeyError(f"unknown prefix {prefix_key!r}")
-        for b in entry.blocks:
-            self._release_block(b)
+        self._release(entry)
 
     def evict_stale_prefixes(self, older_than: float) -> int:
         """Drop prefixes unused since ``older_than``; returns count dropped."""
@@ -225,22 +212,30 @@ class PagedKVCache:
         return seq
 
     def check_invariants(self) -> None:
-        """Assert internal consistency (used by property tests)."""
-        free_set = set(self._free)
-        if len(free_set) != len(self._free):
-            raise AssertionError("duplicate blocks on the free list")
-        for b in self._blocks:
-            if b.block_id in free_set:
-                if b.refcount != 0:
-                    raise AssertionError(
-                        f"free block {b.block_id} has refcount {b.refcount}"
-                    )
-            elif b.refcount <= 0:
+        """Assert block conservation and holder counts (property tests)."""
+        # entry id -> [entry, expected holders]; registered: the registry's.
+        entries = {id(e): [e, 1] for e in self._prefixes.values()}
+        held = 0
+        for seq_id, seq in self._sequences.items():
+            blocks = seq.own_blocks
+            if seq.entry is not None:
+                entries.setdefault(id(seq.entry), [seq.entry, 0])[1] += 1
+                blocks += seq.entry.num_blocks
+            if not seq.num_tokens <= seq.capacity == blocks * self.block_size:
                 raise AssertionError(
-                    f"used block {b.block_id} has refcount {b.refcount}"
+                    f"sequence {seq_id}: {seq.num_tokens} tokens, capacity "
+                    f"{seq.capacity}, {blocks} blocks"
                 )
-        for seq in self._sequences.values():
-            if seq.num_tokens > len(seq.blocks) * self.block_size:
+            held += seq.own_blocks
+        for entry, expected in entries.values():
+            if entry.holders != expected:
                 raise AssertionError(
-                    f"sequence {seq.seq_id} overflows its blocks"
+                    f"prefix entry has {entry.holders} holders, expected "
+                    f"{expected} (registry + sharing sequences)"
                 )
+            held += entry.num_blocks
+        if held + self._free != self.num_blocks:
+            raise AssertionError(
+                f"block leak: {held} held + {self._free} free "
+                f"!= {self.num_blocks}"
+            )

@@ -33,12 +33,11 @@ python float to a float64 array are per-element IEEE double adds, so
 vectorizing preserves the scalar results as long as the association
 order is kept.
 
-KV accounting is entry-granular rather than block-granular: the SoA
-core never needs block *identities*, only counts, so a sequence records
-how many blocks it owns exclusively plus a reference to the prefix
-entry it shares.  The refcount transitions are provably the same as the
-paged allocator's per-block ones (a prefix entry's blocks free exactly
-when the registry and every holding sequence have released it).
+KV accounting uses the same entry-granular model as
+:class:`~repro.runtime.kv_cache.PagedKVCache`, kept in arrays: a
+sequence records how many blocks it owns exclusively plus the prefix
+entry it shares, and an entry's blocks free when the registry and every
+holding sequence have released it.
 
 Unsupported features fail fast in the constructor: fault injection,
 admission control, brownout, circuit breakers, custom policies without
