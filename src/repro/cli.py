@@ -61,8 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cProfile the run and print the top N "
                             "functions by cumulative time (default 20)")
     serve.add_argument("--no-cost-cache", action="store_true",
-                       help="disable iteration-cost memoization (the "
-                            "reference cost path; results are identical)")
+                       help="price every iteration through the full cost "
+                            "model instead of the memoized cost components "
+                            "(the reference path; results are identical)")
     fault = serve.add_argument_group(
         "fault injection (docs/FAULTS.md; rates are events per sim-second)"
     )

@@ -78,7 +78,7 @@ class SystemBuilder:
     #: Abort requests past ``deadline_slo_factor * slo_s`` (see
     #: :class:`~repro.runtime.engine.EngineConfig`).
     deadline_slo_factor: Optional[float] = None
-    #: Memoize iteration costs per batch signature (bit-identical
+    #: Price iterations from memoized cost components (bit-identical
     #: results; ``False`` forces the reference cost path).
     enable_cost_cache: bool = True
     #: Overload protection (all default-off; see

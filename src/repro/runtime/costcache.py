@@ -1,18 +1,24 @@
 """Memoized per-iteration cost layer (:class:`IterationCostCache`).
 
-The engine's hot loop used to re-derive every iteration's latency through
-``modes.py`` -> ``atmm.py`` -> ``cost_model.py`` -> ``models/costs.py``
-even though the result is a pure function of a small amount of batch
-shape information.  This module names that information — the
-:class:`BatchSignature` — and caches the derived costs per distinct
-signature, so steady-state serving (where the same batch shapes recur
-thousands of times) pays one dict lookup instead of the full cost-model
-tower.
+The engine prices every iteration through ``modes.py`` -> ``atmm.py`` ->
+``cost_model.py`` -> ``models/costs.py``, yet each part of that price is
+a pure function of a little batch-shape information.  The cache keeps
+one memo per part and prices an iteration as a few dict probes:
+
+* **prefill launch** ``((tokens...), images)`` -> base seconds;
+* **decode stats** ``(n, total context, lm_head, head classes)`` -> base
+  seconds;
+* **extra mean** ``(mode, merged adapter, adapter-token groups)`` -> the
+  deterministic mean of the LoRA operator's extra time.
+
+There is no table keyed on the whole batch: the decode context total
+grows on every iteration, so a whole-batch key almost never repeats and
+building and hashing it costs more than the probes it would save.
 
 Losslessness
 ------------
 The cache must never change simulated results, only wall-clock time.
-Two properties make that hold bit-for-bit:
+Three properties make that hold bit-for-bit:
 
 * **Decode costs reduce to sufficient statistics.**  Per-request decode
   cost is affine in the context length (attention FLOPs and KV traffic
@@ -21,7 +27,12 @@ Two properties make that hold bit-for-bit:
   context)`` reproduces :meth:`IterationCostModel.decode_seconds`
   exactly (see :meth:`IterationCostModel.decode_seconds_stats`).
   Prefill launches are keyed on their exact token tuple in batch order,
-  which trivially preserves float summation order.
+  and :meth:`IterationCostCache.lookup` adds the launches, then decode,
+  in the order the uncached engine does, so float rounding is unchanged.
+
+* **Ranks are per-engine constants.**  An adapter's rank is fixed by its
+  id, so the extra-mean key leaves ranks out; they are looked up only on
+  a miss.
 
 * **Jitter stays outside the cache.**  The LoRA operator's extra time is
   ``sample(mean, rng)``; only the deterministic mean is memoized
@@ -29,58 +40,36 @@ Two properties make that hold bit-for-bit:
   iteration in the engine, consuming the jitter stream exactly as the
   uncached path does (zero means never sample in either path).
 
-Hit/miss counts are written straight into the engine's
-:class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``)
-so cache effectiveness shows up in every summary and bench dump.
+Each :meth:`~IterationCostCache.lookup` counts one hit or miss on the
+extra-mean memo, written straight into the engine's
+:class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``),
+so ``hits + misses`` equals the iteration count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.models.costs import IterationCostModel
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.modes import InferenceMode, ModeExecutor
 
-
-@dataclass(frozen=True)
-class BatchSignature:
-    """Everything the cost model can see of one iteration's batch.
-
-    Two iterations with equal signatures have bit-identical base cost
-    and extra-cost mean; the only per-iteration residual is the jitter
-    sample, which stays outside the cache.
-    """
-
-    mode: InferenceMode
-    merged_adapter: Optional[str]
-    #: One entry per prefill kernel launch: the exact per-request token
-    #: counts in batch order plus the images entering with that launch.
-    #: Batched-prefill engines emit one launch; per-request prefill
-    #: (Punica style) emits one launch per request.
-    prefill_launches: Tuple[Tuple[Tuple[int, ...], int], ...]
-    #: Decode side collapses to sufficient statistics (see module doc).
-    num_decodes: int
-    decode_context_total: int
-    lm_head: bool
-    task_head_classes: int
-    #: Adapter token groups in engine insertion order (prefills then
-    #: decodes) — order matters because the ATMM config selection keys
-    #: on the first group's rank.
-    adapter_groups: Tuple[Tuple[str, int], ...]
-    adapter_ranks: Tuple[Tuple[str, int], ...]
+#: One prefill kernel launch: the exact per-request token counts in
+#: batch order plus the images entering with that launch.  Batched
+#: prefill emits one launch per iteration; per-request prefill (Punica
+#: style) emits one per request.
+PrefillLaunch = Tuple[Tuple[int, ...], int]
+#: Decode side of one iteration: ``(batch size, total context, lm_head,
+#: task-head classes)``.
+DecodeStats = Tuple[int, int, bool, int]
 
 
 class IterationCostCache:
-    """Signature -> ``(base_seconds, extra_mean_seconds)`` memo table.
+    """Prices one iteration as ``(base_seconds, extra_mean_seconds)``.
 
-    A top-level table keyed on the full :class:`BatchSignature` makes the
-    steady-state hit a single dict probe; misses fall back to component
-    tables (prefill launch, decode stats, mode-extra mean) that share
-    work across signatures differing only in one component.  Tables are
-    cleared wholesale when they exceed ``max_entries`` — memoization is
-    an optimization, not state, so dropping it is always safe.
+    Each memo is cleared wholesale when it exceeds ``max_entries`` —
+    memoization is an optimization, not state, so dropping it is always
+    safe.
     """
 
     MAX_ENTRIES = 65536
@@ -89,6 +78,7 @@ class IterationCostCache:
         self,
         iter_costs: IterationCostModel,
         mode_exec: ModeExecutor,
+        rank_of: Callable[[str], int],
         metrics: Optional[MetricsCollector] = None,
         max_entries: int = MAX_ENTRIES,
     ):
@@ -96,76 +86,68 @@ class IterationCostCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.iter_costs = iter_costs
         self.mode_exec = mode_exec
+        self.rank_of = rank_of
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.max_entries = max_entries
-        self._table: Dict[BatchSignature, Tuple[float, float]] = {}
-        self._prefill: Dict[Tuple[Tuple[int, ...], int], float] = {}
-        self._decode: Dict[Tuple[int, int, bool, int], float] = {}
+        self._prefill: Dict[PrefillLaunch, float] = {}
+        self._decode: Dict[DecodeStats, float] = {}
         self._extra: Dict[tuple, float] = {}
 
-    def lookup(self, sig: BatchSignature) -> Tuple[float, float]:
-        """Return ``(base_seconds, extra_mean_seconds)`` for a signature."""
-        cached = self._table.get(sig)
-        if cached is not None:
-            self.metrics.cost_cache_hits += 1
-            return cached
-        self.metrics.cost_cache_misses += 1
+    def lookup(
+        self,
+        mode: InferenceMode,
+        merged: Optional[str],
+        launches: Sequence[PrefillLaunch],
+        decode: Optional[DecodeStats],
+        groups: Tuple[Tuple[str, int], ...],
+    ) -> Tuple[float, float]:
+        """Return ``(base_seconds, extra_mean_seconds)`` of one iteration.
+
+        ``groups`` are the adapter token counts in engine insertion
+        order (prefills then decodes) — order matters because the ATMM
+        config selection keys on the first group's rank.
+        """
         # Accumulate in the exact order the uncached engine adds costs
         # (each prefill launch, then the decode step) so float addition
         # order — and therefore rounding — is unchanged.
         base = 0.0
-        for tokens, images in sig.prefill_launches:
-            base += self._prefill_seconds(tokens, images)
-        if sig.num_decodes:
-            base += self._decode_seconds(sig)
-        extra_mean = self._extra_mean(sig) if sig.adapter_groups else 0.0
-        if len(self._table) >= self.max_entries:
-            self._table.clear()
-        self._table[sig] = (base, extra_mean)
+        for launch in launches:
+            t = self._prefill.get(launch)
+            if t is None:
+                t = self.iter_costs.prefill_seconds(*launch)
+                self._store(self._prefill, launch, t)
+            base += t
+        if decode is not None:
+            t = self._decode.get(decode)
+            if t is None:
+                n, total_context, lm_head, head_classes = decode
+                t = self.iter_costs.decode_seconds_stats(
+                    n, total_context, lm_head=lm_head,
+                    task_head_classes=head_classes,
+                )
+                self._store(self._decode, decode, t)
+            base += t
+        key = (mode, merged, groups)
+        extra_mean = self._extra.get(key)
+        if extra_mean is not None:
+            self.metrics.cost_cache_hits += 1
+            return base, extra_mean
+        self.metrics.cost_cache_misses += 1
+        extra_mean = 0.0
+        if groups:
+            ranks = {a: self.rank_of(a) for a, _ in groups}
+            if merged is not None and merged not in ranks:
+                ranks[merged] = self.rank_of(merged)
+            extra_mean = self.mode_exec.mean_extra_seconds(
+                mode, dict(groups), ranks, merged_adapter=merged,
+            )
+        self._store(self._extra, key, extra_mean)
         return base, extra_mean
 
-    # -- component tables ---------------------------------------------------------
-
-    def _prefill_seconds(self, tokens: Tuple[int, ...], images: int) -> float:
-        key = (tokens, images)
-        t = self._prefill.get(key)
-        if t is None:
-            t = self.iter_costs.prefill_seconds(tokens, images)
-            if len(self._prefill) >= self.max_entries:
-                self._prefill.clear()
-            self._prefill[key] = t
-        return t
-
-    def _decode_seconds(self, sig: BatchSignature) -> float:
-        key = (sig.num_decodes, sig.decode_context_total,
-               sig.lm_head, sig.task_head_classes)
-        t = self._decode.get(key)
-        if t is None:
-            t = self.iter_costs.decode_seconds_stats(
-                sig.num_decodes, sig.decode_context_total,
-                lm_head=sig.lm_head,
-                task_head_classes=sig.task_head_classes,
-            )
-            if len(self._decode) >= self.max_entries:
-                self._decode.clear()
-            self._decode[key] = t
-        return t
-
-    def _extra_mean(self, sig: BatchSignature) -> float:
-        key = (sig.mode, sig.merged_adapter,
-               sig.adapter_groups, sig.adapter_ranks)
-        t = self._extra.get(key)
-        if t is None:
-            t = self.mode_exec.mean_extra_seconds(
-                sig.mode,
-                dict(sig.adapter_groups),
-                dict(sig.adapter_ranks),
-                merged_adapter=sig.merged_adapter,
-            )
-            if len(self._extra) >= self.max_entries:
-                self._extra.clear()
-            self._extra[key] = t
-        return t
+    def _store(self, memo: dict, key, value: float) -> None:
+        if len(memo) >= self.max_entries:
+            memo.clear()
+        memo[key] = value
 
     # -- introspection ------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from repro.models.config import ModelConfig
 from repro.models.costs import IterationCostModel
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.clock import SimClock
-from repro.runtime.costcache import BatchSignature, IterationCostCache
+from repro.runtime.costcache import IterationCostCache
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
 from repro.runtime.hedging import (
@@ -90,8 +90,9 @@ class EngineConfig:
     #: Swap failures tolerated per adapter before it is quarantined and
     #: its requests aborted (``AbortReason.ADAPTER_UNAVAILABLE``).
     max_swap_retries: int = 5
-    #: Memoize iteration costs per :class:`BatchSignature` (bit-identical
-    #: results, large speedup).  ``False`` re-derives every iteration
+    #: Price iterations from memoized cost components (prefill launch,
+    #: decode stats, LoRA extra mean; see :mod:`repro.runtime.costcache`)
+    #: with bit-identical results.  ``False`` re-derives every iteration
     #: through the full cost-model tower (the reference path).
     enable_cost_cache: bool = True
     # -- overload protection (all default off; see runtime/overload.py) ----
@@ -133,12 +134,12 @@ class PhaseExecutor:
 
     The engine's iteration loop is composed from two of these: each
     phase carves its share out of the mixed continuous batch
-    (:meth:`select`), contributes its part of the memoization
-    :class:`BatchSignature` (:meth:`signature_fields`), prices itself
-    through the analytical cost tower (:meth:`cost_seconds` — the
-    uncached reference path), adds its per-adapter token contributions
-    to the LoRA-operator cost input (:meth:`accumulate_tokens`), and
-    applies its post-iteration request transition (:meth:`advance`).
+    (:meth:`select`), hands its cost inputs to the memoized cost layer
+    (:meth:`cost_inputs`), prices itself through the analytical cost
+    tower (:meth:`cost_seconds` — the uncached reference path), adds its
+    per-adapter token contributions to the LoRA-operator cost input
+    (:meth:`accumulate_tokens`), and applies its post-iteration request
+    transition (:meth:`advance`).
     Disaggregated serving (:mod:`repro.runtime.disagg`) reuses the same
     executors, with a pool role restricting which phase an engine runs
     to completion.
@@ -162,8 +163,8 @@ class PhaseExecutor:
         """Phase-specific precomputation shared by the hooks below."""
         return None
 
-    def signature_fields(self, requests: Sequence[Request], plan):
-        """This phase's fields of the batch's :class:`BatchSignature`."""
+    def cost_inputs(self, requests: Sequence[Request], plan):
+        """This phase's input to :meth:`IterationCostCache.lookup`."""
         raise NotImplementedError
 
     def cost_seconds(self, requests: Sequence[Request], plan) -> float:
@@ -202,15 +203,16 @@ class PrefillExecutor(PhaseExecutor):
             for r in requests
         ]
 
-    def signature_fields(self, requests, plan):
+    def cost_inputs(self, requests, plan):
+        """One ``((tokens...), images)`` tuple per kernel launch."""
         if not requests:
-            return {"prefill_launches": ()}
+            return ()
         if self.engine.config.batch_prefills:
             num_images = sum(r.num_images for r in requests)
-            return {"prefill_launches": ((tuple(plan), num_images),)}
-        return {"prefill_launches": tuple(
+            return ((tuple(plan), num_images),)
+        return tuple(
             ((tok,), r.num_images) for r, tok in zip(requests, plan)
-        )}
+        )
 
     def cost_seconds(self, requests, plan) -> float:
         if not requests:
@@ -246,27 +248,22 @@ class DecodeExecutor(PhaseExecutor):
     def select(self, batch: Sequence[Request]) -> List[Request]:
         return [r for r in batch if r.prefilled]
 
-    def signature_fields(self, requests, plan):
-        num_decodes = 0
+    def cost_inputs(self, requests, plan):
+        """``(n, total context, lm_head, head classes)``, or ``None``."""
+        if not requests:
+            return None
         total_context = 0
         lm = False
         head_classes = 0
-        if requests:
-            num_decodes = len(requests)
-            for r in requests:
-                total_context += r.context_len
-                if r.use_task_head:
-                    classes = self.engine._task_classes_of(r.adapter_id)
-                    if classes > head_classes:
-                        head_classes = classes
-                else:
-                    lm = True
-        return {
-            "num_decodes": num_decodes,
-            "decode_context_total": total_context,
-            "lm_head": lm,
-            "task_head_classes": head_classes,
-        }
+        for r in requests:
+            total_context += r.context_len
+            if r.use_task_head:
+                classes = self.engine._task_classes_of(r.adapter_id)
+                if classes > head_classes:
+                    head_classes = classes
+            else:
+                lm = True
+        return (len(requests), total_context, lm, head_classes)
 
     def cost_seconds(self, requests, plan) -> float:
         if not requests:
@@ -417,7 +414,7 @@ class ServingEngine:
         # -- memoized cost layer -------------------------------------------
         self.cost_cache: Optional[IterationCostCache] = (
             IterationCostCache(self.iter_costs, self.mode_exec,
-                               metrics=self.metrics)
+                               self._rank_of, metrics=self.metrics)
             if config.enable_cost_cache else None
         )
         self._rank_cache: Dict[str, int] = {}
@@ -1299,37 +1296,25 @@ class ServingEngine:
                         merged: Optional[str]) -> float:
         """Memoized twin of :meth:`_execute_uncached`.
 
-        Builds the :class:`BatchSignature` of this batch and looks up
-        ``(base cost, extra-cost mean)``; only the jitter sample on the
+        Each phase executor hands over its cost inputs and adds its
+        adapter-token share, in prefill-then-decode order (the insertion
+        order the extra-mean memo keys on); the cost cache returns
+        ``(base cost, extra-cost mean)``.  Only the jitter sample on the
         extra cost runs per iteration, drawn from the same rng stream at
         the same points as the uncached path, so runs are bit-identical
-        either way.  Each phase executor contributes its slice of the
-        signature and its adapter-token share, in prefill-then-decode
-        order (the dict insertion order the signature keys on).
+        either way.
         """
         adapter_tokens: Dict[str, int] = {}
-        fields: Dict[str, object] = {}
+        inputs = []
         for executor in self.phase_executors:
             requests = executor.select(batch)
             plan = executor.plan(requests)
-            fields.update(executor.signature_fields(requests, plan))
+            inputs.append(executor.cost_inputs(requests, plan))
             executor.accumulate_tokens(requests, plan, adapter_tokens)
-
-        groups = tuple(adapter_tokens.items())
-        ranks = tuple(
-            (a, self._rank_of(a)) for a in adapter_tokens
+        launches, decode = inputs
+        base, extra_mean = self.cost_cache.lookup(
+            mode, merged, launches, decode, tuple(adapter_tokens.items()),
         )
-        if merged is not None and merged not in adapter_tokens:
-            ranks += ((merged, self._rank_of(merged)),)
-
-        sig = BatchSignature(
-            mode=mode,
-            merged_adapter=merged,
-            adapter_groups=groups,
-            adapter_ranks=ranks,
-            **fields,
-        )
-        base, extra_mean = self.cost_cache.lookup(sig)
         if not adapter_tokens:
             return base
         extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)

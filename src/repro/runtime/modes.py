@@ -81,9 +81,9 @@ class ModeExecutor:
         self.num_projections = num_projections
         # (token_counts, ranks) -> layer_seconds * num_layers.  The
         # operator cost is a pure function of the group token counts and
-        # ranks — adapter *identities* never enter it — so signatures
+        # ranks — adapter *identities* never enter it — so batches
         # that differ only in adapter names (which fragment the
-        # engine-level cost cache) collapse onto one entry here.
+        # engine-level extra-mean memo) collapse onto one entry here.
         self._mean_memo: Dict[tuple, float] = {}
 
     def extra_seconds(

@@ -282,6 +282,7 @@ class SoAServingEngine:
         )
         self.cost_cache: Optional[IterationCostCache] = (
             IterationCostCache(self.iter_costs, self.mode_exec,
+                               lambda a: adapter_manager.spec(a).rank,
                                metrics=self.metrics)
             if config.enable_cost_cache else None
         )
@@ -317,11 +318,10 @@ class SoAServingEngine:
         self.quiesced = False
         self.failed = False
 
-        # Component cost memos (see _execute): keyed on the same
-        # sufficient statistics as IterationCostCache's component
-        # tables, probed directly so no per-iteration BatchSignature is
-        # built.  Cleared wholesale past _MEMO_MAX — memoization, not
-        # state.
+        # Component cost memos (see _execute): the same three memos as
+        # IterationCostCache, keyed on interned adapter indices and
+        # probed inline.  Cleared wholesale past _MEMO_MAX —
+        # memoization, not state.
         self._prefill_cache: Dict[tuple, float] = {}
         self._decode_cache: Dict[tuple, float] = {}
         self._extra_cache: Dict[tuple, float] = {}
@@ -1123,15 +1123,12 @@ class SoAServingEngine:
                     atok[a] = atok.get(a, 0) + 1
 
         if self.cost_cache is not None:
-            # The SoA path bypasses the BatchSignature table: at array-
-            # pool scale full signatures almost never repeat (the decode
-            # context total shifts every iteration; measured hit rate
-            # 0.2%), so the signature build + hash is pure overhead.
-            # The component memos below are keyed on the same sufficient
-            # statistics :class:`IterationCostCache` uses and accumulate
-            # in the same order (prefill launches, then decode, extra
-            # last), so costs stay bit-identical.  Hit/miss counters
-            # track the expensive component — the LoRA extra-mean tower.
+            # Inline twin of :meth:`IterationCostCache.lookup`: the same
+            # component memos (prefill launch, decode stats, extra mean)
+            # over interned adapter indices, accumulated in the same
+            # order (prefill launches, then decode, extra last), so
+            # costs stay bit-identical.  Hit/miss counters track the
+            # extra-mean memo, as the object core's do.
             base = 0.0
             if launches:
                 pf = self._prefill_cache

@@ -11,82 +11,125 @@ systems, seeds, and fault schedules.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import SystemBuilder
 from repro.models.config import QWEN_VL_7B
 from repro.models.costs import IterationCostModel
 from repro.hardware.gpu import A100_80GB
-from repro.runtime.costcache import BatchSignature, IterationCostCache
+from repro.runtime.costcache import IterationCostCache
 from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
 
 
-def _signature(**overrides) -> BatchSignature:
-    base = dict(
-        mode=InferenceMode.UNMERGED,
-        merged_adapter=None,
-        prefill_launches=(((64, 32), 1),),
-        num_decodes=3,
-        decode_context_total=300,
-        lm_head=True,
-        task_head_classes=0,
-        adapter_groups=(("lora-0", 5),),
-        adapter_ranks=(("lora-0", 64),),
-    )
-    base.update(overrides)
-    return BatchSignature(**base)
+@pytest.fixture(scope="module")
+def engine():
+    return SystemBuilder(num_adapters=2).build("v-lora")
+
+
+def _cache(engine, **kwargs) -> IterationCostCache:
+    return IterationCostCache(engine.iter_costs, engine.mode_exec,
+                              engine._rank_of, **kwargs)
+
+
+def _lookup(cache, mode=InferenceMode.UNMERGED, merged=None,
+            launches=(((64, 32), 1),), decode=(3, 300, True, 0),
+            groups=(("lora-0", 5),)):
+    return cache.lookup(mode, merged, launches, decode, groups)
 
 
 class TestIterationCostCache:
-    def _cache(self, **kwargs) -> IterationCostCache:
-        engine = SystemBuilder(num_adapters=2).build("v-lora")
-        return IterationCostCache(engine.iter_costs, engine.mode_exec,
-                                  **kwargs)
-
-    def test_hit_and_miss_counters(self):
-        cache = self._cache()
-        sig = _signature()
-        first = cache.lookup(sig)
-        second = cache.lookup(sig)
+    def test_hit_and_miss_counters(self, engine):
+        cache = _cache(engine)
+        first = _lookup(cache)
+        second = _lookup(cache)
         assert first == second
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.metrics.cost_cache_hits == 1
         assert cache.metrics.cost_cache_misses == 1
         assert cache.hit_rate() == 0.5
 
-    def test_distinct_signatures_miss(self):
-        cache = self._cache()
-        cache.lookup(_signature())
-        cache.lookup(_signature(decode_context_total=301))
-        assert (cache.hits, cache.misses) == (0, 2)
+    def test_counts_on_extra_mean_key_only(self, engine):
+        # Base-cost inputs are not part of the counted key: a new decode
+        # context total or prefill launch still hits the extra-mean memo.
+        cache = _cache(engine)
+        _lookup(cache)
+        _lookup(cache, decode=(3, 301, True, 0))
+        _lookup(cache, launches=(((7,), 0), ((9,), 2)), decode=None)
+        assert (cache.hits, cache.misses) == (2, 1)
 
-    def test_base_matches_direct_cost_model(self):
-        cache = self._cache()
-        sig = _signature()
-        base, extra_mean = cache.lookup(sig)
-        expected = 0.0
-        for tokens, images in sig.prefill_launches:
-            expected += cache.iter_costs.prefill_seconds(tokens, images)
-        expected += cache.iter_costs.decode_seconds_stats(
-            sig.num_decodes, sig.decode_context_total
-        )
+    def test_distinct_extra_keys_miss(self, engine):
+        cache = _cache(engine)
+        _lookup(cache)
+        _lookup(cache, mode=InferenceMode.MIXTURE, merged="lora-1")
+        _lookup(cache, mode=InferenceMode.MIXTURE, merged="lora-0")
+        _lookup(cache, groups=(("lora-0", 6),))
+        _lookup(cache, groups=(("lora-0", 5), ("lora-1", 1)))
+        _lookup(cache, groups=(("lora-1", 1), ("lora-0", 5)))
+        assert (cache.hits, cache.misses) == (0, 6)
+
+    def test_base_matches_direct_cost_model(self, engine):
+        cache = _cache(engine)
+        groups = (("lora-1", 4), ("lora-0", 9))
+        base, extra_mean = _lookup(cache, mode=InferenceMode.MIXTURE,
+                                   merged="lora-1", groups=groups)
+        expected = cache.iter_costs.prefill_seconds((64, 32), 1)
+        expected += cache.iter_costs.decode_seconds_stats(3, 300)
         assert base == expected
+        ranks = {a: engine._rank_of(a) for a in ("lora-0", "lora-1")}
         assert extra_mean == cache.mode_exec.mean_extra_seconds(
-            sig.mode, dict(sig.adapter_groups), dict(sig.adapter_ranks),
-            merged_adapter=sig.merged_adapter,
+            InferenceMode.MIXTURE, dict(groups), ranks,
+            merged_adapter="lora-1",
         )
+        assert _lookup(cache, groups=())[1] == 0.0
 
-    def test_eviction_clears_but_stays_correct(self):
-        cache = self._cache(max_entries=2)
-        sigs = [_signature(decode_context_total=300 + i) for i in range(4)]
-        values = [cache.lookup(s) for s in sigs]
-        assert [cache.lookup(s) for s in sigs] == values
+    def test_eviction_clears_but_stays_correct(self, engine):
+        cache = _cache(engine, max_entries=2)
+        keys = [(("lora-0", 5 + i),) for i in range(3)]
+        values = [_lookup(cache, groups=g) for g in keys]
+        # The third distinct key found the memo full and cleared it.
+        assert list(cache._extra) == [(InferenceMode.UNMERGED, None,
+                                       keys[2])]
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert _lookup(cache, groups=keys[2]) == values[2]
+        assert _lookup(cache, groups=keys[0]) == values[0]
+        assert (cache.hits, cache.misses) == (1, 4)
 
-    def test_max_entries_validated(self):
+    def test_max_entries_validated(self, engine):
         with pytest.raises(ValueError, match="max_entries"):
-            self._cache(max_entries=0)
+            _cache(engine, max_entries=0)
+
+
+_tokens = st.lists(st.integers(1, 2048), min_size=1, max_size=6)
+
+
+@pytest.mark.property
+@settings(max_examples=200, deadline=None)
+@given(
+    prefills=st.lists(st.tuples(_tokens, st.integers(0, 3)), max_size=3),
+    contexts=st.lists(st.integers(1, 8192), max_size=16),
+    lm_head=st.booleans(),
+    head_classes=st.sampled_from([0, 2, 101, 365]),
+)
+def test_base_equals_cost_model_exactly(engine, prefills, contexts,
+                                        lm_head, head_classes):
+    """``base`` is the uncached sum: each launch, then the decode step."""
+    iter_costs = engine.iter_costs
+    expected = 0.0
+    for tokens, images in prefills:
+        expected += iter_costs.prefill_seconds(tokens, images)
+    decode = None
+    if contexts:
+        expected += iter_costs.decode_seconds(
+            contexts, lm_head=lm_head, task_head_classes=head_classes)
+        decode = (len(contexts), sum(contexts), lm_head, head_classes)
+    launches = tuple((tuple(t), i) for t, i in prefills)
+    cache = _cache(engine)
+    for _ in range(2):  # miss, then memo hit
+        base, _ = _lookup(cache, launches=launches, decode=decode)
+        assert base == expected
 
 
 class TestDecodeStats:

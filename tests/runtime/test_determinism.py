@@ -211,6 +211,31 @@ def _golden_payload():
     return payload
 
 
+def _golden_diff(old: dict, new: dict) -> list:
+    """One line per scenario key whose value differs between snapshots
+    (``<absent>`` marks a key only one side has)."""
+    missing = "<absent>"
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name, {}), new.get(name, {})
+        for key in sorted(set(before) | set(after)):
+            a, b = before.get(key, missing), after.get(key, missing)
+            if a != b:
+                lines.append(f"{name}.{key}: {a} -> {b}")
+    return lines or ["no key changed"]
+
+
+def test_golden_diff_lists_changed_keys():
+    old = {"engine": {"iterations": 5.0, "cost_cache_misses": 9.0}}
+    new = {"engine": {"iterations": 5.0, "cost_cache_hits": 3.0,
+                      "cost_cache_misses": 6.0}}
+    assert _golden_diff(old, new) == [
+        "engine.cost_cache_hits: <absent> -> 3.0",
+        "engine.cost_cache_misses: 9.0 -> 6.0",
+    ]
+    assert _golden_diff(new, new) == ["no key changed"]
+
+
 def test_golden_seed_snapshot():
     """Seed-0 results must match the checked-in snapshot exactly.
 
@@ -231,8 +256,15 @@ if __name__ == "__main__":
 
     if "--regen" not in sys.argv[1:]:
         sys.exit("usage: python tests/runtime/test_determinism.py --regen")
+    payload = json.loads(json.dumps(_golden_payload()))
+    old = {}
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH) as fh:
+            old = json.load(fh)
+    for line in _golden_diff(old, payload):
+        print(line)
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump(_golden_payload(), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -7,11 +7,12 @@ on that seam).  The contract is *bit-identity*: every float evaluated
 in the same order, every rng draw at the same point, so the composed
 engine reproduces the pre-refactor engine exactly.
 
-``MonolithicEngine`` below carries the pre-refactor ``_execute_cached``
-/ ``_execute_uncached`` / ``_finalize`` bodies **verbatim** (recovered
-from git history); a hypothesis property drives both engines over
-arbitrary bounded workloads — systems x seeds x fault menus x cache
-on/off — and compares full digests.
+``MonolithicEngine`` below carries the pre-refactor ``_execute_uncached``
+/ ``_finalize`` bodies **verbatim** (recovered from git history) and
+prices every iteration through that uncached body, cache on or off; a
+hypothesis property drives both engines over arbitrary bounded
+workloads — systems x seeds x fault menus x cache on/off — and compares
+full digests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SystemBuilder
 from repro.runtime import FaultInjector, reset_request_ids
-from repro.runtime.costcache import BatchSignature
 from repro.runtime.engine import ServingEngine
 from repro.runtime.failure_detection import Completion
 from repro.runtime.metrics import RequestRecord
@@ -37,79 +37,19 @@ from typing import Dict, List, Optional, Sequence
 class MonolithicEngine(ServingEngine):
     """The pre-refactor engine: one body per concern, no executors.
 
-    The three method bodies below are copied verbatim from the last
-    monolithic revision of ``repro/runtime/engine.py``; do not "clean
-    them up" — their value is being the historical reference.
+    ``_execute_uncached`` and ``_finalize`` below are copied verbatim
+    from the last monolithic revision of ``repro/runtime/engine.py``;
+    do not "clean them up" — their value is being the historical
+    reference.
     """
 
     def _execute_cached(self, batch: Sequence[Request],
                         mode: InferenceMode,
                         merged: Optional[str]) -> float:
-        prefills = [r for r in batch if not r.prefilled]
-        decodes = [r for r in batch if r.prefilled]
-        adapter_tokens: Dict[str, int] = {}
-
-        launches: tuple = ()
-        if prefills:
-            effective = [
-                max(r.context_len - self._reused_tokens.get(r.request_id, 0), 1)
-                for r in prefills
-            ]
-            if self.config.batch_prefills:
-                num_images = sum(r.num_images for r in prefills)
-                launches = ((tuple(effective), num_images),)
-            else:
-                launches = tuple(
-                    ((tok,), r.num_images)
-                    for r, tok in zip(prefills, effective)
-                )
-            for r, tok in zip(prefills, effective):
-                adapter_tokens[r.adapter_id] = (
-                    adapter_tokens.get(r.adapter_id, 0) + tok
-                )
-
-        num_decodes = 0
-        total_context = 0
-        lm = False
-        head_classes = 0
-        if decodes:
-            num_decodes = len(decodes)
-            for r in decodes:
-                total_context += r.context_len
-                if r.use_task_head:
-                    classes = self._task_classes_of(r.adapter_id)
-                    if classes > head_classes:
-                        head_classes = classes
-                else:
-                    lm = True
-                adapter_tokens[r.adapter_id] = (
-                    adapter_tokens.get(r.adapter_id, 0) + 1
-                )
-
-        groups = tuple(adapter_tokens.items())
-        ranks = tuple(
-            (a, self._rank_of(a)) for a in adapter_tokens
-        )
-        if merged is not None and merged not in adapter_tokens:
-            ranks += ((merged, self._rank_of(merged)),)
-
-        sig = BatchSignature(
-            mode=mode,
-            merged_adapter=merged,
-            prefill_launches=launches,
-            num_decodes=num_decodes,
-            decode_context_total=total_context,
-            lm_head=lm,
-            task_head_classes=head_classes,
-            adapter_groups=groups,
-            adapter_ranks=ranks,
-        )
-        base, extra_mean = self.cost_cache.lookup(sig)
-        if not adapter_tokens:
-            return base
-        extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)
-        self.metrics.lora_extra_time_total += extra
-        return base + extra
+        # The historical memo table this body used to fill is gone;
+        # with the cache on, the composed engine's memoized path is
+        # compared against the historical cost tower below.
+        return self._execute_uncached(batch, mode, merged)
 
     def _execute_uncached(self, batch: Sequence[Request],
                           mode: InferenceMode,
@@ -208,13 +148,16 @@ FAULT_MENUS = (
 
 
 def _digest(metrics):
-    """Fully comparable form of a run — *including* cache counters.
+    """Comparable form of a run, without the two cost-cache counters.
 
-    Unlike the SoA equivalence digest, the monolithic engine memoizes
-    through the exact same signature table, so even the hit/miss
-    counters must agree.
+    The monolithic engine prices every iteration through the uncached
+    cost tower, so it never counts a memo hit or miss; with the cache on
+    the composed engine does.  Every cost, record and abort must still
+    agree bit for bit.
     """
     summary = dict(metrics.summary())
+    summary.pop("cost_cache_hits", None)
+    summary.pop("cost_cache_misses", None)
     records = sorted(
         (dataclasses.astuple(r) for r in metrics.records),
         key=lambda t: t[0],
