@@ -6,22 +6,25 @@ million-request traces:
 
 * **engine**: one 50k-request Azure-shaped retrieval trace (bursty
   arrivals at ~1.5x capacity, so the backlog deepens the way long
-  traces do) served by the vectorized SoA core
-  (:class:`~repro.runtime.soa_core.SoAServingEngine`), the current
-  object engine (cost memoization + incremental queue/active-set
-  state), and the pre-optimization seed snapshot
+  traces do) served by the current engine (cost memoization +
+  incremental queue/active-set state), the same engine with the cost
+  memo off, and the pre-optimization seed snapshot
   (``_legacy_engine.SeedServingEngine``).  All must produce identical
-  metrics to full float precision; at full scale the object engine
-  must be >= 5x faster than the seed and the SoA core >= 10x.
+  metrics to full float precision; at full scale the current engine
+  must be >= 5x faster than the seed.  Each variant runs in its own
+  spawned process, so its ``peak_rss_mb`` is its own footprint.
 * **sweep**: the Fig 14 retrieval grid (4 systems x 4 rates) run
   serially and with ``SweepRunner(parallel=4)``.  Cell metrics must be
   identical; the parallel run must be >= 3x faster.
-* **engine_10m** (opt-in: ``--ten-million`` / ``BENCH_SIM_10M=1``): a
-  10M-request Azure-shaped trace streamed through
-  :meth:`AzureLLMTrace.event_blocks` into
-  :meth:`SoAServingEngine.submit_arrays` with
-  ``materialize_records=False`` — headline numbers come from
-  :meth:`array_summary`, no per-request Python objects anywhere.
+* **engine_stream**: a task-head trace drawn from
+  :meth:`AzureTraceGenerator.event_blocks` streamed through the engine
+  one chunk at a time: build the chunk's ``Request`` objects,
+  ``submit`` them, ``run(until=<next chunk's first arrival>)``, copy
+  the chunk's terminal records into numpy columns and clear them.
+  Live request and record objects stay bounded by a chunk, so the same
+  code scales to ``--ten-million`` / ``BENCH_SIM_10M=1``, which raise
+  the leg from ``num_requests`` to 10M requests (recorded as
+  ``engine_10m``).
 
 Results land in ``BENCH_sim_throughput.json`` at the repo root (plus
 ``results/sim_throughput.json`` when run under pytest).  Scale knobs:
@@ -37,12 +40,16 @@ Results land in ``BENCH_sim_throughput.json`` at the repo root (plus
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import resource
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -51,13 +58,14 @@ from _legacy_engine import SeedServingEngine
 from repro.analysis.sweep import SweepRunner
 from repro.core.builder import SystemBuilder
 from repro.runtime.request import Request, reset_request_ids
-from repro.runtime.soa_core import SoAServingEngine
+from repro.workloads.azure import AzureTraceConfig, AzureTraceGenerator
 from repro.workloads.retrieval import RetrievalWorkload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_sim_throughput.json"
 
 FULL_SCALE_REQUESTS = 50_000
+TEN_MILLION = 10_000_000
 #: ~1.5x the 8-adapter v-lora capacity (~8 rps): the backlog grows for
 #: the whole arrival window, which is what makes long traces expensive.
 ENGINE_RATE_RPS = 12.0
@@ -66,6 +74,8 @@ SWEEP_SYSTEMS = ("v-lora", "s-lora", "punica", "dlora")
 SWEEP_DURATION_S = 40.0
 SWEEP_PARALLEL = 4
 SEED = 14
+#: Requests built, submitted and drained per step of the streamed leg.
+STREAM_CHUNK = 2_000
 
 
 def _comparable_summary(metrics) -> Dict[str, float]:
@@ -97,6 +107,17 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _in_child(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` in a fresh spawned process.
+
+    ``ru_maxrss`` is a process-lifetime high-water mark, so a leg run
+    after another would report the larger of the two footprints; a
+    one-shot child reports its own.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(fn, args, kwargs)
+
+
 def _run_engine(num_requests: int, engine_cls=None,
                 enable_cost_cache: bool = True,
                 ) -> Tuple[float, Dict[str, float], float]:
@@ -113,11 +134,7 @@ def _run_engine(num_requests: int, engine_cls=None,
 
 
 def run_engine_bench(num_requests: int) -> Dict[str, object]:
-    # The SoA leg runs first so its recorded peak RSS is its own —
-    # ru_maxrss is a process-lifetime high-water mark, so later legs
-    # report max(own footprint, everything before them).
     variants = {
-        "soa": dict(engine_cls=SoAServingEngine),
         "optimized": dict(),
         "cache_disabled": dict(enable_cost_cache=False),
         "seed": dict(engine_cls=SeedServingEngine),
@@ -126,9 +143,9 @@ def run_engine_bench(num_requests: int) -> Dict[str, object]:
     summaries: Dict[str, Dict[str, float]] = {}
     rss: Dict[str, float] = {}
     for name, kwargs in variants.items():
-        walls[name], summaries[name], rss[name] = _run_engine(
-            num_requests, **kwargs)
-    for name in ("soa", "cache_disabled", "seed"):
+        walls[name], summaries[name], rss[name] = _in_child(
+            _run_engine, num_requests, **kwargs)
+    for name in ("cache_disabled", "seed"):
         if summaries[name] != summaries["optimized"]:
             diff = {
                 k: (summaries["optimized"].get(k), summaries[name].get(k))
@@ -148,7 +165,6 @@ def run_engine_bench(num_requests: int) -> Dict[str, object]:
         "peak_rss_mb": {k: round(v, 1) for k, v in rss.items()},
         "speedup_vs_seed": {
             "optimized": round(walls["seed"] / walls["optimized"], 2),
-            "soa": round(walls["seed"] / walls["soa"], 2),
         },
         "metrics_identical": True,
         "completed": summaries["optimized"]["completed"],
@@ -213,57 +229,129 @@ def run_sweep_bench(duration_s: float = SWEEP_DURATION_S,
     return payload
 
 
-def run_ten_million_bench(num_requests: int = 10_000_000,
-                          ) -> Dict[str, object]:
-    """Stream a 10M-request Azure-shaped trace through the SoA core.
+def _request_chunks(adapter_ids: List[str], num_requests: int,
+                    ) -> Iterator[List[Request]]:
+    """The streamed leg's trace, ``STREAM_CHUNK`` requests at a time.
 
-    No ``Request`` objects and no per-request records exist at any
-    point: arrivals stream in as numpy blocks and results come out of
-    :meth:`array_summary`.  Single-variant — the object core would take
-    hours at this scale; the point is the recorded wall time.
+    Arrivals and prompt lengths come from the Azure generator's numpy
+    blocks with one uniform adapter draw per block.  Every request is
+    answered by a task head (one decode round), which keeps the
+    workload classification-shaped like the paper's vision tasks; the
+    trace's output lengths would make this a multi-hour generation
+    bench instead.
     """
-    import numpy as np
-
-    from repro.workloads.azure import AzureTraceConfig, AzureTraceGenerator
-
-    builder = SystemBuilder(num_adapters=8)
-    engine = builder.build("v-lora", core="soa")
-    engine.materialize_records = False
     trace = AzureTraceGenerator(AzureTraceConfig(
         rate_rps=ENGINE_RATE_RPS, seed=SEED))
-    num_adapters = len(builder.adapter_ids)
     rng = np.random.default_rng(SEED)
-    submit_wall = time.perf_counter()
     for block in trace.event_blocks(num_requests):
         n = block["arrival"].size
-        engine.submit_arrays(
-            rng.integers(0, num_adapters, size=n),
-            block["arrival"],
-            block["input_tokens"],
-            # Task-head traffic (one decode round each) keeps the
-            # workload classification-shaped, like the paper's vision
-            # tasks; the trace's output lengths would make this a
-            # multi-hour generation bench instead.
-            np.ones(n, dtype=np.int64),
-            use_task_head=True,
-        )
-    submit_wall = time.perf_counter() - submit_wall
+        adapters = rng.integers(0, len(adapter_ids), size=n)
+        for lo in range(0, n, STREAM_CHUNK):
+            part = slice(lo, lo + STREAM_CHUNK)
+            yield [
+                Request(adapter_id=adapter_ids[a], arrival_time=t,
+                        input_tokens=i, output_tokens=1,
+                        use_task_head=True)
+                for a, t, i in zip(adapters[part].tolist(),
+                                   block["arrival"][part].tolist(),
+                                   block["input_tokens"][part].tolist())
+            ]
+
+
+def _drain_records(metrics, columns: Dict[str, List[np.ndarray]]) -> None:
+    """Move the terminal records emitted so far into numpy columns."""
+    records, aborts = metrics.records, metrics.aborts
+    for name, values in (
+        ("arrival", [r.arrival_time for r in records]),
+        ("first_token", [r.first_token_time for r in records]),
+        ("finish", [r.finish_time for r in records]),
+        ("tokens", [r.input_tokens + r.output_tokens for r in records]),
+        ("abort_arrival", [a.arrival_time for a in aborts]),
+        ("abort_time", [a.abort_time for a in aborts]),
+    ):
+        columns[name].append(np.asarray(values, dtype=np.float64))
+    records.clear()
+    aborts.clear()
+
+
+def _stream_summary(metrics, columns: Dict[str, List[np.ndarray]],
+                    ) -> Dict[str, float]:
+    """Headline numbers from the streamed columns.
+
+    Float sums use numpy's pairwise accumulation, so values can differ
+    from :meth:`MetricsCollector.summary` in the last ulps; counters
+    are exact.
+    """
+    col = {}
+    for name, chunks in columns.items():
+        col[name] = np.concatenate(chunks)
+        chunks.clear()
+    out: Dict[str, float] = {
+        "completed": float(col["finish"].size),
+        "aborted": float(col["abort_time"].size),
+        "iterations": float(metrics.iterations),
+        "mode_switches": float(metrics.num_mode_switches),
+        "preemptions": float(metrics.num_preemptions),
+        "switch_time_total_s": metrics.switch_time_total,
+    }
+    if col["finish"].size:
+        latency = col["finish"] - col["arrival"]
+        out["avg_token_latency_ms"] = float(
+            latency.sum() / col["tokens"].sum()) * 1e3
+        events_start = min(col["arrival"].min(),
+                           col["abort_arrival"].min(initial=np.inf))
+        events_end = max(col["finish"].max(),
+                         col["abort_time"].max(initial=-np.inf))
+        out["goodput_rps"] = latency.size / max(
+            float(events_end - events_start), 1e-9)
+        out["throughput_rps"] = latency.size / max(
+            float(col["finish"].max() - col["arrival"].min()), 1e-9)
+        out["mean_latency_s"] = float(latency.mean())
+        out["p50_latency_s"] = float(np.percentile(latency, 50))
+        out["p99_latency_s"] = float(np.percentile(latency, 99))
+        out["mean_ttft_s"] = float(
+            (col["first_token"] - col["arrival"]).mean())
+    return out
+
+
+def run_stream_bench(num_requests: int) -> Dict[str, object]:
+    """Stream ``num_requests`` task-head requests through the engine.
+
+    Each chunk is submitted and run up to the next chunk's first
+    arrival, so nothing the engine sees differs from one upfront
+    ``submit`` (tests/runtime/test_engine.py checks that equivalence);
+    only the live object count is bounded.
+    """
+    builder = SystemBuilder(num_adapters=8)
+    engine = builder.build("v-lora")
+    reset_request_ids()
+    columns: Dict[str, List[np.ndarray]] = defaultdict(list)
     start = time.perf_counter()
-    # ~0.76 engine iterations per request at this load; the default
-    # 2M-iteration runaway guard is sized for 50k-request traces.
-    engine.run(max_iterations=30_000_000)
+    chunks = _request_chunks(builder.adapter_ids, num_requests)
+    chunk = next(chunks, None)
+    while chunk is not None:
+        following = next(chunks, None)
+        engine.submit(chunk)
+        engine.run(until=(following[0].arrival_time
+                          if following is not None else None))
+        _drain_records(engine.metrics, columns)
+        chunk = following
+    summary = _stream_summary(engine.metrics, columns)
     wall = time.perf_counter() - start
-    summary = engine.array_summary()
+    if summary["completed"] + summary["aborted"] != num_requests:
+        raise AssertionError(
+            f"streamed leg lost requests: {summary['completed']:.0f} "
+            f"completed + {summary['aborted']:.0f} aborted "
+            f"!= {num_requests}"
+        )
     return {
         "num_requests": num_requests,
         "rate_rps": ENGINE_RATE_RPS,
-        "submit_wall_seconds": round(submit_wall, 3),
-        "run_wall_seconds": round(wall, 3),
+        "chunk": STREAM_CHUNK,
+        "wall_seconds": round(wall, 3),
         "sim_requests_per_sec": round(num_requests / wall, 1),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "completed": summary["completed"],
-        "aborted": summary["aborted"],
-        "iterations": summary["iterations"],
+        **summary,
     }
 
 
@@ -284,17 +372,22 @@ def run_bench(num_requests: int,
             duration_s=150.0 if full_scale else SWEEP_DURATION_S
         ),
     }
+    stream = _in_child(run_stream_bench,
+                       TEN_MILLION if ten_million else num_requests)
     if ten_million:
-        payload["engine_10m"] = run_ten_million_bench()
-    elif OUT_PATH.exists():
-        # Keep the last recorded 10M leg: it's opt-in (tens of minutes)
-        # and dropping it on every small rerun would lose the record.
-        try:
-            prior = json.loads(OUT_PATH.read_text())
-            if "engine_10m" in prior:
-                payload["engine_10m"] = prior["engine_10m"]
-        except (ValueError, OSError):
-            pass
+        payload["engine_10m"] = stream
+    else:
+        payload["engine_stream"] = stream
+        if OUT_PATH.exists():
+            # Keep the last recorded 10M leg: it's opt-in (a quarter
+            # hour) and dropping it on every small rerun would lose the
+            # record.
+            try:
+                prior = json.loads(OUT_PATH.read_text())
+                if "engine_10m" in prior:
+                    payload["engine_10m"] = prior["engine_10m"]
+            except (ValueError, OSError):
+                pass
     OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -309,9 +402,8 @@ def _print_payload(payload: Dict[str, object]) -> None:
         mb = engine["peak_rss_mb"][name]
         print(f"  {name:<16} {wall:>8.2f}s  {rps:>9.1f} sim req/s"
               f"  (rss <= {mb:.0f} MiB)")
-    speedups = engine["speedup_vs_seed"]
-    print(f"  speedup vs seed: soa {speedups['soa']}x, "
-          f"optimized {speedups['optimized']}x "
+    print(f"  speedup vs seed: optimized "
+          f"{engine['speedup_vs_seed']['optimized']}x "
           f"(metrics identical: {engine['metrics_identical']})")
     print(f"sweep grid: {sweep['cells']} cells, parallel={sweep['parallel']} "
           f"(mode: {sweep['mode']})")
@@ -323,12 +415,14 @@ def _print_payload(payload: Dict[str, object]) -> None:
     else:
         print(f"  (serial-degraded: no speedup reported; "
               f"cells identical: {sweep['cells_identical']})")
-    ten = payload.get("engine_10m")
-    if ten:
-        print(f"10M-request SoA leg: {ten['run_wall_seconds']:.1f}s run "
-              f"(+{ten['submit_wall_seconds']:.1f}s submit), "
-              f"{ten['sim_requests_per_sec']:.0f} sim req/s, "
-              f"rss <= {ten['peak_rss_mb']:.0f} MiB")
+    for key in ("engine_stream", "engine_10m"):
+        leg = payload.get(key)
+        if leg:
+            print(f"streamed leg ({key}): {leg['num_requests']} requests "
+                  f"in {leg['wall_seconds']:.1f}s, "
+                  f"{leg['sim_requests_per_sec']:.0f} sim req/s, "
+                  f"rss <= {leg['peak_rss_mb']:.0f} MiB, "
+                  f"{leg['iterations']:.0f} iterations")
     print(f"wrote {OUT_PATH}")
 
 
@@ -341,9 +435,6 @@ def _assert_floors(payload: Dict[str, object]) -> None:
         return
     assert speedups["optimized"] >= 5.0, (
         f"object-engine speedup {speedups['optimized']}x below the 5x floor"
-    )
-    assert speedups["soa"] >= 10.0, (
-        f"SoA-engine speedup {speedups['soa']}x below the 10x floor"
     )
     if payload["cpu_count"] >= SWEEP_PARALLEL:
         assert payload["sweep"]["mode"] == "parallel", (
@@ -369,7 +460,7 @@ def test_sim_throughput(benchmark, results):
         ["variant", "wall (s)", "sim req/s"],
         [[name, payload["engine"]["wall_seconds"][name],
           payload["engine"]["sim_requests_per_sec"][name]]
-         for name in ("soa", "optimized", "cache_disabled", "seed")],
+         for name in ("optimized", "cache_disabled", "seed")],
     )
     results.save("sim_throughput", payload)
 

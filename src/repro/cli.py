@@ -46,10 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run one serving simulation")
     _common_serving_args(serve)
     serve.add_argument("--system", default="v-lora", choices=SYSTEM_NAMES)
-    serve.add_argument("--core", default="object", choices=("object", "soa"),
-                       help="engine core: 'object' (default) or the "
-                            "vectorized 'soa' array core (single-GPU only; "
-                            "identical metrics, much faster on big traces)")
     serve.add_argument("--trace-out", default=None,
                        help="save the generated workload as a JSONL trace")
     serve.add_argument("--trace-in", default=None,
@@ -582,10 +578,6 @@ def cmd_serve(args) -> int:
         return 2
     if (args.num_gpus > 1 or args.autoscale or args.detector
             or hedge is not None or args.disagg):
-        if args.core != "object":
-            print("--core soa is single-GPU only (no --num-gpus/--autoscale/"
-                  "--detector/--disagg)", file=sys.stderr)
-            return 2
         from repro.runtime import (
             AdapterPlacement,
             AutoscaleConfig,
@@ -676,13 +668,7 @@ def cmd_serve(args) -> int:
             disagg=disagg,
         )
     else:
-        try:
-            engine = builder.build(args.system, core=args.core)
-        except ValueError as exc:
-            if args.core == "object":
-                raise
-            print(f"--core soa: {exc}", file=sys.stderr)
-            return 2
+        engine = builder.build(args.system)
     if args.trace_in:
         try:
             requests = load_trace(args.trace_in)

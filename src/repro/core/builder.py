@@ -161,40 +161,16 @@ class SystemBuilder:
 
     # -- assembly --------------------------------------------------------------------
 
-    def build(self, system: str, engine_cls=None,
-              core: str = "object") -> ServingEngine:
+    def build(self, system: str, engine_cls=None) -> ServingEngine:
         """Construct a fresh engine for the named system.
 
         ``engine_cls`` swaps in an alternative engine implementation
         with the same constructor (e.g. the seed-baseline snapshot used
-        by ``benchmarks/bench_sim_throughput.py``).  ``core`` selects
-        between the default per-object engine (``"object"``) and the
-        structure-of-arrays batch-advanced engine (``"soa"``, see
-        :mod:`repro.runtime.soa_core`) — result-identical for supported
-        configurations, much faster on large traces.
+        by ``benchmarks/bench_sim_throughput.py``).
         """
         system = system.lower()
         if system == "vlora":
             system = "v-lora"
-        if core not in ("object", "soa"):
-            raise ValueError(
-                f"unknown core {core!r}; expected 'object' or 'soa'"
-            )
-        if core == "soa":
-            if engine_cls is not None:
-                raise ValueError("pass either engine_cls or core='soa'")
-            if self.placement is not None:
-                # Fleet placement drives the cluster's epoched control
-                # loop; the SoA core only supports the static
-                # run-to-completion path.  Reject loudly rather than
-                # silently ignoring the placement config.
-                raise ValueError(
-                    "core='soa' does not support adapter placement "
-                    "(placement= requires the object core's epoched "
-                    "cluster loop); drop placement or use core='object'"
-                )
-            from repro.runtime.soa_core import SoAServingEngine
-            engine_cls = SoAServingEngine
         cost_model = GemmCostModel(self.gpu)
         operator = self._operator(system, cost_model)
         policy = self._policy(system)
@@ -243,7 +219,7 @@ class SystemBuilder:
             fault_injector=self.fault_injector,
         )
 
-    def engine_factory(self, system: str, core: str = "object"):
+    def engine_factory(self, system: str):
         """Zero-arg callable producing fresh engines for ``system``.
 
         The shape :class:`repro.runtime.cluster.MultiGPUServer` wants
@@ -252,7 +228,7 @@ class SystemBuilder:
         comes off the same mold, so fleet-shared caches (cost, transfer)
         stay coherent.
         """
-        return lambda: self.build(system, core=core)
+        return lambda: self.build(system)
 
 
 def build_engine(system: str, **kwargs) -> ServingEngine:

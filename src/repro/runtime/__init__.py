@@ -15,8 +15,6 @@ vLLM/LightLLM, driven by the analytical cost models:
   per-layer switch (§4.4.1, Fig. 7);
 * :mod:`repro.runtime.scheduler` — Algorithm 1 and baseline policies;
 * :mod:`repro.runtime.engine` — the iteration-level engine;
-* :mod:`repro.runtime.soa_core` — structure-of-arrays batch-advanced
-  engine for very large traces (result-identical, opt-in);
 * :mod:`repro.runtime.cluster` — multi-GPU dispatch (Table 3);
 * :mod:`repro.runtime.autoscaler` — elastic replica lifecycle
   (WARMING/ACTIVE/DRAINING/DEAD) and the scaling policy;
@@ -67,8 +65,6 @@ from repro.runtime.scheduler import (
     MergedOnlyPolicy,
     SchedulerDecision,
     SchedulingPolicy,
-    SoADecision,
-    SoAScheduleContext,
     UnmergedOnlyPolicy,
     VLoRAPolicy,
 )
@@ -93,7 +89,6 @@ from repro.runtime.hedging import (
     capped_exponential_backoff,
 )
 from repro.runtime.engine import EngineConfig, ServingEngine
-from repro.runtime.soa_core import SoAServingEngine
 from repro.runtime.autoscaler import (
     AutoscaleConfig,
     Autoscaler,
@@ -170,9 +165,6 @@ __all__ = [
     "capped_exponential_backoff",
     "ServingEngine",
     "EngineConfig",
-    "SoAServingEngine",
-    "SoADecision",
-    "SoAScheduleContext",
     "AutoscaleConfig",
     "Autoscaler",
     "Replica",

@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request
 
@@ -43,42 +41,6 @@ class SchedulingContext:
     #: the engine filtered the candidate set (counts would be stale).
     #: Policies must treat it as read-only.
     adapter_counts: Optional[Dict[str, int]] = None
-
-
-@dataclass(slots=True)
-class SoAScheduleContext:
-    """SoA twin of :class:`SchedulingContext`.
-
-    The struct-of-arrays core identifies adapters by *index* into its
-    interned adapter table rather than by id string;
-    ``current_merged`` is that index (``-1`` = no merged adapter).
-    Candidates are implicit: the queue view passed alongside always
-    exposes the full live set in FCFS order with fresh per-adapter
-    counts, so the ``candidates_fcfs`` / ``adapter_counts`` flags of the
-    object context are structurally always true here.
-    """
-
-    now: float
-    current_mode: InferenceMode
-    current_merged: int
-    max_batch_size: int
-    est_iteration_seconds: float
-    est_switch_seconds: float
-
-
-@dataclass(slots=True)
-class SoADecision:
-    """SoA twin of :class:`SchedulerDecision`.
-
-    ``batch`` holds pool indices in batch order; ``merged`` is an
-    adapter index (``-1`` = none).  Constructed only by the
-    ``schedule_soa`` fast paths, which guarantee the invariants that
-    :class:`SchedulerDecision.__post_init__` checks on the object path.
-    """
-
-    batch: np.ndarray
-    mode: InferenceMode
-    merged: int = -1
 
 
 @dataclass(slots=True)
@@ -144,63 +106,6 @@ class SchedulingPolicy(abc.ABC):
         invoke this first so the values match what a full pass under
         ``ctx`` would have written.  Policies without credits no-op.
         """
-
-    # -- struct-of-arrays fast paths (runtime/soa_core.py) -------------------
-    #
-    # ``view`` is a queue view over the SoA engine's request pool:
-    #   view.n_live            -> live candidate count
-    #   view.counts            -> int64[num_adapters] live count per adapter
-    #   view.adapter_order     -> int64[num_adapters] lexicographic rank of
-    #                             each adapter id (the _top_adapter tie-break)
-    #   view.arrival           -> float64 pool array (index by pool idx)
-    #   view.adapter_idx       -> int32 pool array of adapter indices
-    #   view.credit            -> float64 pool array (shed-victim currency)
-    #   view.live_prefix(k)    -> first k live pool indices, FCFS order
-    #   view.match_after(a, limit, skip) -> first ``limit`` live indices of
-    #                             adapter ``a`` after skipping ``skip`` live
-    #   view.first_other(a)    -> first live index with adapter != a, or -1
-    #
-    # Each ``schedule_soa`` is the decision-identical twin of the object
-    # path's fast pass: same branches, same float expressions, same
-    # tie-breaks — property-tested in tests/runtime/test_soa_core.py.
-
-    def schedule_soa(self, view, ctx: SoAScheduleContext):
-        """Vectorized twin of :meth:`schedule` over an SoA queue view."""
-        raise NotImplementedError(
-            f"policy {self.name!r} has no SoA scheduling path"
-        )
-
-    def refresh_credits_soa(self, idx: np.ndarray, view,
-                            ctx: SoAScheduleContext) -> None:
-        """SoA twin of :meth:`refresh_credits` (writes ``view.credit``)."""
-
-    @staticmethod
-    def _top_adapter_soa(view) -> int:
-        """Adapter index with the most live requests; ties break toward
-        the lexicographically smallest adapter *id* — the same order
-        :meth:`_top_adapter`'s ``min(counts, key=...)`` uses.
-
-        One max over a composite key: ranks are distinct ints in
-        ``[0, A)``, so ``counts * A - rank`` is maximal exactly at the
-        highest count with the smallest rank, and the keys are unique
-        (no reliance on argmax's first-hit tie rule).  Few-adapter pools
-        take a plain int loop — three numpy dispatches cost more than
-        scanning eight ints — with ``argmax`` kept for wide pools.
-        """
-        counts = view.counts
-        n = counts.size
-        if n > 64:
-            return int(np.argmax(counts * n - view.adapter_order))
-        cl = counts.tolist()
-        ao = view.adapter_order_list
-        best = 0
-        bk = cl[0] * n - ao[0]
-        for i in range(1, n):
-            k = cl[i] * n - ao[i]
-            if k > bk:
-                bk = k
-                best = i
-        return best
 
     @staticmethod
     def _first_matching(candidates: Sequence[Request], adapter_id: str,
@@ -448,109 +353,6 @@ class VLoRAPolicy(SchedulingPolicy):
             mode=InferenceMode.UNMERGED,
         )
 
-    def refresh_credits_soa(self, idx, view, ctx):
-        # Two separate scalar-broadcast adds: a broadcast add of a
-        # python float to a float64 array is a per-element IEEE double
-        # add, so this matches _credit's ((wait + it) + sw) rounding
-        # exactly; pre-summing the constants would round differently.
-        view.credit[idx] = (
-            np.maximum(0.0, ctx.now - view.arrival[idx])
-            + ctx.est_iteration_seconds
-        ) + ctx.est_switch_seconds
-
-    def schedule_soa(self, view, ctx):
-        n = view.n_live
-        if n == 0:
-            return None
-        max_bs = ctx.max_batch_size
-        # One live-prefix fetch serves every branch: the probe is its
-        # head (live_prefix(j) is a prefix of live_prefix(k) for j <=
-        # k), the UNMERGED batch and the all-same MERGED batch are the
-        # whole thing.
-        cand = view.live_prefix(max_bs)
-        # Credit is monotone non-increasing along FCFS order, so the
-        # starving set is a prefix (same argument as
-        # _starve_prefix_len).  Every branch that *uses* the exact count
-        # requires num_starve <= max_bs // 2, so probing the first
-        # max_bs // 2 + 1 live candidates suffices: if all of them
-        # starve, the sentinel count max_bs // 2 + 1 fails both the
-        # ``== 0`` and the ``2 * num_starve <= max_bs`` tests just like
-        # any larger true count would.
-        probe = cand[:max_bs // 2 + 1]
-        # Arrival is non-decreasing along the probe and every op in the
-        # credit formula is weakly monotone in IEEE arithmetic, so the
-        # rounded credit is non-increasing and the starving-prefix
-        # length bisects with the exact scalar predicate — O(log b)
-        # float ops instead of five array passes.  Scalar python floats
-        # are the same C doubles numpy uses, so each probe evaluates
-        # the identical expression ``(max(0, now - arr) + it) + sw``.
-        arrival = view.arrival
-        now = ctx.now
-        it_s = ctx.est_iteration_seconds
-        sw_s = ctx.est_switch_seconds
-        theta = self.theta
-        lo, hi = 0, probe.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            wait = now - float(arrival[probe[mid]])
-            if wait < 0.0:
-                wait = 0.0
-            if ((wait + it_s) + sw_s) > theta:
-                lo = mid + 1
-            else:
-                hi = mid
-        num_starve = lo
-        top = self._top_adapter_soa(view)
-        num_merge_total = int(view.counts[top])
-
-        if not num_starve and num_merge_total == n:
-            # All candidates share one adapter and nothing starves.
-            return SoADecision(
-                batch=cand,
-                mode=InferenceMode.MERGED,
-                merged=top,
-            )
-
-        def merged_decision():
-            return SoADecision(
-                batch=view.match_after(top, max_bs, 0),
-                mode=InferenceMode.MERGED,
-                merged=top,
-            )
-
-        def mixture_decision():
-            # Non-starving merge requests all live past the starve
-            # prefix, so the fill scan starts there.  num_starve is
-            # exact here (<= max_bs // 2 < probe length).
-            fill = view.match_after(top, max_bs - num_starve, num_starve)
-            return SoADecision(
-                batch=np.concatenate((probe[:num_starve], fill)),
-                mode=InferenceMode.MIXTURE,
-                merged=top,
-            )
-
-        # ``num_starve / max_bs <= 0.5`` on the object path is exactly
-        # ``2 * num_starve <= max_bs`` for these int magnitudes (the
-        # division by a positive int is monotone and 0.5 is exact).
-        if (ctx.current_merged == top and num_merge_total
-                and ctx.current_mode in (InferenceMode.MERGED,
-                                         InferenceMode.MIXTURE)):
-            if not num_starve:
-                return merged_decision()
-            if 2 * num_starve <= max_bs:
-                return mixture_decision()
-
-        if 2 * num_starve <= max_bs and 2 * num_merge_total > max_bs:
-            if not num_starve:
-                return merged_decision()
-            return mixture_decision()
-        # Unmerged: starving prefix first, then FCFS fill — the head of
-        # the queue.
-        return SoADecision(
-            batch=cand,
-            mode=InferenceMode.UNMERGED,
-        )
-
 
 class UnmergedOnlyPolicy(SchedulingPolicy):
     """S-LoRA / Punica: FCFS continuous batching, unmerged always."""
@@ -565,14 +367,6 @@ class UnmergedOnlyPolicy(SchedulingPolicy):
         else:
             batch = self._fcfs(candidates)[: ctx.max_batch_size]
         return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
-
-    def schedule_soa(self, view, ctx):
-        if view.n_live == 0:
-            return None
-        return SoADecision(
-            batch=view.live_prefix(ctx.max_batch_size),
-            mode=InferenceMode.UNMERGED,
-        )
 
 
 class MergedOnlyPolicy(SchedulingPolicy):
@@ -604,24 +398,6 @@ class MergedOnlyPolicy(SchedulingPolicy):
         )[: ctx.max_batch_size]
         return SchedulerDecision(
             batch=batch, mode=InferenceMode.MERGED, merged_adapter=target
-        )
-
-    def schedule_soa(self, view, ctx):
-        if view.n_live == 0:
-            return None
-        if ctx.current_merged >= 0 and view.counts[ctx.current_merged] > 0:
-            target = ctx.current_merged
-        else:
-            # The object path's min-by-oldest-arrival (first-appearance
-            # tie-break) always resolves to the adapter of the first
-            # live candidate: FCFS order makes that candidate's arrival
-            # the global minimum, and on arrival ties its adapter is the
-            # first inserted into ``by_adapter``.
-            target = int(view.adapter_idx[view.live_prefix(1)[0]])
-        return SoADecision(
-            batch=view.match_after(target, ctx.max_batch_size, 0),
-            mode=InferenceMode.MERGED,
-            merged=target,
         )
 
 
@@ -697,33 +473,5 @@ class DLoRAPolicy(SchedulingPolicy):
             )
         return SchedulerDecision(
             batch=list(candidates[: ctx.max_batch_size]),
-            mode=InferenceMode.UNMERGED,
-        )
-
-    def schedule_soa(self, view, ctx):
-        n = view.n_live
-        if n == 0:
-            return None
-        top = self._top_adapter_soa(view)
-        num_top = int(view.counts[top])
-        # Exact float division, as on the object path — comparing
-        # 2 * num_top > merge_share * ... would round differently for
-        # arbitrary merge_share values.
-        share = num_top / n
-        others_starving = False
-        if num_top < n:
-            oldest_other = view.first_other(top)
-            others_starving = (
-                max(0.0, ctx.now - float(view.arrival[oldest_other]))
-                > self.starvation_s
-            )
-        if share > self.merge_share and not others_starving:
-            return SoADecision(
-                batch=view.match_after(top, ctx.max_batch_size, 0),
-                mode=InferenceMode.MERGED,
-                merged=top,
-            )
-        return SoADecision(
-            batch=view.live_prefix(ctx.max_batch_size),
             mode=InferenceMode.UNMERGED,
         )

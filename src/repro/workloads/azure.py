@@ -111,13 +111,15 @@ class AzureTraceGenerator:
         """Stream exactly ``num_requests`` arrivals as numpy blocks.
 
         Count-driven companion to :meth:`events` for traces too large to
-        materialize as Python objects (the 10M-request scale bench):
-        each yielded block is a dict of parallel arrays —
+        materialize as Python objects all at once (the 10M-request scale
+        bench): each yielded block is a dict of parallel arrays —
         ``arrival`` (float64, globally increasing), ``input_tokens`` and
         ``output_tokens`` (int64) — sized ``block_size`` (the last block
-        may be shorter), ready for
-        :meth:`~repro.runtime.soa_core.SoAServingEngine.submit_arrays`.
-        ``duration_s`` is ignored: the horizon is the request count.
+        may be shorter).  A caller builds ``Request`` objects from one
+        slice at a time and submits them to the engine chunk by chunk,
+        running each up to the next chunk's first arrival
+        (``benchmarks/bench_sim_throughput.py``).  ``duration_s`` is
+        ignored: the horizon is the request count.
 
         RNG-stream contract: blocks draw from a fresh
         ``default_rng(seed)`` in per-block (gaps, inputs, outputs)

@@ -1,9 +1,15 @@
 """Integration tests for the serving engine and multi-GPU cluster."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SystemBuilder
-from repro.runtime import InferenceMode, MultiGPUServer, Request
+from repro.runtime import (
+    InferenceMode,
+    MultiGPUServer,
+    Request,
+    reset_request_ids,
+)
 from repro.workloads import RetrievalWorkload, VideoAnalyticsWorkload
 
 
@@ -151,6 +157,43 @@ class TestPreemption:
         metrics = engine.run()
         assert metrics.num_completed == 10
         assert metrics.num_preemptions > 0
+
+
+def _retrieval_trace(builder, seed):
+    reset_request_ids()
+    return RetrievalWorkload(builder.adapter_ids, rate_rps=12.0,
+                             duration_s=8.0, slo_s=1.0, seed=seed).generate()
+
+
+def _outcome(metrics):
+    records = [(r.request_id, r.first_token_time, r.finish_time)
+               for r in metrics.records]
+    return records, list(metrics.aborts), metrics.summary()
+
+
+@pytest.mark.property
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), chunk=st.integers(1, 120))
+def test_chunked_submission_matches_upfront(seed, chunk):
+    """Submitting a trace chunk by chunk, each run up to the next
+    chunk's first arrival, is indistinguishable from one upfront
+    ``submit`` + ``run()`` — what lets long traces stream through the
+    engine with bounded live objects."""
+    kw = dict(num_adapters=4, deadline_slo_factor=1.5)
+    builder = SystemBuilder(**kw)
+    engine = builder.build("v-lora")
+    engine.submit(_retrieval_trace(builder, seed))
+    upfront = _outcome(engine.run())
+
+    builder = SystemBuilder(**kw)
+    engine = builder.build("v-lora")
+    trace = _retrieval_trace(builder, seed)
+    chunks = [trace[i:i + chunk] for i in range(0, len(trace), chunk)]
+    for part, following in zip(chunks, chunks[1:] + [None]):
+        engine.submit(part)
+        engine.run(until=(following[0].arrival_time
+                          if following is not None else None))
+    assert _outcome(engine.metrics) == upfront
 
 
 class TestWorkloadIntegration:

@@ -410,10 +410,3 @@ def test_summary_hides_hedge_counters_when_zero():
     for key in ("hedges_fired", "hedge_wins", "hedge_losses",
                 "retry_budget_exhausted"):
         assert key not in summary
-
-
-def test_soa_core_rejects_timeout_policy():
-    builder = SystemBuilder(num_adapters=len(ADAPTER_IDS),
-                            timeout_policy=TimeoutPolicy(hedge_after_s=1.0))
-    with pytest.raises(ValueError, match="tail-tolerant"):
-        builder.build("v-lora", core="soa")
