@@ -7,10 +7,15 @@ flag-degraded approximation.  Exposed as ``SeedServingEngine``; build one
 with ``SystemBuilder.build(system, engine_cls=SeedServingEngine)``.
 
 Do not edit this file when changing the live engine: it is the baseline.
+The one exception is :func:`vlora_full_pass`: the seed's V-LoRA
+decision, copied here when the live scheduler kept only its
+FCFS-ordered single pass, so the baseline still pays the seed's
+per-step cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -29,11 +34,89 @@ from repro.runtime.metrics import MetricsCollector
 from repro.runtime.modes import InferenceMode, ModeExecutor
 from repro.runtime.request import AbortReason, Request, RequestStatus
 from repro.runtime.scheduler import (
+    SchedulerDecision,
     SchedulingContext,
     SchedulingPolicy,
     pick_shed_victim,
 )
 from repro.runtime.switcher import ModeSwitcher
+
+
+def _fcfs(requests):
+    return sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+
+
+def vlora_full_pass(candidates, ctx, theta):
+    """The seed's Algorithm 1 pass over unordered candidates.
+
+    Writes every candidate's credit, sorts the starve, merge and fill
+    sets, and tallies the popular adapter with a fresh ``Counter`` —
+    the same decisions as the live ``VLoRAPolicy.schedule`` at the
+    seed's per-step cost.
+    """
+    if not candidates:
+        return None
+    max_bs = ctx.max_batch_size
+    for r in candidates:
+        r.credit = (
+            r.waiting_time(ctx.now)
+            + ctx.est_iteration_seconds
+            + ctx.est_switch_seconds
+        )
+    starve = _fcfs([r for r in candidates if r.credit > theta])
+    counts = Counter(r.adapter_id for r in candidates)
+    top = min(counts, key=lambda a: (-counts[a], a))
+    merge_reqs = _fcfs([r for r in candidates if r.adapter_id == top])
+    slots_after_starve = max(0, max_bs - len(starve))
+
+    if not starve and len(merge_reqs) == len(candidates):
+        return SchedulerDecision(
+            batch=merge_reqs[:max_bs],
+            mode=InferenceMode.MERGED,
+            merged_adapter=top,
+        )
+
+    if (ctx.current_merged == top and merge_reqs
+            and ctx.current_mode in (InferenceMode.MERGED,
+                                     InferenceMode.MIXTURE)):
+        if not starve:
+            return SchedulerDecision(
+                batch=merge_reqs[:max_bs],
+                mode=InferenceMode.MERGED,
+                merged_adapter=top,
+            )
+        if len(starve) / max_bs <= 0.5:
+            starve_ids = {r.request_id for r in starve}
+            fill = [
+                r for r in merge_reqs if r.request_id not in starve_ids
+            ][:slots_after_starve]
+            return SchedulerDecision(
+                batch=(starve + fill)[:max_bs],
+                mode=InferenceMode.MIXTURE,
+                merged_adapter=top,
+            )
+
+    if (len(starve) / max_bs <= 0.5
+            and len(merge_reqs) / max_bs > 0.5):
+        if not starve:
+            return SchedulerDecision(
+                batch=merge_reqs[:max_bs],
+                mode=InferenceMode.MERGED,
+                merged_adapter=top,
+            )
+        starve_ids = {r.request_id for r in starve}
+        fill = [
+            r for r in merge_reqs if r.request_id not in starve_ids
+        ][:slots_after_starve]
+        return SchedulerDecision(
+            batch=(starve + fill)[:max_bs],
+            mode=InferenceMode.MIXTURE,
+            merged_adapter=top,
+        )
+    starve_ids = {r.request_id for r in starve}
+    rest = _fcfs([r for r in candidates if r.request_id not in starve_ids])
+    batch = (starve + rest)[:max_bs]
+    return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
 
 
 @dataclass(frozen=True)
@@ -217,8 +300,9 @@ class SeedServingEngine:
             max_batch_size=self.config.max_batch_size,
             est_iteration_seconds=self._last_iteration_s,
             est_switch_seconds=self._estimate_switch(),
+            adapter_counts={},
         )
-        decision = self.policy.schedule(schedulable, ctx)
+        decision = vlora_full_pass(schedulable, ctx, self.policy.theta)
         if decision is None:
             return
 

@@ -45,15 +45,18 @@ def run_experiment():
 def test_ablation_theta(benchmark, results):
     data = run_experiment()
 
+    from collections import Counter
     from repro.runtime.scheduler import SchedulingContext, VLoRAPolicy
     from repro.runtime import InferenceMode, Request
     policy = VLoRAPolicy(theta=0.5)
+    # Created in id order at one arrival time: already FCFS-ordered.
     reqs = [Request(adapter_id=f"a{i % 3}", arrival_time=0.0,
                     input_tokens=64, output_tokens=4) for i in range(32)]
     ctx = SchedulingContext(
         now=1.0, current_mode=InferenceMode.UNMERGED, current_merged=None,
         max_batch_size=16, est_iteration_seconds=0.02,
         est_switch_seconds=0.005,
+        adapter_counts=dict(Counter(r.adapter_id for r in reqs)),
     )
     benchmark(policy.schedule, reqs, ctx)
 

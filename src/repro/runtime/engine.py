@@ -341,9 +341,11 @@ class ServingEngine:
         self._adapter_counts: Dict[str, int] = {}
         # Admission-order tracking: while every admit key (arrival, id)
         # is non-decreasing, _active iteration order IS FCFS order and
-        # policies can skip their sorts.  Cluster failover requeues can
-        # break monotonicity (a requeued arrival is stamped by the dead
-        # engine's clock), which flips this flag off for good.
+        # step() need not sort the candidates.  Cluster failover
+        # requeues (a requeued arrival is stamped by the dead engine's
+        # clock) and KV hand-offs admitted after their wire delay can
+        # break monotonicity, which flips this flag off until
+        # drain_orphans() empties the engine.
         self._active_in_order = True
         self._last_admit_key: Tuple[float, int] = (float("-inf"), -1)
         # Earliest-deadline heap of (arrival + deadline, request_id);
@@ -569,6 +571,16 @@ class ServingEngine:
         if not schedulable:
             self._advance_past_backoff()
             return
+        # The policy contract (SchedulingContext): FCFS-ordered
+        # candidates with exact per-adapter counts.
+        if not self._active_in_order:
+            schedulable.sort(key=lambda r: (r.arrival_time, r.request_id))
+        if len(schedulable) == len(self._active):
+            counts = self._adapter_counts
+        else:
+            counts = {}
+            for r in schedulable:
+                counts[r.adapter_id] = counts.get(r.adapter_id, 0) + 1
         ctx = SchedulingContext(
             now=self.clock.now,
             current_mode=self.current_mode,
@@ -576,11 +588,7 @@ class ServingEngine:
             max_batch_size=self.config.max_batch_size,
             est_iteration_seconds=self._last_iteration_s,
             est_switch_seconds=self._estimate_switch(),
-            candidates_fcfs=self._active_in_order,
-            adapter_counts=(
-                self._adapter_counts
-                if len(schedulable) == len(self._active) else None
-            ),
+            adapter_counts=counts,
         )
         self._last_ctx = ctx
         decision = self.policy.schedule(schedulable, ctx)
@@ -588,7 +596,7 @@ class ServingEngine:
             return
         if (self._brownout is not None and self._brownout.force_merged
                 and decision.mode is not InferenceMode.MERGED):
-            forced = self._force_merged_decision(schedulable)
+            forced = self._force_merged_decision(schedulable, counts)
             if forced is not None:
                 decision = forced
                 self.metrics.brownout_forced_merges += 1
@@ -764,21 +772,17 @@ class ServingEngine:
             self.metrics.brownout_sheds += 1
 
     def _force_merged_decision(
-            self, schedulable: Sequence[Request]
+            self, schedulable: Sequence[Request], counts: Dict[str, int]
     ) -> Optional[SchedulerDecision]:
         """Brownout level 3: run the hottest adapter merged, max batch."""
-        counts: Dict[str, int] = {}
-        for r in schedulable:
-            counts[r.adapter_id] = counts.get(r.adapter_id, 0) + 1
-        if not counts:
-            return None
-        top = min(counts, key=lambda a: (-counts[a], a))
-        batch = [r for r in schedulable if r.adapter_id == top]
-        batch = batch[: self.config.max_batch_size]
-        if not batch:
+        top = SchedulingPolicy._top_adapter(counts)
+        if top is None:
             return None
         return SchedulerDecision(
-            batch=batch, mode=InferenceMode.MERGED, merged_adapter=top
+            batch=SchedulingPolicy._first_matching(
+                schedulable, top, self.config.max_batch_size
+            ),
+            mode=InferenceMode.MERGED, merged_adapter=top,
         )
 
     # -- resilience -------------------------------------------------------------------
@@ -873,9 +877,9 @@ class ServingEngine:
         self._kv_stalls = 0
         active = self._active.values()
         pool = [r for r in active if not r.prefilled] or list(active)
-        # Fast-path scheduling skips the per-candidate credit writes, so
-        # bring the pool's credits up to this step's scheduling context
-        # before the credit-keyed victim pick.
+        # Policies write credits only on request: bring the pool's up
+        # to this step's scheduling context before the credit-keyed
+        # victim pick.
         if self._last_ctx is not None:
             self.policy.refresh_credits(pool, self._last_ctx)
         victim = pick_shed_victim(pool, self.clock.now)

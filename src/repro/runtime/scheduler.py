@@ -14,8 +14,7 @@ latency; a request whose credit exceeds the tolerance θ is starving.
 from __future__ import annotations
 
 import abc
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.modes import InferenceMode
@@ -24,7 +23,14 @@ from repro.runtime.request import Request
 
 @dataclass(slots=True)
 class SchedulingContext:
-    """What the engine tells the policy about the world."""
+    """What the engine tells the policy about the world.
+
+    The engine's contract with every policy: ``candidates`` arrive in
+    FCFS order, ``(arrival_time, request_id)`` ascending — a total
+    order, since ids are unique — and ``adapter_counts`` equals
+    ``Counter(r.adapter_id for r in candidates)``.  Policies rely on
+    both and must treat the counts as read-only.
+    """
 
     now: float
     current_mode: InferenceMode
@@ -32,15 +38,7 @@ class SchedulingContext:
     max_batch_size: int
     est_iteration_seconds: float
     est_switch_seconds: float
-    #: True when ``candidates`` already arrive in FCFS order
-    #: (arrival_time, request_id); policies may then skip their sorts —
-    #: bit-identical, since that key is a total order (ids are unique).
-    candidates_fcfs: bool = False
-    #: Incrementally maintained ``adapter -> live request count`` equal
-    #: to ``Counter(r.adapter_id for r in candidates)``; ``None`` when
-    #: the engine filtered the candidate set (counts would be stale).
-    #: Policies must treat it as read-only.
-    adapter_counts: Optional[Dict[str, int]] = None
+    adapter_counts: Dict[str, int]
 
 
 @dataclass(slots=True)
@@ -99,12 +97,12 @@ class SchedulingPolicy(abc.ABC):
 
     def refresh_credits(self, requests: Sequence[Request],
                         ctx: SchedulingContext) -> None:
-        """Recompute ``request.credit`` as :meth:`schedule` would.
+        """Write ``request.credit`` as of ``ctx``.
 
-        Fast-path scheduling avoids touching every candidate's credit
-        each step; callers that *read* credits (shed-victim selection)
-        invoke this first so the values match what a full pass under
-        ``ctx`` would have written.  Policies without credits no-op.
+        :meth:`schedule` never writes credits — it only needs the
+        starving prefix — so this is the one place they are set.
+        Callers that *read* credits (shed-victim selection) invoke it
+        first.  Policies without credits no-op.
         """
 
     @staticmethod
@@ -123,31 +121,10 @@ class SchedulingPolicy(abc.ABC):
         return out
 
     @staticmethod
-    def _fcfs(requests: Sequence[Request],
-              presorted: bool = False) -> List[Request]:
-        """FCFS order; ``presorted`` skips the sort for ordered inputs.
-
-        Any order-preserving subset of an FCFS-ordered candidate list is
-        itself FCFS-ordered, so call sites may pass
-        ``ctx.candidates_fcfs`` for lists derived from ``candidates``
-        by filtering.
-        """
-        if presorted:
-            return list(requests)
-        return sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-
-    @staticmethod
-    def _top_adapter(
-        requests: Sequence[Request],
-        counts: Optional[Dict[str, int]] = None,
-    ) -> Optional[str]:
-        if counts is None:
-            if not requests:
-                return None
-            counts = Counter(r.adapter_id for r in requests)
+    def _top_adapter(counts: Dict[str, int]) -> Optional[str]:
+        """Adapter with the most live requests; ties go to the lowest id."""
         if not counts:
             return None
-        # Deterministic tie-break by adapter id.
         return min(counts, key=lambda a: (-counts[a], a))
 
 
@@ -168,7 +145,8 @@ class VLoRAPolicy(SchedulingPolicy):
         self.theta = theta
 
     def _credit(self, r, ctx):
-        # Same float-addition order as the assignment loop below.
+        # One float expression shared by the starve bisection and
+        # refresh_credits, so both see bit-identical credits.
         return (
             r.waiting_time(ctx.now)
             + ctx.est_iteration_seconds
@@ -185,8 +163,7 @@ class VLoRAPolicy(SchedulingPolicy):
         Credit is ``max(0, now - arrival) + const`` — monotone
         non-increasing along FCFS order (floating-point subtraction,
         max, and addition are all monotone) — so ``credit > theta``
-        holds on exactly a prefix, found by bisection with the same
-        per-request float expression the full pass evaluates.
+        holds on exactly a prefix, found by bisection.
         """
         lo, hi = 0, len(candidates)
         while lo < hi:
@@ -198,26 +175,19 @@ class VLoRAPolicy(SchedulingPolicy):
         return lo
 
     def schedule(self, candidates, ctx):
+        """One Algorithm 1 decision in O(log n + batch).
+
+        The starve set is the bisected FCFS prefix, the popular
+        adapter's tally comes from ``ctx.adapter_counts``, and every
+        batch is assembled by an early-exit scan of the ordered queue.
+        """
         if not candidates:
             return None
-        if ctx.candidates_fcfs and ctx.adapter_counts is not None:
-            return self._schedule_fast(candidates, ctx)
         max_bs = ctx.max_batch_size
-        for r in candidates:
-            r.credit = (
-                r.waiting_time(ctx.now)
-                + ctx.est_iteration_seconds
-                + ctx.est_switch_seconds
-            )
-        presorted = ctx.candidates_fcfs
-        starve = self._fcfs(
-            [r for r in candidates if r.credit > self.theta], presorted
-        )
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        merge_reqs = self._fcfs(
-            [r for r in candidates if r.adapter_id == top], presorted
-        )
-        slots_after_starve = max(0, max_bs - len(starve))
+        n = len(candidates)
+        num_starve = self._starve_prefix_len(candidates, ctx)
+        top = self._top_adapter(ctx.adapter_counts)
+        num_merge_total = ctx.adapter_counts.get(top, 0)
 
         # Principle (1), §4.4.3: merged whenever possible.  When every
         # live request wants the same adapter and nothing starves,
@@ -225,87 +195,7 @@ class VLoRAPolicy(SchedulingPolicy):
         # (Algorithm 1's |R_merge|/MaxBS > 0.5 test is a hysteresis
         # guard for mixed traffic, not a reason to idle in unmerged
         # mode on single-tenant phases).
-        if not starve and len(merge_reqs) == len(candidates):
-            return SchedulerDecision(
-                batch=merge_reqs[:max_bs],
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-
-        # Principle (2) hysteresis: while the popular adapter is already
-        # merged, leaving merged mode costs an un-merge; stay merged as
-        # long as nothing starves, and rescue starving minorities via
-        # mixture (whose switch from merged is free) before considering
-        # unmerged mode.
-        if (ctx.current_merged == top and merge_reqs
-                and ctx.current_mode in (InferenceMode.MERGED,
-                                         InferenceMode.MIXTURE)):
-            if not starve:
-                return SchedulerDecision(
-                    batch=merge_reqs[:max_bs],
-                    mode=InferenceMode.MERGED,
-                    merged_adapter=top,
-                )
-            if len(starve) / max_bs <= 0.5:
-                starve_ids = {r.request_id for r in starve}
-                fill = [
-                    r for r in merge_reqs if r.request_id not in starve_ids
-                ][:slots_after_starve]
-                return SchedulerDecision(
-                    batch=(starve + fill)[:max_bs],
-                    mode=InferenceMode.MIXTURE,
-                    merged_adapter=top,
-                )
-
-        if (len(starve) / max_bs <= 0.5
-                and len(merge_reqs) / max_bs > 0.5):
-            if not starve:
-                # Line 6-8: pure merged execution of the popular adapter.
-                return SchedulerDecision(
-                    batch=merge_reqs[:max_bs],
-                    mode=InferenceMode.MERGED,
-                    merged_adapter=top,
-                )
-            # Line 9-12: mixture — starving requests run via deLoRA
-            # alongside the merged majority.
-            starve_ids = {r.request_id for r in starve}
-            fill = [
-                r for r in merge_reqs if r.request_id not in starve_ids
-            ][:slots_after_starve]
-            return SchedulerDecision(
-                batch=(starve + fill)[:max_bs],
-                mode=InferenceMode.MIXTURE,
-                merged_adapter=top,
-            )
-        # Line 13-15: unmerged — starving first, then FCFS fill.
-        starve_ids = {r.request_id for r in starve}
-        rest = self._fcfs(
-            [r for r in candidates if r.request_id not in starve_ids],
-            presorted,
-        )
-        batch = (starve + rest)[:max_bs]
-        return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
-
-    def _schedule_fast(self, candidates, ctx):
-        """O(log n + batch) twin of :meth:`schedule` for ordered input.
-
-        Decision-identical to the full pass when ``candidates`` are
-        FCFS-ordered and ``ctx.adapter_counts`` mirrors them: the starve
-        set is the bisected prefix, ``merge_reqs`` tallies come from the
-        counts, and every batch is assembled by early-exit scans instead
-        of whole-queue list comprehensions.  Credits are not written
-        here — :meth:`refresh_credits` recomputes them on demand.
-        """
-        max_bs = ctx.max_batch_size
-        n = len(candidates)
-        num_starve = self._starve_prefix_len(candidates, ctx)
-        num_merge_total = 0
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        if top is not None:
-            num_merge_total = ctx.adapter_counts.get(top, 0)
-
         if not num_starve and num_merge_total == n:
-            # All candidates share one adapter and nothing starves.
             return SchedulerDecision(
                 batch=list(candidates[:max_bs]),
                 mode=InferenceMode.MERGED,
@@ -313,6 +203,7 @@ class VLoRAPolicy(SchedulingPolicy):
             )
 
         def merged_decision():
+            # Line 6-8: pure merged execution of the popular adapter.
             return SchedulerDecision(
                 batch=self._first_matching(candidates, top, max_bs),
                 mode=InferenceMode.MERGED,
@@ -320,8 +211,9 @@ class VLoRAPolicy(SchedulingPolicy):
             )
 
         def mixture_decision():
-            # Non-starving merge requests all live past the starve
-            # prefix, so the fill scan starts there.
+            # Line 9-12: starving requests run via deLoRA alongside the
+            # merged majority.  Non-starving merge requests all live
+            # past the starve prefix, so the fill scan starts there.
             starve = list(candidates[:num_starve])
             fill = self._first_matching(
                 candidates, top, max(0, max_bs - num_starve),
@@ -333,6 +225,11 @@ class VLoRAPolicy(SchedulingPolicy):
                 merged_adapter=top,
             )
 
+        # Principle (2) hysteresis: while the popular adapter is already
+        # merged, leaving merged mode costs an un-merge; stay merged as
+        # long as nothing starves, and rescue starving minorities via
+        # mixture (whose switch from merged is free) before considering
+        # unmerged mode.
         if (ctx.current_merged == top and num_merge_total
                 and ctx.current_mode in (InferenceMode.MERGED,
                                          InferenceMode.MIXTURE)):
@@ -346,8 +243,8 @@ class VLoRAPolicy(SchedulingPolicy):
             if not num_starve:
                 return merged_decision()
             return mixture_decision()
-        # Unmerged: starving prefix first, then FCFS fill — which for
-        # ordered candidates is simply the head of the queue.
+        # Line 13-15: unmerged — starving prefix first, then FCFS fill,
+        # which for ordered candidates is simply the head of the queue.
         return SchedulerDecision(
             batch=list(candidates[:max_bs]),
             mode=InferenceMode.UNMERGED,
@@ -362,11 +259,10 @@ class UnmergedOnlyPolicy(SchedulingPolicy):
     def schedule(self, candidates, ctx):
         if not candidates:
             return None
-        if ctx.candidates_fcfs:
-            batch = list(candidates[: ctx.max_batch_size])
-        else:
-            batch = self._fcfs(candidates)[: ctx.max_batch_size]
-        return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
+        return SchedulerDecision(
+            batch=list(candidates[: ctx.max_batch_size]),
+            mode=InferenceMode.UNMERGED,
+        )
 
 
 class MergedOnlyPolicy(SchedulingPolicy):
@@ -382,22 +278,17 @@ class MergedOnlyPolicy(SchedulingPolicy):
     def schedule(self, candidates, ctx):
         if not candidates:
             return None
-        by_adapter = {}
-        for r in candidates:
-            by_adapter.setdefault(r.adapter_id, []).append(r)
-        if ctx.current_merged in by_adapter:
+        if ctx.current_merged in ctx.adapter_counts:
             target = ctx.current_merged
         else:
             # Adapter owning the oldest request goes next.
-            target = min(
-                by_adapter,
-                key=lambda a: min(r.arrival_time for r in by_adapter[a]),
-            )
-        batch = self._fcfs(
-            by_adapter[target], ctx.candidates_fcfs
-        )[: ctx.max_batch_size]
+            target = candidates[0].adapter_id
         return SchedulerDecision(
-            batch=batch, mode=InferenceMode.MERGED, merged_adapter=target
+            batch=self._first_matching(
+                candidates, target, ctx.max_batch_size
+            ),
+            mode=InferenceMode.MERGED,
+            merged_adapter=target,
         )
 
 
@@ -418,40 +309,17 @@ class DLoRAPolicy(SchedulingPolicy):
         self.starvation_s = starvation_s
 
     def schedule(self, candidates, ctx):
-        if not candidates:
-            return None
-        if ctx.candidates_fcfs and ctx.adapter_counts is not None:
-            return self._schedule_fast(candidates, ctx)
-        top = self._top_adapter(candidates, ctx.adapter_counts)
-        top_reqs = [r for r in candidates if r.adapter_id == top]
-        share = len(top_reqs) / len(candidates)
-        others_starving = any(
-            r.adapter_id != top and r.waiting_time(ctx.now) > self.starvation_s
-            for r in candidates
-        )
-        if share > self.merge_share and not others_starving:
-            return SchedulerDecision(
-                batch=self._fcfs(
-                    top_reqs, ctx.candidates_fcfs
-                )[: ctx.max_batch_size],
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-        batch = self._fcfs(
-            candidates, ctx.candidates_fcfs
-        )[: ctx.max_batch_size]
-        return SchedulerDecision(batch=batch, mode=InferenceMode.UNMERGED)
-
-    def _schedule_fast(self, candidates, ctx):
-        """Decision-identical fast pass over FCFS-ordered candidates.
+        """One dLoRA decision over FCFS-ordered candidates.
 
         The dominant-adapter share comes from ``ctx.adapter_counts``;
         the starvation probe touches only the oldest foreign request —
         FCFS order makes its waiting time the maximum over all of them,
-        so one comparison decides ``any(...)``.
+        so one comparison decides whether any foreigner starves.
         """
+        if not candidates:
+            return None
         counts = ctx.adapter_counts
-        top = self._top_adapter(candidates, counts)
+        top = self._top_adapter(counts)
         num_top = counts.get(top, 0)
         n = len(candidates)
         share = num_top / n

@@ -6,6 +6,8 @@ purity, starving requests never left behind when capacity allows, and
 batch membership drawn from the candidates.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,7 +46,16 @@ def request_sets(draw):
         max_batch_size=draw(st.integers(1, 16)),
         est_iteration_seconds=draw(st.floats(0.001, 0.1)),
         est_switch_seconds=draw(st.floats(0.0, 0.05)),
+        adapter_counts={},
     )
+    return reqs, ctx
+
+
+def engine_view(reqs, ctx):
+    """What the engine hands a policy: the requests in FCFS order, with
+    ``ctx.adapter_counts`` set to their per-adapter counts."""
+    reqs = sorted(reqs, key=lambda r: (r.arrival_time, r.request_id))
+    ctx.adapter_counts = dict(Counter(r.adapter_id for r in reqs))
     return reqs, ctx
 
 
@@ -59,7 +70,7 @@ POLICIES = [
 @settings(max_examples=120, deadline=None)
 @given(data=request_sets(), policy_idx=st.integers(0, len(POLICIES) - 1))
 def test_decision_invariants(data, policy_idx):
-    reqs, ctx = data
+    reqs, ctx = engine_view(*data)
     policy = POLICIES[policy_idx]
     decision = policy.schedule(reqs, ctx)
     assert decision is not None  # non-empty candidates always yield work
@@ -84,9 +95,10 @@ def test_decision_invariants(data, policy_idx):
 def test_vlora_starving_first(data):
     """Every starving request fits in the batch before any fresh one,
     up to capacity."""
-    reqs, ctx = data
+    reqs, ctx = engine_view(*data)
     policy = VLoRAPolicy(theta=0.5)
     decision = policy.schedule(reqs, ctx)
+    policy.refresh_credits(reqs, ctx)
     starving = [r for r in reqs if r.credit > policy.theta]
     batch_ids = {r.request_id for r in decision.batch}
     if decision.mode is InferenceMode.UNMERGED:
@@ -104,6 +116,7 @@ def test_vlora_single_tenant_goes_merged(data):
     for r in reqs:
         r.adapter_id = "a"
         r.arrival_time = ctx.now  # fresh: zero waiting time
+    reqs, ctx = engine_view(reqs, ctx)  # counts of the rewritten ids
     policy = VLoRAPolicy(theta=10.0 + ctx.est_iteration_seconds
                          + ctx.est_switch_seconds)
     decision = policy.schedule(reqs, ctx)
@@ -115,7 +128,7 @@ def test_vlora_single_tenant_goes_merged(data):
 @given(data=request_sets())
 def test_deterministic_decisions(data):
     """Same inputs, same decision (no hidden randomness)."""
-    reqs, ctx = data
+    reqs, ctx = engine_view(*data)
     a = VLoRAPolicy(theta=0.5).schedule(reqs, ctx)
     b = VLoRAPolicy(theta=0.5).schedule(reqs, ctx)
     assert a.mode == b.mode
