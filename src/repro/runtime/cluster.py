@@ -14,8 +14,9 @@ paper's future work — four dispatch policies are provided here:
 * ``locality`` — cache-state-aware placement through the fleet adapter
   registry (:class:`~repro.runtime.placement.AdapterPlacement`):
   consistent-hash homes, load-aware spill to adapter-resident replicas,
-  hot-adapter replication and cold demotion.  Requires the epoched loop
-  (attaching a placement registry enables it, like hedging does).
+  hot-adapter replication and cold demotion.  The policy builds a
+  default registry when none is attached; the registry is rebalanced
+  once per placement control epoch.
 
 All three policies route around *dead* replicas (an engine whose fault
 schedule has already killed it receives no fresh traffic — it would all
@@ -25,16 +26,18 @@ also around *unhealthy* ones: each replica carries a health score
 EWMA iteration slowdown vs the median peer, queue depth) and dispatch
 avoids replicas scoring below ``health_floor``.
 
+Every cluster runs one epoched control loop
+(:meth:`MultiGPUServer.run`): requests wait in a cluster-level queue,
+are dispatched in their arrival epoch, and a failed replica's orphans
+re-enter that queue.  The epoch length comes from whichever component
+needs a control cadence; a cluster with none of them (the Table 3
+deployment) runs each epoch unbounded — every replica to completion.
 The replica set itself can be **elastic**: attach an
 :class:`~repro.runtime.autoscaler.Autoscaler` (plus an
-``engine_factory``) and :meth:`run` switches from the static
-run-to-completion loop to an epoched control loop in which replicas
-move through the WARMING → ACTIVE → DRAINING → DEAD lifecycle, new
-replicas pay a modeled cold start before serving, scale-downs drain
-gracefully through the requeue machinery, and a failed replica's
-orphans re-enter the shared dispatch queue.  Without an autoscaler the
-static code path is untouched — metrics are bit-identical to the
-pre-lifecycle cluster.
+``engine_factory``) and replicas move through the WARMING → ACTIVE →
+DRAINING → DEAD lifecycle, new replicas pay a modeled cold start before
+serving, and scale-downs drain gracefully through the requeue
+machinery.
 
 Attach a :class:`~repro.runtime.failure_detection.FailureDetector` and
 the omniscient failure oracle is replaced by *observed* health: the
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -95,9 +99,10 @@ class MultiGPUServer:
     """Dispatches requests over independent per-GPU engines.
 
     When a :class:`~repro.runtime.faults.FaultInjector` kills an engine
-    mid-run, :meth:`run` requeues its in-flight requests onto surviving
-    engines (failover); with no survivors the orphans are aborted with
-    ``AbortReason.ENGINE_FAILED``.
+    mid-run, :meth:`run` requeues its in-flight requests and the
+    configured dispatch policy re-homes them on surviving engines
+    (failover); once no replica survives (and none can be spawned) the
+    orphans abort with ``AbortReason.ENGINE_FAILED`` at that moment.
 
     Failover requeue is *bounded*: ``max_requeues`` caps how many hosts
     one request may lose before the cluster gives up on it
@@ -108,13 +113,13 @@ class MultiGPUServer:
     *failover* hops burn that budget — voluntary drain re-homing during
     scale-down charges the request's ``drain_hops`` instead.
 
-    With ``autoscaler`` set (requires ``engine_factory``), the replica
-    set is elastic: :meth:`submit` parks requests in a cluster-level
-    queue and :meth:`run` dispatches them epoch by epoch to whatever
-    replicas are ACTIVE at that moment.
+    :meth:`submit` parks requests in a cluster-level queue and
+    :meth:`run` dispatches them epoch by epoch to whatever replicas are
+    ACTIVE at that moment; with ``autoscaler`` set (requires
+    ``engine_factory``), that replica set is elastic.
     """
 
-    #: Epoch-count backstop for the autoscaled control loop.
+    #: Epoch-count backstop for the control loop.
     _MAX_EPOCHS = 1_000_000
 
     def __init__(self, engines: Sequence[ServingEngine],
@@ -307,7 +312,11 @@ class MultiGPUServer:
 
     @property
     def engines(self) -> List[ServingEngine]:
-        """Engines of every non-DEAD replica (static mode: all of them)."""
+        """Engines of every non-DEAD replica, in spawn order.
+
+        A failed or drained replica leaves this list once the control
+        loop retires it; :attr:`replicas` keeps every replica ever run.
+        """
         return [rep.engine for rep in self.replicas
                 if rep.state is not ReplicaState.DEAD]
 
@@ -424,15 +433,14 @@ class MultiGPUServer:
         return allowed, scores
 
     def submit(self, requests: Sequence[Request]) -> None:
-        """Accept requests: dispatch now (static) or queue (epoched).
+        """Accept requests into the cluster-level dispatch queue.
 
-        A static cluster places every request on a replica immediately,
-        per the configured policy.  An autoscaled cluster cannot — the
-        replica a request should land on may not exist yet — a
-        detector-driven cluster must not (the replica it would pick may
-        already be silently dead), and a hedging cluster needs the
-        epoched loop's per-epoch view of time in flight; all three queue
-        requests cluster-side until their arrival epoch.
+        Nothing is placed on a replica here: :meth:`run` dispatches each
+        request in its arrival epoch, per the configured policy, to the
+        replicas that can take it at that moment.  (An autoscaled
+        cluster could not place it sooner — the replica it should land
+        on may not exist yet — and a detector-driven one must not: the
+        replica it would pick may already be silently dead.)
         """
         policy = self.timeout_policy
         if policy is not None and policy.give_up_after_s is not None:
@@ -447,12 +455,7 @@ class MultiGPUServer:
             # retries, and failover requeues later spend.
             for r in requests:
                 self.retry_budget.deposit(r.priority)
-        if (self.autoscaler is not None or self.detector is not None
-                or self.hedge is not None or self.placement is not None
-                or self.disagg is not None):
-            self._requeue(requests)
-            return
-        self._dispatch(requests, self.engines)
+        self._requeue(requests)
 
     def _dispatch(self, requests: Sequence[Request],
                   engines: Sequence[ServingEngine]) -> None:
@@ -576,80 +579,33 @@ class MultiGPUServer:
     # -- execution ------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> MetricsCollector:
-        """Run the cluster to completion; returns the merged metrics.
+        """Run the epoched control loop; returns the merged metrics.
 
-        Static clusters run every engine to completion with failover
-        (:meth:`_run_static`); autoscaled and/or detector-driven
-        clusters run the epoched control loop (:meth:`_run_epoched`).
-        Either way the returned collector folds cluster-level events
-        (failover requeues, requeue-limit and no-survivor aborts, scale
-        events, fenced completions) in with every replica's metrics, so
-        ``summary()`` accounts for every submitted request.
-        """
-        if (self.autoscaler is not None or self.detector is not None
-                or self.hedge is not None or self.placement is not None
-                or self.disagg is not None):
-            return self._run_epoched(until)
-        return self._run_static(until)
+        Control time advances in the ``interval_s`` of whichever
+        component needs a cadence (autoscaler, detector, hedging,
+        placement, disaggregation).  Each epoch: replicas whose warm-up
+        finished turn ACTIVE; due requests are dispatched to ACTIVE
+        replicas; ACTIVE and DRAINING engines run to the epoch boundary
+        on their own sim clocks.  Then, without a detector, the failure
+        oracle retires failed replicas and requeues their orphans.  With
+        one, the cluster instead processes what it *observed*: reachable
+        replicas deliver their completion outboxes (fenced), heartbeats
+        are emitted/dropped/withheld per the fault schedule, and the φ
+        detector's transitions drive suspicion, healing, and
+        confirmed-death seizure.  Empty (or timed-out) DRAINING replicas
+        retire; finally the autoscaler — when present — observes queue
+        depth and SLO attainment and may spawn or drain a replica.
 
-    def _run_static(self, until: Optional[float]) -> MetricsCollector:
-        """Run every engine to completion, failing over dead engines.
-
-        Engines run sequentially on independent sim clocks.  After each
-        pass, requests stranded on failed engines are requeued onto
-        survivors (which then resume); the loop is bounded because each
-        engine can fail at most once.
-        """
-        for e in self.engines:
-            e.run(until=until)
-        for _ in range(len(self.engines)):
-            stranded = [e for e in self.engines if e.failed and e.num_live]
-            if not stranded:
-                break
-            survivors = [e for e in self.engines if not e.failed]
-            orphans: List[Request] = []
-            for e in stranded:
-                orphans.extend(e.drain_orphans())
-            orphans = self._vet_orphans(orphans)
-            if not survivors:
-                for r in orphans:
-                    self._cluster_abort(r, r.arrival_time)
-                break
-            if orphans:
-                self._apply_requeue_backoff(orphans)
-                self.cluster_metrics.failover_events += len(orphans)
-                self._failover_dispatch(orphans, survivors)
-            for e in survivors:
-                e.run(until=until)
-        return self._merged_metrics()
-
-    def _merged_metrics(self) -> MetricsCollector:
-        merged = MetricsCollector()
-        merged.merge_from(self.cluster_metrics)
-        for rep in self.replicas:
-            merged.merge_from(rep.engine.metrics)
-        return merged
-
-    # -- epoched control loop (autoscaled and/or detector-driven) ------------------
-
-    def _run_epoched(self, until: Optional[float]) -> MetricsCollector:
-        """Epoched lifecycle loop: warm, dispatch, run, detect/fail
-        over, drain, scale.
-
-        Control time advances in ``interval_s`` steps.  Each epoch:
-        replicas whose warm-up finished turn ACTIVE; due requests are
-        dispatched to ACTIVE replicas; ACTIVE and DRAINING engines run
-        to the epoch boundary on their own sim clocks.  Then, without a
-        detector, the legacy failure oracle retires failed replicas and
-        requeues their orphans.  With one, the cluster instead processes
-        what it *observed*: reachable replicas deliver their completion
-        outboxes (fenced), heartbeats are emitted/dropped/withheld per
-        the fault schedule, and the φ detector's transitions drive
-        suspicion, healing, and confirmed-death seizure.  Empty (or
-        timed-out) DRAINING replicas retire; finally the autoscaler —
-        when present — observes queue depth and SLO attainment and may
-        spawn or drain a replica.  The loop ends when no undispatched,
-        in-flight, or undelivered work remains (or at ``until``).
+        When no component sets an interval (the §6.4 Table 3
+        data-parallel deployment), each epoch is unbounded: every
+        replica runs to completion and the epoch ends at the latest
+        replica clock, so a failover costs one more epoch.  The loop
+        ends when no undispatched, in-flight, or undelivered work
+        remains (or at ``until``).  The returned collector folds
+        cluster-level events (failover requeues, requeue-limit and
+        no-survivor aborts, scale events, fenced completions) in with
+        every replica's metrics, so ``summary()`` accounts for every
+        submitted request.
         """
         if self._scalers:
             interval = min(s.config.interval_s for _, s in self._scalers)
@@ -659,8 +615,10 @@ class MultiGPUServer:
             interval = self.hedge.interval_s
         elif self.placement is not None:
             interval = self.placement.config.interval_s
-        else:
+        elif self.disagg is not None:
             interval = self.disagg.interval_s
+        else:
+            interval = math.inf
         now = 0.0
         for _ in range(self._MAX_EPOCHS):
             t_next = now + interval
@@ -668,9 +626,14 @@ class MultiGPUServer:
                 t_next = min(t_next, until)
             self._activate_warm(now)
             self._dispatch_due(t_next)
-            for rep in self._members(ReplicaState.ACTIVE,
-                                     ReplicaState.DRAINING):
+            running = self._members(ReplicaState.ACTIVE,
+                                    ReplicaState.DRAINING)
+            for rep in running:
                 rep.engine.run(until=t_next)
+            if t_next == math.inf:
+                # An unbounded epoch ends when its last replica stops.
+                t_next = max([now] + [rep.engine.clock.now
+                                      for rep in running])
             if self.disagg is not None:
                 self._transfer_pass(t_next)
             if self.detector is not None:
@@ -704,6 +667,13 @@ class MultiGPUServer:
         if self._fenced:
             self._flush_zombie_mail()
         return self._merged_metrics()
+
+    def _merged_metrics(self) -> MetricsCollector:
+        merged = MetricsCollector()
+        merged.merge_from(self.cluster_metrics)
+        for rep in self.replicas:
+            merged.merge_from(rep.engine.metrics)
+        return merged
 
     def _record_event(self, now: float, action: str, rep: Replica,
                       reason: str) -> None:
@@ -780,24 +750,21 @@ class MultiGPUServer:
     def _failover_pass(self, t_next: float) -> None:
         """Retire failed replicas; their orphans rejoin the queue.
 
-        Unlike the static path, orphans do not go straight to a
-        survivor: they re-enter the shared undispatched queue and the
-        next epoch's dispatch places them with the normal policy —
-        which also means a replica spawned *because of* the failure can
-        pick them up once warm.
+        Orphans do not go straight to a survivor: they re-enter the
+        shared undispatched queue and the next epoch's dispatch places
+        them with the configured policy — which also means a replica
+        spawned *because of* the failure can pick them up once warm.
         """
         for rep in self._members(ReplicaState.WARMING, ReplicaState.ACTIVE,
                                  ReplicaState.DRAINING):
             e = rep.engine
             if not e.failed:
                 continue
-            if self._fenced and e.completion_outbox:
+            if self._fenced:
                 # Terminals the engine recorded before dying were real
                 # results; deliver them through the fence (mirrors the
                 # unfenced path, where they were already in metrics).
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+                self._deliver_outbox(e)
             orphans = self._vet_orphans(e.drain_orphans())
             if orphans:
                 self._apply_requeue_backoff(orphans)
@@ -819,11 +786,7 @@ class MultiGPUServer:
         """
         for rep in self._members(ReplicaState.WARMING, ReplicaState.ACTIVE,
                                  ReplicaState.DRAINING):
-            e = rep.engine
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(rep.engine)
 
     def _hedge_eligible_engines(self) -> List[ServingEngine]:
         """ACTIVE replicas a hedge may be placed on (or fired from)."""
@@ -1093,6 +1056,12 @@ class MultiGPUServer:
         else:
             self.cluster_metrics.aborts.append(comp.record)
 
+    def _deliver_outbox(self, engine: ServingEngine) -> None:
+        """Deliver (and clear) one engine's completion outbox."""
+        outbox, engine.completion_outbox = engine.completion_outbox, []
+        for comp in outbox:
+            self._accept(comp)
+
     def _mirror_outcome(self, req: Request) -> None:
         """Copy the accepted terminal outcome onto a hedge loser.
 
@@ -1140,10 +1109,7 @@ class MultiGPUServer:
                                    "backlog delivered")
             for t in self._withheld_hb.pop(rid, []):
                 self.detector.heartbeat(rid, t)
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(e)
         # Confirmed-dead replicas whose partition healed deliver their
         # seized mail late; every entry carries a pre-seizure token, so
         # all of it fences.
@@ -1259,11 +1225,7 @@ class MultiGPUServer:
                 self._accept(comp)
         self._zombie_mail.clear()
         for rep in self.replicas:
-            e = rep.engine
-            if e.completion_outbox:
-                outbox, e.completion_outbox = e.completion_outbox, []
-                for comp in outbox:
-                    self._accept(comp)
+            self._deliver_outbox(rep.engine)
 
     def _drain_pass(self, t_next: float) -> None:
         """Retire empty DRAINING replicas; time out stuck drains.
@@ -1505,10 +1467,11 @@ class MultiGPUServer:
     def _abort_unplaceable(self, now: float) -> None:
         """No live replicas and no way to spawn any: fail the queue.
 
-        The autoscaled analogue of the static path's no-survivor abort;
-        only reachable once the spawn budget is exhausted or the
-        factory is gone, since min-replica healing otherwise
-        re-provisions.
+        Every queued request aborts at ``now``, the moment the cluster
+        found no survivor (or at its arrival, when a requeue backoff
+        put that later).  An autoscaled cluster gets here only once
+        the spawn budget is exhausted or the factory is gone, since
+        min-replica healing otherwise re-provisions.
         """
         if not self._undispatched:
             return
@@ -1633,33 +1596,13 @@ class MultiGPUServer:
                 )
             r.arrival_time += delay
 
-    def _failover_dispatch(self, orphans: Sequence[Request],
-                           survivors: Sequence[ServingEngine]) -> None:
-        """Least-loaded requeue of orphans onto surviving engines.
-
-        With ``health_aware`` the same 1/score load inflation used at
-        submit time applies, steering orphans away from stragglers —
-        the replicas most likely to fail next.
-        """
-        allowed, scores = self._routable(survivors)
-        loads = {
-            i: sum(req.remaining for req in survivors[i].pending_requests)
-            + len(survivors[i]._active)
-            for i in allowed
-        }
-        for r in sorted(orphans, key=lambda q: (q.arrival_time,
-                                                q.request_id)):
-            if self.health_aware:
-                i = min(allowed,
-                        key=lambda j: (loads[j] / max(scores[j], 1e-6), j))
-            else:
-                i = min(allowed, key=lambda j: (loads[j], j))
-            survivors[i].submit([r])
-            loads[i] += r.remaining
-
     def per_engine_completed(self) -> List[int]:
-        """Completed request count per replica (load-balance visibility)."""
-        return [e.metrics.num_completed for e in self.engines]
+        """Completed request count per replica, in spawn order.
+
+        Covers every replica ever in the cluster, retired ones included
+        — a replica that failed mid-run keeps the completions it made.
+        """
+        return [rep.engine.metrics.num_completed for rep in self.replicas]
 
     @classmethod
     def replicate(cls, factory: Callable[[], ServingEngine],

@@ -10,7 +10,7 @@ Metric definitions follow §6.1:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -402,69 +402,20 @@ class MetricsCollector:
         return out
 
     def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector (e.g. one replica's) into this one."""
-        self.records.extend(other.records)
-        self.aborts.extend(other.aborts)
-        for mode, count in other.mode_iterations.items():
-            self.mode_iterations[mode] = (
-                self.mode_iterations.get(mode, 0) + count
-            )
-        self.num_mode_switches += other.num_mode_switches
-        self.num_preemptions += other.num_preemptions
-        self.switch_time_total += other.switch_time_total
-        self.lora_extra_time_total += other.lora_extra_time_total
-        self.iterations += other.iterations
-        self.swap_ins += other.swap_ins
-        self.swap_in_seconds += other.swap_in_seconds
-        self.adapter_cache_hits += other.adapter_cache_hits
-        self.adapter_cache_misses += other.adapter_cache_misses
-        self.swap_retries += other.swap_retries
-        self.adapters_quarantined += other.adapters_quarantined
-        self.mode_fallbacks += other.mode_fallbacks
-        self.shed_events += other.shed_events
-        self.kv_stall_iters += other.kv_stall_iters
-        self.failover_events += other.failover_events
-        self.engine_failures += other.engine_failures
-        self.admission_rejections += other.admission_rejections
-        self.brownout_sheds += other.brownout_sheds
-        self.brownout_truncations += other.brownout_truncations
-        self.brownout_forced_merges += other.brownout_forced_merges
-        self.brownout_transitions += other.brownout_transitions
-        self.brownout_time_s += other.brownout_time_s
-        self.breaker_opens += other.breaker_opens
-        self.breaker_half_opens += other.breaker_half_opens
-        self.breaker_closes += other.breaker_closes
-        self.requeue_limit_aborts += other.requeue_limit_aborts
-        self.cost_cache_hits += other.cost_cache_hits
-        self.cost_cache_misses += other.cost_cache_misses
-        self.scale_events.extend(other.scale_events)
-        self.scale_up_events += other.scale_up_events
-        self.scale_down_events += other.scale_down_events
-        self.replicas_spawned += other.replicas_spawned
-        self.replicas_retired += other.replicas_retired
-        self.scale_stalls += other.scale_stalls
-        self.drain_timeouts += other.drain_timeouts
-        self.drain_requeues += other.drain_requeues
-        self.warming_time_s += other.warming_time_s
-        self.draining_time_s += other.draining_time_s
-        self.gpu_seconds_total += other.gpu_seconds_total
-        self.suspicions += other.suspicions
-        self.false_suspicions += other.false_suspicions
-        self.fenced_completions += other.fenced_completions
-        self.partition_heals += other.partition_heals
-        self.detection_latencies.extend(other.detection_latencies)
-        self.hedges_fired += other.hedges_fired
-        self.hedge_wins += other.hedge_wins
-        self.hedge_losses += other.hedge_losses
-        self.retry_budget_exhausted += other.retry_budget_exhausted
-        self.placement_spills += other.placement_spills
-        self.placement_replications += other.placement_replications
-        self.placement_demotions += other.placement_demotions
-        self.adapters_prefetched += other.adapters_prefetched
-        self.kv_transfers += other.kv_transfers
-        self.kv_transfer_seconds += other.kv_transfer_seconds
-        self.kv_transfer_bytes += other.kv_transfer_bytes
-        self.kv_transfer_aborts += other.kv_transfer_aborts
+        """Fold another collector (e.g. one replica's) into this one.
+
+        Every field folds by its type: lists extend, dicts sum per key,
+        numbers add.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, f.name, mine + theirs)
 
     def summary(self) -> Dict[str, float]:
         """A flat dict of the headline numbers (for bench JSON dumps).
@@ -493,25 +444,7 @@ class MetricsCollector:
             })
         for reason, count in sorted(self.abort_counts().items()):
             out[f"aborted_{reason}"] = float(count)
-        for key in ("swap_retries", "adapters_quarantined", "mode_fallbacks",
-                    "shed_events", "kv_stall_iters", "failover_events",
-                    "engine_failures", "admission_rejections",
-                    "brownout_sheds", "brownout_truncations",
-                    "brownout_forced_merges", "brownout_transitions",
-                    "brownout_time_s", "breaker_opens", "breaker_half_opens",
-                    "breaker_closes", "requeue_limit_aborts",
-                    "cost_cache_hits", "cost_cache_misses",
-                    "scale_up_events", "scale_down_events",
-                    "replicas_spawned", "replicas_retired", "scale_stalls",
-                    "drain_timeouts", "drain_requeues", "warming_time_s",
-                    "draining_time_s", "gpu_seconds_total",
-                    "suspicions", "false_suspicions", "fenced_completions",
-                    "partition_heals", "hedges_fired", "hedge_wins",
-                    "hedge_losses", "retry_budget_exhausted",
-                    "placement_spills", "placement_replications",
-                    "placement_demotions", "adapters_prefetched",
-                    "kv_transfers", "kv_transfer_seconds",
-                    "kv_transfer_bytes", "kv_transfer_aborts"):
+        for key in _GATED_SUMMARY_KEYS:
             value = getattr(self, key)
             if value:
                 out[key] = float(value)
@@ -533,3 +466,20 @@ class MetricsCollector:
         if self.slo_attainment() is not None:
             out["slo_attainment"] = self.slo_attainment()
         return out
+
+
+#: Counters :meth:`MetricsCollector.summary` reports another way (as
+#: headline keys, or folded into the swap-traffic ratio) or not at all.
+_SUMMARY_REPORTED_ELSEWHERE = frozenset({
+    "num_mode_switches", "num_preemptions", "switch_time_total",
+    "lora_extra_time_total", "iterations", "swap_ins", "swap_in_seconds",
+    "adapter_cache_hits", "adapter_cache_misses",
+})
+
+#: Every other numeric counter appears in the summary once nonzero, in
+#: declaration order.
+_GATED_SUMMARY_KEYS = tuple(
+    f.name for f in fields(MetricsCollector)
+    if f.type in ("int", "float")
+    and f.name not in _SUMMARY_REPORTED_ELSEWHERE
+)

@@ -130,6 +130,44 @@ def test_static_cluster_exactly_once(dispatch, menu, requests):
     assert all(e.num_live == 0 for e in server.engines)
 
 
+@pytest.mark.parametrize("num_gpus", [2, 4])
+def test_feature_free_cluster_accounts_gpu_seconds(num_gpus):
+    """No component sets a control interval, so the run is unbounded
+    epochs; every replica is still charged from t=0 to the run's end."""
+    reset_request_ids()
+    server = _fresh_cluster("least-loaded", (), num_gpus=num_gpus)
+    requests = [
+        Request(adapter_id=ADAPTER_IDS[i % len(ADAPTER_IDS)],
+                arrival_time=0.1 * i, input_tokens=64, output_tokens=32,
+                use_task_head=False)
+        for i in range(16)
+    ]
+    server.submit(requests)
+    metrics = server.run()
+    assert metrics.num_completed == len(requests)
+    end = max(rec.finish_time for rec in metrics.records)
+    assert metrics.gpu_seconds_total == pytest.approx(num_gpus * end)
+
+
+@pytest.mark.parametrize("dispatch", DISPATCH_POLICIES)
+def test_no_survivor_aborts_not_backdated(dispatch):
+    """Once every replica is dead, the orphans abort when the cluster
+    finds no survivor — never before their engine died."""
+    reset_request_ids()
+    server = _fresh_cluster(dispatch, FAULT_MENUS["all-dead"])
+    requests = _long_requests(12)
+    server.submit(requests)
+    metrics = server.run()
+    assert_exactly_once_terminal(requests, metrics)
+    failed_at = [rep.engine.failed_at for rep in server.replicas]
+    assert None not in failed_at
+    orphaned = [ab for ab in metrics.aborts if ab.reason == "engine_failed"]
+    assert orphaned
+    assert metrics.failover_events >= len(orphaned)
+    for ab in orphaned:
+        assert ab.abort_time >= max(failed_at)
+
+
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(requests=traces(), seed=st.integers(0, 31))

@@ -1,5 +1,7 @@
 """Tests for metrics accounting, including SLO attainment."""
 
+import dataclasses
+
 import pytest
 
 from repro.runtime import MetricsCollector, Request, RequestRecord
@@ -74,6 +76,31 @@ class TestCollector:
         m.count_mode("merged")
         m.count_mode("mixture")
         assert m.mode_iterations == {"merged": 2, "mixture": 1}
+
+    def test_merge_keeps_every_field(self):
+        """Every declared field survives a merge: a counter added to the
+        dataclass cannot be silently dropped from cluster totals."""
+        src = MetricsCollector()
+        for i, f in enumerate(dataclasses.fields(src), start=1):
+            value = getattr(src, f.name)
+            if isinstance(value, list):
+                setattr(src, f.name, [f"{f.name}-{i}"])
+            elif isinstance(value, dict):
+                setattr(src, f.name, {f.name: i})
+            else:
+                setattr(src, f.name, type(value)(i))
+        merged = MetricsCollector()
+        merged.merge_from(src)
+        merged.merge_from(src)
+        for i, f in enumerate(dataclasses.fields(src), start=1):
+            got = getattr(merged, f.name)
+            value = getattr(src, f.name)
+            if isinstance(value, list):
+                assert got == value * 2, f.name
+            elif isinstance(value, dict):
+                assert got == {f.name: 2 * i}, f.name
+            else:
+                assert got == 2 * i, f.name
 
 
 class TestSLOAttainment:

@@ -500,6 +500,25 @@ class TestClusterMetricsMerge:
             merged.failover_events
         )
 
+    def test_per_engine_completed_keeps_retired_replicas(self):
+        """Regression: a replica retired after failing mid-run keeps the
+        completions it made before it died."""
+        inj = FaultInjector([
+            FaultSpec(FaultKind.ENGINE_FAIL, 1.5, target="gpu-0"),
+        ])
+        builder = SystemBuilder(num_adapters=4, fault_injector=inj)
+        server = MultiGPUServer.replicate(
+            lambda: builder.build("v-lora"), num_gpus=3,
+            dispatch="locality",
+        )
+        server.submit(burst(builder.adapter_ids, n=54, output_tokens=32,
+                            spacing=0.05))
+        merged = server.run()
+        counts = server.per_engine_completed()
+        assert len(counts) == 3
+        assert counts[0] > 0
+        assert sum(counts) == merged.num_completed
+
 
 class TestCascadingFailover:
     def _cascade(self, **server_kwargs):
@@ -591,7 +610,7 @@ class TestHealthAwareDispatch:
                 1 for r in rehomed
                 if r.request_id in {
                     rec.request_id
-                    for rec in server.engines[1].metrics.records
+                    for rec in server.replicas[1].engine.metrics.records
                 }
             )
             return on_straggler, len(rehomed)
