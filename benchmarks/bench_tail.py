@@ -34,7 +34,6 @@ from repro.runtime import (
     MultiGPUServer,
     RetryBudget,
     RetryBudgetConfig,
-    TimeoutPolicy,
     reset_request_ids,
 )
 from repro.workloads import RetrievalWorkload
@@ -108,14 +107,13 @@ def _duplicate_terminals(requests, metrics):
     return dupes, len(missing)
 
 
-def _run(scale, seed, *, hedge, retry_budget=None, timeout_policy=None):
+def _run(scale, seed, *, hedge, retry_budget=None):
     reset_request_ids()
     builder = SystemBuilder(num_adapters=ADAPTERS, max_batch_size=8,
                             fault_injector=_chaos(scale))
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), NUM_GPUS, hedge=hedge,
-        retry_budget=retry_budget, timeout_policy=timeout_policy,
-        max_requeues=4,
+        retry_budget=retry_budget, max_requeues=4,
     )
     requests = _workload(scale=scale, seed=seed)
     server.submit(requests)
@@ -178,11 +176,10 @@ def run_tail_bench(scale=1.0, seed=SEED):
 
     # -- retry storm: the budget caps amplification ----------------------
     # A 0.05s fixed threshold wants to hedge nearly every request.
-    storm_policy = TimeoutPolicy(hedge_after_s=0.05)
-    uncapped = _run(scale, seed, hedge=HedgeConfig(),
-                    timeout_policy=storm_policy)
+    storm_hedge = HedgeConfig(after_s=0.05)
+    uncapped = _run(scale, seed, hedge=storm_hedge)
     capped = _run(
-        scale, seed, hedge=HedgeConfig(), timeout_policy=storm_policy,
+        scale, seed, hedge=storm_hedge,
         retry_budget=RetryBudget(RetryBudgetConfig(
             ratio=0.05, burst=5.0, initial=2.0)),
     )

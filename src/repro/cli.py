@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="token-bucket depth of the retry budget")
     tail.add_argument("--give-up-after", type=float, default=None,
                       help="hard per-request deadline in seconds from "
-                           "arrival (unified timeout policy)")
+                           "arrival, for requests without their own")
 
     compare = sub.add_parser(
         "compare", help="sweep request rates across all systems"
@@ -415,33 +415,30 @@ def _make_overload_configs(args):
 
 
 def _make_tail_configs(args):
-    """(hedge, retry_budget, timeout_policy) from serve flags.
+    """(hedge, retry_budget) from serve flags.
 
-    Raises ``ValueError`` on malformed knob values; all three are
-    ``None`` when no tail-tolerance flag was given.
+    Raises ``ValueError`` on malformed knob values (``--give-up-after``
+    included); both are ``None`` when no tail-tolerance flag was given.
     """
     from repro.runtime.hedging import (
         HedgeConfig,
         RetryBudget,
         RetryBudgetConfig,
-        TimeoutPolicy,
     )
 
-    timeout_policy = None
-    if args.hedge_after is not None or args.give_up_after is not None:
-        timeout_policy = TimeoutPolicy(
-            hedge_after_s=args.hedge_after,
-            give_up_after_s=args.give_up_after,
-        )
+    if args.give_up_after is not None and args.give_up_after <= 0:
+        raise ValueError(
+            f"--give-up-after must be positive, got {args.give_up_after}")
     hedge = None
     if args.hedge or args.hedge_after is not None:
-        hedge = HedgeConfig(percentile=args.hedge_percentile)
+        hedge = HedgeConfig(percentile=args.hedge_percentile,
+                            after_s=args.hedge_after)
     retry_budget = None
     if args.retry_budget is not None:
         retry_budget = RetryBudget(RetryBudgetConfig(
             ratio=args.retry_budget, burst=args.retry_budget_burst,
         ))
-    return hedge, retry_budget, timeout_policy
+    return hedge, retry_budget
 
 
 def _make_workload(args, system: str) -> list:
@@ -522,7 +519,7 @@ def cmd_serve(args) -> int:
         print(f"bad overload-protection flags: {exc}", file=sys.stderr)
         return 2
     try:
-        hedge, retry_budget, timeout_policy = _make_tail_configs(args)
+        hedge, retry_budget = _make_tail_configs(args)
     except ValueError as exc:
         print(f"bad tail-tolerance flags: {exc}", file=sys.stderr)
         return 2
@@ -569,8 +566,7 @@ def cmd_serve(args) -> int:
                             enable_cost_cache=not args.no_cost_cache,
                             admission=admission,
                             brownout=brownout,
-                            breaker=breaker,
-                            timeout_policy=timeout_policy)
+                            breaker=breaker)
     if args.dispatch == "locality" and args.num_gpus < 2 \
             and not args.autoscale:
         print("--dispatch locality needs a fleet to place over "
@@ -618,18 +614,16 @@ def cmd_serve(args) -> int:
         placement = None
         if args.dispatch == "locality":
             try:
-                placement_cfg = PlacementConfig(
+                placement = AdapterPlacement(PlacementConfig(
                     hot_watermark=args.placement_hot_watermark,
                     hot_copies=args.placement_hot_copies,
                     cold_watermark=args.placement_cold_watermark,
                     prefetch_top_k=args.placement_prefetch_top_k,
                     interval_s=args.placement_interval,
-                )
+                ))
             except ValueError as exc:
                 print(f"bad placement flags: {exc}", file=sys.stderr)
                 return 2
-            builder.placement = placement_cfg
-            placement = AdapterPlacement(placement_cfg)
         disagg = None
         if args.disagg:
             from dataclasses import replace as dc_replace
@@ -663,8 +657,7 @@ def cmd_serve(args) -> int:
             lambda: builder.build(args.system), args.num_gpus,
             dispatch=args.dispatch, autoscaler=scaler,
             detector=detector, num_hosts=args.num_hosts,
-            hedge=hedge, retry_budget=retry_budget,
-            timeout_policy=timeout_policy, placement=placement,
+            hedge=hedge, retry_budget=retry_budget, placement=placement,
             disagg=disagg,
         )
     else:
@@ -687,6 +680,12 @@ def cmd_serve(args) -> int:
     if args.trace_out:
         save_trace(args.trace_out, requests)
         print(f"trace saved to {args.trace_out} ({len(requests)} requests)")
+    if args.give_up_after is not None:
+        # The give-up bound is the default deadline of every request
+        # that has none, on one engine and on a cluster alike.
+        for r in requests:
+            if r.deadline_s is None:
+                r.deadline_s = args.give_up_after
     engine.submit(requests)
     if args.profile is not None:
         import cProfile

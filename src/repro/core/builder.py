@@ -35,14 +35,12 @@ from repro.models.lora import LoRAAdapterSpec
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.engine import EngineConfig, ServingEngine
 from repro.runtime.faults import FaultInjector
-from repro.runtime.hedging import TimeoutPolicy
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.overload import (
     AdmissionConfig,
     BreakerConfig,
     BrownoutConfig,
 )
-from repro.runtime.placement import PlacementConfig
 from repro.runtime.scheduler import (
     DLoRAPolicy,
     MergedOnlyPolicy,
@@ -86,16 +84,6 @@ class SystemBuilder:
     admission: Optional[AdmissionConfig] = None
     brownout: Optional[BrownoutConfig] = None
     breaker: Optional[BreakerConfig] = None
-    #: Unified deadline/timeout policy (default-off; overrides the
-    #: engine's swap-retry backoff and breaker cooldown, and stamps
-    #: ``give_up_after_s`` deadlines at cluster submit — see
-    #: :mod:`repro.runtime.hedging`).
-    timeout_policy: Optional[TimeoutPolicy] = None
-    #: Fleet adapter-placement knobs (default-off; consumed by the
-    #: cluster layer, not by single engines — carried here so callers
-    #: configure one builder end to end.  See
-    #: :mod:`repro.runtime.placement`).
-    placement: Optional[PlacementConfig] = None
 
     def __post_init__(self) -> None:
         if self.num_adapters <= 0:
@@ -204,7 +192,6 @@ class SystemBuilder:
             admission=self.admission,
             brownout=self.brownout,
             breaker=self.breaker,
-            timeout_policy=self.timeout_policy,
         )
         cls = engine_cls if engine_cls is not None else ServingEngine
         return cls(

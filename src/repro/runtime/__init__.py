@@ -21,8 +21,7 @@ vLLM/LightLLM, driven by the analytical cost models:
 * :mod:`repro.runtime.failure_detection` — φ-accrual heartbeat
   suspicion and lease-fenced exactly-once completion delivery;
 * :mod:`repro.runtime.hedging` — tail-tolerant dispatch: hedged
-  requests, per-class retry budgets, and the unified deadline/timeout
-  policy;
+  requests, per-class retry budgets, and the shared backoff curve;
 * :mod:`repro.runtime.placement` — fleet-level adapter registry and
   cache-state-aware ``locality`` dispatch (consistent-hash homes,
   load-aware spill, hot-adapter replication, cold demotion);
@@ -85,7 +84,6 @@ from repro.runtime.hedging import (
     HedgeTracker,
     RetryBudget,
     RetryBudgetConfig,
-    TimeoutPolicy,
     capped_exponential_backoff,
 )
 from repro.runtime.engine import EngineConfig, ServingEngine
@@ -161,7 +159,6 @@ __all__ = [
     "HedgeTracker",
     "RetryBudget",
     "RetryBudgetConfig",
-    "TimeoutPolicy",
     "capped_exponential_backoff",
     "ServingEngine",
     "EngineConfig",

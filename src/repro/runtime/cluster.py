@@ -83,7 +83,6 @@ from repro.runtime.hedging import (
     HedgeConfig,
     HedgeTracker,
     RetryBudget,
-    TimeoutPolicy,
     capped_exponential_backoff,
 )
 from repro.runtime.metrics import MetricsCollector, ScaleEvent
@@ -136,7 +135,6 @@ class MultiGPUServer:
                  num_hosts: int = 0,
                  hedge: Optional[HedgeConfig] = None,
                  retry_budget: Optional[RetryBudget] = None,
-                 timeout_policy: Optional[TimeoutPolicy] = None,
                  placement: Optional[AdapterPlacement] = None,
                  disagg: Optional[DisaggConfig] = None):
         engines = list(engines)
@@ -186,12 +184,10 @@ class MultiGPUServer:
         self.max_requeues = max_requeues
         self.requeue_backoff_s = requeue_backoff_s
         self.requeue_backoff_cap_s = requeue_backoff_cap_s
-        self.autoscaler = autoscaler
         self.engine_factory = engine_factory
         self.detector = detector
         self.hedge = hedge
         self.retry_budget = retry_budget
-        self.timeout_policy = timeout_policy
         #: Fleet-level adapter registry (runtime/placement.py).  The
         #: ``locality`` policy requires it (a default registry is built
         #: when none is passed); any other policy may still attach one
@@ -234,8 +230,7 @@ class MultiGPUServer:
         #: copies racing to the same terminal).
         self._fenced = detector is not None or hedge is not None
         self._hedge_tracker = (
-            HedgeTracker(hedge, timeout_policy)
-            if hedge is not None else None
+            HedgeTracker(hedge) if hedge is not None else None
         )
         #: Request ids that have had their one hedge fired.
         self._hedged_rids: set = set()
@@ -442,14 +437,6 @@ class MultiGPUServer:
         on may not exist yet — and a detector-driven one must not: the
         replica it would pick may already be silently dead.)
         """
-        policy = self.timeout_policy
-        if policy is not None and policy.give_up_after_s is not None:
-            # Thread the unified give-up deadline through the engine's
-            # existing deadline machinery: requests with no deadline of
-            # their own inherit the policy's hard bound.
-            for r in requests:
-                if r.deadline_s is None:
-                    r.deadline_s = policy.give_up_after_s
         if self.retry_budget is not None:
             # First-time dispatches fund the budget that hedges, swap
             # retries, and failover requeues later spend.
@@ -729,13 +716,10 @@ class MultiGPUServer:
         due: List[Request] = []
         while self._undispatched and self._undispatched[0][0] <= t_next:
             r = heapq.heappop(self._undispatched)[-1]
-            if r.request_id in self._accepted:
-                # A requeued copy of a hedged pair whose other copy
-                # already won: dropping it here saves a full re-run.
-                self.cluster_metrics.hedge_losses += 1
-                self._mirror_outcome(r)
-                continue
-            due.append(r)
+            # A requeued copy of a hedged pair whose other copy already
+            # won: dropping it here saves a full re-run.
+            if not self._drop_settled(r):
+                due.append(r)
         if due:
             self._dispatch(due, active)
 
@@ -972,14 +956,7 @@ class MultiGPUServer:
                     continue  # decode capacity is (or may be) coming
                 outbox, e.handoff_outbox = e.handoff_outbox, []
                 for r in outbox:
-                    if r.request_id in self._accepted:
-                        self.cluster_metrics.hedge_losses += 1
-                        if not r.is_hedge:
-                            self._mirror_outcome(r)
-                        continue
-                    if r.is_hedge:
-                        self._hedged_rids.discard(r.request_id)
-                        self.cluster_metrics.hedge_losses += 1
+                    if self._drop_settled(r) or self._drop_orphaned_twin(r):
                         continue
                     self.cluster_metrics.kv_transfer_aborts += 1
                     self._cluster_abort(r, max(r.arrival_time, t_next))
@@ -987,11 +964,7 @@ class MultiGPUServer:
             outbox, e.handoff_outbox = e.handoff_outbox, []
             for r in sorted(outbox, key=lambda q: (q.arrival_time,
                                                    q.request_id)):
-                if r.request_id in self._accepted:
-                    # The other copy of a hedged pair already won.
-                    self.cluster_metrics.hedge_losses += 1
-                    if not r.is_hedge:
-                        self._mirror_outcome(r)
+                if self._drop_settled(r):
                     continue
                 dst = min(targets, key=self._transfer_target_key)
                 nbytes = kv_transfer_bytes(r, dst.model)
@@ -1061,6 +1034,33 @@ class MultiGPUServer:
         outbox, engine.completion_outbox = engine.completion_outbox, []
         for comp in outbox:
             self._accept(comp)
+
+    def _drop_settled(self, r: Request) -> bool:
+        """Drop a copy whose request id already has an accepted terminal.
+
+        The other copy of a hedged pair won: count the loss and, when
+        ``r`` is the original request object, mirror the winning outcome
+        onto it.  False (nothing done) when the id is still unsettled.
+        """
+        if r.request_id not in self._accepted:
+            return False
+        self.cluster_metrics.hedge_losses += 1
+        if not r.is_hedge:
+            self._mirror_outcome(r)
+        return True
+
+    def _drop_orphaned_twin(self, r: Request) -> bool:
+        """Drop a hedge twin cut off from its replica: a lost race.
+
+        The primary still carries the request, so the twin is not
+        re-homed; its id leaves ``_hedged_rids`` so the primary may be
+        hedged again.  False when ``r`` is not a twin.
+        """
+        if not r.is_hedge:
+            return False
+        self._hedged_rids.discard(r.request_id)
+        self.cluster_metrics.hedge_losses += 1
+        return True
 
     def _mirror_outcome(self, req: Request) -> None:
         """Copy the accepted terminal outcome onto a hedge loser.
@@ -1237,13 +1237,7 @@ class MultiGPUServer:
         abort a healthy request via ``max_requeues``.
         """
         for rep in self._members(ReplicaState.DRAINING):
-            scaler = self._scaler_of(rep)
-            if scaler is None:
-                continue  # only scalers start drains, so this is dead code
-            drain_timeout = scaler.config.drain_timeout_s
-            if (self.timeout_policy is not None
-                    and self.timeout_policy.drain_timeout_s is not None):
-                drain_timeout = self.timeout_policy.drain_timeout_s
+            drain_timeout = self._scaler_of(rep).config.drain_timeout_s
             e = rep.engine
             if e.num_live == 0:
                 self._retire(rep, max(t_next, e.clock.now), "retire",
@@ -1275,13 +1269,10 @@ class MultiGPUServer:
         )
         self._record_event(now, action, rep, reason)
 
-    def _scaler_of(self, rep: Replica) -> Optional[Autoscaler]:
-        """The scaler owning one replica's pool (None = unscaled pool)."""
+    def _scaler_of(self, rep: Replica) -> Autoscaler:
+        """The scaler owning one replica's pool (only scalers drain)."""
         pool = self._pool_of.get(rep.replica_id)
-        for p, scaler in self._scalers:
-            if p == pool:
-                return scaler
-        return None
+        return next(s for p, s in self._scalers if p == pool)
 
     def _scale_pass(self, now: float) -> None:
         slo_sample = self._slo_sample()
@@ -1325,11 +1316,10 @@ class MultiGPUServer:
             )
             if delta > 0:
                 for _ in range(delta):
-                    if not self._spawn_replica(now, pool=pool,
-                                               scaler=scaler):
+                    if not self._spawn_replica(now, pool, scaler):
                         break
             elif delta < 0:
-                self._drain_one(now, pool=pool, scaler=scaler)
+                self._drain_one(now, pool, scaler)
 
     def _slo_sample(self) -> Optional[float]:
         """SLO attainment among requests turned terminal since last call.
@@ -1388,11 +1378,9 @@ class MultiGPUServer:
             if rid not in self._replica_of:
                 return rid
 
-    def _spawn_replica(self, now: float, pool: Optional[str] = None,
-                       scaler: Optional[Autoscaler] = None) -> bool:
+    def _spawn_replica(self, now: float, pool: Optional[str],
+                       scaler: Autoscaler) -> bool:
         """Provision one WARMING replica; False when spawning is capped."""
-        if scaler is None:
-            scaler = self.autoscaler
         if not self._can_spawn(pool, scaler):
             return False
         cfg = scaler.config
@@ -1435,11 +1423,9 @@ class MultiGPUServer:
                            f"cold start {cold * stall:.3f}s{pool_tag}")
         return True
 
-    def _drain_one(self, now: float, pool: Optional[str] = None,
-                   scaler: Optional[Autoscaler] = None) -> None:
+    def _drain_one(self, now: float, pool: Optional[str],
+                   scaler: Autoscaler) -> None:
         """Quiesce the scale-down victim: worst health, then emptiest."""
-        if scaler is None:
-            scaler = self.autoscaler
         cfg = scaler.config
         candidates = [rep for rep in self._pool_members(
                           pool, ReplicaState.ACTIVE)
@@ -1485,14 +1471,7 @@ class MultiGPUServer:
             return
         while self._undispatched:
             r = heapq.heappop(self._undispatched)[-1]
-            if r.request_id in self._accepted:
-                self.cluster_metrics.hedge_losses += 1
-                if not r.is_hedge:
-                    self._mirror_outcome(r)
-                continue
-            if r.is_hedge:
-                self._hedged_rids.discard(r.request_id)
-                self.cluster_metrics.hedge_losses += 1
+            if self._drop_settled(r) or self._drop_orphaned_twin(r):
                 continue
             self._cluster_abort(r, max(r.arrival_time, now))
 
@@ -1548,15 +1527,7 @@ class MultiGPUServer:
         """
         kept: List[Request] = []
         for r in orphans:
-            rid = r.request_id
-            if rid in self._accepted:
-                self.cluster_metrics.hedge_losses += 1
-                if not r.is_hedge:
-                    self._mirror_outcome(r)
-                continue
-            if r.is_hedge:
-                self._hedged_rids.discard(rid)
-                self.cluster_metrics.hedge_losses += 1
+            if self._drop_settled(r) or self._drop_orphaned_twin(r):
                 continue
             if (self.max_requeues is not None
                     and r.requeues > self.max_requeues):
@@ -1574,27 +1545,19 @@ class MultiGPUServer:
     def _apply_requeue_backoff(self, orphans: Sequence[Request]) -> None:
         """Space repeated requeues out with capped exponential backoff.
 
-        With a :class:`TimeoutPolicy` attached, the policy's base/cap
-        override the legacy knobs and the cap is additionally clamped
-        to the request's remaining deadline — backing off past a
-        deadline only converts a retry into a guaranteed deadline
-        abort.
+        The curve runs over ``requeue_backoff_s``/``requeue_backoff_cap_s``;
+        a request carrying a deadline never backs off longer than its
+        ``deadline_s`` — backing off past a deadline only converts a
+        retry into a guaranteed deadline abort.
         """
-        policy = self.timeout_policy
-        if policy is None and self.requeue_backoff_s <= 0:
+        if self.requeue_backoff_s <= 0:
             return
         for r in orphans:
-            if policy is not None:
-                delay = policy.requeue_backoff(
-                    r.requeues, self.requeue_backoff_s,
-                    self.requeue_backoff_cap_s, deadline_s=r.deadline_s,
-                )
-            else:
-                delay = capped_exponential_backoff(
-                    self.requeue_backoff_s, r.requeues,
-                    self.requeue_backoff_cap_s,
-                )
-            r.arrival_time += delay
+            cap = self.requeue_backoff_cap_s
+            if r.deadline_s is not None:
+                cap = min(cap, r.deadline_s)
+            r.arrival_time += capped_exponential_backoff(
+                self.requeue_backoff_s, r.requeues, cap)
 
     def per_engine_completed(self) -> List[int]:
         """Completed request count per replica, in spawn order.

@@ -32,11 +32,7 @@ from repro.runtime.clock import SimClock
 from repro.runtime.costcache import IterationCostCache
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
-from repro.runtime.hedging import (
-    RetryBudget,
-    TimeoutPolicy,
-    capped_exponential_backoff,
-)
+from repro.runtime.hedging import RetryBudget, capped_exponential_backoff
 from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.metrics import AbortRecord, MetricsCollector, RequestRecord
@@ -107,12 +103,6 @@ class EngineConfig:
     #: the legacy permanent quarantine (a breaker that opens after
     #: ``max_swap_retries`` failures and never half-opens).
     breaker: Optional[BreakerConfig] = None
-    #: Unified deadline/timeout policy (see :mod:`repro.runtime.hedging`).
-    #: When set, its non-``None`` fields override the ad-hoc timing
-    #: constants above (swap retry backoff; breaker cooldown when no
-    #: explicit ``breaker`` config is given).  ``None`` keeps every
-    #: legacy knob authoritative (bit-identical).
-    timeout_policy: Optional[TimeoutPolicy] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
@@ -388,15 +378,10 @@ class ServingEngine:
         # Per-adapter circuit breakers, created lazily on first swap
         # failure.  Without an explicit BreakerConfig an opened breaker
         # never half-opens: exactly the legacy permanent quarantine
-        # after max_swap_retries consecutive failures — unless a
-        # TimeoutPolicy consolidates a breaker cooldown in.
-        policy_cooldown = (
-            config.timeout_policy.breaker_cooldown_s
-            if config.timeout_policy is not None else None
-        )
+        # after max_swap_retries consecutive failures.  A cooldown comes
+        # only from an explicit ``BreakerConfig.cooldown_s``.
         self._breaker_config = config.breaker or BreakerConfig(
             failure_threshold=config.max_swap_retries,
-            cooldown_s=policy_cooldown,
         )
         #: Shared retry budget (attached by the cluster; None = ungated).
         #: Swap retries draw from the same bucket as hedges and failover
@@ -938,23 +923,16 @@ class ServingEngine:
                             batch: Sequence[Request]) -> float:
         """Backoff before swap retry ``attempt`` for one failed adapter.
 
-        The shared capped-exponential curve (byte-identical to the
-        legacy inline math at default config), with two optional layers
-        on top: a :class:`TimeoutPolicy` overrides the base/cap
-        constants, and a cluster-attached :class:`RetryBudget` gates the
-        retry — when the budget is dry the retry is not forbidden (the
-        adapter's requests would strand) but degrades to maximum
-        spacing, the slowest the schedule allows.
+        The shared capped-exponential curve over
+        ``EngineConfig.swap_retry_base_s``/``swap_retry_cap_s``, gated by
+        a cluster-attached :class:`RetryBudget` when there is one — when
+        the budget is dry the retry is not forbidden (the adapter's
+        requests would strand) but degrades to maximum spacing, the
+        slowest the schedule allows.
         """
-        policy = self.config.timeout_policy
-        base = self.config.swap_retry_base_s
         cap = self.config.swap_retry_cap_s
-        if policy is not None:
-            backoff = policy.swap_backoff(attempt, base, cap)
-            if policy.swap_retry_cap_s is not None:
-                cap = policy.swap_retry_cap_s
-        else:
-            backoff = capped_exponential_backoff(base, attempt, cap)
+        backoff = capped_exponential_backoff(
+            self.config.swap_retry_base_s, attempt, cap)
         if self.retry_budget is not None:
             priority = max(
                 (r.priority for r in batch if r.adapter_id == adapter_id),

@@ -1,4 +1,4 @@
-"""Tail-tolerant dispatch: hedged requests, retry budgets, timeout policy.
+"""Tail-tolerant dispatch: hedged requests, retry budgets, backoff curve.
 
 Interactive vision applications are judged by p99 TTFT, not mean
 throughput (§6.1) — and at S-LoRA adapter counts one swap-stalled or
@@ -10,11 +10,6 @@ budgets), built on PR 6's lease-fenced exactly-once machinery:
 * :func:`capped_exponential_backoff` — the one shared backoff curve
   behind the engine's swap retries and the cluster's failover requeues
   (previously duplicated ad hoc at both call sites);
-* :class:`TimeoutPolicy` — one deadline-aware policy object
-  consolidating the runtime's formerly scattered timing constants
-  (swap retry backoff, requeue backoff, breaker cooldown, drain
-  timeout) plus the tail-tolerance deadlines (``hedge_after_s``,
-  ``give_up_after_s``);
 * :class:`RetryBudget` — a per-priority-class token bucket that gates
   *every* speculative or repeated dispatch (hedges, swap retries,
   failover requeues) so correlated failures degrade to single-shot
@@ -25,11 +20,21 @@ budgets), built on PR 6's lease-fenced exactly-once machinery:
   class, the cluster dispatches a second copy to a different healthy
   replica; first completion wins and the loser is fenced
   (``hedge_losses``), never double-terminating the request.
+  ``HedgeConfig.after_s`` replaces the tracked threshold with a fixed
+  one.
+
+Each timeout has exactly one home.  Swap retry backoff lives in
+:class:`~repro.runtime.engine.EngineConfig`, failover-requeue backoff
+in :class:`~repro.runtime.cluster.MultiGPUServer`'s kwargs, the breaker
+cooldown in :class:`~repro.runtime.overload.BreakerConfig`, the drain
+timeout in :class:`~repro.runtime.autoscaler.AutoscaleConfig`, the
+fixed hedge threshold in ``HedgeConfig.after_s``, and a request's
+give-up bound is its own ``Request.deadline_s``.
 
 Everything here is plain simulation state driven by the caller's clock:
 deterministic, replayable, and **off by default** — a cluster built
-without a :class:`HedgeConfig`, :class:`RetryBudget`, or
-:class:`TimeoutPolicy` is bit-identical to the pre-hedging runtime.
+without a :class:`HedgeConfig` or :class:`RetryBudget` is bit-identical
+to the pre-hedging runtime.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from repro.runtime.metrics import StreamingQuantile
 
 __all__ = [
     "capped_exponential_backoff",
-    "TimeoutPolicy",
     "RetryBudgetConfig",
     "RetryBudget",
     "HedgeConfig",
@@ -63,82 +67,6 @@ def capped_exponential_backoff(base_s: float, attempt: int,
     if base_s == 0.0:
         return 0.0
     return min(base_s * 2.0 ** max(0, attempt - 1), cap_s)
-
-
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    """One deadline-aware home for the runtime's timing constants.
-
-    Before this policy object existed, each timeout lived in a different
-    config: swap retry backoff in :class:`~repro.runtime.engine.EngineConfig`,
-    requeue backoff in :class:`~repro.runtime.cluster.MultiGPUServer`'s
-    kwargs, breaker cooldown in
-    :class:`~repro.runtime.overload.BreakerConfig`, and the drain timeout
-    in :class:`~repro.runtime.autoscaler.AutoscaleConfig`.  Attaching a
-    ``TimeoutPolicy`` overrides them all from one place; every field
-    left ``None`` defers to the legacy knob, so a default-constructed
-    policy changes nothing.
-
-    The two new deadlines are the tail-tolerance ones: ``hedge_after_s``
-    fixes the hedge threshold (bypassing the percentile tracker), and
-    ``give_up_after_s`` bounds any request's total time in the system —
-    threaded through the engine's existing deadline machinery
-    (``AbortReason.DEADLINE_EXCEEDED``) for requests that carry no
-    deadline of their own.
-    """
-
-    #: Engine adapter-swap retry backoff (overrides ``EngineConfig``).
-    swap_retry_base_s: Optional[float] = None
-    swap_retry_cap_s: Optional[float] = None
-    #: Cluster failover-requeue backoff (overrides the cluster kwargs).
-    requeue_backoff_s: Optional[float] = None
-    requeue_backoff_cap_s: Optional[float] = None
-    #: Adapter circuit-breaker cooldown (overrides the implicit
-    #: permanent quarantine when no explicit ``BreakerConfig`` is set).
-    breaker_cooldown_s: Optional[float] = None
-    #: Scale-down drain timeout (overrides ``AutoscaleConfig``).
-    drain_timeout_s: Optional[float] = None
-    #: Fixed hedge threshold: hedge any request in flight longer than
-    #: this.  ``None`` uses the percentile-tracked threshold instead.
-    hedge_after_s: Optional[float] = None
-    #: Hard bound on any request's time in system; requests without
-    #: their own ``deadline_s`` inherit it at cluster submit.
-    give_up_after_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        for name in ("swap_retry_base_s", "swap_retry_cap_s",
-                     "requeue_backoff_cap_s", "breaker_cooldown_s",
-                     "drain_timeout_s", "hedge_after_s",
-                     "give_up_after_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if (self.requeue_backoff_s is not None
-                and self.requeue_backoff_s < 0):
-            raise ValueError("requeue_backoff_s must be >= 0")
-
-    def requeue_backoff(self, attempt: int, base_s: float, cap_s: float,
-                        deadline_s: Optional[float] = None) -> float:
-        """Failover-requeue delay for retry ``attempt``, deadline-aware.
-
-        Policy fields override the caller's legacy ``base_s``/``cap_s``
-        when set.  A request carrying a deadline never backs off longer
-        than the deadline itself — delaying a retry past the point where
-        the answer can no longer arrive in time only wastes the retry.
-        """
-        base = base_s if self.requeue_backoff_s is None else self.requeue_backoff_s
-        cap = (cap_s if self.requeue_backoff_cap_s is None
-               else self.requeue_backoff_cap_s)
-        if deadline_s is not None:
-            cap = min(cap, deadline_s)
-        return capped_exponential_backoff(base, attempt, cap)
-
-    def swap_backoff(self, attempt: int, base_s: float,
-                     cap_s: float) -> float:
-        """Adapter-swap retry delay for failure number ``attempt``."""
-        base = base_s if self.swap_retry_base_s is None else self.swap_retry_base_s
-        cap = cap_s if self.swap_retry_cap_s is None else self.swap_retry_cap_s
-        return capped_exponential_backoff(base, attempt, cap)
 
 
 @dataclass(frozen=True)
@@ -220,14 +148,17 @@ class HedgeConfig:
     ``percentile`` of recently observed completion latencies (window of
     ``window`` samples, armed only after ``min_observations``) is
     speculatively re-dispatched to a different healthy replica — at most
-    once per request.  ``interval_s`` is the control-epoch length when
-    neither an autoscaler nor a failure detector already provides one.
+    once per request.  ``after_s``, when set, is a fixed threshold that
+    bypasses the tracker: any request in flight longer than it is
+    hedged.  ``interval_s`` is the control-epoch length when neither an
+    autoscaler nor a failure detector already provides one.
     """
 
     percentile: float = 95.0
     min_observations: int = 16
     window: int = 256
     interval_s: float = 0.25
+    after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.percentile < 100.0:
@@ -240,6 +171,8 @@ class HedgeConfig:
             raise ValueError("window must be >= min_observations")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
+        if self.after_s is not None and self.after_s <= 0:
+            raise ValueError(f"after_s must be positive, got {self.after_s}")
 
 
 class HedgeTracker:
@@ -249,14 +182,12 @@ class HedgeTracker:
     sliding-window :class:`~repro.runtime.metrics.StreamingQuantile`;
     :meth:`threshold` answers "how long is suspiciously long for this
     class right now?".  ``None`` until enough completions were seen —
-    hedging stays disarmed while the system knows nothing (unless a
-    :class:`TimeoutPolicy` supplies a fixed ``hedge_after_s``).
+    hedging stays disarmed while the system knows nothing (unless
+    ``HedgeConfig.after_s`` fixes the threshold).
     """
 
-    def __init__(self, config: HedgeConfig,
-                 policy: Optional[TimeoutPolicy] = None):
+    def __init__(self, config: HedgeConfig):
         self.config = config
-        self.policy = policy
         self._quantiles: Dict[int, StreamingQuantile] = {}
 
     def observe(self, priority: int, latency_s: float) -> None:
@@ -267,8 +198,8 @@ class HedgeTracker:
         q.observe(latency_s)
 
     def threshold(self, priority: int) -> Optional[float]:
-        if self.policy is not None and self.policy.hedge_after_s is not None:
-            return self.policy.hedge_after_s
+        if self.config.after_s is not None:
+            return self.config.after_s
         q = self._quantiles.get(priority)
         if q is None or len(q) < self.config.min_observations:
             return None

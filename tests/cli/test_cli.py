@@ -104,6 +104,27 @@ class TestServeWithFaults:
         assert capsys.readouterr().out == first
 
 
+class TestServeTailTolerance:
+    def test_give_up_after_aborts_on_a_single_engine(self, capsys):
+        rc = main(["serve", "--rate", "8", "--duration", "10", "--json",
+                   "--give-up-after", "0.05"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.get("aborted_deadline_exceeded", 0) > 0
+        assert payload["p99_latency_s"] < 1.0
+
+    def test_give_up_after_zero_rejected(self, capsys):
+        rc = main(["serve", "--give-up-after", "0"])
+        assert rc == 2
+        assert "--give-up-after must be positive" in capsys.readouterr().err
+
+    def test_hedge_after_alone_turns_hedging_on(self, capsys):
+        rc = main(["serve", "--rate", "8", "--duration", "4", "--json",
+                   "--num-gpus", "2", "--hedge-after", "0.05"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["hedges_fired"] > 0
+
+
 class TestFuse:
     def test_fusion_plan(self, capsys):
         rc = main(["fuse", "--items",

@@ -333,14 +333,13 @@ def test_hedged_cluster_exactly_once(menu, requests):
     """Exactly-once must survive hedged dispatch under every fault menu:
     two live copies race to a terminal, and the loser is always fenced —
     never a duplicate, never a lost request."""
-    from repro.runtime import HedgeConfig, RetryBudget, TimeoutPolicy
+    from repro.runtime import HedgeConfig, RetryBudget
 
     reset_request_ids()
     server = _fresh_cluster(
         "least-loaded", FAULT_MENUS[menu], max_requeues=4,
-        hedge=HedgeConfig(min_observations=4, window=32),
+        hedge=HedgeConfig(min_observations=4, window=32, after_s=0.25),
         retry_budget=RetryBudget(),
-        timeout_policy=TimeoutPolicy(hedge_after_s=0.25),
     )
     server.submit(requests)
     metrics = server.run()
@@ -355,7 +354,7 @@ def test_hedge_during_partition_heal_fenced_exactly_once():
     """A hedge fired against a partitioned straggler: the twin wins, the
     partition heals, and the original's late terminal must fence as a
     hedge loss — exactly once, never a duplicate terminal."""
-    from repro.runtime import HedgeConfig, TimeoutPolicy
+    from repro.runtime import HedgeConfig
 
     reset_request_ids()
     faults = (
@@ -376,8 +375,7 @@ def test_hedge_during_partition_heal_fenced_exactly_once():
         phi_suspect=1e6, phi_confirm=1e7))
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), 2, detector=detector,
-        hedge=HedgeConfig(min_observations=4, window=32),
-        timeout_policy=TimeoutPolicy(hedge_after_s=0.3),
+        hedge=HedgeConfig(min_observations=4, window=32, after_s=0.3),
     )
     requests = [
         Request(adapter_id=ADAPTER_IDS[i % len(ADAPTER_IDS)],
@@ -574,7 +572,7 @@ def test_disagg_hedged_twin_racing_transfer_exactly_once():
     """A hedge fired while the original crosses the pool boundary: the
     twin re-enters through the prefill pool, both copies race through
     prefill -> transfer -> decode, and exactly one terminal survives."""
-    from repro.runtime import HedgeConfig, TimeoutPolicy
+    from repro.runtime import HedgeConfig
 
     faults = (
         FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=10.0,
@@ -583,8 +581,7 @@ def test_disagg_hedged_twin_racing_transfer_exactly_once():
     reset_request_ids()
     server = _disagg_cluster(
         faults, prefill=1, decode=2,
-        hedge=HedgeConfig(min_observations=4, window=32),
-        timeout_policy=TimeoutPolicy(hedge_after_s=0.2),
+        hedge=HedgeConfig(min_observations=4, window=32, after_s=0.2),
     )
     requests = [
         Request(adapter_id=ADAPTER_IDS[i % len(ADAPTER_IDS)],

@@ -1,4 +1,4 @@
-"""Tail-tolerant dispatch: hedging, retry budgets, timeout policy.
+"""Tail-tolerant dispatch: hedging, retry budgets, requeue backoff.
 
 Unit coverage for :mod:`repro.runtime.hedging` (the shared backoff
 curve, the token-bucket retry budget, percentile-tracked hedge
@@ -26,7 +26,6 @@ from repro.runtime import (
     RetryBudget,
     RetryBudgetConfig,
     StreamingQuantile,
-    TimeoutPolicy,
     capped_exponential_backoff,
     percentile,
     reset_request_ids,
@@ -71,42 +70,6 @@ def test_backoff_rejects_negative():
         capped_exponential_backoff(-1.0, 1, 5.0)
     with pytest.raises(ValueError):
         capped_exponential_backoff(1.0, 1, -5.0)
-
-
-# -- TimeoutPolicy ------------------------------------------------------------
-
-
-def test_timeout_policy_defaults_are_inert():
-    policy = TimeoutPolicy()
-    # Every field None: legacy knobs pass straight through.
-    assert policy.requeue_backoff(3, 0.5, 4.0) == \
-        capped_exponential_backoff(0.5, 3, 4.0)
-    assert policy.swap_backoff(2, 0.25, 2.0) == \
-        capped_exponential_backoff(0.25, 2, 2.0)
-
-
-def test_timeout_policy_fields_override_legacy_knobs():
-    policy = TimeoutPolicy(requeue_backoff_s=1.0, requeue_backoff_cap_s=2.0,
-                           swap_retry_base_s=0.1, swap_retry_cap_s=0.2)
-    assert policy.requeue_backoff(5, 99.0, 99.0) == 2.0
-    assert policy.swap_backoff(5, 99.0, 99.0) == 0.2
-
-
-def test_timeout_policy_backoff_clamped_to_deadline():
-    policy = TimeoutPolicy(requeue_backoff_s=1.0, requeue_backoff_cap_s=30.0)
-    assert policy.requeue_backoff(10, 0.0, 0.0, deadline_s=2.5) == 2.5
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"hedge_after_s": 0.0},
-    {"give_up_after_s": -1.0},
-    {"drain_timeout_s": 0.0},
-    {"requeue_backoff_s": -0.1},
-    {"breaker_cooldown_s": -2.0},
-])
-def test_timeout_policy_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        TimeoutPolicy(**kwargs)
 
 
 # -- RetryBudget --------------------------------------------------------------
@@ -207,6 +170,8 @@ def test_hedge_config_validation():
         HedgeConfig(window=4, min_observations=8)
     with pytest.raises(ValueError):
         HedgeConfig(interval_s=0.0)
+    with pytest.raises(ValueError):
+        HedgeConfig(after_s=0.0)
 
 
 def test_hedge_tracker_disarmed_until_min_observations():
@@ -221,8 +186,7 @@ def test_hedge_tracker_disarmed_until_min_observations():
 
 
 def test_hedge_tracker_fixed_threshold_overrides_percentile():
-    tracker = HedgeTracker(HedgeConfig(min_observations=4),
-                           TimeoutPolicy(hedge_after_s=0.75))
+    tracker = HedgeTracker(HedgeConfig(min_observations=4, after_s=0.75))
     assert tracker.threshold(0) == 0.75  # armed with zero observations
 
 
@@ -230,7 +194,7 @@ def test_hedge_tracker_fixed_threshold_overrides_percentile():
 
 
 def _straggler_cluster(num_gpus=3, *, hedge=None, retry_budget=None,
-                       timeout_policy=None, magnitude=8.0, **kwargs):
+                       magnitude=8.0, **kwargs):
     injector = FaultInjector([
         FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=60.0,
                   magnitude=magnitude, target="gpu-0"),
@@ -239,14 +203,15 @@ def _straggler_cluster(num_gpus=3, *, hedge=None, retry_budget=None,
                             fault_injector=injector)
     return MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), num_gpus, hedge=hedge,
-        retry_budget=retry_budget, timeout_policy=timeout_policy, **kwargs,
+        retry_budget=retry_budget, **kwargs,
     )
 
 
-def _trace(n=48, spacing=0.01):
+def _trace(n=48, spacing=0.01, deadline_s=None):
     return [Request(adapter_id=ADAPTER_IDS[i % len(ADAPTER_IDS)],
                     arrival_time=i * spacing, input_tokens=64,
-                    output_tokens=8) for i in range(n)]
+                    output_tokens=8, deadline_s=deadline_s)
+            for i in range(n)]
 
 
 def _assert_exactly_once(requests, metrics):
@@ -295,16 +260,29 @@ def test_hedging_never_burns_failover_budget():
         assert not r.is_hedge
 
 
-def test_fixed_hedge_threshold_via_timeout_policy():
+def test_fixed_hedge_threshold_via_after_s():
     reset_request_ids()
-    server = _straggler_cluster(
-        hedge=HedgeConfig(),  # min_observations=16 never reached alone
-        timeout_policy=TimeoutPolicy(hedge_after_s=0.4))
+    # min_observations=16 is never reached alone: only after_s arms it.
+    server = _straggler_cluster(hedge=HedgeConfig(after_s=0.4))
     requests = _trace(n=24)
     server.submit(requests)
     metrics = server.run()
     _assert_exactly_once(requests, metrics)
     assert metrics.hedges_fired > 0
+
+
+def test_requeue_backoff_clamped_to_deadline():
+    """A requeue never backs off past the request's own deadline."""
+    reset_request_ids()
+    server = _straggler_cluster(requeue_backoff_s=1.0,
+                                requeue_backoff_cap_s=30.0)
+    bounded, unbounded = _trace(n=2, spacing=0.0)
+    bounded.deadline_s = 2.5
+    for r in (bounded, unbounded):
+        r.requeues = 10
+    server._apply_requeue_backoff([bounded, unbounded])
+    assert bounded.arrival_time == 2.5
+    assert unbounded.arrival_time == 30.0
 
 
 def test_retry_budget_caps_hedges():
@@ -353,20 +331,18 @@ def test_brownout_hedging_allowed_property():
 
 
 def test_give_up_after_stamps_deadlines():
-    """``give_up_after_s`` bounds time-in-system through the engine's
-    existing deadline machinery."""
+    """A give-up bound is a request deadline: it bounds time-in-system
+    through the engine's deadline machinery."""
     reset_request_ids()
-    server = _straggler_cluster(
-        num_gpus=2, magnitude=40.0,
-        timeout_policy=TimeoutPolicy(give_up_after_s=0.75))
-    requests = _trace(n=24)
+    server = _straggler_cluster(num_gpus=2, magnitude=40.0)
+    requests = _trace(n=24, deadline_s=0.75)
     server.submit(requests)
     for r in requests:
         assert r.deadline_s == 0.75
     metrics = server.run()
     _assert_exactly_once(requests, metrics)
     # Without hedging to rescue them, the 40x straggler's requests hit
-    # the unified give-up deadline.
+    # the give-up deadline.
     assert metrics.num_aborted > 0
     assert all(ab.reason == "deadline_exceeded" for ab in metrics.aborts)
 
@@ -377,9 +353,8 @@ def test_hedging_rescues_give_up_deadline():
     reset_request_ids()
     server = _straggler_cluster(
         num_gpus=2, magnitude=40.0,
-        hedge=HedgeConfig(min_observations=8, window=64),
-        timeout_policy=TimeoutPolicy(give_up_after_s=0.75))
-    requests = _trace(n=24)
+        hedge=HedgeConfig(min_observations=8, window=64))
+    requests = _trace(n=24, deadline_s=0.75)
     server.submit(requests)
     metrics = server.run()
     _assert_exactly_once(requests, metrics)
