@@ -73,7 +73,6 @@ def _autoscaler(scale=1.0):
     return Autoscaler(AutoscaleConfig(
         min_replicas=1,
         max_replicas=PEAK_REPLICAS,
-        interval_s=0.5,
         target_queue_per_replica=4.0,
         down_fraction=0.7,
         slo_floor=0.9,

@@ -170,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--placement-prefetch-top-k", type=int, default=8,
                          help="hot adapters a newly spawned replica "
                               "prefetches during warm-up")
-    cluster.add_argument("--placement-interval", type=float, default=0.5,
-                         help="placement rebalance epoch length in sim "
-                              "seconds")
     cluster.add_argument("--autoscale", action="store_true",
                          help="enable elastic replica autoscaling "
                               "(WARMING/ACTIVE/DRAINING lifecycle)")
@@ -180,8 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="minimum ACTIVE+WARMING replicas")
     cluster.add_argument("--autoscale-max", type=int, default=4,
                          help="maximum live replicas")
-    cluster.add_argument("--autoscale-interval", type=float, default=0.5,
-                         help="control-loop epoch length in sim seconds")
     cluster.add_argument("--autoscale-target-queue", type=float, default=8.0,
                          help="EWMA live requests per replica the policy "
                               "holds (scale up above, down below a "
@@ -591,7 +586,6 @@ def cmd_serve(args) -> int:
                 scaler = Autoscaler(AutoscaleConfig(
                     min_replicas=args.autoscale_min,
                     max_replicas=args.autoscale_max,
-                    interval_s=args.autoscale_interval,
                     target_queue_per_replica=args.autoscale_target_queue,
                     slo_floor=args.autoscale_slo_floor,
                     spinup_s=args.autoscale_spinup,
@@ -619,7 +613,6 @@ def cmd_serve(args) -> int:
                     hot_copies=args.placement_hot_copies,
                     cold_watermark=args.placement_cold_watermark,
                     prefetch_top_k=args.placement_prefetch_top_k,
-                    interval_s=args.placement_interval,
                 ))
             except ValueError as exc:
                 print(f"bad placement flags: {exc}", file=sys.stderr)

@@ -125,7 +125,6 @@ class AutoscaleConfig:
 
     min_replicas: int = 1
     max_replicas: int = 4
-    interval_s: float = 0.5
     target_queue_per_replica: float = 8.0
     #: When set, scale on a caller-supplied utilization fraction (e.g.
     #: the decode pool's fleet KV residency in disaggregated serving)
@@ -146,8 +145,6 @@ class AutoscaleConfig:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         if self.target_queue_per_replica <= 0:
             raise ValueError("target_queue_per_replica must be positive")
         if (self.target_utilization is not None

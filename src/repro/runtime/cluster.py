@@ -16,7 +16,7 @@ paper's future work — four dispatch policies are provided here:
   consistent-hash homes, load-aware spill to adapter-resident replicas,
   hot-adapter replication and cold demotion.  The policy builds a
   default registry when none is attached; the registry is rebalanced
-  once per placement control epoch.
+  once per control epoch.
 
 All three policies route around *dead* replicas (an engine whose fault
 schedule has already killed it receives no fresh traffic — it would all
@@ -29,9 +29,10 @@ avoids replicas scoring below ``health_floor``.
 Every cluster runs one epoched control loop
 (:meth:`MultiGPUServer.run`): requests wait in a cluster-level queue,
 are dispatched in their arrival epoch, and a failed replica's orphans
-re-enter that queue.  The epoch length comes from whichever component
-needs a control cadence; a cluster with none of them (the Table 3
-deployment) runs each epoch unbounded — every replica to completion.
+re-enter that queue.  The epoch length follows from what is attached
+(:meth:`MultiGPUServer.epoch_s`); a cluster with no control component
+(the Table 3 deployment) runs each epoch unbounded — every replica to
+completion.
 The replica set itself can be **elastic**: attach an
 :class:`~repro.runtime.autoscaler.Autoscaler` (plus an
 ``engine_factory``) and replicas move through the WARMING → ACTIVE →
@@ -239,6 +240,8 @@ class MultiGPUServer:
         self._rr_next = 0
         #: Cluster-level events (failover, no-survivor aborts, scale
         #: events) that do not belong to any single replica's collector.
+        #: A terminal accepted through the lease fence is recorded on the
+        #: collector of the replica that produced it, not here.
         self.cluster_metrics = MetricsCollector()
         # Give replicas distinct identities so engine-targeted fault
         # specs (ENGINE_FAIL / ENGINE_SLOW) can name them, unless the
@@ -259,11 +262,6 @@ class MultiGPUServer:
         #: Spawns consumed per pool (``None`` = the cluster-wide pool),
         #: each bounded by its own scaler's ``spawn_budget``.
         self._spawns_used: Dict[Optional[str], int] = {}
-        if disagg is not None:
-            for i, rep in enumerate(self.replicas):
-                pool = pool_of_index(i, disagg)
-                self._pool_of[rep.replica_id] = pool
-                apply_pool_role(rep.engine, pool, disagg)
         #: Requests accepted but not yet placed on a replica
         #: (epoched mode only), ordered by (arrival, id).  The sequence
         #: counter breaks (arrival, id) ties: a hedge twin shares its
@@ -287,23 +285,27 @@ class MultiGPUServer:
         #: presence of the id is the fence, the completion itself lets a
         #: hedge loser's request object mirror the winning outcome.
         self._accepted: Dict[int, Completion] = {}
-        if self._num_hosts:
-            for engine in [rep.engine for rep in self.replicas]:
-                engine.host = f"host-{self._host_seq % self._num_hosts}"
-                self._host_seq += 1
-        if self._fenced:
-            for rep in self.replicas:
-                rep.engine.enable_fencing()
-        if self.retry_budget is not None:
-            for rep in self.replicas:
-                rep.engine.retry_budget = self.retry_budget
-        if self.detector is not None:
-            for rep in self.replicas:
-                self.detector.register(rep.replica_id, 0.0)
+        for i, rep in enumerate(self.replicas):
+            self._enroll(rep.engine, pool_of_index(i, disagg)
+                         if disagg is not None else None)
+            if detector is not None:
+                detector.register(rep.replica_id, 0.0)
                 self._hb_next[rep.replica_id] = 0.0
-        if self.placement is not None:
-            for rep in self.replicas:
-                self.placement.register_replica(rep.engine)
+            if placement is not None:
+                placement.register_replica(rep.engine)
+
+    def _enroll(self, engine: ServingEngine, pool: Optional[str]) -> None:
+        """Give a new replica's engine its pool role, host, fencing and
+        retry budget (``pool`` is ``None`` on a colocated cluster)."""
+        if pool is not None:
+            self._pool_of[engine.engine_id] = pool
+            apply_pool_role(engine, pool, self.disagg)
+        if self._num_hosts:
+            engine.host = f"host-{self._host_seq % self._num_hosts}"
+            self._host_seq += 1
+        if self._fenced:
+            engine.enable_fencing()
+        engine.retry_budget = self.retry_budget
 
     @property
     def engines(self) -> List[ServingEngine]:
@@ -568,22 +570,20 @@ class MultiGPUServer:
     def run(self, until: Optional[float] = None) -> MetricsCollector:
         """Run the epoched control loop; returns the merged metrics.
 
-        Control time advances in the ``interval_s`` of whichever
-        component needs a cadence (autoscaler, detector, hedging,
-        placement, disaggregation).  Each epoch: replicas whose warm-up
-        finished turn ACTIVE; due requests are dispatched to ACTIVE
-        replicas; ACTIVE and DRAINING engines run to the epoch boundary
-        on their own sim clocks.  Then, without a detector, the failure
-        oracle retires failed replicas and requeues their orphans.  With
-        one, the cluster instead processes what it *observed*: reachable
-        replicas deliver their completion outboxes (fenced), heartbeats
-        are emitted/dropped/withheld per the fault schedule, and the φ
-        detector's transitions drive suspicion, healing, and
-        confirmed-death seizure.  Empty (or timed-out) DRAINING replicas
+        Control time advances in steps of :meth:`epoch_s`.  Each epoch:
+        replicas whose warm-up finished turn ACTIVE; due requests are
+        dispatched to ACTIVE replicas; ACTIVE and DRAINING engines run
+        to the epoch boundary on their own sim clocks.  Then, without a
+        detector, the failure oracle retires failed replicas and requeues
+        their orphans.  With one, the cluster instead processes what it
+        *observed*: reachable replicas deliver their completion outboxes
+        (fenced), heartbeats are emitted/dropped/withheld per the fault
+        schedule, and the φ detector's transitions drive suspicion,
+        healing, and confirmed-death seizure.  Empty (or timed-out) DRAINING replicas
         retire; finally the autoscaler — when present — observes queue
         depth and SLO attainment and may spawn or drain a replica.
 
-        When no component sets an interval (the §6.4 Table 3
+        With no control component attached (the §6.4 Table 3
         data-parallel deployment), each epoch is unbounded: every
         replica runs to completion and the epoch ends at the latest
         replica clock, so a failover costs one more epoch.  The loop
@@ -594,18 +594,7 @@ class MultiGPUServer:
         every replica's metrics, so ``summary()`` accounts for every
         submitted request.
         """
-        if self._scalers:
-            interval = min(s.config.interval_s for _, s in self._scalers)
-        elif self.detector is not None:
-            interval = self.detector.config.interval_s
-        elif self.hedge is not None:
-            interval = self.hedge.interval_s
-        elif self.placement is not None:
-            interval = self.placement.config.interval_s
-        elif self.disagg is not None:
-            interval = self.disagg.interval_s
-        else:
-            interval = math.inf
+        interval = self.epoch_s()
         now = 0.0
         for _ in range(self._MAX_EPOCHS):
             t_next = now + interval
@@ -655,6 +644,23 @@ class MultiGPUServer:
             self._flush_zombie_mail()
         return self._merged_metrics()
 
+    def epoch_s(self) -> float:
+        """Control-epoch length, worked out from what is attached.
+
+        0.25 s when a failure detector or hedging is attached and no
+        autoscaler is (cluster-wide or per pool): fault handling and
+        hedging react at the default heartbeat cadence.  0.5 s when any
+        other control component is attached (an autoscaler, placement
+        or disaggregation).  Unbounded when none is.
+        """
+        if self._scalers:
+            return 0.5
+        if self._fenced:
+            return 0.25
+        if self.placement is not None or self.disagg is not None:
+            return 0.5
+        return math.inf
+
     def _merged_metrics(self) -> MetricsCollector:
         merged = MetricsCollector()
         merged.merge_from(self.cluster_metrics)
@@ -695,22 +701,11 @@ class MultiGPUServer:
     def _dispatch_due(self, t_next: float) -> None:
         if not self._undispatched:
             return
-        if self.detector is not None:
-            # No oracle: route by *believed* health.  A silently-dead
-            # replica still ALIVE in the detector receives traffic —
-            # realistically stranding it until confirmation seizes it.
-            active = [
-                rep.engine for rep in self._members(ReplicaState.ACTIVE)
-                if self.detector.state_of(rep.replica_id)
-                is SuspicionState.ALIVE
-            ]
-        else:
-            active = [rep.engine
-                      for rep in self._members(ReplicaState.ACTIVE)
-                      if not rep.engine.failed]
         # Disaggregated: fresh requests always need a prefill first, so
         # only the prefill pool receives dispatch.
-        active = [e for e in active if self._takes_fresh_dispatch(e)]
+        active = [rep.engine for rep in self._members(ReplicaState.ACTIVE)
+                  if self._believed_alive(rep)
+                  and self._takes_fresh_dispatch(rep.engine)]
         if not active:
             return  # hold the queue; warming/healing will provide capacity
         due: List[Request] = []
@@ -722,6 +717,19 @@ class MultiGPUServer:
                 due.append(r)
         if due:
             self._dispatch(due, active)
+
+    def _believed_alive(self, rep: Replica) -> bool:
+        """Whether the cluster believes ``rep`` is up.
+
+        Without a detector this is the failure oracle.  With one it is
+        what heartbeats said: a silently-dead replica still ALIVE in the
+        detector keeps receiving traffic — realistically stranding it
+        until confirmation seizes it.
+        """
+        if self.detector is None:
+            return not rep.engine.failed
+        return (self.detector.state_of(rep.replica_id)
+                is SuspicionState.ALIVE)
 
     def _requeue(self, orphans: Sequence[Request]) -> None:
         for r in orphans:
@@ -749,13 +757,16 @@ class MultiGPUServer:
                 # results; deliver them through the fence (mirrors the
                 # unfenced path, where they were already in metrics).
                 self._deliver_outbox(e)
-            orphans = self._vet_orphans(e.drain_orphans())
-            if orphans:
-                self._apply_requeue_backoff(orphans)
-                self.cluster_metrics.failover_events += len(orphans)
-                self._requeue(orphans)
-            self._retire(rep, max(t_next, e.clock.now), "fail",
-                         "engine failed")
+            self._fail_over(rep, e.drain_orphans(), t_next, "engine failed")
+
+    def _fail_over(self, rep: Replica, orphans: List[Request],
+                   t_next: float, reason: str) -> None:
+        """Requeue a failed replica's vetted orphans, then retire it."""
+        orphans = self._vet_orphans(orphans)
+        self._apply_requeue_backoff(orphans)
+        self.cluster_metrics.failover_events += len(orphans)
+        self._requeue(orphans)
+        self._retire(rep, max(t_next, rep.engine.clock.now), "fail", reason)
 
     # -- tail-tolerant dispatch (runtime/hedging.py) -------------------------------
 
@@ -774,17 +785,8 @@ class MultiGPUServer:
 
     def _hedge_eligible_engines(self) -> List[ServingEngine]:
         """ACTIVE replicas a hedge may be placed on (or fired from)."""
-        out = []
-        for rep in self._members(ReplicaState.ACTIVE):
-            e = rep.engine
-            if e.failed:
-                continue
-            if (self.detector is not None
-                    and self.detector.state_of(e.engine_id)
-                    is not SuspicionState.ALIVE):
-                continue
-            out.append(e)
-        return out
+        return [rep.engine for rep in self._members(ReplicaState.ACTIVE)
+                if not rep.engine.failed and self._believed_alive(rep)]
 
     def _hedge_pass(self, t_next: float) -> None:
         """Fire speculative duplicates for requests stuck past the
@@ -883,24 +885,11 @@ class MultiGPUServer:
     # -- disaggregated KV transfer (runtime/disagg.py) -----------------------------
 
     def _transfer_targets(self) -> List[ServingEngine]:
-        """Decode replicas a hand-off may be delivered to right now."""
-        out = []
-        for rep in self._members(ReplicaState.ACTIVE):
-            if self._pool_of.get(rep.replica_id) != DECODE_POOL:
-                continue
-            e = rep.engine
-            if self.detector is not None:
-                # Route by *believed* health, exactly like dispatch: a
-                # silently-dead decode replica still receives transfers
-                # (realistically stranding them until confirmation
-                # seizes and rewinds them).
-                if (self.detector.state_of(rep.replica_id)
-                        is not SuspicionState.ALIVE):
-                    continue
-            elif e.failed:
-                continue
-            out.append(e)
-        return out
+        """Decode replicas a hand-off may be delivered to right now
+        (routed by believed health, exactly like dispatch)."""
+        return [rep.engine for rep in self._pool_members(
+                    DECODE_POOL, ReplicaState.ACTIVE)
+                if self._believed_alive(rep)]
 
     @staticmethod
     def _transfer_target_key(engine: ServingEngine):
@@ -1024,10 +1013,11 @@ class MultiGPUServer:
             self.cluster_metrics.hedge_wins += 1
         if self._hedge_tracker is not None and comp.kind == "finish":
             self._hedge_tracker.observe(req.priority, comp.record.latency)
+        metrics = self._replica_of[comp.token[0]].engine.metrics
         if comp.kind == "finish":
-            self.cluster_metrics.records.append(comp.record)
+            metrics.records.append(comp.record)
         else:
-            self.cluster_metrics.aborts.append(comp.record)
+            metrics.aborts.append(comp.record)
 
     def _deliver_outbox(self, engine: ServingEngine) -> None:
         """Deliver (and clear) one engine's completion outbox."""
@@ -1203,14 +1193,8 @@ class MultiGPUServer:
                 comp.request.reset_for_requeue(t_next)
                 rewound.append(comp.request)
             self._zombie_mail.setdefault(rid, []).extend(outbox)
-        orphans = e.drain_orphans() + rewound
-        orphans = self._vet_orphans(orphans)
-        if orphans:
-            self._apply_requeue_backoff(orphans)
-            self.cluster_metrics.failover_events += len(orphans)
-            self._requeue(orphans)
-        self._retire(rep, max(t_next, e.clock.now), "fail",
-                     "confirmed dead")
+        self._fail_over(rep, e.drain_orphans() + rewound, t_next,
+                        "confirmed dead")
 
     def _flush_zombie_mail(self) -> None:
         """End of run: fence whatever never became deliverable.
@@ -1256,18 +1240,18 @@ class MultiGPUServer:
     def _retire(self, rep: Replica, now: float, action: str,
                 reason: str) -> None:
         """DEAD transition plus lifetime accounting, any prior state."""
-        if (rep.state is ReplicaState.DRAINING
-                and rep.drain_started_at is not None):
-            self.cluster_metrics.draining_time_s += (
-                now - rep.drain_started_at
-            )
+        self._charge_lifetime(rep, now)
         rep.die(now)
         if self.placement is not None:
             self.placement.deregister_replica(rep.replica_id)
-        self.cluster_metrics.gpu_seconds_total += max(
-            0.0, now - rep.spawned_at
-        )
         self._record_event(now, action, rep, reason)
+
+    def _charge_lifetime(self, rep: Replica, end: float) -> None:
+        """Charge one replica's drain time and GPU-seconds up to ``end``."""
+        if rep.state is ReplicaState.DRAINING:
+            self.cluster_metrics.draining_time_s += end - rep.drain_started_at
+        self.cluster_metrics.gpu_seconds_total += max(
+            0.0, end - rep.spawned_at)
 
     def _scaler_of(self, rep: Replica) -> Autoscaler:
         """The scaler owning one replica's pool (only scalers drain)."""
@@ -1349,27 +1333,16 @@ class MultiGPUServer:
             return None
         return met / total
 
-    def _can_spawn(self, pool: Optional[str] = None,
-                   scaler: Optional[Autoscaler] = None) -> bool:
-        """Whether ``pool`` (or, with no arguments, *any* pool) can grow.
-
-        Detector-only clusters have a fixed replica set (no scalers),
-        matching the legacy behavior.
-        """
-        if scaler is None:
-            if pool is None and len(self._scalers) != 1:
-                return any(self._can_spawn(p, s) for p, s in self._scalers)
-            for p, s in self._scalers:
-                if p == pool or pool is None:
-                    return self._can_spawn(p, s)
-            return False
-        cfg = scaler.config
-        members = self._pool_members(pool, ReplicaState.WARMING,
-                                     ReplicaState.ACTIVE,
-                                     ReplicaState.DRAINING)
-        return (self.engine_factory is not None
-                and self._spawns_used.get(pool, 0) < cfg.spawn_budget
-                and len(members) < cfg.max_replicas)
+    def _can_spawn(self, pool: Optional[str]) -> bool:
+        """Whether ``pool`` (``None``: any pool) has a scaler with spawn
+        budget and replica headroom left.  Clusters without a scaler have
+        a fixed replica set."""
+        return self.engine_factory is not None and any(
+            self._spawns_used.get(p, 0) < s.config.spawn_budget
+            and len(self._pool_members(
+                p, ReplicaState.WARMING, ReplicaState.ACTIVE,
+                ReplicaState.DRAINING)) < s.config.max_replicas
+            for p, s in self._scalers if pool is None or p == pool)
 
     def _fresh_replica_id(self) -> str:
         while True:
@@ -1381,21 +1354,11 @@ class MultiGPUServer:
     def _spawn_replica(self, now: float, pool: Optional[str],
                        scaler: Autoscaler) -> bool:
         """Provision one WARMING replica; False when spawning is capped."""
-        if not self._can_spawn(pool, scaler):
+        if not self._can_spawn(pool):
             return False
-        cfg = scaler.config
         engine = self.engine_factory()
         engine.engine_id = self._fresh_replica_id()
-        if pool is not None:
-            self._pool_of[engine.engine_id] = pool
-            apply_pool_role(engine, pool, self.disagg)
-        if self._num_hosts:
-            engine.host = f"host-{self._host_seq % self._num_hosts}"
-            self._host_seq += 1
-        if self._fenced:
-            engine.enable_fencing()
-        if self.retry_budget is not None:
-            engine.retry_budget = self.retry_budget
+        self._enroll(engine, pool)
         self._spawns_used[pool] = self._spawns_used.get(pool, 0) + 1
         prefetch_ids: List[str] = []
         if self.placement is not None:
@@ -1403,7 +1366,7 @@ class MultiGPUServer:
             # grows (each prefetched adapter pays a synchronous swap)
             # but the replica comes online useful instead of cold.
             prefetch_ids = self.placement.prefetch_plan(engine)
-        cold = estimate_cold_start_s(engine, cfg,
+        cold = estimate_cold_start_s(engine, scaler.config,
                                      prefetch_ids=prefetch_ids or None)
         stall = 1.0
         if engine.faults is not None:
@@ -1493,15 +1456,7 @@ class MultiGPUServer:
         """Charge still-live replicas' GPU seconds up to the run's end."""
         for rep in self._members(ReplicaState.WARMING, ReplicaState.ACTIVE,
                                  ReplicaState.DRAINING):
-            t = max(end, rep.engine.clock.now)
-            if (rep.state is ReplicaState.DRAINING
-                    and rep.drain_started_at is not None):
-                self.cluster_metrics.draining_time_s += (
-                    t - rep.drain_started_at
-                )
-            self.cluster_metrics.gpu_seconds_total += max(
-                0.0, t - rep.spawned_at
-            )
+            self._charge_lifetime(rep, max(end, rep.engine.clock.now))
 
     # -- failover helpers ------------------------------------------------------------
 

@@ -18,9 +18,11 @@ The pieces, all opt-in through :class:`DisaggConfig` on
   prefills in their ``handoff_outbox`` instead of decoding them;
   decode engines accept transferred-in requests (allocating local KV
   for the sequence that just crossed the wire).
-* **KV transfer** — once per control epoch the cluster drains every
-  reachable prefill replica's hand-off outbox and delivers each
-  request to the decode replica with the most free KV, charging a
+* **KV transfer** — once per control epoch (0.5 s unless a detector
+  or hedging without an autoscaler shortens it to 0.25 s;
+  :meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`) the cluster
+  drains every reachable prefill replica's hand-off outbox and delivers
+  each request to the decode replica with the most free KV, charging a
   size-proportional wire cost (``context_len * kv_bytes_per_token``
   through the same :class:`~repro.hardware.memory.TransferModel` that
   prices adapter swap-ins, memoized by
@@ -81,9 +83,7 @@ class DisaggConfig:
 
     ``prefill_replicas`` + ``decode_replicas`` must equal the cluster's
     initial engine count; the first ``prefill_replicas`` engines form
-    the prefill pool.  ``interval_s`` drives the epoched control loop
-    when nothing else (autoscaler / detector / hedge / placement)
-    already does.  ``transfer_overhead_s`` is the flat per-hand-off
+    the prefill pool.  ``transfer_overhead_s`` is the flat per-hand-off
     software cost (launch + transport setup) and ``transfer_overlap``
     the fraction of wire time hidden behind the receiving replica's
     compute — both feed the same
@@ -99,7 +99,6 @@ class DisaggConfig:
 
     prefill_replicas: int = 1
     decode_replicas: int = 1
-    interval_s: float = 0.5
     transfer_overhead_s: float = 0.5e-3
     transfer_overlap: float = 0.0
     pin_prefill_merged: bool = True
@@ -112,8 +111,6 @@ class DisaggConfig:
             raise ValueError("prefill_replicas must be >= 1")
         if self.decode_replicas < 1:
             raise ValueError("decode_replicas must be >= 1")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         if self.transfer_overhead_s < 0:
             raise ValueError("transfer_overhead_s must be >= 0")
         if not 0.0 <= self.transfer_overlap < 1.0:

@@ -24,6 +24,9 @@ This module supplies both halves:
   not killed); crossing ``phi_confirm`` moves it to CONFIRMED_DEAD
   (permanent — zombies never rejoin).  Heartbeats that resume while
   only SUSPECTED heal the replica back to ALIVE (a *false suspicion*).
+  The cluster delivers heartbeats and evaluates φ once per control
+  epoch: 0.25 s, or 0.5 s when an autoscaler is attached
+  (:meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
 
 * **Lease fencing** (:class:`Completion`).  Every dispatched request is
   stamped with a fencing token ``(replica_id, lease_epoch)``.  A
@@ -80,10 +83,9 @@ class FailureDetectorConfig:
     faster but confirms transient partitions as dead — their in-flight
     work is re-dispatched and the partitioned replica's late results
     arrive as fenced duplicates (the detection-latency vs duplicate-work
-    frontier ``benchmarks/bench_partition.py`` charts).  ``interval_s``
-    is the cluster control epoch used when no autoscaler drives the
-    loop; heartbeat delivery and φ evaluation happen at epoch
-    boundaries.
+    frontier ``benchmarks/bench_partition.py`` charts).  Heartbeat
+    delivery and φ evaluation happen at the cluster's control-epoch
+    boundaries (:meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
     """
 
     heartbeat_interval_s: float = 0.25
@@ -91,7 +93,6 @@ class FailureDetectorConfig:
     phi_confirm: float = 8.0
     window: int = 32
     min_samples: int = 3
-    interval_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
@@ -104,8 +105,6 @@ class FailureDetectorConfig:
             raise ValueError("window must be >= 1")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
 
 
 class PhiAccrualDetector:

@@ -21,7 +21,9 @@ budgets), built on PR 6's lease-fenced exactly-once machinery:
   replica; first completion wins and the loser is fenced
   (``hedge_losses``), never double-terminating the request.
   ``HedgeConfig.after_s`` replaces the tracked threshold with a fixed
-  one.
+  one.  The cluster looks for stuck requests once per control epoch
+  (0.25 s unless an autoscaler is attached;
+  :meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
 
 Each timeout has exactly one home.  Swap retry backoff lives in
 :class:`~repro.runtime.engine.EngineConfig`, failover-requeue backoff
@@ -150,14 +152,13 @@ class HedgeConfig:
     speculatively re-dispatched to a different healthy replica — at most
     once per request.  ``after_s``, when set, is a fixed threshold that
     bypasses the tracker: any request in flight longer than it is
-    hedged.  ``interval_s`` is the control-epoch length when neither an
-    autoscaler nor a failure detector already provides one.
+    hedged.  The cluster looks for stuck requests once per control
+    epoch (:meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
     """
 
     percentile: float = 95.0
     min_observations: int = 16
     window: int = 256
-    interval_s: float = 0.25
     after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +170,6 @@ class HedgeConfig:
             raise ValueError("min_observations must be >= 1")
         if self.window < self.min_observations:
             raise ValueError("window must be >= min_observations")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         if self.after_s is not None and self.after_s <= 0:
             raise ValueError(f"after_s must be positive, got {self.after_s}")
 

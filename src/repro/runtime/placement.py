@@ -12,7 +12,9 @@ actually resident where*.
 :class:`AdapterPlacement` is the missing fleet-level registry.  It
 tracks, per replica, a model of the GPU-resident adapter set (seeded
 from each engine's :class:`~repro.runtime.adapters.AdapterManager` and
-refreshed from ground truth every control epoch), a per-adapter
+refreshed from ground truth every cluster control epoch — 0.5 s unless
+a detector or hedging without an autoscaler shortens it to 0.25 s, see
+:meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`), a per-adapter
 popularity EWMA, and the per-adapter swap cost, and exposes one
 placement decision to cluster dispatch:
 
@@ -77,9 +79,8 @@ class PlacementConfig:
     which point balance wins and the miss goes to the fleet's
     least-loaded replica instead.  ``prefetch_top_k``
     bounds the hot set a newly spawned replica prefetches during
-    warm-up.  ``interval_s`` is the control-epoch length when placement
-    alone drives the epoched loop.  ``max_pins_fraction`` caps how much
-    of a replica's slot budget replication may soft-pin.
+    warm-up.  ``max_pins_fraction`` caps how much of a replica's slot
+    budget replication may soft-pin.
     """
 
     ewma_alpha: float = 0.02
@@ -91,7 +92,6 @@ class PlacementConfig:
     miss_load_factor: float = 1.5
     miss_slack_rounds: float = 448.0
     prefetch_top_k: int = 8
-    interval_s: float = 0.5
     max_pins_fraction: float = 0.5
     vnodes: int = 64
 
@@ -119,8 +119,6 @@ class PlacementConfig:
             raise ValueError("miss_slack_rounds must be >= 0")
         if self.prefetch_top_k < 0:
             raise ValueError("prefetch_top_k must be >= 0")
-        if self.interval_s <= 0.0:
-            raise ValueError("interval_s must be positive")
         if not 0.0 < self.max_pins_fraction <= 1.0:
             raise ValueError("max_pins_fraction must be in (0, 1]")
         if self.vnodes < 1:

@@ -1,48 +1,40 @@
-"""Tests for the named baseline constructors and module entry point."""
+"""Tests for building each named system and the module entry point."""
 
 import subprocess
 import sys
 
 import pytest
 
-from repro.baselines import (
-    build_dlora,
-    build_merge_only,
-    build_punica,
-    build_slora,
-    build_unmerge_only,
-    build_vlora,
-)
+from repro.core import SYSTEM_NAMES, build_engine
 from repro.kernels import ATMMOperator, EinsumOperator, PunicaOperator, SLoRAOperator
 from repro.runtime import Request
+
+OPERATOR_OF = {
+    "v-lora": ATMMOperator,
+    "s-lora": SLoRAOperator,
+    "punica": PunicaOperator,
+    "dlora": EinsumOperator,
+    "merge-only": ATMMOperator,
+    "unmerge-only": ATMMOperator,
+}
 
 
 class TestNamedConstructors:
     def test_each_builds_the_right_operator(self):
-        assert isinstance(build_vlora(num_adapters=1).operator, ATMMOperator)
-        assert isinstance(build_slora(num_adapters=1).operator, SLoRAOperator)
-        assert isinstance(build_punica(num_adapters=1).operator,
-                          PunicaOperator)
-        assert isinstance(build_dlora(num_adapters=1).operator,
-                          EinsumOperator)
-        assert isinstance(build_merge_only(num_adapters=1).operator,
-                          ATMMOperator)
-        assert isinstance(build_unmerge_only(num_adapters=1).operator,
-                          ATMMOperator)
+        for system in SYSTEM_NAMES:
+            engine = build_engine(system, num_adapters=1)
+            assert isinstance(engine.operator, OPERATOR_OF[system]), system
 
-    @pytest.mark.parametrize("builder", [
-        build_vlora, build_slora, build_punica,
-        build_dlora, build_merge_only, build_unmerge_only,
-    ])
-    def test_each_serves_a_request(self, builder):
-        engine = builder(num_adapters=2)
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_each_serves_a_request(self, system):
+        engine = build_engine(system, num_adapters=2)
         engine.submit([Request(adapter_id="lora-0", arrival_time=0.0,
                                input_tokens=64, output_tokens=2)])
         metrics = engine.run()
         assert metrics.num_completed == 1
 
     def test_kwargs_forwarded(self):
-        engine = build_vlora(num_adapters=3, max_batch_size=4)
+        engine = build_engine("v-lora", num_adapters=3, max_batch_size=4)
         assert engine.config.max_batch_size == 4
         assert engine.adapters.num_adapters == 3
 

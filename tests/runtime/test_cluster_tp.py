@@ -1,11 +1,24 @@
-"""Tests for multi-GPU dispatch policies and tensor parallelism."""
+"""Tests for multi-GPU dispatch policies, the control epoch and tensor
+parallelism."""
+
+import math
 
 import pytest
 
 from repro.core import SystemBuilder
 from repro.hardware import A100_80GB
 from repro.models import INTERNVL2_76B, QWEN_VL_7B, IterationCostModel
-from repro.runtime import MultiGPUServer, Request, UnifiedMemoryManager
+from repro.runtime import (
+    AdapterPlacement,
+    AutoscaleConfig,
+    Autoscaler,
+    DisaggConfig,
+    FailureDetector,
+    HedgeConfig,
+    MultiGPUServer,
+    Request,
+    UnifiedMemoryManager,
+)
 from repro.workloads import RetrievalWorkload
 
 
@@ -131,6 +144,31 @@ class TestDispatchPolicies:
             for r in e.pending_requests:
                 placed.setdefault(r.adapter_id, set()).add(i)
         assert all(len(homes) == 1 for homes in placed.values())
+
+
+class TestControlEpoch:
+    """The epoch is worked out from the attached components alone."""
+
+    @pytest.mark.parametrize("components, epoch_s", [
+        ({}, math.inf),
+        ({"placement": AdapterPlacement}, 0.5),
+        ({"disagg": DisaggConfig}, 0.5),
+        ({"detector": FailureDetector}, 0.25),
+        ({"hedge": HedgeConfig}, 0.25),
+        ({"detector": FailureDetector, "hedge": HedgeConfig}, 0.25),
+        ({"autoscaler": Autoscaler}, 0.5),
+        ({"autoscaler": Autoscaler, "detector": FailureDetector}, 0.5),
+        ({"autoscaler": Autoscaler, "hedge": HedgeConfig}, 0.5),
+        ({"disagg": lambda: DisaggConfig(
+            prefill_autoscale=AutoscaleConfig())}, 0.5),
+    ], ids=["none", "placement", "disagg", "detector", "hedge",
+            "detector+hedge", "autoscaler", "autoscaler+detector",
+            "autoscaler+hedge", "disagg+pool-autoscale"])
+    def test_epoch_rule(self, builder, components, epoch_s):
+        kwargs = {name: make() for name, make in components.items()}
+        server = MultiGPUServer.replicate(
+            lambda: builder.build("v-lora"), 2, **kwargs)
+        assert server.epoch_s() == epoch_s
 
 
 class TestTensorParallel:

@@ -186,7 +186,7 @@ def test_autoscaled_cluster_exactly_once_under_chaos(requests, seed):
         deadline_slo_factor=4.0, fault_injector=injector,
     )
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=3, interval_s=0.25,
+        min_replicas=1, max_replicas=3,
         target_queue_per_replica=2.0, down_fraction=0.7,
         up_cooldown_s=0.25, down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
@@ -262,7 +262,7 @@ def test_mid_drain_failover_exactly_once():
         fault_injector=FaultInjector(list(faults)),
     )
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=2, interval_s=0.25,
+        min_replicas=1, max_replicas=2,
         # Huge target: the controller immediately wants to scale down,
         # so one of the two initial replicas starts draining while its
         # long-running batch is still in flight.
@@ -293,7 +293,7 @@ def test_drain_requeue_does_not_consume_failover_budget():
     burn the ``max_requeues`` budget nor add failover backoff."""
     builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8)
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=2, interval_s=0.25,
+        min_replicas=1, max_replicas=2,
         target_queue_per_replica=100.0, down_fraction=0.9,
         down_cooldown_s=0.25, spinup_s=0.1,
         # Tiny timeout: the drain cannot finish its long batch in time,
@@ -408,7 +408,7 @@ def test_locality_cluster_exactly_once(menu, requests):
     reset_request_ids()
     placement = AdapterPlacement(PlacementConfig(
         hot_watermark=0.2, hot_copies=2, cold_watermark=0.05,
-        spill_load_factor=1.0, spill_slack_rounds=2.0, interval_s=0.25,
+        spill_load_factor=1.0, spill_slack_rounds=2.0,
     ))
     server = _fresh_cluster("locality", FAULT_MENUS[menu],
                             max_requeues=4, placement=placement)
@@ -439,13 +439,13 @@ def test_locality_autoscaled_exactly_once_under_chaos(requests, seed):
         deadline_slo_factor=4.0, fault_injector=injector,
     )
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=3, interval_s=0.25,
+        min_replicas=1, max_replicas=3,
         target_queue_per_replica=2.0, down_fraction=0.7,
         up_cooldown_s=0.25, down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
     ))
     placement = AdapterPlacement(PlacementConfig(
-        hot_watermark=0.2, hot_copies=2, interval_s=0.25,
+        hot_watermark=0.2, hot_copies=2,
         prefetch_top_k=2,
     ))
     server = MultiGPUServer.replicate(
@@ -617,7 +617,7 @@ def test_disagg_autoscaled_exactly_once_under_chaos(requests, seed):
         deadline_slo_factor=4.0, fault_injector=injector,
     )
     scale = AutoscaleConfig(
-        min_replicas=1, max_replicas=2, interval_s=0.25,
+        min_replicas=1, max_replicas=2,
         target_queue_per_replica=2.0, down_fraction=0.7,
         up_cooldown_s=0.25, down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
@@ -646,7 +646,7 @@ def test_drain_rehoming_never_spends_retry_budget():
                                            initial=5.0))
     builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8)
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=2, interval_s=0.25,
+        min_replicas=1, max_replicas=2,
         target_queue_per_replica=100.0, down_fraction=0.9,
         down_cooldown_s=0.25, spinup_s=0.1, drain_timeout_s=0.5,
     ))

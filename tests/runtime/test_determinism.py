@@ -114,7 +114,7 @@ def _run_autoscaled(seed):
         ]),
     )
     scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=3, interval_s=0.5,
+        min_replicas=1, max_replicas=3,
         target_queue_per_replica=4.0, down_fraction=0.6,
         down_cooldown_s=1.0, spinup_s=0.25, drain_timeout_s=10.0,
     ))

@@ -19,14 +19,17 @@ from repro.runtime import (
     BreakerState,
     BrownoutConfig,
     BrownoutController,
+    FailureDetector,
     FaultInjector,
     FaultKind,
     FaultSpec,
+    HedgeConfig,
     MultiGPUServer,
     ReplicaHealth,
     Request,
     RequestStatus,
 )
+from repro.workloads import RetrievalWorkload
 from repro.workloads.burst import apply_load_bursts
 
 
@@ -517,6 +520,25 @@ class TestClusterMetricsMerge:
         counts = server.per_engine_completed()
         assert len(counts) == 3
         assert counts[0] > 0
+        assert sum(counts) == merged.num_completed
+
+    @pytest.mark.parametrize("fence", ["hedge", "detector"])
+    def test_per_engine_completed_on_fenced_cluster(self, fence):
+        """Regression: with hedging or a detector, terminals arrive
+        through the lease fence and still count for the replica that
+        produced them."""
+        builder = SystemBuilder(num_adapters=4)
+        kwargs = ({"hedge": HedgeConfig()} if fence == "hedge"
+                  else {"detector": FailureDetector()})
+        server = MultiGPUServer.replicate(
+            lambda: builder.build("v-lora"), 2, **kwargs)
+        server.submit(RetrievalWorkload(
+            builder.adapter_ids, rate_rps=10.0, duration_s=3.0,
+            seed=0).generate())
+        merged = server.run()
+        counts = server.per_engine_completed()
+        assert merged.num_completed > 0
+        assert all(c > 0 for c in counts)
         assert sum(counts) == merged.num_completed
 
 

@@ -61,7 +61,6 @@ class TestPlacementConfig:
         dict(miss_load_factor=0.5),
         dict(miss_slack_rounds=-1.0),
         dict(prefetch_top_k=-1),
-        dict(interval_s=0.0),
         dict(max_pins_fraction=0.0),
         dict(vnodes=0),
     ])
