@@ -164,6 +164,12 @@ class EngineConfig:
             raise ValueError("max_swap_retries must be >= 1")
 
 
+#: The seed's fault-handling knobs.  The config handed in may be the
+#: current runtime's ``EngineConfig``, which no longer carries them, so
+#: they are always read from the seed defaults.
+_SEED_DEFAULTS = EngineConfig()
+
+
 class SeedServingEngine:
     """One GPU's serving loop over a simulated clock."""
 
@@ -315,7 +321,7 @@ class SeedServingEngine:
             # already-admitted subset next iteration after evicting
             # stale prefixes.
             self.kv.evict_stale_prefixes(
-                self.clock.now - self.config.prefix_ttl_s
+                self.clock.now - _SEED_DEFAULTS.prefix_ttl_s
             )
             batch = [r for r in decision.batch if r.prefilled]
             if not batch:
@@ -423,7 +429,7 @@ class SeedServingEngine:
         self.kv.evict_stale_prefixes(float("inf"))
         self._kv_stalls += 1
         self.metrics.kv_stall_iters += 1
-        if self._kv_stalls <= self.config.kv_stall_limit:
+        if self._kv_stalls <= _SEED_DEFAULTS.kv_stall_limit:
             self.clock.advance(max(self._last_iteration_s, 1e-3))
             return
         self._kv_stalls = 0
@@ -447,12 +453,12 @@ class SeedServingEngine:
             count = self._swap_failures.get(adapter_id, 0) + 1
             self._swap_failures[adapter_id] = count
             self.metrics.swap_retries += 1
-            if count > self.config.max_swap_retries:
+            if count > _SEED_DEFAULTS.max_swap_retries:
                 self._quarantine(adapter_id)
             else:
                 backoff = min(
-                    self.config.swap_retry_base_s * 2 ** (count - 1),
-                    self.config.swap_retry_cap_s,
+                    _SEED_DEFAULTS.swap_retry_base_s * 2 ** (count - 1),
+                    _SEED_DEFAULTS.swap_retry_cap_s,
                 )
                 self._swap_backoff_until[adapter_id] = now + backoff
         failed_set = set(failed)
@@ -614,7 +620,7 @@ class SeedServingEngine:
             )
             if not self.kv.can_allocate(r.context_len):
                 self.kv.evict_stale_prefixes(
-                    self.clock.now - self.config.prefix_ttl_s
+                    self.clock.now - _SEED_DEFAULTS.prefix_ttl_s
                 )
             if not self.kv.can_allocate(r.context_len):
                 continue  # stays waiting; retried next iteration

@@ -151,9 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="prefill-pool size with --disagg (default 1)")
     cluster.add_argument("--decode-replicas", type=int, default=1,
                          help="decode-pool size with --disagg (default 1)")
-    cluster.add_argument("--disagg-kv-target", type=float, default=0.75,
+    cluster.add_argument("--disagg-kv-target", type=float, default=None,
                          help="decode-pool KV-residency scaling target in "
-                              "(0, 1] (with --disagg --autoscale; the "
+                              "(0, 1] (requires --disagg --autoscale; the "
                               "prefill pool scales on queue depth as "
                               "usual; default 0.75)")
     cluster.add_argument("--placement-hot-watermark", type=float,
@@ -518,6 +518,11 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"bad tail-tolerance flags: {exc}", file=sys.stderr)
         return 2
+    if args.disagg_kv_target is not None and not (
+            args.disagg and args.autoscale):
+        print("--disagg-kv-target requires --disagg and --autoscale",
+              file=sys.stderr)
+        return 2
     if args.disagg:
         if args.prefill_replicas < 1 or args.decode_replicas < 1:
             print("--prefill-replicas and --decode-replicas must be >= 1",
@@ -627,10 +632,12 @@ def cmd_serve(args) -> int:
                 # prefill pool keeps the queue-depth policy; the decode
                 # pool scales on fleet KV residency instead.
                 prefill_scale = scaler.config
+                kv_target = args.disagg_kv_target
                 try:
                     decode_scale = dc_replace(
                         scaler.config,
-                        target_utilization=args.disagg_kv_target,
+                        target_utilization=(
+                            0.75 if kv_target is None else kv_target),
                     )
                 except ValueError as exc:
                     print(f"bad --disagg-kv-target: {exc}", file=sys.stderr)

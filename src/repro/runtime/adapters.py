@@ -30,6 +30,8 @@ class AdapterManager:
     #: Per-swap software cost with pre-allocated contiguous slots: the
     #: swap is a plain async memcpy plus a pointer update (§4.4.1).
     PREALLOCATED_SLOT_OVERHEAD_S = 1.5e-3
+    #: Fraction of an async swap's wire time hidden behind compute.
+    ASYNC_OVERLAP = 0.85
 
     def __init__(
         self,
@@ -37,8 +39,6 @@ class AdapterManager:
         gpu_slots: int,
         transfer_model: TransferModel,
         async_swap: bool = True,
-        async_overlap: float = 0.85,
-        preallocated_slots: bool = None,
     ):
         if gpu_slots <= 0:
             raise ValueError(f"gpu_slots must be positive, got {gpu_slots}")
@@ -50,14 +50,11 @@ class AdapterManager:
         self.gpu_slots = gpu_slots
         self.transfer = transfer_model
         self.async_swap = async_swap
-        self.async_overlap = async_overlap if async_swap else 0.0
-        # Pre-allocated slots go together with the async design by
-        # default: both are parts of V-LoRA's adapter memory management.
-        if preallocated_slots is None:
-            preallocated_slots = async_swap
+        self.async_overlap = self.ASYNC_OVERLAP if async_swap else 0.0
+        # Pre-allocated slots go together with the async design: both
+        # are parts of V-LoRA's adapter memory management.
         self.swap_software_overhead_s = (
-            self.PREALLOCATED_SLOT_OVERHEAD_S if preallocated_slots
-            else None
+            self.PREALLOCATED_SLOT_OVERHEAD_S if async_swap else None
         )
         self._adapters: Dict[str, _Residency] = {
             s.adapter_id: _Residency(s) for s in specs

@@ -52,6 +52,10 @@ __all__ = [
     "estimate_cold_start_s",
 ]
 
+#: Replicas one pool may ever spawn in a run — the self-healing loop's
+#: backstop against a fault schedule that kills every newcomer.
+SPAWN_BUDGET = 64
+
 
 class ReplicaState(enum.Enum):
     """Where a replica is in its lifecycle."""
@@ -118,9 +122,8 @@ class AutoscaleConfig:
     requests drops below the floor (``None`` disables the SLO signal).
     ``spinup_s`` is the engine-provisioning part of the cold start; the
     adapter-prefetch part is derived from the replica's own swap path
-    (:func:`estimate_cold_start_s`).  ``spawn_budget`` bounds the total
-    number of replicas ever spawned in one run — the self-healing loop's
-    backstop against a fault schedule that kills every newcomer.
+    (:func:`estimate_cold_start_s`).  ``SPAWN_BUDGET`` bounds the
+    replicas a pool may ever spawn in one run.
     """
 
     min_replicas: int = 1
@@ -138,7 +141,6 @@ class AutoscaleConfig:
     down_cooldown_s: float = 5.0
     spinup_s: float = 0.5
     drain_timeout_s: float = 30.0
-    spawn_budget: int = 64
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
@@ -162,8 +164,6 @@ class AutoscaleConfig:
             raise ValueError("spinup_s must be >= 0")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive")
-        if self.spawn_budget < 1:
-            raise ValueError("spawn_budget must be >= 1")
 
 
 class Autoscaler:

@@ -60,6 +60,7 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.autoscaler import (
+    SPAWN_BUDGET,
     Autoscaler,
     Replica,
     ReplicaState,
@@ -207,10 +208,7 @@ class MultiGPUServer:
         #: no-op filter.
         self._pool_of: Dict[str, str] = {}
         self._transfer_costs = (
-            TransferCostCache(
-                async_overlap=disagg.transfer_overlap,
-                software_overhead_s=disagg.transfer_overhead_s,
-            ) if disagg is not None else None
+            TransferCostCache() if disagg is not None else None
         )
         #: (pool, scaler) pairs driving scale/drain passes.  A legacy
         #: cluster-wide autoscaler is the single ``(None, scaler)``
@@ -260,7 +258,7 @@ class MultiGPUServer:
         self._replica_of = {rep.replica_id: rep for rep in self.replicas}
         self._next_replica_idx = len(self.replicas)
         #: Spawns consumed per pool (``None`` = the cluster-wide pool),
-        #: each bounded by its own scaler's ``spawn_budget``.
+        #: each bounded by ``SPAWN_BUDGET``.
         self._spawns_used: Dict[Optional[str], int] = {}
         #: Requests accepted but not yet placed on a replica
         #: (epoched mode only), ordered by (arrival, id).  The sequence
@@ -299,7 +297,7 @@ class MultiGPUServer:
         retry budget (``pool`` is ``None`` on a colocated cluster)."""
         if pool is not None:
             self._pool_of[engine.engine_id] = pool
-            apply_pool_role(engine, pool, self.disagg)
+            apply_pool_role(engine, pool)
         if self._num_hosts:
             engine.host = f"host-{self._host_seq % self._num_hosts}"
             self._host_seq += 1
@@ -1338,7 +1336,7 @@ class MultiGPUServer:
         budget and replica headroom left.  Clusters without a scaler have
         a fixed replica set."""
         return self.engine_factory is not None and any(
-            self._spawns_used.get(p, 0) < s.config.spawn_budget
+            self._spawns_used.get(p, 0) < SPAWN_BUDGET
             and len(self._pool_members(
                 p, ReplicaState.WARMING, ReplicaState.ACTIVE,
                 ReplicaState.DRAINING)) < s.config.max_replicas

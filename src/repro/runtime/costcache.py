@@ -62,6 +62,9 @@ PrefillLaunch = Tuple[Tuple[int, ...], int]
 #: Decode side of one iteration: ``(batch size, total context, lm_head,
 #: task-head classes)``.
 DecodeStats = Tuple[int, int, bool, int]
+#: Flat per-hand-off software cost of a disaggregated KV transfer
+#: (launch + transport setup), in seconds.
+KV_TRANSFER_OVERHEAD_S = 0.5e-3
 
 
 class IterationCostCache:
@@ -174,16 +177,11 @@ class TransferCostCache:
     repeat heavily — context lengths cluster around the workload's
     prompt/output distribution — so the wire time is memoized per byte
     count.  Replicas are identical molds of one engine factory, so a
-    single table serves the whole fleet; the overlap/overhead knobs are
-    fixed at construction (they come from the immutable
-    :class:`~repro.runtime.disagg.DisaggConfig`).
+    single table serves the whole fleet.  No wire time is hidden behind
+    compute, and every hand-off pays ``KV_TRANSFER_OVERHEAD_S``.
     """
 
-    def __init__(self, async_overlap: float = 0.0,
-                 software_overhead_s: Optional[float] = None,
-                 max_entries: int = 65536):
-        self.async_overlap = async_overlap
-        self.software_overhead_s = software_overhead_s
+    def __init__(self, max_entries: int = 65536):
         self.max_entries = max_entries
         self._memo: Dict[int, float] = {}
         self.hits = 0
@@ -195,10 +193,7 @@ class TransferCostCache:
         if t is None:
             self.misses += 1
             t = transfer.swap_seconds(
-                nbytes,
-                async_overlap=self.async_overlap,
-                software_overhead_s=self.software_overhead_s,
-            )
+                nbytes, software_overhead_s=KV_TRANSFER_OVERHEAD_S)
             if len(self._memo) >= self.max_entries:
                 self._memo.clear()
             self._memo[nbytes] = t

@@ -56,6 +56,16 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.switcher import ModeSwitcher
 
+#: Cached prefixes idle longer than this are evicted when KV runs short.
+PREFIX_TTL_S = 30.0
+#: Consecutive KV-starved iterations tolerated before shedding the
+#: lowest-credit waiting request (graceful degradation instead of a
+#: hard ``RuntimeError``).
+KV_STALL_LIMIT = 8
+#: Capped exponential backoff for failed adapter swap-ins.
+SWAP_RETRY_BASE_S = 0.02
+SWAP_RETRY_CAP_S = 1.0
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -65,7 +75,6 @@ class EngineConfig:
     num_projections: int = 2
     enable_prefix_reuse: bool = True
     jitter_seed: Optional[int] = 0
-    prefix_ttl_s: float = 30.0
     #: Batch prefills of co-arriving requests into one iteration (vLLM
     #: style).  Punica's decode-centric runtime prefills per request.
     batch_prefills: bool = True
@@ -76,16 +85,6 @@ class EngineConfig:
     #: ``deadline_slo_factor * slo_s`` (requests without an SLO are only
     #: bounded by their own ``deadline_s``).  ``None`` disables.
     deadline_slo_factor: Optional[float] = None
-    #: Consecutive KV-starved iterations tolerated before shedding the
-    #: lowest-credit waiting request (graceful degradation instead of
-    #: the former hard ``RuntimeError``).
-    kv_stall_limit: int = 8
-    #: Capped exponential backoff for failed adapter swap-ins.
-    swap_retry_base_s: float = 0.02
-    swap_retry_cap_s: float = 1.0
-    #: Swap failures tolerated per adapter before it is quarantined and
-    #: its requests aborted (``AbortReason.ADAPTER_UNAVAILABLE``).
-    max_swap_retries: int = 5
     #: Price iterations from memoized cost components (prefill launch,
     #: decode stats, LoRA extra mean; see :mod:`repro.runtime.costcache`)
     #: with bit-identical results.  ``False`` re-derives every iteration
@@ -100,8 +99,10 @@ class EngineConfig:
     #: ``None`` never degrades (legacy behavior).
     brownout: Optional[BrownoutConfig] = None
     #: Circuit-breaker recovery for failing adapters.  ``None`` keeps
-    #: the legacy permanent quarantine (a breaker that opens after
-    #: ``max_swap_retries`` failures and never half-opens).
+    #: the legacy permanent quarantine (a default :class:`BreakerConfig`:
+    #: open on the swap failure after 5 consecutive ones, never
+    #: half-open; its requests abort with
+    #: ``AbortReason.ADAPTER_UNAVAILABLE``).
     breaker: Optional[BreakerConfig] = None
 
     def __post_init__(self) -> None:
@@ -111,12 +112,6 @@ class EngineConfig:
             raise ValueError("tensor_parallel must be >= 1")
         if self.deadline_slo_factor is not None and self.deadline_slo_factor <= 0:
             raise ValueError("deadline_slo_factor must be positive")
-        if self.kv_stall_limit < 1:
-            raise ValueError("kv_stall_limit must be >= 1")
-        if self.swap_retry_base_s <= 0 or self.swap_retry_cap_s <= 0:
-            raise ValueError("swap retry backoff times must be positive")
-        if self.max_swap_retries < 1:
-            raise ValueError("max_swap_retries must be >= 1")
 
 
 class PhaseExecutor:
@@ -377,12 +372,9 @@ class ServingEngine:
         # -- overload protection (runtime/overload.py) ---------------------
         # Per-adapter circuit breakers, created lazily on first swap
         # failure.  Without an explicit BreakerConfig an opened breaker
-        # never half-opens: exactly the legacy permanent quarantine
-        # after max_swap_retries consecutive failures.  A cooldown comes
-        # only from an explicit ``BreakerConfig.cooldown_s``.
-        self._breaker_config = config.breaker or BreakerConfig(
-            failure_threshold=config.max_swap_retries,
-        )
+        # never half-opens: exactly the legacy permanent quarantine.  A
+        # cooldown comes only from an explicit ``BreakerConfig.cooldown_s``.
+        self._breaker_config = config.breaker or BreakerConfig()
         #: Shared retry budget (attached by the cluster; None = ungated).
         #: Swap retries draw from the same bucket as hedges and failover
         #: requeues, so a fleet-wide swap outage cannot retry-storm.
@@ -595,7 +587,7 @@ class ServingEngine:
             # already-admitted subset next iteration after evicting
             # stale prefixes.
             self.kv.evict_stale_prefixes(
-                self.clock.now - self.config.prefix_ttl_s
+                self.clock.now - PREFIX_TTL_S
             )
             batch = [r for r in decision.batch if r.prefilled]
             if not batch:
@@ -848,7 +840,7 @@ class ServingEngine:
         """Degrade gracefully when no batch fits in the KV cache.
 
         First flush every cached prefix (emergency eviction), then stall
-        up to ``kv_stall_limit`` iterations so transient pressure (fault
+        up to ``KV_STALL_LIMIT`` iterations so transient pressure (fault
         windows, draining requests) can pass; only then shed the
         lowest-credit waiting request.  Each path either advances the
         clock or removes a request, so the engine always makes progress.
@@ -856,7 +848,7 @@ class ServingEngine:
         self.kv.evict_stale_prefixes(float("inf"))
         self._kv_stalls += 1
         self.metrics.kv_stall_iters += 1
-        if self._kv_stalls <= self.config.kv_stall_limit:
+        if self._kv_stalls <= KV_STALL_LIMIT:
             self.clock.advance(max(self._last_iteration_s, 1e-3))
             return
         self._kv_stalls = 0
@@ -923,16 +915,14 @@ class ServingEngine:
                             batch: Sequence[Request]) -> float:
         """Backoff before swap retry ``attempt`` for one failed adapter.
 
-        The shared capped-exponential curve over
-        ``EngineConfig.swap_retry_base_s``/``swap_retry_cap_s``, gated by
-        a cluster-attached :class:`RetryBudget` when there is one — when
-        the budget is dry the retry is not forbidden (the adapter's
-        requests would strand) but degrades to maximum spacing, the
-        slowest the schedule allows.
+        The shared capped-exponential curve over ``SWAP_RETRY_BASE_S`` /
+        ``SWAP_RETRY_CAP_S``, gated by a cluster-attached
+        :class:`RetryBudget` when there is one — when the budget is dry
+        the retry is not forbidden (the adapter's requests would strand)
+        but degrades to maximum spacing, the slowest the schedule allows.
         """
-        cap = self.config.swap_retry_cap_s
         backoff = capped_exponential_backoff(
-            self.config.swap_retry_base_s, attempt, cap)
+            SWAP_RETRY_BASE_S, attempt, SWAP_RETRY_CAP_S)
         if self.retry_budget is not None:
             priority = max(
                 (r.priority for r in batch if r.adapter_id == adapter_id),
@@ -940,7 +930,7 @@ class ServingEngine:
             )
             if not self.retry_budget.try_spend(priority):
                 self.metrics.retry_budget_exhausted += 1
-                backoff = cap
+                backoff = SWAP_RETRY_CAP_S
         return backoff
 
     def _open_breaker(self, adapter_id: str) -> None:
@@ -948,7 +938,10 @@ class ServingEngine:
 
         Equivalent to the legacy quarantine (``adapters_quarantined``
         keeps counting open events), except an open breaker can
-        half-open after its cooldown and serve again.
+        half-open after its cooldown and serve again.  Requests that
+        have not arrived yet stay queued: ``_breaker_admits`` gates each
+        one when it arrives (aborting it while the breaker is open; the
+        first arrival after a cooldown is the probe).
         """
         self._swap_backoff_until.pop(adapter_id, None)
         self.metrics.adapters_quarantined += 1
@@ -958,21 +951,6 @@ class ServingEngine:
         ]
         for r in victims:
             self._abort(r, AbortReason.ADAPTER_UNAVAILABLE)
-        if self._breaker_config.cooldown_s is not None:
-            # The breaker can half-open later: future arrivals stay
-            # queued and are gated per-arrival by _breaker_admits (the
-            # first one after cooldown is the probe).
-            return
-        still_pending = []
-        for entry in self._pending:
-            r = entry[2]
-            if r.adapter_id == adapter_id:
-                r.abort(self.clock.now, AbortReason.ADAPTER_UNAVAILABLE)
-                self._record_terminal_abort(r)
-            else:
-                still_pending.append(entry)
-        heapq.heapify(still_pending)
-        self._pending = still_pending
 
     def _schedulable(self) -> List[Request]:
         """Active requests whose adapter is usable right now.
@@ -1133,7 +1111,7 @@ class ServingEngine:
                     # wire — the cluster already charged the move).
                     if not self.kv.can_allocate(r.context_len):
                         self.kv.evict_stale_prefixes(
-                            self.clock.now - self.config.prefix_ttl_s
+                            self.clock.now - PREFIX_TTL_S
                         )
                     if not self.kv.can_allocate(r.context_len):
                         continue  # stays waiting; retried next iteration
@@ -1148,7 +1126,7 @@ class ServingEngine:
             )
             if not self.kv.can_allocate(r.context_len):
                 self.kv.evict_stale_prefixes(
-                    self.clock.now - self.config.prefix_ttl_s
+                    self.clock.now - PREFIX_TTL_S
                 )
             if not self.kv.can_allocate(r.context_len):
                 continue  # stays waiting; retried next iteration

@@ -62,6 +62,8 @@ __all__ = [
 
 #: ln(10): φ is the silence measured in powers of ten of the mean gap.
 _LN10 = math.log(10.0)
+#: Inter-arrival gaps kept per replica (the sliding window φ is fit on).
+HEARTBEAT_WINDOW = 32
 
 
 class SuspicionState(enum.Enum):
@@ -91,7 +93,6 @@ class FailureDetectorConfig:
     heartbeat_interval_s: float = 0.25
     phi_suspect: float = 2.0
     phi_confirm: float = 8.0
-    window: int = 32
     min_samples: int = 3
 
     def __post_init__(self) -> None:
@@ -101,8 +102,6 @@ class FailureDetectorConfig:
             raise ValueError("phi_suspect must be positive")
         if self.phi_confirm <= self.phi_suspect:
             raise ValueError("phi_confirm must be > phi_suspect")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
 
@@ -113,7 +112,7 @@ class PhiAccrualDetector:
     def __init__(self, config: FailureDetectorConfig, registered_at: float):
         self.config = config
         self.last_heartbeat = registered_at
-        self._intervals: Deque[float] = deque(maxlen=config.window)
+        self._intervals: Deque[float] = deque(maxlen=HEARTBEAT_WINDOW)
 
     def heartbeat(self, t: float) -> None:
         """Fold one delivered heartbeat in (stale timestamps ignored).

@@ -58,6 +58,12 @@ __all__ = [
     "ReplicaHealth",
 ]
 
+#: Requests below ``PRIORITY_NORMAL`` are turned away at this fraction
+#: of the admission queue-depth watermark.
+LOW_PRIORITY_DEPTH_FACTOR = 0.5
+#: Upper bound on a breaker's escalating cooldown, in seconds.
+MAX_BREAKER_COOLDOWN_S = 60.0
+
 
 # ---------------------------------------------------------------------------
 # Smoothed pressure signals
@@ -106,14 +112,14 @@ class AdmissionConfig:
     classifications.  ``burst_tokens`` is the bucket capacity (defaults
     to one second of refill).  ``max_queue_depth`` bounds the live
     request count; requests below ``PRIORITY_NORMAL`` are turned away at
-    ``low_priority_factor`` of the watermark so paid traffic keeps its
+    half of it (``LOW_PRIORITY_DEPTH_FACTOR``) so paid traffic keeps its
     headroom.  ``min_kv_headroom`` rejects arrivals while the free-block
     fraction of the KV cache is below the floor.  ``slo_reject`` aborts
     a deadline-carrying request at admission when the deadline is
     already unmeetable at the current queue depth (a lower bound: every
     ``max_batch_size`` requests ahead of it cost at least one
-    iteration).  Requests at or above ``exempt_priority`` bypass the
-    bucket and queue watermarks (never the impossible-deadline check).
+    iteration).  ``PRIORITY_HIGH`` requests bypass the bucket and
+    queue watermarks (never the impossible-deadline check).
     """
 
     rate_tokens_per_s: Optional[float] = None
@@ -121,8 +127,6 @@ class AdmissionConfig:
     max_queue_depth: Optional[int] = None
     min_kv_headroom: Optional[float] = None
     slo_reject: bool = False
-    low_priority_factor: float = 0.5
-    exempt_priority: int = PRIORITY_HIGH
 
     def __post_init__(self) -> None:
         if self.rate_tokens_per_s is not None and self.rate_tokens_per_s <= 0:
@@ -134,8 +138,6 @@ class AdmissionConfig:
         if (self.min_kv_headroom is not None
                 and not 0.0 <= self.min_kv_headroom < 1.0):
             raise ValueError("min_kv_headroom must be in [0, 1)")
-        if not 0.0 < self.low_priority_factor <= 1.0:
-            raise ValueError("low_priority_factor must be in (0, 1]")
 
 
 class AdmissionController:
@@ -183,13 +185,13 @@ class AdmissionController:
         """
         cfg = self.config
         self._refill(now)
-        exempt = req.priority >= cfg.exempt_priority
+        exempt = req.priority >= PRIORITY_HIGH
         if not exempt:
             depth_limit = cfg.max_queue_depth
             if depth_limit is not None:
                 if req.priority < PRIORITY_NORMAL:
                     depth_limit = max(
-                        1, int(depth_limit * cfg.low_priority_factor)
+                        1, int(depth_limit * LOW_PRIORITY_DEPTH_FACTOR)
                     )
                 if queue_depth >= depth_limit:
                     return AdmissionVerdict.QUEUE_FULL
@@ -232,7 +234,7 @@ class BrownoutConfig:
 
     Tiers (cumulative):
 
-    1. shed waiting requests below ``shed_priority_floor``;
+    1. shed waiting requests below ``PRIORITY_NORMAL``;
     2. cap decode lengths at ``decode_cap`` tokens;
     3. force merged execution of the hottest adapter.
     """
@@ -245,7 +247,6 @@ class BrownoutConfig:
     dwell_s: float = 0.5
     max_level: int = 3
     decode_cap: int = 32
-    shed_priority_floor: int = PRIORITY_NORMAL
 
     def __post_init__(self) -> None:
         if self.queue_high < 1:
@@ -308,7 +309,7 @@ class BrownoutController:
                      excess: int) -> List[Request]:
         """Lowest-priority-first victims among waiting requests.
 
-        Level 1 only sheds below ``shed_priority_floor``; deeper levels
+        Level 1 only sheds below ``PRIORITY_NORMAL``; deeper levels
         shed any waiting request, still lowest priority (then youngest)
         first so high-priority work survives longest.
         """
@@ -316,10 +317,7 @@ class BrownoutController:
             return []
         pool = list(waiting)
         if self.level <= 1:
-            pool = [
-                r for r in pool
-                if r.priority < self.config.shed_priority_floor
-            ]
+            pool = [r for r in pool if r.priority < PRIORITY_NORMAL]
         pool.sort(key=lambda r: (r.priority, -r.arrival_time, -r.request_id))
         return pool[:excess]
 
@@ -354,29 +352,23 @@ class BreakerState(enum.Enum):
 class BreakerConfig:
     """Knobs for :class:`AdapterBreaker`.
 
-    ``failure_threshold`` consecutive swap failures open the breaker
-    (matching the engine's legacy ``max_swap_retries`` quarantine
-    count).  ``cooldown_s=None`` keeps an opened breaker open forever —
-    exactly the old permanent quarantine.  With a cooldown, the breaker
-    re-probes (half-open) after ``cooldown_s``, doubling by
-    ``cooldown_multiplier`` on every re-open up to ``max_cooldown_s``;
-    a single failed probe re-opens, a successful one closes.
+    The breaker opens on the swap failure after ``failure_threshold``
+    consecutive ones (the engine's legacy quarantine count).
+    ``cooldown_s=None`` keeps an opened breaker open forever — exactly
+    the old permanent quarantine.  With a cooldown, the breaker
+    re-probes (half-open) after ``cooldown_s``, doubling on every
+    re-open up to ``MAX_BREAKER_COOLDOWN_S``; a single failed probe
+    re-opens, a successful one closes.
     """
 
     failure_threshold: int = 5
     cooldown_s: Optional[float] = None
-    cooldown_multiplier: float = 2.0
-    max_cooldown_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown_s is not None and self.cooldown_s <= 0:
             raise ValueError("cooldown_s must be positive")
-        if self.cooldown_multiplier < 1.0:
-            raise ValueError("cooldown_multiplier must be >= 1")
-        if self.max_cooldown_s <= 0:
-            raise ValueError("max_cooldown_s must be positive")
 
 
 class AdapterBreaker:
@@ -394,10 +386,8 @@ class AdapterBreaker:
         base = self.config.cooldown_s
         if base is None:
             return None
-        scaled = base * self.config.cooldown_multiplier ** max(
-            0, self.open_count - 1
-        )
-        return min(scaled, self.config.max_cooldown_s)
+        scaled = base * 2.0 ** max(0, self.open_count - 1)
+        return min(scaled, MAX_BREAKER_COOLDOWN_S)
 
     def _maybe_half_open(self, now: float) -> None:
         if self.state is not BreakerState.OPEN:
@@ -417,7 +407,8 @@ class AdapterBreaker:
         """Count one swap failure; True when this opened the breaker.
 
         A half-open probe trips straight back to open; a closed breaker
-        opens after ``failure_threshold`` consecutive failures.
+        opens on the failure after ``failure_threshold`` consecutive
+        ones.
         """
         self._maybe_half_open(now)
         self.consecutive_failures += 1

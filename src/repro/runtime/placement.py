@@ -54,6 +54,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["PlacementConfig", "AdapterPlacement"]
 
+#: The (deliberately looser than spill) bar for the *miss* path: a
+#: cache-miss request keeps routing to its hash home — building
+#: locality — until the home's queued decode rounds exceed
+#: ``MISS_LOAD_FACTOR * fleet_min + MISS_SLACK_ROUNDS``; then balance
+#: wins and the miss goes to the fleet's least-loaded replica instead.
+MISS_LOAD_FACTOR = 1.5
+MISS_SLACK_ROUNDS = 448.0
+#: Share of a replica's slot budget that replication may soft-pin.
+MAX_PINS_FRACTION = 0.5
+#: Virtual nodes per replica on the consistent-hash ring.
+RING_VNODES = 64
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -72,15 +84,10 @@ class PlacementConfig:
     rounds exceed ``factor * fleet_min + slack``.  Slack is measured in
     decode rounds — the same unit dispatch uses for load — so the
     defaults correspond to one-or-two typical in-flight requests, not
-    to one-or-two rounds.  ``miss_load_factor``
-    and ``miss_slack_rounds`` define the (deliberately looser) bar for
-    the *miss* path: a cache-miss request keeps routing to its hash
-    home — building locality — until the home exceeds this bar, at
-    which point balance wins and the miss goes to the fleet's
-    least-loaded replica instead.  ``prefetch_top_k``
-    bounds the hot set a newly spawned replica prefetches during
-    warm-up.  ``max_pins_fraction`` caps how much of a replica's slot
-    budget replication may soft-pin.
+    to one-or-two rounds.  A cache miss follows the looser
+    ``MISS_LOAD_FACTOR`` / ``MISS_SLACK_ROUNDS`` bar instead.
+    ``prefetch_top_k`` bounds the hot set a newly spawned replica
+    prefetches during warm-up.
     """
 
     ewma_alpha: float = 0.02
@@ -89,11 +96,7 @@ class PlacementConfig:
     cold_watermark: float = 0.0
     spill_load_factor: float = 1.1
     spill_slack_rounds: float = 96.0
-    miss_load_factor: float = 1.5
-    miss_slack_rounds: float = 448.0
     prefetch_top_k: int = 8
-    max_pins_fraction: float = 0.5
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -113,16 +116,8 @@ class PlacementConfig:
             raise ValueError("spill_load_factor must be >= 1")
         if self.spill_slack_rounds < 0.0:
             raise ValueError("spill_slack_rounds must be >= 0")
-        if self.miss_load_factor < 1.0:
-            raise ValueError("miss_load_factor must be >= 1")
-        if self.miss_slack_rounds < 0.0:
-            raise ValueError("miss_slack_rounds must be >= 0")
         if self.prefetch_top_k < 0:
             raise ValueError("prefetch_top_k must be >= 0")
-        if not 0.0 < self.max_pins_fraction <= 1.0:
-            raise ValueError("max_pins_fraction must be in (0, 1]")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
 
 
 def _hash32(key: str) -> int:
@@ -256,7 +251,7 @@ class AdapterPlacement:
         if self._ring is None:
             points = []
             for rid in self._engines:
-                for v in range(self.config.vnodes):
+                for v in range(RING_VNODES):
                     points.append((_hash32(f"{rid}#{v}"), rid))
             points.sort()
             self._ring = points
@@ -404,8 +399,7 @@ class AdapterPlacement:
             if why == "spill-hit":
                 self.spills += 1
         if chosen is None and homes:
-            miss_bar = (self.config.miss_load_factor * fleet_min
-                        + self.config.miss_slack_rounds)
+            miss_bar = MISS_LOAD_FACTOR * fleet_min + MISS_SLACK_ROUNDS
             best_home = min(homes, key=lambda rid: (loads[rid], rid))
             if loads[best_home] <= miss_bar:
                 chosen = best_home
@@ -454,7 +448,7 @@ class AdapterPlacement:
                 if engine is None:
                     continue
                 cap = max(1, int(engine.adapters.gpu_slots
-                                 * cfg.max_pins_fraction))
+                                 * MAX_PINS_FRACTION))
                 if len(want[rid]) < cap:
                     want[rid].add(adapter_id)
         for rid, engine in self._engines.items():

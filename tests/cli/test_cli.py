@@ -125,6 +125,22 @@ class TestServeTailTolerance:
         assert json.loads(capsys.readouterr().out)["hedges_fired"] > 0
 
 
+class TestServeDisagg:
+    @pytest.mark.parametrize("flags", [[], ["--disagg"], ["--autoscale"]])
+    def test_kv_target_needs_disagg_and_autoscale(self, flags, capsys):
+        rc = main(["serve", "--duration", "2", *flags,
+                   "--disagg-kv-target", "5"])
+        assert rc == 2
+        assert ("--disagg-kv-target requires --disagg and --autoscale"
+                in capsys.readouterr().err)
+
+    def test_kv_target_out_of_range_rejected(self, capsys):
+        rc = main(["serve", "--duration", "2", "--disagg", "--autoscale",
+                   "--disagg-kv-target", "5"])
+        assert rc == 2
+        assert "bad --disagg-kv-target" in capsys.readouterr().err
+
+
 class TestFuse:
     def test_fusion_plan(self, capsys):
         rc = main(["fuse", "--items",

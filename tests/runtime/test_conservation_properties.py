@@ -100,6 +100,9 @@ def assert_exactly_once_terminal(requests, metrics):
     for rec in metrics.records:
         assert rec.finish_time >= rec.arrival_time
         assert math.isfinite(rec.latency) and rec.latency >= 0.0
+    # No request aborts before it arrives.
+    for ab in metrics.aborts:
+        assert ab.abort_time >= ab.arrival_time, ab
 
 
 def _fresh_cluster(dispatch, faults, num_gpus=2, **kwargs):

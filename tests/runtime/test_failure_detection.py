@@ -51,8 +51,6 @@ class TestFailureDetectorConfig:
             FailureDetectorConfig(phi_suspect=-1.0)
         with pytest.raises(ValueError):
             FailureDetectorConfig(phi_suspect=4.0, phi_confirm=4.0)
-        with pytest.raises(ValueError):
-            FailureDetectorConfig(window=0)
 
 
 class TestPhiAccrual:

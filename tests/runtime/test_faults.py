@@ -7,6 +7,7 @@ import pytest
 from repro.core import SystemBuilder
 from repro.runtime import (
     AbortReason,
+    BreakerConfig,
     FaultInjector,
     FaultKind,
     FaultSpec,
@@ -17,6 +18,7 @@ from repro.runtime import (
     RequestStatus,
 )
 from repro.runtime.kv_cache import PagedKVCache
+from repro.workloads import RetrievalWorkload
 
 
 def burst(adapters, n=6, input_tokens=128, output_tokens=4, arrival=0.0,
@@ -323,7 +325,7 @@ class TestSwapFaults:
         assert all(r.abort_reason is AbortReason.ADAPTER_UNAVAILABLE
                    for r in dead)
         assert metrics.adapters_quarantined == 1
-        assert metrics.swap_retries >= engine.config.max_swap_retries
+        assert metrics.swap_retries >= BreakerConfig().failure_threshold
 
     def test_quarantined_adapter_rejects_new_arrivals(self):
         specs = [FaultSpec(FaultKind.ADAPTER_SWAP_FAIL, 0.0, math.inf,
@@ -335,6 +337,25 @@ class TestSwapFaults:
         engine.submit(early + late + filler)
         engine.run()
         assert all(r.status is RequestStatus.ABORTED for r in early + late)
+
+    def test_quarantine_aborts_future_requests_on_arrival(self):
+        # A permanent quarantine must not abort requests that have not
+        # arrived yet: each one aborts when it arrives.
+        specs = [FaultSpec(FaultKind.ADAPTER_SWAP_FAIL, 0.0, 100.0,
+                           target="lora-1")]
+        builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=1,
+                                fault_injector=FaultInjector(specs))
+        engine = builder.build("v-lora")
+        reqs = RetrievalWorkload(
+            builder.adapter_ids, rate_rps=8, duration_s=10, seed=0,
+            use_task_heads=False,
+        ).generate()
+        engine.submit(reqs)
+        metrics = engine.run()
+        assert metrics.adapters_quarantined == 1
+        assert metrics.aborts
+        for a in metrics.aborts:
+            assert a.abort_time >= a.arrival_time, a
 
     def test_swap_slowdown_inflates_stall(self):
         slow = [FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, 0.0, math.inf,

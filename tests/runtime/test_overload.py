@@ -85,7 +85,7 @@ class TestAdmissionController:
 
     def test_low_priority_gets_a_lower_watermark(self):
         ctl = AdmissionController(AdmissionConfig(
-            max_queue_depth=8, low_priority_factor=0.5,
+            max_queue_depth=8,
         ))
         low = req(priority=PRIORITY_LOW)
         assert (self.evaluate(ctl, low, queue=4)
@@ -122,8 +122,6 @@ class TestAdmissionController:
             AdmissionConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             AdmissionConfig(min_kv_headroom=1.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(low_priority_factor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ class TestAdapterBreaker:
 
     def test_failed_probe_reopens_with_escalated_cooldown(self):
         b = AdapterBreaker("lora-0", BreakerConfig(
-            failure_threshold=1, cooldown_s=0.5, cooldown_multiplier=2.0,
+            failure_threshold=1, cooldown_s=0.5,
         ))
         b.record_failure(0.0)
         b.record_failure(0.1)      # open #1 at 0.1 (cooldown 0.5)

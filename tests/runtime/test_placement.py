@@ -58,11 +58,7 @@ class TestPlacementConfig:
         dict(cold_watermark=0.5),     # >= hot_watermark
         dict(spill_load_factor=0.5),
         dict(spill_slack_rounds=-1.0),
-        dict(miss_load_factor=0.5),
-        dict(miss_slack_rounds=-1.0),
         dict(prefetch_top_k=-1),
-        dict(max_pins_fraction=0.0),
-        dict(vnodes=0),
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -312,8 +308,7 @@ class TestRebalance:
         assert stats["demotions"] >= 1
 
     def test_pin_cap_respected(self):
-        cfg = PlacementConfig(hot_watermark=0.05, hot_copies=3,
-                              max_pins_fraction=0.5)
+        cfg = PlacementConfig(hot_watermark=0.05, hot_copies=3)
         _, placement, engines = _fleet(config=cfg, gpu_adapter_slots=4)
         for i in range(1000):
             placement.observe(f"lora-{i % 8}")
