@@ -10,7 +10,8 @@ Do not edit this file when changing the live engine: it is the baseline.
 The one exception is :func:`vlora_full_pass`: the seed's V-LoRA
 decision, copied here when the live scheduler kept only its
 FCFS-ordered single pass, so the baseline still pays the seed's
-per-step cost.
+per-step cost.  It follows the live merge rule, priced through this
+engine's own ``ModeExecutor``, so both engines make the same decisions.
 """
 
 from __future__ import annotations
@@ -69,23 +70,13 @@ def vlora_full_pass(candidates, ctx, theta):
     merge_reqs = _fcfs([r for r in candidates if r.adapter_id == top])
     slots_after_starve = max(0, max_bs - len(starve))
 
-    if not starve and len(merge_reqs) == len(candidates):
-        return SchedulerDecision(
-            batch=merge_reqs[:max_bs],
-            mode=InferenceMode.MERGED,
-            merged_adapter=top,
-        )
-
-    if (ctx.current_merged == top and merge_reqs
+    if len(starve) / max_bs <= 0.5:
+        paid = (
+            ctx.current_merged == top
             and ctx.current_mode in (InferenceMode.MERGED,
-                                     InferenceMode.MIXTURE)):
-        if not starve:
-            return SchedulerDecision(
-                batch=merge_reqs[:max_bs],
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-        if len(starve) / max_bs <= 0.5:
+                                     InferenceMode.MIXTURE)
+        ) or len(merge_reqs) / max_bs > 0.5
+        if starve and paid:
             starve_ids = {r.request_id for r in starve}
             fill = [
                 r for r in merge_reqs if r.request_id not in starve_ids
@@ -95,24 +86,15 @@ def vlora_full_pass(candidates, ctx, theta):
                 mode=InferenceMode.MIXTURE,
                 merged_adapter=top,
             )
-
-    if (len(starve) / max_bs <= 0.5
-            and len(merge_reqs) / max_bs > 0.5):
-        if not starve:
+        if not starve and (paid or (
+                len(merge_reqs) == len(candidates)
+                and ctx.unmerged_extra_seconds(top, merge_reqs[:max_bs])
+                > ctx.est_switch_seconds)):
             return SchedulerDecision(
                 batch=merge_reqs[:max_bs],
                 mode=InferenceMode.MERGED,
                 merged_adapter=top,
             )
-        starve_ids = {r.request_id for r in starve}
-        fill = [
-            r for r in merge_reqs if r.request_id not in starve_ids
-        ][:slots_after_starve]
-        return SchedulerDecision(
-            batch=(starve + fill)[:max_bs],
-            mode=InferenceMode.MIXTURE,
-            merged_adapter=top,
-        )
     starve_ids = {r.request_id for r in starve}
     rest = _fcfs([r for r in candidates if r.request_id not in starve_ids])
     batch = (starve + rest)[:max_bs]
@@ -307,6 +289,9 @@ class SeedServingEngine:
             est_iteration_seconds=self._last_iteration_s,
             est_switch_seconds=self._estimate_switch(),
             adapter_counts={},
+            unmerged_extra_seconds=lambda adapter_id, requests: (
+                self.mode_exec.unmerged_finish_seconds(
+                    self.adapters.spec(adapter_id).rank, requests)),
         )
         decision = vlora_full_pass(schedulable, ctx, self.policy.theta)
         if decision is None:

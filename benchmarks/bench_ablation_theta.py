@@ -57,6 +57,7 @@ def test_ablation_theta(benchmark, results):
         max_batch_size=16, est_iteration_seconds=0.02,
         est_switch_seconds=0.005,
         adapter_counts=dict(Counter(r.adapter_id for r in reqs)),
+        unmerged_extra_seconds=lambda adapter_id, requests: 0.0,
     )
     benchmark(policy.schedule, reqs, ctx)
 

@@ -566,6 +566,7 @@ class ServingEngine:
             est_iteration_seconds=self._last_iteration_s,
             est_switch_seconds=self._estimate_switch(),
             adapter_counts=counts,
+            unmerged_extra_seconds=self._unmerged_extra_seconds,
         )
         self._last_ctx = ctx
         decision = self.policy.schedule(schedulable, ctx)
@@ -1051,6 +1052,11 @@ class ServingEngine:
             any_spec = self.adapters.spec(self.adapters.resident_ids[0])
             self._switch_estimate = self.switcher.merge_seconds(any_spec)
         return self._switch_estimate
+
+    def _unmerged_extra_seconds(self, adapter_id: str,
+                                requests: Sequence[Request]) -> float:
+        return self.mode_exec.unmerged_finish_seconds(
+            self._rank_of(adapter_id), requests)
 
     def _apply_mode(self, mode: InferenceMode,
                     merged: Optional[str]) -> float:

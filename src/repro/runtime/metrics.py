@@ -174,8 +174,13 @@ class MetricsCollector:
 
     records: List[RequestRecord] = field(default_factory=list)
     mode_iterations: Dict[str, int] = field(default_factory=dict)
+    #: Mode transitions that change the folded-in adapter, one per
+    #: transition: UNMERGED -> MERGED/MIXTURE(X) (a merge), back (an
+    #: un-merge), or MERGED/MIXTURE(X) -> MERGED/MIXTURE(Y) (both).
+    #: MIXTURE(X) <-> MERGED(X) is free and not counted.
     num_mode_switches: int = 0
     num_preemptions: int = 0
+    #: Simulated seconds those transitions cost (un-merge plus merge).
     switch_time_total: float = 0.0
     lora_extra_time_total: float = 0.0
     iterations: int = 0

@@ -174,16 +174,35 @@ class ModeExecutor:
         else:
             raise ValueError(f"unknown mode {mode}")
 
-        token_counts = list(groups.values())
-        ranks = [adapter_ranks[a] for a in groups]
-        key = (tuple(token_counts), tuple(ranks))
+        return self._bypass_seconds(
+            tuple(groups.values()), tuple(adapter_ranks[a] for a in groups))
+
+    def _bypass_seconds(self, token_counts: tuple, ranks: tuple) -> float:
+        """All-layer bypass-GEMM time of token groups at ``ranks``."""
+        key = (token_counts, ranks)
         mean = self._mean_memo.get(key)
         if mean is None:
             mean = self.operator.layer_seconds(
-                token_counts, ranks, self.model.hidden_dim,
+                list(token_counts), list(ranks), self.model.hidden_dim,
                 num_projections=self.num_projections,
             ) * self.model.num_layers
             if len(self._mean_memo) >= 65536:
                 self._mean_memo.clear()
             self._mean_memo[key] = mean
         return mean
+
+    def unmerged_finish_seconds(self, rank: int, requests: Sequence) -> float:
+        """Mean LoRA extra one adapter's ``requests`` pay to finish
+        unmerged: one prefill over their unprefilled prompts, then one
+        token per request for as many decode rounds as the longest
+        still needs.  Equals summing :meth:`mean_extra_seconds` over
+        those UNMERGED iterations; no jitter is drawn."""
+        prompt = sum(r.input_tokens for r in requests if not r.prefilled)
+        rounds = max(r.remaining - (0 if r.prefilled else 1)
+                     for r in requests)
+        extra = 0.0
+        if prompt:
+            extra += self._bypass_seconds((prompt,), (rank,))
+        if rounds > 0:
+            extra += rounds * self._bypass_seconds((len(requests),), (rank,))
+        return extra

@@ -6,6 +6,14 @@ The orchestrator's greedy heuristic (§4.4.3):
 2. when starvation appears, prefer **mixture** (no merged->unmerged
    switch cost, extra compute only for the minority), then **unmerged**.
 
+"Whenever possible" is read as "whenever the merge pays for itself":
+with at most half a batch starving, V-LoRA merges the popular adapter
+when it is already merged (free), when it holds more than half a batch
+(Algorithm 1 as printed), or when it is the only tenant and its queued
+work would pay more LoRA extra unmerged than the merge costs.  Anything
+else runs unmerged, so interleaved tenants never re-merge per
+iteration.
+
 Starvation is tracked by a per-request *credit*: waiting time plus the
 estimated execution time in the current mode plus the mode-switch
 latency; a request whose credit exceeds the tolerance θ is starving.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request
@@ -30,6 +38,11 @@ class SchedulingContext:
     order, since ids are unique — and ``adapter_counts`` equals
     ``Counter(r.adapter_id for r in candidates)``.  Policies rely on
     both and must treat the counts as read-only.
+
+    ``unmerged_extra_seconds(adapter_id, requests)`` prices, without
+    jitter, the LoRA extra that ``requests`` (all of ``adapter_id``)
+    would pay to finish in unmerged mode: one prefill of their
+    unprefilled prompts plus their longest remaining decode.
     """
 
     now: float
@@ -39,6 +52,7 @@ class SchedulingContext:
     est_iteration_seconds: float
     est_switch_seconds: float
     adapter_counts: Dict[str, int]
+    unmerged_extra_seconds: Callable[[str, Sequence[Request]], float]
 
 
 @dataclass(slots=True)
@@ -189,60 +203,41 @@ class VLoRAPolicy(SchedulingPolicy):
         top = self._top_adapter(ctx.adapter_counts)
         num_merge_total = ctx.adapter_counts.get(top, 0)
 
-        # Principle (1), §4.4.3: merged whenever possible.  When every
-        # live request wants the same adapter and nothing starves,
-        # merged execution strictly dominates regardless of queue depth
-        # (Algorithm 1's |R_merge|/MaxBS > 0.5 test is a hysteresis
-        # guard for mixed traffic, not a reason to idle in unmerged
-        # mode on single-tenant phases).
-        if not num_starve and num_merge_total == n:
-            return SchedulerDecision(
-                batch=list(candidates[:max_bs]),
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-
-        def merged_decision():
-            # Line 6-8: pure merged execution of the popular adapter.
-            return SchedulerDecision(
-                batch=self._first_matching(candidates, top, max_bs),
-                mode=InferenceMode.MERGED,
-                merged_adapter=top,
-            )
-
-        def mixture_decision():
-            # Line 9-12: starving requests run via deLoRA alongside the
-            # merged majority.  Non-starving merge requests all live
-            # past the starve prefix, so the fill scan starts there.
-            starve = list(candidates[:num_starve])
-            fill = self._first_matching(
-                candidates, top, max(0, max_bs - num_starve),
-                start=num_starve,
-            )
-            return SchedulerDecision(
-                batch=(starve + fill)[:max_bs],
-                mode=InferenceMode.MIXTURE,
-                merged_adapter=top,
-            )
-
-        # Principle (2) hysteresis: while the popular adapter is already
-        # merged, leaving merged mode costs an un-merge; stay merged as
-        # long as nothing starves, and rescue starving minorities via
-        # mixture (whose switch from merged is free) before considering
-        # unmerged mode.
-        if (ctx.current_merged == top and num_merge_total
+        if num_starve / max_bs <= 0.5:
+            # The merge is already paid for when (a) the popular adapter
+            # is folded in, so keeping it is free, or (b) it holds more
+            # than half a batch (Algorithm 1 as printed).
+            paid = (
+                ctx.current_merged == top
                 and ctx.current_mode in (InferenceMode.MERGED,
-                                         InferenceMode.MIXTURE)):
-            if not num_starve:
-                return merged_decision()
-            if num_starve / max_bs <= 0.5:
-                return mixture_decision()
-
-        if (num_starve / max_bs <= 0.5
-                and num_merge_total / max_bs > 0.5):
-            if not num_starve:
-                return merged_decision()
-            return mixture_decision()
+                                         InferenceMode.MIXTURE)
+            ) or num_merge_total / max_bs > 0.5
+            if num_starve and paid:
+                # Line 9-12: starving requests run via deLoRA alongside
+                # the merged majority.  Non-starving merge requests all
+                # live past the starve prefix, so the fill scan starts
+                # there.
+                fill = self._first_matching(
+                    candidates, top, max(0, max_bs - num_starve),
+                    start=num_starve,
+                )
+                return SchedulerDecision(
+                    batch=(list(candidates[:num_starve]) + fill)[:max_bs],
+                    mode=InferenceMode.MIXTURE,
+                    merged_adapter=top,
+                )
+            # (c) A lone tenant merges when its queued work would pay
+            # more LoRA extra unmerged than the merge costs.
+            if not num_starve and (paid or (
+                    num_merge_total == n
+                    and ctx.unmerged_extra_seconds(top, candidates[:max_bs])
+                    > ctx.est_switch_seconds)):
+                # Line 6-8: pure merged execution of the popular adapter.
+                return SchedulerDecision(
+                    batch=self._first_matching(candidates, top, max_bs),
+                    mode=InferenceMode.MERGED,
+                    merged_adapter=top,
+                )
         # Line 13-15: unmerged — starving prefix first, then FCFS fill,
         # which for ordered candidates is simply the head of the queue.
         return SchedulerDecision(

@@ -10,6 +10,7 @@ from repro.runtime import (
     Request,
     reset_request_ids,
 )
+from repro.runtime.scheduler import SchedulerDecision, SchedulingPolicy
 from repro.workloads import RetrievalWorkload, VideoAnalyticsWorkload
 
 
@@ -92,6 +93,34 @@ class TestModeBehaviour:
         assert metrics.mode_iterations.get(InferenceMode.MERGED.value, 0) > 0
         assert metrics.num_mode_switches >= 1
 
+    def test_interleaved_camera_streams_rarely_switch(self):
+        """Eight cameras, one adapter each, take turns in the queue.
+        None holds half a batch, so V-LoRA runs them unmerged instead
+        of re-merging whichever camera is alone (which switched on
+        most iterations)."""
+        cams = SystemBuilder(num_adapters=8)
+        engine = cams.build("v-lora")
+        engine.submit(VideoAnalyticsWorkload(
+            cams.adapter_ids, num_streams=8, duration_s=20.0,
+            detection_frames=4, chunk_period_s=40 / 12.0, seed=0,
+        ).generate())
+        metrics = engine.run()
+        assert metrics.num_completed == 240
+        assert metrics.num_mode_switches * 10 < metrics.iterations
+
+    def test_light_single_adapter_lm_phase_goes_merged(self):
+        """A lone LM-head application at 0.5 req/s never fills half a
+        batch, yet its decodes cost more LoRA extra unmerged than one
+        merge: the lone-tenant merge test still merges it."""
+        engine = SystemBuilder(num_adapters=8).build("v-lora")
+        engine.submit(RetrievalWorkload(
+            ["lora-0"], rate_rps=0.5, duration_s=60.0,
+            use_task_heads=False, seed=0,
+        ).generate())
+        metrics = engine.run()
+        assert metrics.mode_iterations.get(InferenceMode.MERGED.value, 0) > 0
+        assert InferenceMode.UNMERGED.value not in metrics.mode_iterations
+
     def test_unmerged_only_never_switches(self, builder):
         engine = builder.build("s-lora")
         engine.submit(burst(["lora-0"], n=40, output_tokens=16))
@@ -117,6 +146,55 @@ class TestModeBehaviour:
         engine.submit([head_req, lm_req])
         engine.run()
         assert head_req.finish_time < lm_req.finish_time
+
+
+class ScriptedPolicy(SchedulingPolicy):
+    """Plays back one ``(mode, merged adapter)`` state per iteration."""
+
+    def __init__(self, states):
+        self.states = list(states)
+
+    def schedule(self, candidates, ctx):
+        mode, merged = self.states.pop(0)
+        batch = [r for r in candidates
+                 if mode is not InferenceMode.MERGED
+                 or r.adapter_id == merged]
+        return SchedulerDecision(batch=batch[:ctx.max_batch_size],
+                                 mode=mode, merged_adapter=merged)
+
+
+class TestSwitchCounters:
+    def test_counters_follow_merge_and_unmerge_work(self, builder):
+        """``num_mode_switches`` counts transitions that change the
+        folded-in adapter; ``switch_time_total`` sums their cost."""
+        M = InferenceMode
+        engine = builder.build("v-lora")
+        engine.policy = ScriptedPolicy([
+            (M.MIXTURE, "lora-0"),  # UNMERGED -> MIXTURE(X): one merge
+            (M.MERGED, "lora-0"),   # MIXTURE(X) -> MERGED(X): free
+            (M.MIXTURE, "lora-0"),  # MERGED(X) -> MIXTURE(X): free
+            (M.MERGED, "lora-0"),
+            (M.MERGED, "lora-1"),   # MERGED(X) -> MERGED(Y): un-merge + merge
+        ])
+        engine.submit(burst(["lora-0", "lora-1"], n=4, output_tokens=50))
+        merge = {a: engine.switcher.merge_seconds(engine.adapters.spec(a))
+                 for a in ("lora-0", "lora-1")}
+        unmerge_0 = engine.switcher.unmerge_seconds(
+            engine.adapters.spec("lora-0"))
+        expected = [
+            (1, merge["lora-0"]),
+            (0, 0.0),
+            (0, 0.0),
+            (0, 0.0),
+            (1, unmerge_0 + merge["lora-1"]),
+        ]
+        for switches, seconds in expected:
+            before = (engine.metrics.num_mode_switches,
+                      engine.metrics.switch_time_total)
+            engine.step()
+            assert engine.metrics.num_mode_switches - before[0] == switches
+            assert engine.metrics.switch_time_total - before[1] == \
+                pytest.approx(seconds)
 
 
 class TestPrefixReuse:

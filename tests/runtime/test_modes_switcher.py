@@ -10,6 +10,7 @@ from repro.runtime import (
     DLoRASwitcher,
     InferenceMode,
     ModeExecutor,
+    Request,
     SwiftSwitcher,
 )
 
@@ -75,6 +76,27 @@ class TestModeExecutor:
                                     rng=np.random.default_rng(5))
         assert t1 == t2
 
+
+    def test_unmerged_finish_prices_one_prefill_and_longest_decode(
+            self, executor):
+        """The lone-tenant merge test's price: the unmerged iterations
+        the queued requests still need, at the jitter-free mean."""
+        fresh = Request(adapter_id="a", arrival_time=0.0,
+                        input_tokens=300, output_tokens=4)
+        running = Request(adapter_id="a", arrival_time=0.0,
+                          input_tokens=500, output_tokens=10)
+        running.prefilled, running.generated = True, 3
+        # fresh: prefill, then 3 decodes; running: 7 decodes.
+        expected = (
+            executor.mean_extra_seconds(M.UNMERGED, {"a": 300}, RANKS)
+            + 7 * executor.mean_extra_seconds(M.UNMERGED, {"a": 2}, RANKS)
+        )
+        assert executor.unmerged_finish_seconds(
+            RANKS["a"], [fresh, running]) == pytest.approx(expected)
+        one_round = Request(adapter_id="a", arrival_time=0.0,
+                            input_tokens=300, output_tokens=1)
+        assert executor.unmerged_finish_seconds(RANKS["a"], [one_round]) \
+            == executor.mean_extra_seconds(M.UNMERGED, {"a": 300}, RANKS)
 
 @pytest.fixture(scope="module")
 def swift(atmm):

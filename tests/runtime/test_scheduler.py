@@ -30,11 +30,12 @@ def make_requests(adapters, arrival=0.0):
 
 
 def ctx(now=0.0, mode=M.UNMERGED, merged=None, max_bs=8,
-        iter_s=0.02, switch_s=0.005):
+        iter_s=0.02, switch_s=0.005, unmerged_extra_s=0.0):
     return SchedulingContext(
         now=now, current_mode=mode, current_merged=merged,
         max_batch_size=max_bs, est_iteration_seconds=iter_s,
         est_switch_seconds=switch_s, adapter_counts={},
+        unmerged_extra_seconds=lambda adapter_id, reqs: unmerged_extra_s,
     )
 
 
@@ -87,6 +88,33 @@ class TestVLoRAPolicy:
         assert decision.merged_adapter == "a"
         assert starving[0] in decision.batch
 
+    def test_already_merged_minority_stays_merged(self):
+        """Clause (a): keeping the folded-in adapter is free."""
+        reqs = make_requests(["a"] * 2 + ["b"])
+        decision = schedule(VLoRAPolicy(theta=10.0), reqs,
+                            ctx(mode=M.MERGED, merged="a"))
+        assert decision.mode is M.MERGED
+        assert decision.merged_adapter == "a"
+
+    def test_already_merged_minority_rescues_starving_via_mixture(self):
+        reqs = make_requests(["a"] * 2, arrival=5.0)
+        starving = make_requests(["b"], arrival=0.0)
+        decision = schedule(VLoRAPolicy(theta=1.0), reqs + starving,
+                            ctx(now=5.0, mode=M.MIXTURE, merged="a"))
+        assert decision.mode is M.MIXTURE
+        assert starving[0] in decision.batch
+
+    @pytest.mark.parametrize("extra_s, mode", [(0.006, M.MERGED),
+                                               (0.005, M.UNMERGED)])
+    def test_lone_tenant_merges_when_extra_exceeds_switch(self, extra_s,
+                                                          mode):
+        """Clause (c): a lone tenant below half a batch merges only when
+        its unmerged extra exceeds the 5 ms switch estimate."""
+        reqs = make_requests(["a"] * 2)
+        decision = schedule(VLoRAPolicy(theta=10.0), reqs,
+                            ctx(unmerged_extra_s=extra_s))
+        assert decision.mode is mode
+
     def test_unmerge_when_starvation_widespread(self):
         """Alg. 1 lines 13-15."""
         reqs = make_requests(["a", "b", "c", "d", "e", "f"], arrival=0.0)
@@ -94,8 +122,11 @@ class TestVLoRAPolicy:
         assert decision.mode is M.UNMERGED
 
     def test_unmerge_when_no_majority(self):
+        """However much a merge would save, only a lone tenant is
+        priced into one (clause (c))."""
         reqs = make_requests(["a", "b", "c", "d"])
-        decision = schedule(VLoRAPolicy(theta=10.0), reqs, ctx())
+        decision = schedule(VLoRAPolicy(theta=10.0), reqs,
+                            ctx(unmerged_extra_s=1.0))
         assert decision.mode is M.UNMERGED
 
     def test_starving_requests_scheduled_first(self):

@@ -47,8 +47,21 @@ def request_sets(draw):
         est_iteration_seconds=draw(st.floats(0.001, 0.1)),
         est_switch_seconds=draw(st.floats(0.0, 0.05)),
         adapter_counts={},
+        unmerged_extra_seconds=PricingStub(draw(st.floats(0.0, 0.1))),
     )
     return reqs, ctx
+
+
+class PricingStub:
+    """``unmerged_extra_seconds`` returning a fixed price; records calls."""
+
+    def __init__(self, price):
+        self.price = price
+        self.calls = []
+
+    def __call__(self, adapter_id, requests):
+        self.calls.append((adapter_id, list(requests)))
+        return self.price
 
 
 def engine_view(reqs, ctx):
@@ -107,21 +120,72 @@ def test_vlora_starving_first(data):
         assert included == expected
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=request_sets())
-def test_vlora_single_tenant_goes_merged(data):
-    """When all requests want one adapter and nothing starves, the
-    policy serves merged (principle 1)."""
+def test_vlora_merges_only_when_paid_for(data):
+    """With at most half a batch starving, V-LoRA merges the popular
+    adapter when (a) it is already merged, (b) it holds more than half a
+    batch, or (c) it is the only tenant, nothing starves, and its queued
+    work prices above one merge; otherwise it runs unmerged."""
+    reqs, ctx = engine_view(*data)
+    policy = VLoRAPolicy(theta=0.5)
+    decision = policy.schedule(reqs, ctx)
+    policy.refresh_credits(reqs, ctx)
+    num_starve = sum(1 for r in reqs if r.credit > policy.theta)
+    counts = ctx.adapter_counts
+    top = min(counts, key=lambda a: (-counts[a], a))
+    max_bs = ctx.max_batch_size
+    already = (ctx.current_merged == top
+               and ctx.current_mode in (InferenceMode.MERGED,
+                                        InferenceMode.MIXTURE))  # (a)
+    majority = counts[top] / max_bs > 0.5  # (b)
+    stub = ctx.unmerged_extra_seconds
+    lone = not num_starve and counts[top] == len(reqs)
+    worth_it = lone and stub.price > ctx.est_switch_seconds  # (c)
+    if num_starve / max_bs > 0.5:
+        expected = InferenceMode.UNMERGED
+    elif already or majority:
+        expected = (InferenceMode.MIXTURE if num_starve
+                    else InferenceMode.MERGED)
+    elif worth_it:
+        expected = InferenceMode.MERGED
+    else:
+        expected = InferenceMode.UNMERGED
+    assert decision.mode is expected
+    if expected is not InferenceMode.UNMERGED:
+        assert decision.merged_adapter == top
+    # Clause (c) is the only one that prices, and it prices exactly the
+    # batch it would merge.
+    for adapter_id, priced in stub.calls:
+        assert lone and not (already or majority)
+        assert adapter_id == top
+        assert priced == reqs[:max_bs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=request_sets(), price=st.floats(0.0, 0.1))
+def test_vlora_single_tenant_merges_when_merge_pays(data, price):
+    """A lone, non-starving tenant with no merge already paid for goes
+    merged exactly when its unmerged extra exceeds the switch cost."""
     reqs, ctx = data
     for r in reqs:
         r.adapter_id = "a"
         r.arrival_time = ctx.now  # fresh: zero waiting time
     reqs, ctx = engine_view(reqs, ctx)  # counts of the rewritten ids
+    ctx.current_mode = InferenceMode.UNMERGED
+    ctx.current_merged = None
+    ctx.max_batch_size = max(ctx.max_batch_size, 2 * len(reqs))  # not (b)
+    ctx.unmerged_extra_seconds = PricingStub(price)
     policy = VLoRAPolicy(theta=10.0 + ctx.est_iteration_seconds
                          + ctx.est_switch_seconds)
     decision = policy.schedule(reqs, ctx)
-    assert decision.mode is InferenceMode.MERGED
-    assert decision.merged_adapter == "a"
+    if price > ctx.est_switch_seconds:
+        assert decision.mode is InferenceMode.MERGED
+        assert decision.merged_adapter == "a"
+    else:
+        assert decision.mode is InferenceMode.UNMERGED
+    assert [r.request_id for r in decision.batch] == \
+        [r.request_id for r in reqs]
 
 
 @settings(max_examples=80, deadline=None)
