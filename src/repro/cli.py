@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -334,6 +335,32 @@ def _parse_rates(text: str) -> Optional[List[float]]:
     return rates
 
 
+def _workload_flag_error(args) -> Optional[str]:
+    """Why the workload flags of ``serve``, ``compare`` and ``trace
+    generate`` describe no workload, or ``None`` when they do."""
+    if args.command == "compare":
+        rates, flag = _parse_rates(args.rates), "--rates"
+        if rates is None:
+            return (f"malformed --rates {args.rates!r}; expected positive "
+                    f"comma-separated numbers like '4,8,12'")
+    else:
+        rates, flag = [args.rate], "--rate"
+    for rate in rates:
+        if not 0 < rate < math.inf:
+            return f"{flag} must be positive and finite, got {rate}"
+        if args.workload == "video" and not rate.is_integer():
+            return (f"{flag} counts video streams and must be a whole "
+                    f"number >= 1, got {rate}")
+    if not 0 < args.duration < math.inf:
+        return (f"--duration must be positive and finite, "
+                f"got {args.duration}")
+    if args.adapters < 1:
+        return f"--adapters must be >= 1, got {args.adapters}"
+    if not 0 < args.skew <= 1:
+        return f"--skew must be in (0, 1], got {args.skew}"
+    return None
+
+
 def _make_fault_injector(args) -> "Optional[object]":
     from repro.runtime.faults import FaultInjector
 
@@ -458,7 +485,7 @@ def _make_workload(args, system: str) -> list:
             slo_s=slo, seed=args.seed,
         )
     requests = VideoAnalyticsWorkload(
-        builder_ids, num_streams=max(1, int(args.rate)),
+        builder_ids, num_streams=int(args.rate),
         duration_s=args.duration, use_task_heads=heads, seed=args.seed,
     ).generate()
     if slo is not None:
@@ -712,10 +739,6 @@ def cmd_serve(args) -> int:
 
 def cmd_compare(args) -> int:
     rates = _parse_rates(args.rates)
-    if rates is None:
-        print(f"malformed --rates {args.rates!r}; expected positive "
-              f"comma-separated numbers like '4,8,12'", file=sys.stderr)
-        return 2
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     unknown = [s for s in systems if s not in SYSTEM_NAMES]
     if unknown or not systems:
@@ -908,6 +931,13 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # serve, compare and trace generate: the commands that generate a
+    # workload from the shared serving flags.
+    if hasattr(args, "workload"):
+        error = _workload_flag_error(args)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

@@ -153,8 +153,9 @@ class SystemBuilder:
         """Construct a fresh engine for the named system.
 
         ``engine_cls`` swaps in an alternative engine implementation
-        with the same constructor (e.g. the seed-baseline snapshot used
-        by ``benchmarks/bench_sim_throughput.py``).
+        with the same constructor: the ``MonolithicEngine`` reference
+        of ``tests/runtime/test_phase_executors.py``, which checks the
+        composed phase executors against a single-loop engine.
         """
         system = system.lower()
         if system == "vlora":

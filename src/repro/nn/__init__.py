@@ -30,13 +30,6 @@ from repro.nn.layers import (
 )
 from repro.nn.lora import LoRAAdapterWeights, LoRALinear
 from repro.nn.optim import SGD, Adam, clip_grad_norm
-from repro.nn.serialization import (
-    load_adapter,
-    load_model,
-    named_parameters,
-    save_adapter,
-    save_model,
-)
 from repro.nn.transformer import TaskHead, TinyLMM, TinyLMMConfig
 
 __all__ = [
@@ -58,9 +51,4 @@ __all__ = [
     "TinyLMM",
     "TinyLMMConfig",
     "TaskHead",
-    "named_parameters",
-    "save_model",
-    "load_model",
-    "save_adapter",
-    "load_adapter",
 ]

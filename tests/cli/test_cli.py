@@ -177,6 +177,34 @@ class TestCompare:
         assert "v-lora" in err  # lists the valid names
 
 
+class TestWorkloadFlags:
+    """serve, compare and trace generate reject a workload they cannot
+    generate with exit 2 and a message naming the flag."""
+
+    CASES = [
+        (["serve", "--workload", "video", "--rate", "-3"], "--rate"),
+        (["serve", "--workload", "video", "--rate", "0"], "--rate"),
+        (["serve", "--workload", "video", "--rate", "2.7"], "--rate"),
+        (["compare", "--workload", "video", "--rates", "0.5,1"], "--rates"),
+        (["serve", "--rate", "0"], "--rate"),
+        (["serve", "--duration", "0"], "--duration"),
+        (["serve", "--adapters", "-1"], "--adapters"),
+        (["serve", "--skew", "1.5"], "--skew"),
+        (["compare", "--duration", "0"], "--duration"),
+        (["trace", "generate", "--workload", "video", "--rate", "0"],
+         "--rate"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", CASES,
+                             ids=[" ".join(argv) for argv, _ in CASES])
+    def test_bad_flag_rejected(self, argv, flag, tmp_path, capsys):
+        if argv[0] == "trace":
+            argv = argv + ["--out", str(tmp_path / "t.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(flag)
+        assert not (tmp_path / "t.jsonl").exists()
+
+
 class TestTilingSearchCommand:
     def test_summary_printed(self, capsys):
         rc = main(["tiling-search", "--dim", "4096", "--rank", "64"])

@@ -8,9 +8,19 @@ accidental nondeterminism (dict-order iteration, id()-keyed tie-breaks,
 hidden RNG draws) shows up as a diff against a checked-in file, not
 just against a re-run in the same process.
 
-Regenerate the snapshot after an *intentional* behaviour change with::
+A second snapshot pins what the repo benchmark (``bench/``) simulates:
+for each of its workloads and parts 0-2, the per-part digest and each
+rung's sent/failed/good counts and simulated counters at the self-test
+scale, taken from ``bench/child.py`` run the way ``bench/test_bench.py``
+runs it.
+
+Regenerate both snapshots after an *intentional* behaviour change
+with::
 
     PYTHONPATH=src python tests/runtime/test_determinism.py --regen
+
+It prints one line per moved value and writes nothing if any benchmark
+child reports a failed output check.
 """
 
 from __future__ import annotations
@@ -18,6 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +52,14 @@ pytestmark = pytest.mark.property
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "determinism.json")
+BENCH_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                 "bench.json")
+ROOT = Path(__file__).resolve().parents[2]
+BENCH_WORKLOADS = sorted(
+    w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"])
+BENCH_PARTS = (0, 1, 2)
+REGEN = "PYTHONPATH=src python tests/runtime/test_determinism.py --regen"
 ADAPTER_IDS = [f"lora-{i}" for i in range(4)]
 
 
@@ -225,6 +246,40 @@ def _golden_diff(old: dict, new: dict) -> list:
     return lines or ["no key changed"]
 
 
+def _bench_child(workload: str, part: int) -> dict:
+    """One ``bench/child.py`` part at the self-test scale, seed 0."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"),
+         "--workload", workload, "--seed", "0", "--part", str(part),
+         "--scale", "0.02"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _bench_pins(result: dict) -> dict:
+    """Flat pins of one child part; refuses a part whose checks failed."""
+    part = f"part{result['part']}"
+    errors = [e for rung in result["rungs"] for e in rung["errors"]]
+    if errors:
+        raise ValueError(f"{result['workload']} {part} failed its output "
+                         f"checks: {errors}")
+    pins = {f"{part}.digest": result["digest"]}
+    for i, rung in enumerate(result["rungs"]):
+        values = {k: rung[k] for k in ("sent", "failed", "good")}
+        values.update(rung["counters"])
+        pins.update({f"{part}.rung{i}.{k}": v for k, v in values.items()})
+    return pins
+
+
+def _bench_workload_pins(workload: str) -> dict:
+    pins = {}
+    for part in BENCH_PARTS:
+        pins.update(_bench_pins(_bench_child(workload, part)))
+    return pins
+
+
 def test_golden_diff_lists_changed_keys():
     old = {"engine": {"iterations": 5.0, "cost_cache_misses": 9.0}}
     new = {"engine": {"iterations": 5.0, "cost_cache_hits": 3.0,
@@ -234,6 +289,30 @@ def test_golden_diff_lists_changed_keys():
         "engine.cost_cache_misses: 9.0 -> 6.0",
     ]
     assert _golden_diff(new, new) == ["no key changed"]
+    bench_old = {"video-heads": {"part0.digest": "ab",
+                                 "part1.rung2.swap_ins": 4,
+                                 "part1.rung2.sent": 80}}
+    bench_new = {"video-heads": {"part0.digest": "cd",
+                                 "part1.rung2.swap_ins": 5,
+                                 "part1.rung2.sent": 80}}
+    assert _golden_diff(bench_old, bench_new) == [
+        "video-heads.part0.digest: ab -> cd",
+        "video-heads.part1.rung2.swap_ins: 4 -> 5",
+    ]
+
+
+def test_bench_pins_refuse_a_part_with_failed_checks():
+    rung = {"sent": 2, "failed": 0, "good": 2, "counters": {"swap_ins": 1},
+            "errors": []}
+    result = {"workload": "video-heads", "part": 1, "digest": "ab",
+              "rungs": [rung]}
+    assert _bench_pins(result) == {
+        "part1.digest": "ab", "part1.rung0.sent": 2, "part1.rung0.failed": 0,
+        "part1.rung0.good": 2, "part1.rung0.swap_ins": 1,
+    }
+    rung["errors"] = ["a request id terminated more than once"]
+    with pytest.raises(ValueError, match="terminated more than once"):
+        _bench_pins(result)
 
 
 def test_golden_seed_snapshot():
@@ -246,25 +325,45 @@ def test_golden_seed_snapshot():
     fresh = json.loads(json.dumps(_golden_payload()))
     assert fresh == golden, (
         "simulator output diverged from the golden seed-0 snapshot; if "
-        "the change is intentional, regenerate with: PYTHONPATH=src "
-        "python tests/runtime/test_determinism.py --regen"
+        f"the change is intentional, regenerate with: {REGEN}"
     )
 
 
-if __name__ == "__main__":
-    import sys
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_bench_workloads_match_pins(workload):
+    """What ``bench/`` simulates must match the checked-in pins exactly."""
+    with open(BENCH_GOLDEN_PATH) as fh:
+        pinned = json.load(fh)[workload]
+    fresh = _bench_workload_pins(workload)
+    moved = _golden_diff({workload: pinned}, {workload: fresh})
+    assert fresh == pinned, (
+        f"{workload} diverged from its bench pins:\n" + "\n".join(moved)
+        + f"\nif the change is intentional, regenerate with: {REGEN}"
+    )
 
+
+def _load(path: str) -> dict:
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)
+
+
+if __name__ == "__main__":
     if "--regen" not in sys.argv[1:]:
         sys.exit("usage: python tests/runtime/test_determinism.py --regen")
-    payload = json.loads(json.dumps(_golden_payload()))
-    old = {}
-    if os.path.exists(GOLDEN_PATH):
-        with open(GOLDEN_PATH) as fh:
-            old = json.load(fh)
-    for line in _golden_diff(old, payload):
-        print(line)
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    # Run everything before writing anything: a bench part that fails
+    # its output checks raises here and leaves both files untouched.
+    payloads = {
+        GOLDEN_PATH: json.loads(json.dumps(_golden_payload())),
+        BENCH_GOLDEN_PATH: {w: _bench_workload_pins(w)
+                            for w in BENCH_WORKLOADS},
+    }
+    for path, payload in payloads.items():
+        print(f"== {os.path.basename(path)}")
+        for line in _golden_diff(_load(path), payload):
+            print(line)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}")
