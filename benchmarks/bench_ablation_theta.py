@@ -36,6 +36,7 @@ def run_experiment():
         out[theta] = {
             "mean_latency_s": round(metrics.mean_latency(), 4),
             "p99_latency_s": round(metrics.latency_percentile(99), 4),
+            "p99_ttft_s": round(metrics.ttft_percentile(99), 4),
             "minority_mean_latency_s": round(float(np.mean(minority)), 4),
             "mode_switches": metrics.num_mode_switches,
         }
@@ -62,14 +63,14 @@ def test_ablation_theta(benchmark, results):
     benchmark(policy.schedule, reqs, ctx)
 
     rows = [
-        [theta, d["mean_latency_s"], d["p99_latency_s"],
+        [theta, d["mean_latency_s"], d["p99_latency_s"], d["p99_ttft_s"],
          d["minority_mean_latency_s"], d["mode_switches"]]
         for theta, d in data.items()
     ]
     results.print_table(
         "Algorithm 1 θ sensitivity (70% skew, 12 rps)",
-        ["theta (s)", "mean lat", "p99 lat", "minority mean lat",
-         "switches"],
+        ["theta (s)", "mean lat", "p99 lat", "p99 TTFT",
+         "minority mean lat", "switches"],
         rows,
     )
     results.save("ablation_theta", {str(k): v for k, v in data.items()})
@@ -81,3 +82,6 @@ def test_ablation_theta(benchmark, results):
     # A huge θ lets the minority starve relative to a moderate one.
     assert data[10.0]["minority_mean_latency_s"] >= \
         data[0.5]["minority_mean_latency_s"] * 0.9
+    # ... and the tail shows it: a minority request that rides no spare
+    # slot waits up to θ for its first token.
+    assert data[10.0]["p99_ttft_s"] >= data[0.5]["p99_ttft_s"]

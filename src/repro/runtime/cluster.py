@@ -364,16 +364,21 @@ class MultiGPUServer:
         return out
 
     @staticmethod
-    def _scores(snaps: Sequence[ReplicaHealth],
-                engines: Sequence[ServingEngine]) -> List[float]:
+    def _peer_iter_ewma(snaps: Sequence[ReplicaHealth]) -> Optional[float]:
+        """Median EWMA iteration time over the replicas that have one."""
         ewmas = sorted(
             s.iter_ewma for s in snaps if s.iter_ewma is not None
         )
-        peer = None
-        if ewmas:
-            mid = len(ewmas) // 2
-            peer = (ewmas[mid] if len(ewmas) % 2
-                    else (ewmas[mid - 1] + ewmas[mid]) / 2.0)
+        if not ewmas:
+            return None
+        mid = len(ewmas) // 2
+        return (ewmas[mid] if len(ewmas) % 2
+                else (ewmas[mid - 1] + ewmas[mid]) / 2.0)
+
+    @classmethod
+    def _scores(cls, snaps: Sequence[ReplicaHealth],
+                engines: Sequence[ServingEngine]) -> List[float]:
+        peer = cls._peer_iter_ewma(snaps)
         queue_norm = max(4 * e.config.max_batch_size for e in engines)
         return [s.score(peer, queue_norm=queue_norm) for s in snaps]
 
@@ -807,6 +812,9 @@ class MultiGPUServer:
             return
         loads = {i: engines[i].num_live for i in allowed}
         allowed_set = set(allowed)
+        snaps = self._snapshots(engines)
+        peer = self._peer_iter_ewma(snaps)
+        slowdown = [s.slowdown(peer) for s in snaps]
         # Most-stuck first: when the retry budget cannot cover every
         # candidate, the tokens go to the requests deepest past the
         # threshold — the ones actually shaping p99 — not to whichever
@@ -831,6 +839,13 @@ class MultiGPUServer:
                 # genuinely stuck decode, e.g. a slow replica).
                 started = 0 if r.first_token_time is None else 1
                 if t_next - r.arrival_time <= threshold * (1 + started):
+                    continue
+                # The twin restarts from zero at peer speed, so it can
+                # beat a started primary only when the primary's
+                # remaining tokens, at its replica's slowdown, outlast
+                # a whole fresh decode.  Anything else is a hedge that
+                # cannot win.
+                if started and r.remaining * slowdown[i] <= r.output_tokens:
                     continue
                 candidates.append((started, r.arrival_time, rid, i, r))
         candidates.sort(key=lambda c: c[:3])

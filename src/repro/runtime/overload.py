@@ -456,16 +456,19 @@ class ReplicaHealth:
     iter_ewma: Optional[float]
     suspected: bool = False
 
+    def slowdown(self, peer_iter_ewma: Optional[float]) -> float:
+        """EWMA iteration time over the peers' (>= 1; 1 when unknown)."""
+        if (self.iter_ewma is not None and peer_iter_ewma is not None
+                and peer_iter_ewma > 0):
+            return max(1.0, self.iter_ewma / peer_iter_ewma)
+        return 1.0
+
     def score(self, peer_iter_ewma: Optional[float],
               queue_norm: int = 64) -> float:
         if self.dead:
             return 0.0
-        slowdown = 1.0
-        if (self.iter_ewma is not None and peer_iter_ewma is not None
-                and peer_iter_ewma > 0):
-            slowdown = max(1.0, self.iter_ewma / peer_iter_ewma)
         queue_penalty = 1.0 + self.queue_depth / max(1, queue_norm)
-        score = 1.0 / (slowdown * queue_penalty)
+        score = 1.0 / (self.slowdown(peer_iter_ewma) * queue_penalty)
         if self.suspected:
             score *= 0.25
         return score

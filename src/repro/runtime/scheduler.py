@@ -12,7 +12,10 @@ when it is already merged (free), when it holds more than half a batch
 (Algorithm 1 as printed), or when it is the only tenant and its queued
 work would pay more LoRA extra unmerged than the merge costs.  Anything
 else runs unmerged, so interleaved tenants never re-merge per
-iteration.
+iteration.  Once the merge is paid for, the slots the popular adapter
+leaves free carry other adapters' requests through deLoRA (mixture),
+starving or not, so a minority request never waits out θ behind a
+half-empty merged batch.
 
 Starvation is tracked by a per-request *credit*: waiting time plus the
 estimated execution time in the current mode plus the mode-switch
@@ -121,13 +124,12 @@ class SchedulingPolicy(abc.ABC):
 
     @staticmethod
     def _first_matching(candidates: Sequence[Request], adapter_id: str,
-                        limit: int, start: int = 0) -> List[Request]:
+                        limit: int) -> List[Request]:
         """First ``limit`` requests of one adapter, preserving order."""
         out: List[Request] = []
         if limit <= 0:
             return out
-        for i in range(start, len(candidates)):
-            r = candidates[i]
+        for r in candidates:
             if r.adapter_id == adapter_id:
                 out.append(r)
                 if len(out) == limit:
@@ -188,12 +190,56 @@ class VLoRAPolicy(SchedulingPolicy):
                 hi = mid
         return lo
 
+    @staticmethod
+    def _paid_merge(candidates, max_bs, num_starve, top, num_top):
+        """The batch and mode once the merge of ``top`` is paid for.
+
+        The starving prefix rides first, then ``top``'s requests in
+        FCFS order, then any slots still free go FCFS to the other
+        non-starving candidates.  Foreigners run via deLoRA beside the
+        merged adapter (Line 9-12), so the batch runs MERGED only when
+        nothing starves and no foreigner rides.
+
+        ``num_top`` (``top``'s exact count) says how many of its
+        requests lie past the prefix, so the scan from ``num_starve``
+        caps foreigners at the room ``top`` leaves and stops once it
+        holds both.  When ``top`` fills the room it stops where the
+        ``_first_matching`` scan it replaces did; otherwise that scan
+        read the whole queue.  So it is never longer, and it reads
+        nothing past the last request it takes unless the batch comes
+        out short of ``max_bs``.
+        """
+        prefix = candidates[:num_starve]
+        room = max_bs - num_starve
+        want_top = min(room,
+                       num_top - sum(r.adapter_id == top for r in prefix))
+        want_foreign = room - want_top
+        tops: List[Request] = []
+        foreign: List[Request] = []
+        for i in range(num_starve, len(candidates)):
+            if len(tops) == want_top and len(foreign) == want_foreign:
+                break
+            r = candidates[i]
+            if r.adapter_id == top:
+                tops.append(r)
+            elif len(foreign) < want_foreign:
+                foreign.append(r)
+        mixture = bool(num_starve or foreign)
+        return SchedulerDecision(
+            batch=list(prefix) + tops + foreign,
+            mode=InferenceMode.MIXTURE if mixture else InferenceMode.MERGED,
+            merged_adapter=top,
+        )
+
     def schedule(self, candidates, ctx):
-        """One Algorithm 1 decision in O(log n + batch).
+        """One Algorithm 1 decision in O(log n + scan).
 
         The starve set is the bisected FCFS prefix, the popular
         adapter's tally comes from ``ctx.adapter_counts``, and every
-        batch is assembled by an early-exit scan of the ordered queue.
+        batch is assembled by an early-exit scan of the ordered queue:
+        the head of the queue when unmerged, and otherwise
+        :meth:`_paid_merge`'s scan, which stops at the last request it
+        takes unless the batch comes out short of ``max_bs``.
         """
         if not candidates:
             return None
@@ -207,34 +253,22 @@ class VLoRAPolicy(SchedulingPolicy):
             # The merge is already paid for when (a) the popular adapter
             # is folded in, so keeping it is free, or (b) it holds more
             # than half a batch (Algorithm 1 as printed).
-            paid = (
+            if (
                 ctx.current_merged == top
                 and ctx.current_mode in (InferenceMode.MERGED,
                                          InferenceMode.MIXTURE)
-            ) or num_merge_total / max_bs > 0.5
-            if num_starve and paid:
-                # Line 9-12: starving requests run via deLoRA alongside
-                # the merged majority.  Non-starving merge requests all
-                # live past the starve prefix, so the fill scan starts
-                # there.
-                fill = self._first_matching(
-                    candidates, top, max(0, max_bs - num_starve),
-                    start=num_starve,
-                )
-                return SchedulerDecision(
-                    batch=(list(candidates[:num_starve]) + fill)[:max_bs],
-                    mode=InferenceMode.MIXTURE,
-                    merged_adapter=top,
-                )
-            # (c) A lone tenant merges when its queued work would pay
-            # more LoRA extra unmerged than the merge costs.
-            if not num_starve and (paid or (
-                    num_merge_total == n
+            ) or num_merge_total / max_bs > 0.5:
+                return self._paid_merge(candidates, max_bs, num_starve,
+                                        top, num_merge_total)
+            # (c) A lone tenant merges when nothing starves and its
+            # queued work would pay more LoRA extra unmerged than the
+            # merge costs.  It has no foreigners to fill with.
+            if (not num_starve and num_merge_total == n
                     and ctx.unmerged_extra_seconds(top, candidates[:max_bs])
-                    > ctx.est_switch_seconds)):
+                    > ctx.est_switch_seconds):
                 # Line 6-8: pure merged execution of the popular adapter.
                 return SchedulerDecision(
-                    batch=self._first_matching(candidates, top, max_bs),
+                    batch=list(candidates[:max_bs]),
                     mode=InferenceMode.MERGED,
                     merged_adapter=top,
                 )

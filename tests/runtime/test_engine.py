@@ -121,6 +121,23 @@ class TestModeBehaviour:
         assert metrics.mode_iterations.get(InferenceMode.MERGED.value, 0) > 0
         assert InferenceMode.UNMERGED.value not in metrics.mode_iterations
 
+    def test_foreign_request_rides_spare_merged_slots(self, builder):
+        """Ten lora-0 decodes hold the merge with six of sixteen slots
+        free; a lora-2 request arriving mid-decode rides one of them
+        via deLoRA at once instead of waiting out theta."""
+        engine = builder.build("v-lora")
+        busy = [Request(adapter_id="lora-0", arrival_time=0.001 * i,
+                        input_tokens=128, output_tokens=64)
+                for i in range(10)]
+        busy.append(Request(adapter_id="lora-1", arrival_time=0.01,
+                            input_tokens=128, output_tokens=64))
+        third = Request(adapter_id="lora-2", arrival_time=0.3,
+                        input_tokens=128, output_tokens=8)
+        engine.submit(busy + [third])
+        engine.run()
+        ttft = third.first_token_time - third.arrival_time
+        assert ttft < engine.policy.theta / 4
+
     def test_unmerged_only_never_switches(self, builder):
         engine = builder.build("s-lora")
         engine.submit(burst(["lora-0"], n=40, output_tokens=16))

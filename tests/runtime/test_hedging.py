@@ -269,6 +269,38 @@ def test_fixed_hedge_threshold_via_after_s():
     assert metrics.hedges_fired > 0
 
 
+def _long_decode_pair(faults):
+    """Two 200-token decodes on a two-replica cluster that hedges any
+    request in flight past 50 ms."""
+    reset_request_ids()
+    builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8,
+                            fault_injector=FaultInjector(faults))
+    server = MultiGPUServer.replicate(
+        lambda: builder.build("v-lora"), 2, hedge=HedgeConfig(after_s=0.05))
+    requests = [Request(adapter_id="lora-0", arrival_time=0.0,
+                        input_tokens=64, output_tokens=200)
+                for _ in range(2)]
+    server.submit(requests)
+    metrics = server.run()
+    _assert_exactly_once(requests, metrics)
+    return metrics
+
+
+def test_started_request_hedged_only_when_its_twin_can_win():
+    """A twin restarts from zero, so a started request is hedged only
+    when its replica's slowdown makes the rest of its decode outlast a
+    whole fresh one: never on a healthy fleet, and on a straggler that
+    slows down mid-decode the hedge fires and wins."""
+    healthy = _long_decode_pair([])
+    assert healthy.hedges_fired == 0
+    slowed = _long_decode_pair([
+        FaultSpec(FaultKind.ENGINE_SLOW, start=0.5, duration=60.0,
+                  magnitude=8.0, target="gpu-0"),
+    ])
+    assert slowed.hedges_fired == 1
+    assert slowed.hedge_wins == 1
+
+
 def test_requeue_backoff_clamped_to_deadline():
     """A requeue never backs off past the request's own deadline."""
     reset_request_ids()

@@ -68,8 +68,17 @@ class TestVLoRAPolicy:
         assert schedule(VLoRAPolicy(), [], ctx()) is None
 
     def test_merge_when_majority_and_no_starvation(self):
-        """Alg. 1 lines 6-8."""
+        """Alg. 1 lines 6-12: the majority merges, and the slots it
+        leaves free carry the non-starving minority via deLoRA."""
         reqs = make_requests(["a"] * 6 + ["b"] * 2)
+        decision = schedule(VLoRAPolicy(theta=10.0), reqs, ctx())
+        assert decision.mode is M.MIXTURE
+        assert decision.merged_adapter == "a"
+        assert [r.adapter_id for r in decision.batch] == ["a"] * 6 + ["b"] * 2
+
+    def test_merge_when_majority_fills_the_batch(self):
+        """Alg. 1 lines 6-8: no free slot, so no foreigner rides."""
+        reqs = make_requests(["a"] * 8 + ["b"] * 2)
         decision = schedule(VLoRAPolicy(theta=10.0), reqs, ctx())
         assert decision.mode is M.MERGED
         assert decision.merged_adapter == "a"
@@ -89,12 +98,14 @@ class TestVLoRAPolicy:
         assert starving[0] in decision.batch
 
     def test_already_merged_minority_stays_merged(self):
-        """Clause (a): keeping the folded-in adapter is free."""
+        """Clause (a): keeping the folded-in adapter is free, and the
+        non-starving foreigner rides its spare slots via deLoRA."""
         reqs = make_requests(["a"] * 2 + ["b"])
         decision = schedule(VLoRAPolicy(theta=10.0), reqs,
                             ctx(mode=M.MERGED, merged="a"))
-        assert decision.mode is M.MERGED
+        assert decision.mode is M.MIXTURE
         assert decision.merged_adapter == "a"
+        assert [r.adapter_id for r in decision.batch] == ["a", "a", "b"]
 
     def test_already_merged_minority_rescues_starving_via_mixture(self):
         reqs = make_requests(["a"] * 2, arrival=5.0)

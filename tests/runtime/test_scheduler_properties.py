@@ -126,7 +126,9 @@ def test_vlora_merges_only_when_paid_for(data):
     """With at most half a batch starving, V-LoRA merges the popular
     adapter when (a) it is already merged, (b) it holds more than half a
     batch, or (c) it is the only tenant, nothing starves, and its queued
-    work prices above one merge; otherwise it runs unmerged."""
+    work prices above one merge; otherwise it runs unmerged.  Under (a)
+    or (b) the batch runs mixture when anything starves or a foreigner
+    fills a spare slot."""
     reqs, ctx = engine_view(*data)
     policy = VLoRAPolicy(theta=0.5)
     decision = policy.schedule(reqs, ctx)
@@ -145,7 +147,11 @@ def test_vlora_merges_only_when_paid_for(data):
     if num_starve / max_bs > 0.5:
         expected = InferenceMode.UNMERGED
     elif already or majority:
-        expected = (InferenceMode.MIXTURE if num_starve
+        rest = reqs[num_starve:]
+        num_rest_top = sum(1 for r in rest if r.adapter_id == top)
+        foreign_fits = (num_starve + num_rest_top < max_bs
+                        and num_rest_top < len(rest))
+        expected = (InferenceMode.MIXTURE if num_starve or foreign_fits
                     else InferenceMode.MERGED)
     elif worth_it:
         expected = InferenceMode.MERGED
@@ -160,6 +166,43 @@ def test_vlora_merges_only_when_paid_for(data):
         assert lone and not (already or majority)
         assert adapter_id == top
         assert priced == reqs[:max_bs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=request_sets(),
+       mode=st.sampled_from([InferenceMode.MERGED, InferenceMode.MIXTURE]),
+       pick=st.data())
+def test_vlora_paid_merge_fills_spare_slots(data, mode, pick):
+    """With at most half a batch starving and the merge paid for, the
+    batch holds ``min(max_bs, n)`` requests: the starving prefix, then
+    the popular adapter's requests, then the foreigners, each in FCFS
+    order."""
+    reqs, ctx = data
+    # Only the first ``old`` requests may starve; the rest arrive now,
+    # and their credit (at most 0.15 s) stays under theta.
+    old = pick.draw(st.integers(0, ctx.max_batch_size // 2))
+    for r in reqs[old:]:
+        r.arrival_time = ctx.now
+    reqs, ctx = engine_view(reqs, ctx)
+    counts = ctx.adapter_counts
+    top = min(counts, key=lambda a: (-counts[a], a))
+    ctx.current_mode, ctx.current_merged = mode, top  # clause (a)
+    policy = VLoRAPolicy(theta=0.5)
+    decision = policy.schedule(reqs, ctx)
+    policy.refresh_credits(reqs, ctx)
+    num_starve = sum(1 for r in reqs if r.credit > policy.theta)
+    max_bs = ctx.max_batch_size
+    rest = reqs[num_starve:]
+    expected = (reqs[:num_starve]
+                + [r for r in rest if r.adapter_id == top]
+                + [r for r in rest if r.adapter_id != top])[:max_bs]
+    assert len(decision.batch) == min(max_bs, len(reqs))
+    assert ([r.request_id for r in decision.batch]
+            == [r.request_id for r in expected])
+    assert decision.merged_adapter == top
+    pure = not num_starve and all(r.adapter_id == top for r in expected)
+    assert decision.mode is (InferenceMode.MERGED if pure
+                             else InferenceMode.MIXTURE)
 
 
 @settings(max_examples=80, deadline=None)
