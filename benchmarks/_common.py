@@ -48,6 +48,21 @@ class ResultSink:
             fh.write(text + "\n")
 
 
+def duplicate_terminals(requests, metrics):
+    """Exactly-once violations: (duplicated terminals, lost requests).
+
+    ``(0, 0)`` is the contract: every submitted request reaches exactly
+    one terminal state, a completion record or an abort.
+    """
+    rec_ids = [r.request_id for r in metrics.records]
+    abort_ids = [a.request_id for a in metrics.aborts]
+    dupes = (len(rec_ids) - len(set(rec_ids))
+             + len(abort_ids) - len(set(abort_ids))
+             + len(set(rec_ids) & set(abort_ids)))
+    missing = {r.request_id for r in requests} - set(rec_ids) - set(abort_ids)
+    return dupes, len(missing)
+
+
 def reduction(vlora_value: float, baseline_value: float) -> str:
     """'-NN%' latency reduction string as the paper reports it."""
     if baseline_value <= 0:

@@ -17,12 +17,9 @@ GPU-seconds for the static cluster are ``replicas × makespan`` (every
 replica is up the whole run); the autoscaled cluster reports its exact
 per-replica spawn-to-retire lifetimes via ``gpu_seconds_total``.
 
-Standalone mode (``python benchmarks/bench_autoscale.py [--small]``)
-writes ``BENCH_autoscale.json`` and exits non-zero when the efficiency
-or SLO contract breaks (CI perf smoke).
+Run it with ``pytest --benchmark-disable benchmarks/bench_autoscale.py``;
+the result lands in ``results/autoscale_vs_static.json``.
 """
-
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -50,26 +47,23 @@ PEAK_REPLICAS = 4
 BURST = FaultSpec(FaultKind.LOAD_BURST, 18.0, 6.0, magnitude=3.0)
 
 
-def _workload(scale=1.0, seed=0):
+def _workload(seed=0):
     return diurnal_burst_trace(
         [f"lora-{i}" for i in range(ADAPTERS)],
         peak_rps=PEAK_RPS,
         trough_rps=TROUGH_RPS,
-        period_s=PERIOD_S * scale,
-        duration_s=DURATION_S * scale,
+        period_s=PERIOD_S,
+        duration_s=DURATION_S,
         top_adapter_share=0.5,
         use_task_heads=False,
         slo_s=SLO_S,
         sharpness=SHARPNESS,
         seed=seed,
-        injector=FaultInjector([FaultSpec(
-            BURST.kind, BURST.start * scale, BURST.duration * scale,
-            magnitude=BURST.magnitude,
-        )]),
+        injector=FaultInjector([BURST]),
     )
 
 
-def _autoscaler(scale=1.0):
+def _autoscaler():
     return Autoscaler(AutoscaleConfig(
         min_replicas=1,
         max_replicas=PEAK_REPLICAS,
@@ -77,7 +71,7 @@ def _autoscaler(scale=1.0):
         down_fraction=0.7,
         slo_floor=0.9,
         ewma_alpha=0.5,
-        down_cooldown_s=3.0 * scale,
+        down_cooldown_s=3.0,
         spinup_s=0.5,
         drain_timeout_s=20.0,
     ))
@@ -107,11 +101,11 @@ def _summarize(metrics, requests, gpu_seconds):
     }
 
 
-def run_autoscale_vs_static(scale=1.0, seed=0):
+def run_autoscale_vs_static(seed=0):
     builder = SystemBuilder(num_adapters=ADAPTERS, max_batch_size=16)
     factory = lambda: builder.build("v-lora")  # noqa: E731
 
-    requests = _workload(scale=scale, seed=seed)
+    requests = _workload(seed=seed)
     static = MultiGPUServer.replicate(factory, PEAK_REPLICAS)
     static.submit([r for r in requests])
     static_metrics = static.run()
@@ -120,10 +114,8 @@ def run_autoscale_vs_static(scale=1.0, seed=0):
     # Peak provisioning keeps every replica alive for the whole run.
     static_gpu_s = PEAK_REPLICAS * _makespan(static_metrics)
 
-    requests2 = _workload(scale=scale, seed=seed)
-    auto = MultiGPUServer.replicate(
-        factory, 1, autoscaler=_autoscaler(scale=scale)
-    )
+    requests2 = _workload(seed=seed)
+    auto = MultiGPUServer.replicate(factory, 1, autoscaler=_autoscaler())
     auto.submit(requests2)
     auto_metrics = auto.run()
     assert (auto_metrics.num_completed + auto_metrics.num_aborted
@@ -179,35 +171,3 @@ def test_autoscale_vs_static(results):
     results.save("autoscale_vs_static", {
         k: v for k, v in data.items() if k != "scale_events"
     })
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on contract breaks."""
-    import json
-    import sys
-
-    scale = 0.5 if "--small" in sys.argv[1:] else 1.0
-    payload = run_autoscale_vs_static(scale=scale)
-    with open("BENCH_autoscale.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps({k: v for k, v in payload.items()
-                      if k != "scale_events"}, indent=1, sort_keys=True))
-    print("wrote BENCH_autoscale.json")
-    failures = []
-    if scale >= 1.0:
-        try:
-            _check(payload)
-        except AssertionError as exc:
-            failures.append(f"acceptance check failed: {exc}")
-    else:
-        # Small mode still requires conservation and *some* savings.
-        if payload["gpu_seconds_ratio"] >= 1.0:
-            failures.append("autoscaling saved no GPU-seconds")
-    if failures:
-        print("; ".join(failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

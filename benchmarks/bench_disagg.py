@@ -20,11 +20,11 @@ count at every swept rate, terminals stay exactly-once on both sides
 of the boundary, and every request that finished on the disagg fleet
 paid exactly one KV transfer (conservation of hand-offs).
 
-Standalone mode (``python benchmarks/bench_disagg.py``) writes
-``BENCH_disagg.json`` and exits non-zero on any contract break.
+Run it with ``pytest --benchmark-disable benchmarks/bench_disagg.py``;
+the result lands in ``results/disagg_vs_colocated.json``.
 """
 
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import duplicate_terminals
 
 from repro.core import SystemBuilder
 from repro.runtime import DisaggConfig, MultiGPUServer, reset_request_ids
@@ -53,17 +53,6 @@ def _workload(adapter_ids, rate_rps, seed=SEED):
     ).generate()
 
 
-def _duplicate_terminals(requests, metrics):
-    """Count of exactly-once violations (0 is the contract)."""
-    rec_ids = [r.request_id for r in metrics.records]
-    abort_ids = [a.request_id for a in metrics.aborts]
-    dupes = (len(rec_ids) - len(set(rec_ids))
-             + len(abort_ids) - len(set(abort_ids))
-             + len(set(rec_ids) & set(abort_ids)))
-    missing = {r.request_id for r in requests} - set(rec_ids) - set(abort_ids)
-    return dupes, len(missing)
-
-
 def _run(mode, rate_rps):
     reset_request_ids()
     builder = SystemBuilder(num_adapters=NUM_ADAPTERS, max_batch_size=8)
@@ -78,7 +67,7 @@ def _run(mode, rate_rps):
     server.submit(requests)
     metrics = server.run()
     summary = metrics.summary()
-    dupes, lost = _duplicate_terminals(requests, metrics)
+    dupes, lost = duplicate_terminals(requests, metrics)
     return {
         "submitted": len(requests),
         "completed": metrics.num_completed,
@@ -159,25 +148,3 @@ def test_disagg_vs_colocated(results):
         _rows(data),
     )
     results.save("disagg_vs_colocated", data)
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on contract breaks."""
-    import json
-    import sys
-
-    payload = run_disagg_bench()
-    with open("BENCH_disagg.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_disagg.json")
-    try:
-        _check(payload)
-    except AssertionError as exc:
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

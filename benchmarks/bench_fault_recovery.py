@@ -10,9 +10,11 @@ for by a typed abort reason rather than a crash.
 A second experiment kills one replica of a 2-GPU cluster mid-run and
 measures failover: the orphaned requests must be requeued and finish on
 the survivor.
+
+Run it with ``pytest --benchmark-disable benchmarks/bench_fault_recovery.py``;
+the results land in ``results/fault_recovery_{sweep,failover}.json``.
 """
 
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
 
 from repro.core import SystemBuilder
 from repro.runtime import FaultInjector, FaultKind, FaultSpec, MultiGPUServer
@@ -173,33 +175,3 @@ def test_fault_recovery_failover(results):
           data["failover_events"], data["goodput_rps"]]],
     )
     results.save("fault_recovery_failover", data)
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on goodput collapse."""
-    import json
-    import sys
-
-    sweep = run_sweep()
-    failover = run_failover()
-    payload = {
-        "sweep": {str(k): v for k, v in sweep.items()},
-        "failover": failover,
-    }
-    with open("BENCH_fault_recovery.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_fault_recovery.json")
-    collapsed = [
-        k for k, row in payload["sweep"].items() if row["goodput_rps"] <= 0
-    ]
-    if failover["goodput_rps"] <= 0:
-        collapsed.append("failover")
-    if collapsed:
-        print(f"goodput collapsed in: {collapsed}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,6 +10,7 @@ both are evaluated zero-shot on a held-out domain.
 import dataclasses
 
 import numpy as np
+import pytest
 
 from _accuracy_shared import base_accuracy, fresh_base
 
@@ -19,6 +20,9 @@ from repro.generation import (
     make_domain,
     train_small_model,
 )
+
+# Trains models (minutes on CPU): runs in the slow tier.
+pytestmark = pytest.mark.slow
 
 #: VQA-style evaluation runs close to the pretraining distribution
 #: (VQAv2 is exactly what LMMs pretrain toward), so the held-out domain

@@ -7,6 +7,7 @@ the external dataset; the TinyLMM gains come from real LoRA training.
 """
 
 import numpy as np
+import pytest
 
 from _accuracy_shared import base_accuracy, fresh_base
 
@@ -17,6 +18,9 @@ from repro.generation import (
     LoRATrainer,
     make_domain,
 )
+
+# Trains models (minutes on CPU): runs in the slow tier.
+pytestmark = pytest.mark.slow
 
 PAPER_GAIN_PTS = {
     "image_classification": 45.2,

@@ -11,6 +11,7 @@ fusion plans.
 """
 
 import numpy as np
+import pytest
 
 from _accuracy_shared import fresh_base
 
@@ -22,6 +23,9 @@ from repro.generation import (
     LoRATrainer,
     make_domains,
 )
+
+# Trains models (minutes on CPU): runs in the slow tier.
+pytestmark = pytest.mark.slow
 
 MAX_FUSED = 6
 FAMILIES = (IMAGE_CLASSIFICATION, OBJECT_DETECTION, VIDEO_CLASSIFICATION)

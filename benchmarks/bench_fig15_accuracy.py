@@ -12,6 +12,7 @@ anchor values against the paper's small-model numbers.
 """
 
 import numpy as np
+import pytest
 
 from _accuracy_shared import fresh_base
 
@@ -25,6 +26,9 @@ from repro.generation import (
     train_small_model,
 )
 from repro.models.zoo import SMALL_MODELS
+
+# Trains models (minutes on CPU): runs in the slow tier.
+pytestmark = pytest.mark.slow
 
 TRAINABLE = {
     "object_detection": (OBJECT_DETECTION, "YOLO"),

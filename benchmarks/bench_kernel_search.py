@@ -18,30 +18,21 @@ in every serving engine (A100-80GB, hidden dim 4096, ranks
   reported as ns/lookup.
 
 Any divergence raises, so the perf-smoke CI job fails if the vectorized
-winners ever drift from the scalar reference.  Results land in
-``BENCH_kernel_search.json`` at the repo root (plus
-``results/kernel_search.json`` under pytest).  Run directly with
-``python benchmarks/bench_kernel_search.py``.
+winners ever drift from the scalar reference.  Run it with
+``pytest --benchmark-disable benchmarks/bench_kernel_search.py``; the
+result lands in ``results/kernel_search.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 import tempfile
 import time
-from typing import Dict, List, Optional
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from typing import Dict
 
 from repro.hardware.gpu import get_gpu
 from repro.kernels.search import OptimalTilingTable, TilingSearch
 from repro.kernels.shapes import GemmShape
 from repro.kernels.store import KernelTableStore, table_fingerprint
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUT_PATH = REPO_ROOT / "BENCH_kernel_search.json"
 
 #: The exact ``default_table()`` configuration.
 GPU_NAME = "A100-80GB"
@@ -166,7 +157,7 @@ def run_lookup_bench(table: OptimalTilingTable,
 def run_bench() -> Dict[str, object]:
     gpu = get_gpu(GPU_NAME)
     search_payload, table, min_search_s = run_search_bench(gpu)
-    payload = {
+    return {
         "bench": "kernel_search",
         "gpu": GPU_NAME,
         "hidden_dims": list(HIDDEN_DIMS),
@@ -177,8 +168,6 @@ def run_bench() -> Dict[str, object]:
         "store": run_store_bench(gpu, table, min_search_s),
         "lookup": run_lookup_bench(table),
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
 
 
 def _print_payload(payload: Dict[str, object]) -> None:
@@ -198,7 +187,6 @@ def _print_payload(payload: Dict[str, object]) -> None:
           f"warm load {store['warm_load_ms']} ms "
           f"({store['load_speedup_vs_search']}x faster than any search)")
     print(f"lookup: {lookup['ns_per_lookup']} ns")
-    print(f"wrote {OUT_PATH}")
 
 
 def _assert_floors(payload: Dict[str, object]) -> None:
@@ -233,14 +221,3 @@ def test_kernel_search(benchmark, results):
     table, _ = search.search(pairs, max_m=MAX_M)
     benchmark.pedantic(lambda: table.lookup(300, 4096, 64),
                        rounds=3, iterations=1000)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    payload = run_bench()
-    _print_payload(payload)
-    _assert_floors(payload)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

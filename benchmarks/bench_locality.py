@@ -27,11 +27,11 @@ where routing decides the tail.  A secondary table repeats the trace on
 ``v-lora`` engines (asynchronous overlapped swap) to show the swap-cut
 carries over even when overlap already hides most of the stall.
 
-Standalone mode (``python benchmarks/bench_locality.py``) writes
-``BENCH_locality.json`` and exits non-zero on any contract break.
+Run it with ``pytest --benchmark-disable benchmarks/bench_locality.py``;
+the result lands in ``results/adapter_locality_routing.json``.
 """
 
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import duplicate_terminals
 
 from repro.core import SystemBuilder
 from repro.runtime import AdapterPlacement, MultiGPUServer, reset_request_ids
@@ -73,17 +73,6 @@ def _workload(adapter_ids, seed=SEED):
     ).generate()
 
 
-def _duplicate_terminals(requests, metrics):
-    """Count of exactly-once violations (0 is the contract)."""
-    rec_ids = [r.request_id for r in metrics.records]
-    abort_ids = [a.request_id for a in metrics.aborts]
-    dupes = (len(rec_ids) - len(set(rec_ids))
-             + len(abort_ids) - len(set(abort_ids))
-             + len(set(rec_ids) & set(abort_ids)))
-    missing = {r.request_id for r in requests} - set(rec_ids) - set(abort_ids)
-    return dupes, len(missing)
-
-
 def _run(dispatch, system):
     """One policy over the trace; identical control loop for all three.
 
@@ -107,7 +96,7 @@ def _run(dispatch, system):
     server.submit(requests)
     metrics = server.run()
     summary = metrics.summary()
-    dupes, lost = _duplicate_terminals(requests, metrics)
+    dupes, lost = duplicate_terminals(requests, metrics)
     return {
         "submitted": len(requests),
         "completed": metrics.num_completed,
@@ -202,25 +191,3 @@ def test_adapter_locality_routing(results):
         headers, _rows(data["async_swap"]),
     )
     results.save("adapter_locality_routing", data)
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on contract breaks."""
-    import json
-    import sys
-
-    payload = run_locality_bench()
-    with open("BENCH_locality.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_locality.json")
-    try:
-        _check(payload)
-    except AssertionError as exc:
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

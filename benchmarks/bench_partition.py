@@ -16,13 +16,11 @@ false suspicions.  At every point on the frontier the lease fence must
 hold **exactly-once delivery**: no request may ever reach two terminal
 states, no matter how aggressively the detector confirms.
 
-Standalone mode (``python benchmarks/bench_partition.py [--small]``)
-writes ``BENCH_partition.json`` and exits non-zero when any swept
-threshold produces a duplicate terminal or the frontier inverts
-(CI chaos smoke).
+Run it with ``pytest --benchmark-disable benchmarks/bench_partition.py``;
+the result lands in ``results/partition_phi_frontier.json``.
 """
 
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import duplicate_terminals
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -49,8 +47,8 @@ PHI_CONFIRMS = (2.0, 4.0, 8.0)
 DEFAULT_PHI_CONFIRM = 8.0
 
 
-def _storm(scale=1.0):
-    """One fixed gray-failure storm (times scale with the workload).
+def _storm():
+    """One fixed gray-failure storm.
 
     gpu-1 partitions long enough that aggressive thresholds confirm it
     dead while it keeps computing (zombie replay); gpu-2's partition is
@@ -59,44 +57,30 @@ def _storm(scale=1.0):
     one event whose detection latency the frontier measures.
     """
     return FaultInjector([
-        FaultSpec(FaultKind.NETWORK_PARTITION, 1.0 * scale, 2.5 * scale,
-                  target="gpu-1"),
-        FaultSpec(FaultKind.NETWORK_PARTITION, 4.0 * scale, 0.8 * scale,
-                  target="gpu-2"),
-        FaultSpec(FaultKind.HEARTBEAT_LOSS, 2.0 * scale, 1.0 * scale,
-                  target="gpu-0"),
-        FaultSpec(FaultKind.ENGINE_FAIL, 5.0 * scale, target="gpu-0"),
+        FaultSpec(FaultKind.NETWORK_PARTITION, 1.0, 2.5, target="gpu-1"),
+        FaultSpec(FaultKind.NETWORK_PARTITION, 4.0, 0.8, target="gpu-2"),
+        FaultSpec(FaultKind.HEARTBEAT_LOSS, 2.0, 1.0, target="gpu-0"),
+        FaultSpec(FaultKind.ENGINE_FAIL, 5.0, target="gpu-0"),
     ])
 
 
-def _workload(scale=1.0, seed=SEED):
+def _workload(seed=SEED):
     return RetrievalWorkload(
         adapter_ids=[f"lora-{i}" for i in range(ADAPTERS)],
         rate_rps=RATE_RPS,
-        duration_s=DURATION_S * scale,
+        duration_s=DURATION_S,
         use_task_heads=False,
         slo_s=None,
         seed=seed,
     ).generate()
 
 
-def _duplicate_terminals(requests, metrics):
-    """Count of exactly-once violations (0 is the contract)."""
-    rec_ids = [r.request_id for r in metrics.records]
-    abort_ids = [a.request_id for a in metrics.aborts]
-    dupes = (len(rec_ids) - len(set(rec_ids))
-             + len(abort_ids) - len(set(abort_ids))
-             + len(set(rec_ids) & set(abort_ids)))
-    missing = {r.request_id for r in requests} - set(rec_ids) - set(abort_ids)
-    return dupes, len(missing)
-
-
-def run_phi_sweep(scale=1.0, seed=SEED):
+def run_phi_sweep(seed=SEED):
     rows = []
     for phi_confirm in PHI_CONFIRMS:
         reset_request_ids()
         builder = SystemBuilder(num_adapters=ADAPTERS, max_batch_size=8,
-                                fault_injector=_storm(scale))
+                                fault_injector=_storm())
         detector = FailureDetector(FailureDetectorConfig(
             phi_suspect=min(2.0, phi_confirm / 2.0),
             phi_confirm=phi_confirm,
@@ -105,10 +89,10 @@ def run_phi_sweep(scale=1.0, seed=SEED):
             lambda: builder.build("v-lora"), NUM_GPUS,
             detector=detector, num_hosts=NUM_HOSTS, max_requeues=4,
         )
-        requests = _workload(scale=scale, seed=seed)
+        requests = _workload(seed=seed)
         server.submit(requests)
         metrics = server.run()
-        dupes, lost = _duplicate_terminals(requests, metrics)
+        dupes, lost = duplicate_terminals(requests, metrics)
         lat = metrics.detection_latencies
         rows.append({
             "phi_confirm": phi_confirm,
@@ -125,7 +109,7 @@ def run_phi_sweep(scale=1.0, seed=SEED):
             "duplicate_terminals": dupes,
             "lost_requests": lost,
         })
-    return {"rows": rows, "scale": scale, "seed": seed,
+    return {"rows": rows, "seed": seed,
             "default_phi_confirm": DEFAULT_PHI_CONFIRM}
 
 
@@ -166,26 +150,3 @@ def test_partition_phi_frontier(results):
          for r in data["rows"]],
     )
     results.save("partition_phi_frontier", data)
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on contract breaks."""
-    import json
-    import sys
-
-    scale = 0.5 if "--small" in sys.argv[1:] else 1.0
-    payload = run_phi_sweep(scale=scale)
-    with open("BENCH_partition.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_partition.json")
-    try:
-        _check(payload)
-    except AssertionError as exc:
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

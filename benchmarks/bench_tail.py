@@ -16,14 +16,11 @@ cluster — through three experiments:
   nearly everything; the per-class retry budget must cap the
   amplification (and count the denials) instead of doubling load.
 
-Standalone mode (``python benchmarks/bench_tail.py``) writes
-``BENCH_tail.json`` and exits non-zero on any contract break (CI chaos
-smoke; the full scenario runs in seconds, so there is no reduced
-``--small`` variant — at half scale the fleet diverts around the
-straggler and no tail forms to cut).
+Run it with ``pytest --benchmark-disable benchmarks/bench_tail.py``;
+the result lands in ``results/tail_tolerant_dispatch.json``.
 """
 
-from _common import ResultSink  # noqa: F401  (fixture lives in conftest)
+from _common import duplicate_terminals
 
 from repro.core import SystemBuilder
 from repro.runtime import (
@@ -58,7 +55,7 @@ OVERHEAD_GATE = 0.10    # duplicate work (iterations) <= 10% extra
 _NEVER = HedgeConfig(min_observations=1_000_000, window=1_000_000)
 
 
-def _chaos(scale=1.0):
+def _chaos():
     """One straggler plus swap slowdowns (the tail, not a death).
 
     The straggler starts *after* the hedge tracker has observed a
@@ -69,12 +66,12 @@ def _chaos(scale=1.0):
     tracker that 15s is normal.
     """
     return FaultInjector([
-        FaultSpec(FaultKind.ENGINE_SLOW, start=2.0 * scale,
-                  duration=30.0 * scale, magnitude=8.0, target="gpu-0"),
-        FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, start=2.5 * scale,
-                  duration=4.0 * scale, magnitude=8.0, target="lora-0"),
-        FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, start=4.0 * scale,
-                  duration=3.0 * scale, magnitude=8.0, target="lora-2"),
+        FaultSpec(FaultKind.ENGINE_SLOW, start=2.0, duration=30.0,
+                  magnitude=8.0, target="gpu-0"),
+        FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, start=2.5, duration=4.0,
+                  magnitude=8.0, target="lora-0"),
+        FaultSpec(FaultKind.ADAPTER_SWAP_SLOW, start=4.0, duration=3.0,
+                  magnitude=8.0, target="lora-2"),
     ])
 
 
@@ -85,40 +82,29 @@ def _ten_percent_budget():
                                          initial=0.0))
 
 
-def _workload(scale=1.0, seed=SEED):
+def _workload(seed=SEED):
     return RetrievalWorkload(
         adapter_ids=[f"lora-{i}" for i in range(ADAPTERS)],
         rate_rps=RATE_RPS,
-        duration_s=DURATION_S * scale,
+        duration_s=DURATION_S,
         use_task_heads=False,
         slo_s=None,
         seed=seed,
     ).generate()
 
 
-def _duplicate_terminals(requests, metrics):
-    """Count of exactly-once violations (0 is the contract)."""
-    rec_ids = [r.request_id for r in metrics.records]
-    abort_ids = [a.request_id for a in metrics.aborts]
-    dupes = (len(rec_ids) - len(set(rec_ids))
-             + len(abort_ids) - len(set(abort_ids))
-             + len(set(rec_ids) & set(abort_ids)))
-    missing = {r.request_id for r in requests} - set(rec_ids) - set(abort_ids)
-    return dupes, len(missing)
-
-
-def _run(scale, seed, *, hedge, retry_budget=None):
+def _run(seed, *, hedge, retry_budget=None):
     reset_request_ids()
     builder = SystemBuilder(num_adapters=ADAPTERS, max_batch_size=8,
-                            fault_injector=_chaos(scale))
+                            fault_injector=_chaos())
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), NUM_GPUS, hedge=hedge,
         retry_budget=retry_budget, max_requeues=4,
     )
-    requests = _workload(scale=scale, seed=seed)
+    requests = _workload(seed=seed)
     server.submit(requests)
     metrics = server.run()
-    dupes, lost = _duplicate_terminals(requests, metrics)
+    dupes, lost = duplicate_terminals(requests, metrics)
     return {
         "submitted": len(requests),
         "completed": metrics.num_completed,
@@ -136,14 +122,14 @@ def _run(scale, seed, *, hedge, retry_budget=None):
     }
 
 
-def run_tail_bench(scale=1.0, seed=SEED):
+def run_tail_bench(seed=SEED):
     # -- hedged vs unhedged (the headline A/B) ---------------------------
-    unhedged = _run(scale, seed, hedge=_NEVER)
+    unhedged = _run(seed, hedge=_NEVER)
     # The budget IS the <= 10% rule: with ratio 0.1 and no seed
     # tokens, at most one request in ten can ever be duplicated — the
     # duplicate-work gate holds by construction, not by luck.
     hedged = _run(
-        scale, seed,
+        seed,
         hedge=HedgeConfig(percentile=DEFAULT_PERCENTILE,
                           min_observations=12, window=256),
         retry_budget=_ten_percent_budget(),
@@ -166,7 +152,7 @@ def run_tail_bench(scale=1.0, seed=SEED):
     frontier = []
     for pct in PERCENTILES:
         row = _run(
-            scale, seed,
+            seed,
             hedge=HedgeConfig(percentile=pct, min_observations=12,
                               window=256),
             retry_budget=_ten_percent_budget(),
@@ -177,9 +163,9 @@ def run_tail_bench(scale=1.0, seed=SEED):
     # -- retry storm: the budget caps amplification ----------------------
     # A 0.05s fixed threshold wants to hedge nearly every request.
     storm_hedge = HedgeConfig(after_s=0.05)
-    uncapped = _run(scale, seed, hedge=storm_hedge)
+    uncapped = _run(seed, hedge=storm_hedge)
     capped = _run(
-        scale, seed, hedge=storm_hedge,
+        seed, hedge=storm_hedge,
         retry_budget=RetryBudget(RetryBudgetConfig(
             ratio=0.05, burst=5.0, initial=2.0)),
     )
@@ -190,7 +176,6 @@ def run_tail_bench(scale=1.0, seed=SEED):
         "frontier": frontier,
         "storm": storm,
         "gates": {"p99_gate": P99_GATE, "overhead_gate": OVERHEAD_GATE},
-        "scale": scale,
         "seed": seed,
     }
 
@@ -250,25 +235,3 @@ def test_tail_tolerant_dispatch(results):
          for r in data["frontier"]],
     )
     results.save("tail_tolerant_dispatch", data)
-
-
-def main() -> int:
-    """Standalone entry for CI: dump results, fail on contract breaks."""
-    import json
-    import sys
-
-    payload = run_tail_bench()
-    with open("BENCH_tail.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    print("wrote BENCH_tail.json")
-    try:
-        _check(payload)
-    except AssertionError as exc:
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
