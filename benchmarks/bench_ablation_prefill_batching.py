@@ -2,9 +2,10 @@
 
 Our Punica system model prefills one request per iteration (its
 decode-centric BGMV design); every other system batches co-arriving
-prefills vLLM-style.  This ablation isolates that modeling choice on an
-otherwise identical engine so its contribution to Fig. 14's gaps is
-visible and auditable.
+prefills into one launch, up to ``PREFILL_TOKEN_BUDGET`` prompt tokens
+per iteration (LightLLM/S-LoRA's ``batch_max_tokens``).  This ablation
+isolates that modeling choice on an otherwise identical engine so its
+contribution to Fig. 14's gaps is visible and auditable.
 """
 
 from _common import ms

@@ -62,6 +62,12 @@ PREFIX_TTL_S = 30.0
 #: lowest-credit waiting request (graceful degradation instead of a
 #: hard ``RuntimeError``).
 KV_STALL_LIMIT = 8
+#: Prompt tokens (pre-reuse ``context_len``) one iteration may prefill,
+#: like LightLLM/S-LoRA's ``batch_max_tokens``: a short request no longer
+#: waits for a long video prefill batched beside it.  The first prefill
+#: in policy order always runs, however long, so nothing starves and no
+#: prompt is chunked.
+PREFILL_TOKEN_BUDGET = 1024
 #: Capped exponential backoff for failed adapter swap-ins.
 SWAP_RETRY_BASE_S = 0.02
 SWAP_RETRY_CAP_S = 1.0
@@ -75,8 +81,9 @@ class EngineConfig:
     num_projections: int = 2
     enable_prefix_reuse: bool = True
     jitter_seed: Optional[int] = 0
-    #: Batch prefills of co-arriving requests into one iteration (vLLM
-    #: style).  Punica's decode-centric runtime prefills per request.
+    #: Batch an iteration's prefills (up to ``PREFILL_TOKEN_BUDGET``
+    #: prompt tokens) into one launch.  Punica's decode-centric runtime
+    #: prefills per request.
     batch_prefills: bool = True
     #: Megatron-style tensor parallelism across this many GPUs (the
     #: engine then models one TP *group*, not one GPU).
@@ -581,7 +588,7 @@ class ServingEngine:
 
         mode, merged = decision.mode, decision.merged_adapter
         switch_s = self._apply_mode(mode, merged)
-        batch = self._trim_to_adapter_slots(decision.batch, merged)
+        batch = self._fit_batch(decision.batch, merged)
         batch = self._admit_to_kv(batch)
         if not batch:
             # KV exhausted: let running requests drain by retrying the
@@ -1210,22 +1217,33 @@ class ServingEngine:
         req.status = RequestStatus.WAITING
         self.metrics.num_preemptions += 1
 
-    def _trim_to_adapter_slots(self, batch: Sequence[Request],
-                               merged: Optional[str]) -> List[Request]:
-        """Keep at most ``gpu_slots`` distinct adapters in one batch.
+    def _fit_batch(self, batch: Sequence[Request],
+                   merged: Optional[str]) -> List[Request]:
+        """Trim the policy's batch to what one iteration can run.
 
-        A batch can only execute against GPU-resident adapters; requests
-        whose adapter would exceed the slot count stay waiting (their
-        turn comes once earlier adapters drain).
+        In policy order: at most ``gpu_slots`` distinct adapters (a batch
+        executes only against GPU-resident adapters), and prefills whose
+        summed ``context_len`` fits ``PREFILL_TOKEN_BUDGET`` (the first
+        prefill always runs; a later, smaller one may backfill).
+        Decoding requests are exempt from the token budget.  Trimmed
+        requests stay waiting and hold no KV; their turn comes in a
+        later iteration.
         """
         allowed = set([merged] if merged else [])
-        budget = self.adapters.gpu_slots
+        slots = self.adapters.gpu_slots
+        prefill_tokens = 0
         kept: List[Request] = []
         for r in batch:
+            tokens = prefill_tokens
+            if not r.prefilled:
+                tokens += r.context_len
+                if prefill_tokens and tokens > PREFILL_TOKEN_BUDGET:
+                    continue
             if r.adapter_id not in allowed:
-                if len(allowed) >= budget:
+                if len(allowed) >= slots:
                     continue
                 allowed.add(r.adapter_id)
+            prefill_tokens = tokens
             kept.append(r)
         return kept
 

@@ -8,8 +8,10 @@ from repro.runtime import (
     InferenceMode,
     MultiGPUServer,
     Request,
+    RequestStatus,
     reset_request_ids,
 )
+from repro.runtime.engine import PREFILL_TOKEN_BUDGET
 from repro.runtime.scheduler import SchedulerDecision, SchedulingPolicy
 from repro.workloads import RetrievalWorkload, VideoAnalyticsWorkload
 
@@ -252,6 +254,74 @@ class TestPreemption:
         metrics = engine.run()
         assert metrics.num_completed == 10
         assert metrics.num_preemptions > 0
+
+
+class TestPrefillTokenBudget:
+    """One iteration prefills at most ``PREFILL_TOKEN_BUDGET`` prompt
+    tokens, except that the first prefill in policy order always runs."""
+
+    def _fcfs_engine(self, builder, iterations):
+        engine = builder.build("v-lora")
+        engine.policy = ScriptedPolicy(
+            [(InferenceMode.UNMERGED, None)] * iterations
+        )
+        return engine
+
+    def _queue_behind_decoders(self, builder, engine):
+        """Two decoding requests, then prefills of 0.6, 0.6 and 0.3
+        budgets queued behind them in that order."""
+        decoders = [Request(adapter_id=a, arrival_time=0.0,
+                            input_tokens=64, output_tokens=20)
+                    for a in builder.adapter_ids[:2]]
+        engine.submit(decoders)
+        engine.step()
+        assert all(r.prefilled for r in decoders)
+        big, blocked, small = (
+            Request(adapter_id=builder.adapter_ids[i % 2],
+                    arrival_time=engine.clock.now,
+                    input_tokens=int(share * PREFILL_TOKEN_BUDGET),
+                    output_tokens=4)
+            for i, share in enumerate((0.6, 0.6, 0.3))
+        )
+        engine.submit([big, blocked, small])
+        return decoders, big, blocked, small
+
+    def test_prompt_over_budget_prefills_alone_in_one_iteration(
+            self, builder):
+        engine = self._fcfs_engine(builder, 2)
+        huge = Request(adapter_id="lora-0", arrival_time=0.0,
+                       input_tokens=PREFILL_TOKEN_BUDGET + 500,
+                       output_tokens=4)
+        short = Request(adapter_id="lora-1", arrival_time=0.0,
+                        input_tokens=64, output_tokens=4)
+        engine.submit([huge, short])
+        engine.step()
+        assert engine.metrics.iterations == 1
+        assert huge.prefilled and huge.first_token_time is not None
+        assert not short.prefilled
+        engine.step()
+        assert short.prefilled
+
+    def test_only_fitting_prefills_run_and_smaller_one_backfills(self, builder):
+        engine = self._fcfs_engine(builder, 2)
+        decoders, big, blocked, small = self._queue_behind_decoders(
+            builder, engine)
+        generated = [r.generated for r in decoders]
+        engine.step()
+        assert big.prefilled and small.prefilled
+        assert not blocked.prefilled
+        assert [r.generated for r in decoders] == [g + 1 for g in generated]
+
+    def test_deferred_prefill_holds_no_kv_then_finishes_once(self, builder):
+        engine = self._fcfs_engine(builder, 64)
+        _, _, blocked, _ = self._queue_behind_decoders(builder, engine)
+        engine.step()
+        assert blocked.status is RequestStatus.WAITING
+        assert not engine.kv.has_sequence(blocked.request_id)
+        metrics = engine.run()
+        ids = [rec.request_id for rec in metrics.records]
+        assert ids.count(blocked.request_id) == 1
+        assert len(ids) == len(set(ids)) == 5
 
 
 def _retrieval_trace(builder, seed):
