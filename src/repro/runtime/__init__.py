@@ -26,8 +26,8 @@ vLLM/LightLLM, driven by the analytical cost models:
   cache-state-aware ``locality`` dispatch (consistent-hash homes,
   load-aware spill, hot-adapter replication, cold demotion);
 * :mod:`repro.runtime.disagg` — disaggregated prefill/decode serving:
-  pool roles, phase-pinned scheduling policies, and size-proportional
-  KV hand-off pricing across the pool boundary;
+  pool roles, the decode pool's pinned scheduling policy, and
+  size-proportional KV hand-off pricing across the pool boundary;
 * :mod:`repro.runtime.metrics` — latency/throughput accounting.
 """
 

@@ -904,19 +904,18 @@ class MultiGPUServer:
                     DECODE_POOL, ReplicaState.ACTIVE)
                 if self._believed_alive(rep)]
 
-    @staticmethod
-    def _transfer_target_key(engine: ServingEngine):
-        """Most free KV first; ties break to the emptiest, then id."""
-        kv = engine.kv
-        used = (kv.num_blocks - kv.free_blocks) / max(1, kv.num_blocks)
-        return (used, engine.num_live, engine.engine_id)
-
     def _transfer_pass(self, t_next: float) -> None:
         """Hand finished prefills across the pool boundary.
 
-        Every reachable prefill replica's ``handoff_outbox`` drains to
-        the decode replica with the most free KV; each move is charged
-        a size-proportional wire cost (the same transfer model that
+        Every reachable prefill replica's ``handoff_outbox`` drains,
+        one request at a time, to the decode replica with the lowest
+        projected KV occupancy (:meth:`ServingEngine.projected_kv_blocks`
+        over its capacity; ties break to the emptiest, then id).  The
+        projection counts the blocks each delivered request will claim
+        on admission, so a burst drained in one pass spreads over the
+        pool instead of herding onto whichever replica held the least
+        KV when the pass began.  Each move is charged a
+        size-proportional wire cost (the same transfer model that
         prices adapter swap-ins) by flooring the request's admission at
         ``t_next + wire_seconds`` — its arrival time (TTFT, deadline)
         is untouched, and :meth:`ServingEngine.submit` re-stamps its
@@ -939,6 +938,12 @@ class MultiGPUServer:
         if not sources:
             return
         targets = self._transfer_targets()
+        projected = {e.engine_id: e.projected_kv_blocks() for e in targets}
+
+        def occupancy(e: ServingEngine):
+            return (projected[e.engine_id] / max(1, e.kv.num_blocks),
+                    e.num_live, e.engine_id)
+
         decode_alive = bool(self._pool_members(
             DECODE_POOL, ReplicaState.WARMING, ReplicaState.ACTIVE,
             ReplicaState.DRAINING))
@@ -968,7 +973,7 @@ class MultiGPUServer:
                                                    q.request_id)):
                 if self._drop_settled(r):
                     continue
-                dst = min(targets, key=self._transfer_target_key)
+                dst = min(targets, key=occupancy)
                 nbytes = kv_transfer_bytes(r, dst.model)
                 wire_s = self._transfer_costs.seconds(
                     dst.adapters.transfer, nbytes)
@@ -976,6 +981,8 @@ class MultiGPUServer:
                 self.cluster_metrics.kv_transfer_seconds += wire_s
                 self.cluster_metrics.kv_transfer_bytes += nbytes
                 dst.submit([r], not_before=t_next + wire_s)
+                # What projected_kv_blocks() now reads for dst, in O(1).
+                projected[dst.engine_id] += dst.kv.blocks_for(r.context_len)
 
     # -- failure-detection passes (detector mode only) -----------------------------
 

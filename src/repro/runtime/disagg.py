@@ -2,12 +2,11 @@
 
 V-LoRA colocates prefill and decode on every replica; InfiniLoRA-style
 disaggregation (PAPERS.md) splits the fleet instead: a **prefill pool**
-absorbs the compute bursts (and runs merged for raw prefill
-throughput), a **decode pool** holds the long-lived KV residency (and
-multiplexes adapters unmerged / via deLoRA).  The two bottlenecks stop
-contending: a prefill burst no longer stretches every in-flight
-decode's inter-token latency, and decode KV pressure no longer starves
-prefill admission.
+absorbs the compute bursts, a **decode pool** holds the long-lived KV
+residency (and multiplexes adapters unmerged / via deLoRA).  The two
+bottlenecks stop contending: a prefill burst no longer stretches every
+in-flight decode's inter-token latency, and decode KV pressure no
+longer starves prefill admission.
 
 The pieces, all opt-in through :class:`DisaggConfig` on
 :class:`~repro.runtime.cluster.MultiGPUServer`:
@@ -22,21 +21,26 @@ The pieces, all opt-in through :class:`DisaggConfig` on
   or hedging without an autoscaler shortens it to 0.25 s;
   :meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`) the cluster
   drains every reachable prefill replica's hand-off outbox and delivers
-  each request to the decode replica with the most free KV, charging a
-  size-proportional wire cost (``context_len * kv_bytes_per_token``
-  through the same :class:`~repro.hardware.memory.TransferModel` that
-  prices adapter swap-ins, memoized by
+  each request to the decode replica with the lowest projected KV
+  occupancy (blocks held plus the blocks its queued hand-offs will
+  claim: :meth:`~repro.runtime.engine.ServingEngine.projected_kv_blocks`),
+  charging a size-proportional wire cost
+  (``context_len * kv_bytes_per_token`` through the same
+  :class:`~repro.hardware.memory.TransferModel` that prices adapter
+  swap-ins, memoized by
   :class:`~repro.runtime.costcache.TransferCostCache`).  The request's
   arrival time — and therefore its TTFT and end-to-end deadline — is
   untouched; only its admission on the decode replica waits out the
   wire time.
-* **Per-pool mode choice** — :class:`PhasePinnedPolicy` wraps each
-  engine's scheduling policy: the prefill pool coerces single-adapter
-  batches to MERGED (base-model-speed prefill), the decode pool
-  rewrites MERGED to UNMERGED so one adapter can never monopolize the
-  multiplexed decode batch.  MIXTURE (deLoRA) passes through — it *is*
-  the multiplexing mode.  Mode transitions still pay the existing
-  switcher's costs.
+* **Per-pool mode choice** — a prefill engine runs its own policy's
+  cost-gated choice, priced on the work it actually runs: its
+  ``unmerged_extra_seconds`` counts the prefill alone, never the decode
+  rounds it hands off, so a lone tenant merges only when its queued
+  prompts' LoRA extra outweighs the merge.  A decode engine's policy is
+  wrapped in :class:`PhasePinnedPolicy`, which rewrites MERGED to
+  UNMERGED so one adapter can never monopolize the multiplexed decode
+  batch.  MIXTURE (deLoRA) passes through — it *is* the multiplexing
+  mode.  Mode transitions still pay the existing switcher's costs.
 * **Per-pool autoscaling** — the prefill pool scales on queue depth,
   the decode pool on fleet KV residency
   (:attr:`~repro.runtime.autoscaler.AutoscaleConfig.target_utilization`).
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.runtime.autoscaler import AutoscaleConfig
-from repro.runtime.modes import POOL_MODE_PREFERENCE, InferenceMode
+from repro.runtime.modes import InferenceMode
 from repro.runtime.scheduler import SchedulerDecision, SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,8 +75,7 @@ __all__ = [
     "apply_pool_role",
 ]
 
-#: Pool role names (also the keys of
-#: :data:`~repro.runtime.modes.POOL_MODE_PREFERENCE`).
+#: Pool role names.
 PREFILL_POOL = "prefill"
 DECODE_POOL = "decode"
 
@@ -83,7 +86,7 @@ class DisaggConfig:
 
     ``prefill_replicas`` + ``decode_replicas`` must equal the cluster's
     initial engine count; the first ``prefill_replicas`` engines form
-    the prefill pool, and both pools always pin their modes
+    the prefill pool, and the decode pool always pins its mode
     (:class:`PhasePinnedPolicy`).  Hand-offs are priced by
     :class:`~repro.runtime.costcache.TransferCostCache`.  The per-pool
     autoscale configs are
@@ -106,45 +109,29 @@ class DisaggConfig:
 
 
 class PhasePinnedPolicy(SchedulingPolicy):
-    """Wrap a scheduling policy with a pool's mode preference.
+    """Pin a decode-pool engine's scheduling policy off MERGED.
 
     The base policy still picks the batch (and pays for its choices
-    through the existing switcher); the wrapper only post-processes the
-    *mode*:
+    through the existing switcher); the wrapper only rewrites a MERGED
+    decision to UNMERGED — pinning one adapter's ΔW into the base
+    weights would starve every other adapter multiplexed on the pool.
+    MIXTURE passes through: deLoRA is exactly the multiplexing mode the
+    pool exists for.
 
-    * ``prefill`` pool: a single-adapter batch is coerced to MERGED —
-      prefill is one big GEMM burst and the merged path runs it at
-      base-model cost.  Multi-adapter batches keep the base decision
-      (MERGED cannot serve them).
-    * ``decode`` pool: MERGED is rewritten to UNMERGED — pinning one
-      adapter's ΔW into the base weights would starve every other
-      adapter multiplexed on the pool.  MIXTURE passes through: deLoRA
-      is exactly the multiplexing mode the pool exists for.
+    The prefill pool is not wrapped: its engines price only the
+    prefill they run (``ServingEngine._unmerged_extra_seconds``), so
+    the base policy's own cost gate already decides when a merge pays.
     """
 
-    def __init__(self, base: SchedulingPolicy, role: str):
-        if role not in (PREFILL_POOL, DECODE_POOL):
-            raise ValueError(f"unknown pool role {role!r}")
+    def __init__(self, base: SchedulingPolicy):
         self.base = base
-        self.role = role
-        self.name = f"{base.name}+{role}-pinned"
+        self.name = f"{base.name}+{DECODE_POOL}-pinned"
 
     def schedule(self, candidates, ctx):
         decision = self.base.schedule(candidates, ctx)
-        if decision is None:
-            return None
-        preferred = POOL_MODE_PREFERENCE[self.role]
-        if self.role == PREFILL_POOL:
-            if decision.mode is not InferenceMode.MERGED:
-                adapters = {r.adapter_id for r in decision.batch}
-                if len(adapters) == 1:
-                    return SchedulerDecision(
-                        batch=decision.batch,
-                        mode=preferred,
-                        merged_adapter=next(iter(adapters)),
-                    )
-        elif decision.mode is InferenceMode.MERGED:
-            return SchedulerDecision(batch=decision.batch, mode=preferred)
+        if decision is not None and decision.mode is InferenceMode.MERGED:
+            return SchedulerDecision(batch=decision.batch,
+                                     mode=InferenceMode.UNMERGED)
         return decision
 
     def refresh_credits(self, requests, ctx) -> None:
@@ -156,17 +143,18 @@ def apply_pool_role(engine: "ServingEngine", role: str) -> None:
 
     Applied once per engine (the cluster applies it at registration or
     spawn).  Prefill engines hand finished prefills to the cluster's
-    transfer pass instead of decoding them; decode engines allocate
-    local KV for transferred-in sequences.  Both wrap their policy in a
-    :class:`PhasePinnedPolicy` for the role.
+    transfer pass instead of decoding them (and so price only their
+    prefill when weighing a merge); decode engines allocate local KV
+    for transferred-in sequences and wrap their policy in a
+    :class:`PhasePinnedPolicy`.
     """
     if role == PREFILL_POOL:
         engine.handoff_after_prefill = True
     elif role == DECODE_POOL:
         engine.accepts_kv_transfers = True
+        engine.policy = PhasePinnedPolicy(engine.policy)
     else:
         raise ValueError(f"unknown pool role {role!r}")
-    engine.policy = PhasePinnedPolicy(engine.policy, role)
 
 
 def kv_transfer_bytes(request, model) -> int:

@@ -472,6 +472,24 @@ class ServingEngine:
         return (len(self._pending) + len(self._active)
                 + len(self.handoff_outbox))
 
+    def projected_kv_blocks(self) -> int:
+        """KV blocks this engine will hold once its queue is admitted.
+
+        The blocks held now plus the blocks each queued request without
+        a KV sequence claims on admission: a delivered hand-off waiting
+        out its wire time or for free KV, or a preempted request.  The
+        disaggregated transfer pass balances decode replicas on it,
+        since blocks held alone read every just-delivered hand-off as
+        free space.
+        """
+        kv = self.kv
+        owed = sum(kv.blocks_for(entry[2].context_len)
+                   for entry in self._pending)
+        owed += sum(kv.blocks_for(r.context_len)
+                    for r in self._active.values()
+                    if not kv.has_sequence(r.request_id))
+        return kv.used_blocks + owed
+
     # -- drain lifecycle (cluster scale-down) --------------------------------------
 
     def quiesce(self) -> None:
@@ -1062,8 +1080,11 @@ class ServingEngine:
 
     def _unmerged_extra_seconds(self, adapter_id: str,
                                 requests: Sequence[Request]) -> float:
+        # A prefill-pool engine hands each request off after its
+        # prefill, so the decode rounds are never its work to price.
         return self.mode_exec.unmerged_finish_seconds(
-            self._rank_of(adapter_id), requests)
+            self._rank_of(adapter_id), requests,
+            decode=not self.handoff_after_prefill)
 
     def _apply_mode(self, mode: InferenceMode,
                     merged: Optional[str]) -> float:

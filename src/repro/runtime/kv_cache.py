@@ -87,9 +87,9 @@ class PagedKVCache:
         return self.free_blocks * self.block_size
 
     def can_allocate(self, num_tokens: int) -> bool:
-        return self._blocks_for(num_tokens) <= self.free_blocks
+        return self.blocks_for(num_tokens) <= self.free_blocks
 
-    def _blocks_for(self, num_tokens: int) -> int:
+    def blocks_for(self, num_tokens: int) -> int:
         return -(-num_tokens // self.block_size)
 
     # -- allocation ------------------------------------------------------------------
@@ -129,7 +129,7 @@ class PagedKVCache:
             # Hit: the sequence shares the entry's blocks and owns only
             # the remainder.
             remaining = num_tokens - entry.num_tokens
-            own = self._blocks_for(remaining) if remaining > 0 else 0
+            own = self.blocks_for(remaining) if remaining > 0 else 0
             self._take_blocks(own)
             entry.holders += 1
             entry.last_used = now
@@ -138,7 +138,7 @@ class PagedKVCache:
             )
             return entry.num_tokens
 
-        own = self._blocks_for(num_tokens)
+        own = self.blocks_for(num_tokens)
         self._take_blocks(own)
         capacity = own * bs
         if shareable:

@@ -38,17 +38,6 @@ class InferenceMode(enum.Enum):
     MIXTURE = "mixture"
 
 
-#: Disaggregated-pool mode preferences (:mod:`repro.runtime.disagg`):
-#: a prefill pool runs MERGED — prefill is one base-model-speed GEMM
-#: burst per adapter — while a decode pool must multiplex many adapters
-#: per batch, so it prefers UNMERGED (with MIXTURE/deLoRA as the other
-#: acceptable multiplexing mode).
-POOL_MODE_PREFERENCE = {
-    "prefill": InferenceMode.MERGED,
-    "decode": InferenceMode.UNMERGED,
-}
-
-
 def delora_output(
     x: np.ndarray,
     w_base: np.ndarray,
@@ -191,18 +180,25 @@ class ModeExecutor:
             self._mean_memo[key] = mean
         return mean
 
-    def unmerged_finish_seconds(self, rank: int, requests: Sequence) -> float:
+    def unmerged_finish_seconds(self, rank: int, requests: Sequence,
+                                decode: bool = True) -> float:
         """Mean LoRA extra one adapter's ``requests`` pay to finish
         unmerged: one prefill over their unprefilled prompts, then one
         token per request for as many decode rounds as the longest
         still needs.  Equals summing :meth:`mean_extra_seconds` over
-        those UNMERGED iterations; no jitter is drawn."""
+        those UNMERGED iterations; no jitter is drawn.
+
+        ``decode=False`` prices the prefill alone: the work of a
+        disaggregated prefill replica, which hands every request off
+        after its prefill and never runs its decode rounds."""
         prompt = sum(r.input_tokens for r in requests if not r.prefilled)
-        rounds = max(r.remaining - (0 if r.prefilled else 1)
-                     for r in requests)
         extra = 0.0
         if prompt:
             extra += self._bypass_seconds((prompt,), (rank,))
-        if rounds > 0:
-            extra += rounds * self._bypass_seconds((len(requests),), (rank,))
+        if decode:
+            rounds = max(r.remaining - (0 if r.prefilled else 1)
+                         for r in requests)
+            if rounds > 0:
+                extra += rounds * self._bypass_seconds((len(requests),),
+                                                       (rank,))
         return extra

@@ -45,7 +45,9 @@ class SchedulingContext:
     ``unmerged_extra_seconds(adapter_id, requests)`` prices, without
     jitter, the LoRA extra that ``requests`` (all of ``adapter_id``)
     would pay to finish in unmerged mode: one prefill of their
-    unprefilled prompts plus their longest remaining decode.
+    unprefilled prompts plus their longest remaining decode.  A
+    disaggregated prefill replica prices the prefill alone, since it
+    hands the decode off.
     """
 
     now: float

@@ -179,7 +179,7 @@ def _run_disagg(seed):
     """Disaggregated prefill/decode pools with a priced KV hand-off.
 
     Pins the transfer pass end to end: outbox drain order, target
-    choice by KV headroom, wire-cost floats from the memoized transfer
+    choice by projected KV occupancy, wire-cost floats from the memoized transfer
     cache, and the not-before admission floor on the decode side."""
     from repro.runtime import DisaggConfig
 
