@@ -55,6 +55,9 @@ __all__ = [
 #: Replicas one pool may ever spawn in a run — the self-healing loop's
 #: backstop against a fault schedule that kills every newcomer.
 SPAWN_BUDGET = 64
+#: Minimum seconds between two scale-ups (the self-healing floor
+#: ignores it).
+UP_COOLDOWN_S = 1.0
 
 
 class ReplicaState(enum.Enum):
@@ -122,7 +125,8 @@ class AutoscaleConfig:
     requests drops below the floor (``None`` disables the SLO signal).
     ``spinup_s`` is the engine-provisioning part of the cold start; the
     adapter-prefetch part is derived from the replica's own swap path
-    (:func:`estimate_cold_start_s`).  ``SPAWN_BUDGET`` bounds the
+    (:func:`estimate_cold_start_s`).  Scale-ups are ``UP_COOLDOWN_S``
+    apart, scale-downs ``down_cooldown_s``.  ``SPAWN_BUDGET`` bounds the
     replicas a pool may ever spawn in one run.
     """
 
@@ -137,7 +141,6 @@ class AutoscaleConfig:
     down_fraction: float = 0.25
     slo_floor: Optional[float] = None
     ewma_alpha: float = 0.4
-    up_cooldown_s: float = 1.0
     down_cooldown_s: float = 5.0
     spinup_s: float = 0.5
     drain_timeout_s: float = 30.0
@@ -158,8 +161,8 @@ class AutoscaleConfig:
             raise ValueError("slo_floor must be in (0, 1]")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.up_cooldown_s < 0 or self.down_cooldown_s < 0:
-            raise ValueError("cooldowns must be >= 0")
+        if self.down_cooldown_s < 0:
+            raise ValueError("down_cooldown_s must be >= 0")
         if self.spinup_s < 0:
             raise ValueError("spinup_s must be >= 0")
         if self.drain_timeout_s <= 0:
@@ -249,7 +252,7 @@ class Autoscaler:
         slo_pressure = (cfg.slo_floor is not None
                         and smoothed_slo < cfg.slo_floor)
         if (members < cfg.max_replicas
-                and now - self._last_up >= cfg.up_cooldown_s
+                and now - self._last_up >= UP_COOLDOWN_S
                 and (up_pressure or slo_pressure)):
             self._last_up = now
             # Scaling up also re-arms the down cooldown so the policy

@@ -24,7 +24,7 @@ come straight back as failover orphans), and, with ``health_aware=True``,
 also around *unhealthy* ones: each replica carries a health score
 (:meth:`~repro.runtime.engine.ServingEngine.health_snapshot` — death,
 EWMA iteration slowdown vs the median peer, queue depth) and dispatch
-avoids replicas scoring below ``health_floor``.
+avoids replicas scoring below ``HEALTH_FLOOR``.
 
 Every cluster runs one epoched control loop
 (:meth:`MultiGPUServer.run`): requests wait in a cluster-level queue,
@@ -94,6 +94,11 @@ from repro.runtime.request import AbortReason, Request, RequestStatus
 
 DISPATCH_POLICIES = ("least-loaded", "round-robin", "adapter-affinity",
                      "locality")
+#: Health score under which ``health_aware`` dispatch avoids a replica
+#: (while any replica scores at or above it).
+HEALTH_FLOOR = 0.25
+#: Upper bound on one failover requeue's backoff, in seconds.
+REQUEUE_BACKOFF_CAP_S = 5.0
 
 
 class MultiGPUServer:
@@ -109,7 +114,8 @@ class MultiGPUServer:
     one request may lose before the cluster gives up on it
     (``None`` = only bounded by the engine count, the legacy behavior),
     and ``requeue_backoff_s`` spaces repeated requeues of the same
-    request out with capped exponential backoff so a cascading failure
+    request out with exponential backoff, capped at
+    ``REQUEUE_BACKOFF_CAP_S``, so a cascading failure
     does not instantly pile every orphan onto the next victim.  Only
     *failover* hops burn that budget — voluntary drain re-homing during
     scale-down charges the request's ``drain_hops`` instead.
@@ -126,10 +132,8 @@ class MultiGPUServer:
     def __init__(self, engines: Sequence[ServingEngine],
                  dispatch: str = "least-loaded", *,
                  health_aware: bool = False,
-                 health_floor: float = 0.25,
                  max_requeues: Optional[int] = None,
                  requeue_backoff_s: float = 0.0,
-                 requeue_backoff_cap_s: float = 5.0,
                  autoscaler: Optional[Autoscaler] = None,
                  engine_factory: Optional[
                      Callable[[], ServingEngine]] = None,
@@ -170,22 +174,18 @@ class MultiGPUServer:
                 f"unknown dispatch {dispatch!r}; expected one of "
                 f"{DISPATCH_POLICIES}"
             )
-        if not 0.0 <= health_floor < 1.0:
-            raise ValueError(f"health_floor must be in [0, 1), got {health_floor}")
         if max_requeues is not None and max_requeues < 1:
             raise ValueError(f"max_requeues must be >= 1, got {max_requeues}")
-        if requeue_backoff_s < 0 or requeue_backoff_cap_s <= 0:
-            raise ValueError("requeue backoff times must be >= 0 / positive")
+        if requeue_backoff_s < 0:
+            raise ValueError("requeue_backoff_s must be >= 0")
         if autoscaler is not None and engine_factory is None:
             raise ValueError(
                 "autoscaling needs an engine_factory to spawn replicas"
             )
         self.dispatch = dispatch
         self.health_aware = health_aware
-        self.health_floor = health_floor
         self.max_requeues = max_requeues
         self.requeue_backoff_s = requeue_backoff_s
-        self.requeue_backoff_cap_s = requeue_backoff_cap_s
         self.engine_factory = engine_factory
         self.detector = detector
         self.hedge = hedge
@@ -409,7 +409,7 @@ class MultiGPUServer:
         killed them), as are replicas outside the ACTIVE lifecycle state
         (WARMING replicas are not ready; DRAINING ones refuse new work);
         ``health_aware`` additionally drops replicas below
-        ``health_floor``.  With a failure detector, SUSPECTED replicas
+        ``HEALTH_FLOOR``.  With a failure detector, SUSPECTED replicas
         are excluded the same way dead ones are (drained, not killed:
         their in-flight work keeps running, but no fresh traffic lands
         on a replica that may be gone).  If exclusion would leave
@@ -423,7 +423,7 @@ class MultiGPUServer:
                    if not snaps[i].dead and not snaps[i].suspected
                    and self._accepts_dispatch(engines[i])]
         if self.health_aware:
-            healthy = [i for i in allowed if scores[i] >= self.health_floor]
+            healthy = [i for i in allowed if scores[i] >= HEALTH_FLOOR]
             if healthy:
                 allowed = healthy
         if not allowed:
@@ -1520,15 +1520,15 @@ class MultiGPUServer:
     def _apply_requeue_backoff(self, orphans: Sequence[Request]) -> None:
         """Space repeated requeues out with capped exponential backoff.
 
-        The curve runs over ``requeue_backoff_s``/``requeue_backoff_cap_s``;
-        a request carrying a deadline never backs off longer than its
-        ``deadline_s`` — backing off past a deadline only converts a
-        retry into a guaranteed deadline abort.
+        The curve starts at ``requeue_backoff_s`` and is capped at
+        ``REQUEUE_BACKOFF_CAP_S``; a request carrying a deadline never
+        backs off longer than its ``deadline_s`` — backing off past a
+        deadline only converts a retry into a guaranteed deadline abort.
         """
         if self.requeue_backoff_s <= 0:
             return
         for r in orphans:
-            cap = self.requeue_backoff_cap_s
+            cap = REQUEUE_BACKOFF_CAP_S
             if r.deadline_s is not None:
                 cap = min(cap, r.deadline_s)
             r.arrival_time += capped_exponential_backoff(

@@ -64,6 +64,9 @@ __all__ = [
 _LN10 = math.log(10.0)
 #: Inter-arrival gaps kept per replica (the sliding window φ is fit on).
 HEARTBEAT_WINDOW = 32
+#: Observed gaps needed before φ uses their mean; until then the mean
+#: is the configured ``heartbeat_interval_s``.
+MIN_HEARTBEAT_SAMPLES = 3
 
 
 class SuspicionState(enum.Enum):
@@ -88,12 +91,13 @@ class FailureDetectorConfig:
     frontier ``benchmarks/bench_partition.py`` charts).  Heartbeat
     delivery and φ evaluation happen at the cluster's control-epoch
     boundaries (:meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
+    φ's mean gap is the cadence until ``MIN_HEARTBEAT_SAMPLES`` gaps
+    are observed, then their mean over the last ``HEARTBEAT_WINDOW``.
     """
 
     heartbeat_interval_s: float = 0.25
     phi_suspect: float = 2.0
     phi_confirm: float = 8.0
-    min_samples: int = 3
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
@@ -102,8 +106,6 @@ class FailureDetectorConfig:
             raise ValueError("phi_suspect must be positive")
         if self.phi_confirm <= self.phi_suspect:
             raise ValueError("phi_confirm must be > phi_suspect")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
 
 
 class PhiAccrualDetector:
@@ -129,7 +131,7 @@ class PhiAccrualDetector:
 
     def mean_interval(self) -> float:
         """Expected heartbeat gap (configured cadence until warmed up)."""
-        if len(self._intervals) < self.config.min_samples:
+        if len(self._intervals) < MIN_HEARTBEAT_SAMPLES:
             return self.config.heartbeat_interval_s
         return sum(self._intervals) / len(self._intervals)
 

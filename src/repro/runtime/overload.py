@@ -63,6 +63,18 @@ __all__ = [
 LOW_PRIORITY_DEPTH_FACTOR = 0.5
 #: Upper bound on a breaker's escalating cooldown, in seconds.
 MAX_BREAKER_COOLDOWN_S = 60.0
+#: KV free-space fraction below which brownout pressure rises past 1.
+BROWNOUT_KV_LOW = 0.05
+#: Smoothed pressure above which brownout escalates one level.
+BROWNOUT_ENTER_PRESSURE = 1.0
+#: Smoothed pressure below which brownout de-escalates one level.
+BROWNOUT_EXIT_PRESSURE = 0.6
+#: Per-engine-step EWMA weight of the brownout pressure signal.
+BROWNOUT_EWMA_ALPHA = 0.3
+#: Minimum simulated seconds between two brownout level transitions.
+BROWNOUT_DWELL_S = 0.5
+#: Deepest brownout tier (3: forced merged execution).
+BROWNOUT_MAX_LEVEL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +236,14 @@ class BrownoutConfig:
     """Knobs for :class:`BrownoutController`.
 
     The pressure signal is ``queue_depth / queue_high``, worsened when
-    KV free space drops below ``kv_low``; it is EWMA-smoothed with
-    ``ewma_alpha`` per engine step.  The controller escalates one level
-    when smoothed pressure exceeds ``enter_pressure`` and de-escalates
-    when it falls below ``exit_pressure``, with at least ``dwell_s``
-    simulated seconds between transitions (hysteresis: the exit
-    threshold sits well under the entry threshold so the system must
-    genuinely drain before service is restored).
+    KV free space drops below ``BROWNOUT_KV_LOW``; it is EWMA-smoothed
+    with ``BROWNOUT_EWMA_ALPHA`` per engine step.  The controller
+    escalates one level (up to ``BROWNOUT_MAX_LEVEL``) when smoothed
+    pressure exceeds ``BROWNOUT_ENTER_PRESSURE`` and de-escalates when
+    it falls below ``BROWNOUT_EXIT_PRESSURE``, with at least
+    ``BROWNOUT_DWELL_S`` simulated seconds between transitions
+    (hysteresis: the exit threshold sits well under the entry threshold
+    so the system must genuinely drain before service is restored).
 
     Tiers (cumulative):
 
@@ -240,29 +253,11 @@ class BrownoutConfig:
     """
 
     queue_high: int = 64
-    kv_low: float = 0.05
-    enter_pressure: float = 1.0
-    exit_pressure: float = 0.6
-    ewma_alpha: float = 0.3
-    dwell_s: float = 0.5
-    max_level: int = 3
     decode_cap: int = 32
 
     def __post_init__(self) -> None:
         if self.queue_high < 1:
             raise ValueError("queue_high must be >= 1")
-        if not 0.0 <= self.kv_low < 1.0:
-            raise ValueError("kv_low must be in [0, 1)")
-        if self.exit_pressure >= self.enter_pressure:
-            raise ValueError(
-                "exit_pressure must be below enter_pressure (hysteresis)"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.dwell_s < 0:
-            raise ValueError("dwell_s must be >= 0")
-        if not 1 <= self.max_level <= 3:
-            raise ValueError("max_level must be in [1, 3]")
         if self.decode_cap < 1:
             raise ValueError("decode_cap must be >= 1")
 
@@ -273,7 +268,7 @@ class BrownoutController:
     def __init__(self, config: BrownoutConfig):
         self.config = config
         self.level = 0
-        self._pressure = EwmaSignal(config.ewma_alpha)
+        self._pressure = EwmaSignal(BROWNOUT_EWMA_ALPHA)
         self._last_transition = float("-inf")
         self._last_observed: Optional[float] = None
         self.time_degraded = 0.0
@@ -286,20 +281,21 @@ class BrownoutController:
     def observe(self, now: float, queue_depth: int,
                 kv_free_frac: float) -> int:
         """Fold one engine-step sample into the signal; returns level."""
-        cfg = self.config
-        raw = queue_depth / cfg.queue_high
-        if kv_free_frac < cfg.kv_low and cfg.kv_low > 0:
-            raw = max(raw, 1.0 + (cfg.kv_low - kv_free_frac) / cfg.kv_low)
+        raw = queue_depth / self.config.queue_high
+        if kv_free_frac < BROWNOUT_KV_LOW:
+            raw = max(raw, 1.0 + (BROWNOUT_KV_LOW - kv_free_frac)
+                      / BROWNOUT_KV_LOW)
         self._pressure.observe(raw)
         if self._last_observed is not None and self.level > 0:
             self.time_degraded += max(0.0, now - self._last_observed)
         self._last_observed = now
-        if now - self._last_transition >= cfg.dwell_s:
-            if self.pressure > cfg.enter_pressure and self.level < cfg.max_level:
+        if now - self._last_transition >= BROWNOUT_DWELL_S:
+            if (self.pressure > BROWNOUT_ENTER_PRESSURE
+                    and self.level < BROWNOUT_MAX_LEVEL):
                 self.level += 1
                 self._last_transition = now
                 self.transitions += 1
-            elif self.pressure < cfg.exit_pressure and self.level > 0:
+            elif self.pressure < BROWNOUT_EXIT_PRESSURE and self.level > 0:
                 self.level -= 1
                 self._last_transition = now
                 self.transitions += 1

@@ -54,6 +54,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["PlacementConfig", "AdapterPlacement"]
 
+#: Per-observation decay of the popularity EWMA (each dispatched
+#: request is one observation).
+POPULARITY_EWMA_ALPHA = 0.02
+#: The *spill* bar: a home whose queued decode rounds exceed
+#: ``SPILL_LOAD_FACTOR * fleet_min + SPILL_SLACK_ROUNDS`` is overloaded
+#: and spills to the least-loaded replica already holding the adapter.
+#: The slack is in decode rounds, the unit dispatch uses for load, so
+#: it corresponds to one-or-two typical in-flight requests.
+SPILL_LOAD_FACTOR = 1.1
+SPILL_SLACK_ROUNDS = 96.0
 #: The (deliberately looser than spill) bar for the *miss* path: a
 #: cache-miss request keeps routing to its hash home — building
 #: locality — until the home's queued decode rounds exceed
@@ -71,36 +81,26 @@ RING_VNODES = 64
 class PlacementConfig:
     """Knobs for :class:`AdapterPlacement`.
 
-    ``ewma_alpha`` is the per-observation decay of the popularity
-    estimate (each dispatched request is one observation; the estimate
-    is the adapter's share of recent traffic, summing to ~1 across
-    adapters once warm).  ``hot_watermark`` / ``hot_copies`` control
-    replication: an adapter whose share crosses the watermark is served
-    from that many ring homes.  ``cold_watermark`` controls demotion:
-    a resident adapter whose share decays below it is demoted from GPU
-    slots everywhere but its primary home (0.0 disables demotion).
-    ``spill_load_factor`` and ``spill_slack_rounds`` define "overloaded"
-    for the spill decision: the home spills when its queued decode
-    rounds exceed ``factor * fleet_min + slack``.  Slack is measured in
-    decode rounds — the same unit dispatch uses for load — so the
-    defaults correspond to one-or-two typical in-flight requests, not
-    to one-or-two rounds.  A cache miss follows the looser
-    ``MISS_LOAD_FACTOR`` / ``MISS_SLACK_ROUNDS`` bar instead.
-    ``prefetch_top_k`` bounds the hot set a newly spawned replica
-    prefetches during warm-up.
+    Popularity is each adapter's share of recent traffic, an EWMA with
+    per-observation decay ``POPULARITY_EWMA_ALPHA`` (summing to ~1
+    across adapters once warm).  ``hot_watermark`` / ``hot_copies``
+    control replication: an adapter whose share crosses the watermark
+    is served from that many ring homes.  ``cold_watermark`` controls
+    demotion: a resident adapter whose share decays below it is demoted
+    from GPU slots everywhere but its primary home (0.0 disables
+    demotion).  A home is overloaded for the spill decision past the
+    ``SPILL_LOAD_FACTOR`` / ``SPILL_SLACK_ROUNDS`` bar; a cache miss
+    follows the looser ``MISS_LOAD_FACTOR`` / ``MISS_SLACK_ROUNDS`` bar
+    instead.  ``prefetch_top_k`` bounds the hot set a newly spawned
+    replica prefetches during warm-up.
     """
 
-    ewma_alpha: float = 0.02
     hot_watermark: float = 0.03
     hot_copies: int = 2
     cold_watermark: float = 0.0
-    spill_load_factor: float = 1.1
-    spill_slack_rounds: float = 96.0
     prefetch_top_k: int = 8
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if not 0.0 < self.hot_watermark <= 1.0:
             raise ValueError("hot_watermark must be in (0, 1]")
         if self.hot_copies < 1:
@@ -112,10 +112,6 @@ class PlacementConfig:
                 raise ValueError(
                     "cold_watermark must be 0 (off) or < hot_watermark"
                 )
-        if self.spill_load_factor < 1.0:
-            raise ValueError("spill_load_factor must be >= 1")
-        if self.spill_slack_rounds < 0.0:
-            raise ValueError("spill_slack_rounds must be >= 0")
         if self.prefetch_top_k < 0:
             raise ValueError("prefetch_top_k must be >= 0")
 
@@ -196,7 +192,7 @@ class AdapterPlacement:
         ``(1 - alpha)`` implicitly (the scale shrinks) and the observed
         adapter gains ``alpha`` of the new total.
         """
-        alpha = self.config.ewma_alpha
+        alpha = POPULARITY_EWMA_ALPHA
         self._pop_scale *= (1.0 - alpha)
         self._observations += 1
         self._pop_raw[adapter_id] = (
@@ -378,8 +374,7 @@ class AdapterPlacement:
              if adapter_id in self._replicated else 1)
         homes = [rid for rid in self.homes(adapter_id, k) if rid in loads]
         fleet_min = min(loads.values())
-        bar = (self.config.spill_load_factor * fleet_min
-               + self.config.spill_slack_rounds)
+        bar = SPILL_LOAD_FACTOR * fleet_min + SPILL_SLACK_ROUNDS
         holders = sorted(
             (rid for rid in self.holders(adapter_id) if rid in loads),
             key=lambda rid: (loads[rid], rid),

@@ -245,15 +245,13 @@ class Request:
         self.abort_time = now
         self.abort_reason = reason
 
-    def reset_for_requeue(self, now: float, backoff_s: float = 0.0,
-                          count_hop: bool = True) -> None:
+    def reset_for_requeue(self, now: float, count_hop: bool = True) -> None:
         """Rewind progress so a surviving engine can restart the request.
 
         Used by cluster failover: the dead engine's KV state is gone, so
         the request re-prefills from scratch.  Arrival is bumped to the
         failure time (latency for failed-over requests is measured from
-        requeue), plus ``backoff_s`` when the cluster spaces repeated
-        requeues out.  Each call counts one failover hop in
+        requeue).  Each call counts one failover hop in
         ``requeues`` — unless ``count_hop=False``, the scale-down drain
         path, which charges ``drain_hops`` instead so voluntary replica
         retirement cannot exhaust a request's failover budget.  Every
@@ -273,4 +271,4 @@ class Request:
             self.requeues += 1
         else:
             self.drain_hops += 1
-        self.arrival_time = max(self.arrival_time, now) + backoff_s
+        self.arrival_time = max(self.arrival_time, now)

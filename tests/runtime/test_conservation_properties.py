@@ -14,11 +14,13 @@ pin down the lifecycle corners randomness can't reliably reach
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import SystemBuilder
+from repro.runtime import autoscaler, placement as placement_mod
 from repro.runtime import (
     AutoscaleConfig,
     Autoscaler,
@@ -191,14 +193,15 @@ def test_autoscaled_cluster_exactly_once_under_chaos(requests, seed):
     scaler = Autoscaler(AutoscaleConfig(
         min_replicas=1, max_replicas=3,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
+        down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
     ))
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), 1, autoscaler=scaler,
     )
     server.submit(requests)
-    metrics = server.run()
+    with mock.patch.object(autoscaler, "UP_COOLDOWN_S", 0.25):
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
     # GPU-seconds accounting covers every replica that ever existed:
@@ -411,12 +414,13 @@ def test_locality_cluster_exactly_once(menu, requests):
     reset_request_ids()
     placement = AdapterPlacement(PlacementConfig(
         hot_watermark=0.2, hot_copies=2, cold_watermark=0.05,
-        spill_load_factor=1.0, spill_slack_rounds=2.0,
     ))
     server = _fresh_cluster("locality", FAULT_MENUS[menu],
                             max_requeues=4, placement=placement)
     server.submit(requests)
-    metrics = server.run()
+    with mock.patch.object(placement_mod, "SPILL_LOAD_FACTOR", 1.0), \
+            mock.patch.object(placement_mod, "SPILL_SLACK_ROUNDS", 2.0):
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
 
@@ -444,7 +448,7 @@ def test_locality_autoscaled_exactly_once_under_chaos(requests, seed):
     scaler = Autoscaler(AutoscaleConfig(
         min_replicas=1, max_replicas=3,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
+        down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
     ))
     placement = AdapterPlacement(PlacementConfig(
@@ -456,7 +460,8 @@ def test_locality_autoscaled_exactly_once_under_chaos(requests, seed):
         autoscaler=scaler, placement=placement,
     )
     server.submit(requests)
-    metrics = server.run()
+    with mock.patch.object(autoscaler, "UP_COOLDOWN_S", 0.25):
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
     assert metrics.replicas_spawned == len(server.replicas) - 1
@@ -622,7 +627,7 @@ def test_disagg_autoscaled_exactly_once_under_chaos(requests, seed):
     scale = AutoscaleConfig(
         min_replicas=1, max_replicas=2,
         target_queue_per_replica=2.0, down_fraction=0.7,
-        up_cooldown_s=0.25, down_cooldown_s=0.5,
+        down_cooldown_s=0.5,
         spinup_s=0.1, drain_timeout_s=2.0,
     )
     import dataclasses as _dc
@@ -635,7 +640,8 @@ def test_disagg_autoscaled_exactly_once_under_chaos(requests, seed):
         lambda: builder.build("v-lora"), 2, disagg=disagg,
     )
     server.submit(requests)
-    metrics = server.run()
+    with mock.patch.object(autoscaler, "UP_COOLDOWN_S", 0.25):
+        metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
 

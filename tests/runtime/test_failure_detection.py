@@ -67,7 +67,7 @@ class TestPhiAccrual:
         assert det.phi(HB * math.log(10.0)) == pytest.approx(1.0)
 
     def test_mean_warms_up_from_configured_cadence(self):
-        cfg = FailureDetectorConfig(min_samples=3)
+        cfg = FailureDetectorConfig()
         det = PhiAccrualDetector(cfg, registered_at=0.0)
         det.heartbeat(1.0)
         det.heartbeat(2.0)
@@ -87,8 +87,7 @@ class TestPhiAccrual:
         # Withheld-then-healed heartbeats arrive with their original
         # timestamps; delivering them in order must not leave one giant
         # interval in the window.
-        det = PhiAccrualDetector(FailureDetectorConfig(min_samples=1),
-                                 registered_at=0.0)
+        det = PhiAccrualDetector(FailureDetectorConfig(), registered_at=0.0)
         for t in (HB, 2 * HB, 3 * HB, 4 * HB):
             det.heartbeat(t)
         assert det.mean_interval() == pytest.approx(HB)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import SystemBuilder
+from repro.runtime import cluster
 from repro.runtime import (
     FaultInjector,
     FaultKind,
@@ -301,11 +302,11 @@ def test_started_request_hedged_only_when_its_twin_can_win():
     assert slowed.hedge_wins == 1
 
 
-def test_requeue_backoff_clamped_to_deadline():
+def test_requeue_backoff_clamped_to_deadline(monkeypatch):
     """A requeue never backs off past the request's own deadline."""
+    monkeypatch.setattr(cluster, "REQUEUE_BACKOFF_CAP_S", 30.0)
     reset_request_ids()
-    server = _straggler_cluster(requeue_backoff_s=1.0,
-                                requeue_backoff_cap_s=30.0)
+    server = _straggler_cluster(requeue_backoff_s=1.0)
     bounded, unbounded = _trace(n=2, spacing=0.0)
     bounded.deadline_s = 2.5
     for r in (bounded, unbounded):

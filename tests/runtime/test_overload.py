@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core import SystemBuilder
+from repro.runtime import overload
 from repro.runtime import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -129,10 +130,10 @@ class TestAdmissionController:
 # ---------------------------------------------------------------------------
 
 class TestBrownoutController:
-    def test_escalates_and_recovers_with_hysteresis(self):
-        ctl = BrownoutController(BrownoutConfig(
-            queue_high=10, dwell_s=0.1, ewma_alpha=1.0,
-        ))
+    def test_escalates_and_recovers_with_hysteresis(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.1)
+        monkeypatch.setattr(overload, "BROWNOUT_EWMA_ALPHA", 1.0)
+        ctl = BrownoutController(BrownoutConfig(queue_high=10))
         assert ctl.observe(0.0, 30, 1.0) == 1
         # Dwell time not elapsed: no second escalation yet.
         assert ctl.observe(0.05, 30, 1.0) == 1
@@ -144,10 +145,11 @@ class TestBrownoutController:
         assert ctl.transitions == 4
         assert ctl.time_degraded > 0
 
-    def test_kv_scarcity_adds_pressure(self):
-        ctl = BrownoutController(BrownoutConfig(
-            queue_high=100, kv_low=0.1, ewma_alpha=1.0, dwell_s=0.0,
-        ))
+    def test_kv_scarcity_adds_pressure(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_KV_LOW", 0.1)
+        monkeypatch.setattr(overload, "BROWNOUT_EWMA_ALPHA", 1.0)
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.0)
+        ctl = BrownoutController(BrownoutConfig(queue_high=100))
         # Queue alone is negligible, but KV is nearly exhausted.
         assert ctl.observe(0.0, 1, 0.01) >= 1
 
@@ -179,10 +181,10 @@ class TestBrownoutController:
         assert ctl.decode_cap == 16 and ctl.force_merged
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            BrownoutConfig(enter_pressure=0.5, exit_pressure=0.5)
-        with pytest.raises(ValueError):
-            BrownoutConfig(max_level=4)
+        with pytest.raises(ValueError, match="queue_high"):
+            BrownoutConfig(queue_high=0)
+        with pytest.raises(ValueError, match="decode_cap"):
+            BrownoutConfig(decode_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +315,11 @@ class TestEngineBrownout:
         engine.submit(reqs)
         return reqs, engine.run()
 
-    def test_level1_sheds_low_priority(self):
-        reqs, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=10.0, max_level=1),
-            priority=PRIORITY_LOW,
-        )
+    def test_level1_sheds_low_priority(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 10.0)
+        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 1)
+        reqs, metrics = self._flood(BrownoutConfig(queue_high=8),
+                                    priority=PRIORITY_LOW)
         assert metrics.brownout_sheds > 0
         shed = [r for r in reqs
                 if r.abort_reason is AbortReason.BROWNOUT_SHED]
@@ -325,30 +327,31 @@ class TestEngineBrownout:
         assert all(r.priority == PRIORITY_LOW for r in shed)
         assert metrics.num_completed + metrics.num_aborted == len(reqs)
 
-    def test_level1_spares_normal_priority(self):
-        _, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=10.0, max_level=1),
-        )
+    def test_level1_spares_normal_priority(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 10.0)
+        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 1)
+        _, metrics = self._flood(BrownoutConfig(queue_high=8))
         assert metrics.brownout_sheds == 0
         assert metrics.brownout_transitions > 0
 
-    def test_level2_caps_decode_lengths(self):
+    def test_level2_caps_decode_lengths(self, monkeypatch):
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.01)
+        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 2)
         reqs, metrics = self._flood(
-            BrownoutConfig(queue_high=8, dwell_s=0.01, max_level=2,
-                           decode_cap=4),
+            BrownoutConfig(queue_high=8, decode_cap=4),
         )
         assert metrics.brownout_truncations > 0
         truncated = [r for r in reqs if r.status is RequestStatus.FINISHED
                      and r.generated < r.output_tokens]
         assert truncated
 
-    def test_level3_forces_merged_mode(self):
+    def test_level3_forces_merged_mode(self, monkeypatch):
         # unmerge-only's policy never picks MERGED itself, so any merged
         # iteration under flood must come from the brownout override.
+        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.01)
         builder = SystemBuilder(
             num_adapters=4,
-            brownout=BrownoutConfig(queue_high=8, dwell_s=0.01,
-                                    max_level=3, decode_cap=4),
+            brownout=BrownoutConfig(queue_high=8, decode_cap=4),
         )
         engine = builder.build("unmerge-only")
         engine.submit(burst(builder.adapter_ids, n=80, output_tokens=64))
@@ -641,7 +644,5 @@ class TestHealthAwareDispatch:
     def test_constructor_validation(self):
         builder = SystemBuilder(num_adapters=2)
         engine = builder.build("v-lora")
-        with pytest.raises(ValueError, match="health_floor"):
-            MultiGPUServer([engine], health_floor=1.5)
         with pytest.raises(ValueError, match="max_requeues"):
             MultiGPUServer([engine], max_requeues=0)

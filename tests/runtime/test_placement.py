@@ -50,14 +50,10 @@ class TestPlacementConfig:
         PlacementConfig()
 
     @pytest.mark.parametrize("kw", [
-        dict(ewma_alpha=0.0),
-        dict(ewma_alpha=1.5),
         dict(hot_watermark=0.0),
         dict(hot_copies=0),
         dict(cold_watermark=-0.1),
         dict(cold_watermark=0.5),     # >= hot_watermark
-        dict(spill_load_factor=0.5),
-        dict(spill_slack_rounds=-1.0),
         dict(prefetch_top_k=-1),
     ])
     def test_bad_knobs_rejected(self, kw):
@@ -201,9 +197,7 @@ class TestDecide:
         assert chosen == home and why == "home-hit"
 
     def test_spill_to_resident_holder(self):
-        cfg = PlacementConfig(spill_load_factor=1.0,
-                              spill_slack_rounds=0.0)
-        _, placement, _ = _fleet(config=cfg)
+        _, placement, _ = _fleet()
         home = placement.homes("lora-0", 1)[0]
         other = next(r for r in ("gpu-0", "gpu-1", "gpu-2") if r != home)
         placement._resident[home]["lora-0"] = 1
@@ -276,8 +270,7 @@ class TestRebalance:
         assert set(pinned_on) == set(placement.homes("lora-0", 2))
 
     def test_cooled_adapter_unpinned(self):
-        cfg = PlacementConfig(hot_watermark=0.2, hot_copies=2,
-                              ewma_alpha=0.05)
+        cfg = PlacementConfig(hot_watermark=0.2, hot_copies=2)
         _, placement, engines = _fleet(config=cfg)
         for _ in range(200):
             placement.observe("lora-0")
