@@ -134,6 +134,11 @@ class PhasePinnedPolicy(SchedulingPolicy):
                                      mode=InferenceMode.UNMERGED)
         return decision
 
+    def repeats(self, decision, candidates, ctx) -> bool:
+        # Pinning a pinned decision changes nothing, so a base that
+        # keeps returning ``decision`` keeps this wrapper returning it.
+        return self.base.repeats(decision, candidates, ctx)
+
     def refresh_credits(self, requests, ctx) -> None:
         self.base.refresh_credits(requests, ctx)
 

@@ -348,6 +348,9 @@ class ServingEngine:
         self._last_iteration_s = 0.03
         self._switch_estimate: Optional[float] = None
         self._last_ctx: Optional[SchedulingContext] = None
+        #: ``(batch, adapters)`` of the last step when its decision
+        #: stands until something it reads changes (see :meth:`run`).
+        self._steady: Optional[Tuple[List[Request], List[str]]] = None
         #: Optional per-iteration tracer (attach_tracer()).
         self.tracer = None
         # -- resilience state (fault injection / graceful degradation) -----
@@ -525,17 +528,38 @@ class ServingEngine:
             max_iterations: int = 2_000_000) -> MetricsCollector:
         """Run until all submitted work completes (or ``until`` sim-seconds).
 
-        A fault-injected engine failure stops the loop early; the
-        cluster layer can then :meth:`drain_orphans` onto survivors.
+        An idle engine stops once its next arrival is due at or after
+        ``until``, without serving it.  A fault-injected engine failure
+        stops the loop early; the cluster layer can then
+        :meth:`drain_orphans` onto survivors.
+
+        Each iteration is one :meth:`step`, except that a steady batch
+        repeats without re-scheduling.  :meth:`step` marks its batch
+        steady when its decision was UNMERGED with no switch and no swap
+        stall or failure, the batch kept the policy's whole decision and
+        the whole active set, no member finished or left, no fault
+        injector, brownout, tracer, breaker or swap backoff is attached,
+        and :meth:`SchedulingPolicy.repeats` vouches that the decision
+        stands while only decodes advance.  The batch then repeats while
+        no arrival and no deadline is due and its block-boundary appends
+        fit the free KV blocks; otherwise the next iteration is a full
+        :meth:`step`.  A repeat touches the adapters' LRU, counts their
+        hits and runs the same iteration tail as :meth:`step`, so the run
+        is bit-identical to calling :meth:`step` in a loop.
         """
+        self._steady = None
         for _ in range(max_iterations):
             if self.failed:
                 break
             if until is not None and self.clock.now >= until:
                 break
-            if not self._pending and not self._active:
-                break
-            self.step()
+            if not self._active:
+                if not self._pending:
+                    break
+                if until is not None and self._pending[0][0] >= until:
+                    break
+            if self._steady is None or not self._repeat_steady():
+                self.step()
         else:
             raise RuntimeError(
                 f"engine exceeded {max_iterations} iterations "
@@ -545,6 +569,7 @@ class ServingEngine:
 
     def step(self) -> None:
         """One engine iteration (or a jump to the next arrival)."""
+        self._steady = None
         if self.failed:
             return
         if (self.faults is not None
@@ -608,6 +633,9 @@ class ServingEngine:
         switch_s = self._apply_mode(mode, merged)
         batch = self._fit_batch(decision.batch, merged)
         batch = self._admit_to_kv(batch)
+        # A steady batch needs fit and KV admission to keep the whole
+        # decision, and the decision to cover the whole active set.
+        whole = len(batch) == len(decision.batch) == len(self._active)
         if not batch:
             # KV exhausted: let running requests drain by retrying the
             # already-admitted subset next iteration after evicting
@@ -657,6 +685,22 @@ class ServingEngine:
                 return
 
         preempt_before = self.metrics.num_preemptions
+        start, iteration_s = self._iterate(batch, mode, merged)
+        if self.tracer is not None:
+            self._trace(mode, merged, batch, start, iteration_s, switch_s,
+                        stall, preempt_before)
+        elif (whole and len(batch) == len(decision.batch) == len(self._active)
+                and mode is InferenceMode.UNMERGED
+                and not (switch_s or stall or failed_swaps)
+                and self.faults is None and self._brownout is None
+                and not self._breakers and not self._swap_backoff_until
+                and self.policy.repeats(decision, schedulable, ctx)):
+            self._steady = (batch, uniq)
+
+    def _iterate(self, batch: Sequence[Request], mode: InferenceMode,
+                 merged: Optional[str]) -> Tuple[float, float]:
+        """Execute ``batch``, advance the clock, finalize and count the
+        iteration; returns its ``(start, seconds)``."""
         start = self.clock.now
         iteration_s = self._execute(batch, mode, merged)
         if self.faults is not None:
@@ -672,9 +716,30 @@ class ServingEngine:
         self._finalize(batch)
         self.metrics.iterations += 1
         self.metrics.count_mode(mode.value)
-        if self.tracer is not None:
-            self._trace(mode, merged, batch, start, iteration_s, switch_s,
-                        stall, preempt_before)
+        return start, iteration_s
+
+    def _repeat_steady(self) -> bool:
+        """Run the steady batch once more, as :meth:`step` would.
+
+        False, with nothing done, when the repeat's guards fail: an
+        arrival or a deadline is due, or a block-boundary append would
+        not fit (:meth:`step` then preempts).  The batch stops being
+        steady once a member finishes.
+        """
+        batch, adapters = self._steady
+        now = self.clock.now
+        if self._pending and self._pending[0][0] <= now:
+            return False
+        if self._deadline_due(now):
+            return False
+        if self._boundary_blocks(batch) > self.kv.free_blocks:
+            return False
+        self.adapters.try_ensure_resident(adapters, now)
+        self.metrics.adapter_cache_hits += len(adapters)
+        self._iterate(batch, InferenceMode.UNMERGED, None)
+        if len(self._active) != len(batch):
+            self._steady = None
+        return True
 
     # -- internals ----------------------------------------------------------------------
 
@@ -833,15 +898,10 @@ class ServingEngine:
         a generous margin and re-check the exact predicate; non-expired
         near-boundary entries are pushed back.
         """
-        heap = self._deadline_heap
-        if not heap:
-            return
         now = self.clock.now
-        margin = 1e-9 * (1.0 + abs(now))
-        if heap[0][0] > now + margin:
-            return
+        heap = self._deadline_heap
         pushback: List[Tuple[float, int]] = []
-        while heap and heap[0][0] <= now + margin:
+        while self._deadline_due(now):
             expiry, rid = heapq.heappop(heap)
             req = self._active.get(rid)
             if req is None:
@@ -855,6 +915,11 @@ class ServingEngine:
                 pushback.append((expiry, rid))
         for item in pushback:
             heapq.heappush(heap, item)
+
+    def _deadline_due(self, now: float) -> bool:
+        """Whether the earliest-deadline heap top may have expired."""
+        heap = self._deadline_heap
+        return bool(heap) and heap[0][0] <= now + 1e-9 * (1.0 + abs(now))
 
     def _apply_kv_pressure(self) -> None:
         if self.faults is None:
@@ -1185,16 +1250,8 @@ class ServingEngine:
         re-prefill later.  Preempted requests stay active and waiting.
         """
         batch = list(batch)
-        block = self.kv.block_size
         while True:
-            # Every batch member (prefill or decode) appends one token at
-            # the end of the iteration; a sequence sitting exactly on a
-            # block boundary needs one fresh block for it.  A batch
-            # member's KV sequence always holds exactly ``context_len``
-            # tokens (allocate() seeds it there, append_token() tracks
-            # ``generated``), so no per-request cache lookups are needed.
-            needed = sum(1 for r in batch if r.context_len % block == 0)
-            if needed <= self.kv.free_blocks:
+            if self._boundary_blocks(batch) <= self.kv.free_blocks:
                 return batch
             victim = self._pick_preemption_victim(batch)
             if victim is not None:
@@ -1217,6 +1274,19 @@ class ServingEngine:
                     self.kv.free(r.request_id)
                     self._reused_tokens.pop(r.request_id, None)
             return batch[:0]
+
+    def _boundary_blocks(self, batch: Sequence[Request]) -> int:
+        """Fresh KV blocks this iteration's appends need.
+
+        Every batch member (prefill or decode) appends one token at the
+        end of the iteration; a sequence sitting exactly on a block
+        boundary needs one fresh block for it.  A batch member's KV
+        sequence always holds exactly ``context_len`` tokens (allocate()
+        seeds it there, append_token() tracks ``generated``), so no
+        per-request cache lookups are needed.
+        """
+        block = self.kv.block_size
+        return sum(1 for r in batch if r.context_len % block == 0)
 
     def _pick_preemption_victim(self, batch: Sequence[Request]):
         """Youngest prefilled request (in-batch last, else any active)."""

@@ -104,7 +104,14 @@ def pick_shed_victim(pool: Sequence[Request],
 
 
 class SchedulingPolicy(abc.ABC):
-    """Picks the next batch, mode, and merged adapter."""
+    """Picks the next batch, mode, and merged adapter.
+
+    :meth:`repeats` lets the engine skip re-scheduling a decision that
+    cannot change: ``ServingEngine.run`` repeats a steady decode batch
+    until a guard trips (an arrival or deadline comes due, the batch's
+    KV appends no longer fit, or a member finishes) and only then calls
+    :meth:`schedule` again.
+    """
 
     name: str = "abstract"
 
@@ -113,6 +120,22 @@ class SchedulingPolicy(abc.ABC):
         self, candidates: Sequence[Request], ctx: SchedulingContext
     ) -> Optional[SchedulerDecision]:
         """Return the next decision, or ``None`` when nothing to run."""
+
+    def repeats(self, decision: SchedulerDecision,
+                candidates: Sequence[Request],
+                ctx: SchedulingContext) -> bool:
+        """Whether ``decision`` stands while only decodes advance.
+
+        ``decision`` is what :meth:`schedule` returned for ``candidates``
+        under ``ctx``, and the engine now runs in its mode.  True
+        promises that every later :meth:`schedule` over the same
+        candidates returns the same batch in the same order, the same
+        mode and the same merged adapter, whatever ``ctx.now`` and
+        ``ctx.est_iteration_seconds`` become, as long as the candidates
+        only decode and none finishes.  False, the default, is always
+        safe: the engine then re-schedules every iteration.
+        """
+        return False
 
     def refresh_credits(self, requests: Sequence[Request],
                         ctx: SchedulingContext) -> None:
@@ -281,6 +304,27 @@ class VLoRAPolicy(SchedulingPolicy):
             mode=InferenceMode.UNMERGED,
         )
 
+    def repeats(self, decision, candidates, ctx):
+        """True when no merge clause of :meth:`schedule` can open.
+
+        Running UNMERGED keeps (a) shut.  A popular adapter holding at
+        most half a batch keeps (b) shut.  (c) stays shut when two
+        adapters are live, or when the lone tenant's unmerged price is
+        already within the merge: that price only falls as decodes
+        advance.  Every other branch is UNMERGED over the head of the
+        queue, whatever starves, so the rule never reads credits.
+        """
+        if decision.mode is not InferenceMode.UNMERGED:
+            return False
+        counts = ctx.adapter_counts
+        top = self._top_adapter(counts)
+        max_bs = ctx.max_batch_size
+        if counts[top] / max_bs > 0.5:
+            return False
+        return (len(counts) > 1
+                or ctx.unmerged_extra_seconds(top, candidates[:max_bs])
+                <= ctx.est_switch_seconds)
+
 
 class UnmergedOnlyPolicy(SchedulingPolicy):
     """S-LoRA / Punica: FCFS continuous batching, unmerged always."""
@@ -294,6 +338,9 @@ class UnmergedOnlyPolicy(SchedulingPolicy):
             batch=list(candidates[: ctx.max_batch_size]),
             mode=InferenceMode.UNMERGED,
         )
+
+    def repeats(self, decision, candidates, ctx):
+        return True
 
 
 class MergedOnlyPolicy(SchedulingPolicy):

@@ -77,6 +77,33 @@ class TestEngineBasics:
         assert engine.clock.now >= 0.5
         assert engine.num_live > 0
 
+    def test_idle_run_until_stops_before_a_later_arrival(self, builder):
+        """An idle engine stops once its next arrival is due at or after
+        ``until``: it neither jumps its clock past ``until`` nor serves
+        the arrival early.  A later run serves it on time."""
+        engine = builder.build("v-lora")
+        req = Request(adapter_id="lora-0", arrival_time=5.0,
+                      input_tokens=128, output_tokens=4)
+        engine.submit([req])
+        engine.run(until=1.0)
+        assert engine.clock.now < 1.0
+        assert req.first_token_time is None
+        engine.run(until=5.0)
+        assert req.first_token_time is None
+        engine.run()
+        assert req.is_finished and req.first_token_time > 5.0
+
+    def test_step_runs_one_iteration(self, builder):
+        """``step()`` runs exactly one iteration, steady batch or not:
+        only ``run()`` repeats a steady batch."""
+        engine = builder.build("s-lora")
+        engine.submit(burst(["lora-0", "lora-1"], n=4, output_tokens=40))
+        engine.step()  # admits the burst and prefills it
+        for _ in range(20):
+            before = engine.metrics.iterations
+            engine.step()
+            assert engine.metrics.iterations == before + 1
+
     def test_fcfs_latency_ordering_same_adapter(self, builder):
         engine = builder.build("s-lora")
         reqs = burst(["lora-0"], n=5)

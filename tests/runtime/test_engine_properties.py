@@ -3,16 +3,19 @@
 For arbitrary (bounded) request mixes, the engine must conserve
 requests, keep time monotone, and return every KV block — including
 under forced KV pressure with preemptions — and keep every iteration's
-prefills within the prefill token budget.
+prefills within the prefill token budget.  ``run()``, which repeats a
+steady decode batch without re-scheduling it, must end exactly where a
+loop of ``step()`` calls ends, on one engine and on fleets.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SystemBuilder
-from repro.runtime import Request
+from repro.runtime import DisaggConfig, MultiGPUServer, Request
 from repro.runtime.engine import PREFILL_TOKEN_BUDGET
 from repro.runtime.kv_cache import PagedKVCache
+from repro.runtime.scheduler import SchedulingPolicy
 
 pytestmark = pytest.mark.property
 
@@ -136,3 +139,142 @@ def test_iteration_prefills_fit_the_token_budget(data):
     engine.kv.evict_stale_prefixes(float("inf"))
     engine.kv.check_invariants()
     assert engine.kv.free_blocks == engine.kv.num_blocks
+
+
+# -- steady-batch repeats: run() against the one-step-at-a-time loop ---------
+
+
+class Rescheduling(SchedulingPolicy):
+    """A policy without :meth:`~SchedulingPolicy.repeats`: the engine
+    re-schedules it every iteration, like a loop of ``step()`` calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = base.name
+
+    def schedule(self, candidates, ctx):
+        return self.base.schedule(candidates, ctx)
+
+    def refresh_credits(self, requests, ctx):
+        self.base.refresh_credits(requests, ctx)
+
+
+def rescheduling(engine):
+    engine.policy = Rescheduling(engine.policy)
+    return engine
+
+
+COUNTERS = ("iterations", "mode_iterations", "num_mode_switches",
+            "lora_extra_time_total", "adapter_cache_hits",
+            "adapter_cache_misses", "cost_cache_hits", "cost_cache_misses",
+            "num_preemptions")
+
+
+def outcome(metrics):
+    """Everything a run leaves behind, in a comparable form."""
+    return (
+        [(r.request_id, r.first_token_time, r.finish_time)
+         for r in metrics.records],
+        [(a.request_id, a.abort_time, a.reason) for a in metrics.aborts],
+        {name: getattr(metrics, name) for name in COUNTERS},
+        repr(sorted(metrics.summary().items())),
+    )
+
+
+@st.composite
+def steady_traces(draw, adapters=3, bursts=4):
+    """Bursts of decode-heavy requests, some sharing an image prefix,
+    some with an SLO that a deadline factor turns into a deadline."""
+    specs = []
+    for _ in range(draw(st.integers(1, bursts))):
+        at = draw(st.floats(0.0, 3.0))
+        for _ in range(draw(st.integers(1, 6))):
+            specs.append(dict(
+                request_id=len(specs),
+                adapter_id=f"lora-{draw(st.integers(0, adapters - 1))}",
+                arrival_time=at + draw(st.floats(0.0, 0.2)),
+                input_tokens=draw(st.integers(32, 160)),
+                output_tokens=draw(st.integers(1, 96)),
+                prefix_key=draw(st.sampled_from([None, "img-a"])),
+                prefix_tokens=draw(st.sampled_from([0, 32])),
+                slo_s=draw(st.sampled_from([None, 0.4, 2.0])),
+            ))
+    return specs
+
+
+def requests(specs):
+    return [Request(**spec) for spec in specs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=steady_traces(),
+    system=st.sampled_from(["v-lora", "s-lora", "punica", "dlora"]),
+    deadline_factor=st.sampled_from([None, 1.5]),
+    kv_slack=st.sampled_from([None, 4, 16]),
+    chunk_s=st.sampled_from([None, 0.37, 1.1]),
+)
+def test_run_matches_one_step_at_a_time(specs, system, deadline_factor,
+                                        kv_slack, chunk_s):
+    """``run()`` repeats steady batches without re-scheduling them, yet
+    ends exactly where ``step()`` in a loop ends: the same first-token
+    and finish times, aborts and counters.  A chunked run compares
+    ``run(until=...)`` calls against the same calls on a policy that
+    never repeats.  A KV pool ``kv_slack`` blocks over the largest
+    request forces steady batches to preempt as they grow."""
+    builder = SystemBuilder(num_adapters=3, max_batch_size=8,
+                            deadline_slo_factor=deadline_factor)
+
+    def serve(reference):
+        engine = builder.build(system)
+        if kv_slack is not None:
+            largest = max(s["input_tokens"] + s["output_tokens"]
+                          for s in specs)
+            engine.kv = PagedKVCache(
+                num_blocks=largest // 16 + 1 + kv_slack, block_size=16)
+        engine.submit(requests(specs))
+        if chunk_s is not None:
+            if reference:
+                rescheduling(engine)
+            for i in range(1, 1 + int(4.0 / chunk_s)):
+                engine.run(until=i * chunk_s)
+            engine.run()
+        elif reference:
+            while engine._pending or engine._active:
+                engine.step()
+        else:
+            engine.run()
+        engine.kv.check_invariants()
+        return outcome(engine.metrics)
+
+    assert serve(reference=False) == serve(reference=True)
+
+
+@settings(max_examples=12, deadline=None)
+@given(specs=steady_traces(adapters=6, bursts=6),
+       fleet=st.sampled_from(["locality", "disagg"]))
+def test_cluster_run_matches_rescheduling_every_iteration(specs, fleet):
+    """Fleets run engines in ``run(until=epoch)`` slices and move work
+    between them; repeats must not change what they serve either."""
+    builder = SystemBuilder(num_adapters=6, gpu_adapter_slots=3,
+                            max_batch_size=8)
+
+    def serve(reference):
+        def factory():
+            engine = builder.build("v-lora")
+            return rescheduling(engine) if reference else engine
+
+        if fleet == "locality":
+            server = MultiGPUServer.replicate(factory, 2,
+                                              dispatch="locality")
+        else:
+            server = MultiGPUServer.replicate(
+                factory, 2,
+                disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1))
+        server.submit(requests(specs))
+        metrics = server.run()
+        for engine in server.engines:
+            engine.kv.check_invariants()
+        return outcome(metrics)
+
+    assert serve(reference=False) == serve(reference=True)

@@ -11,24 +11,38 @@ active set is not that view already:
   so admission order stops being FCFS order;
 * swap backoff filters requests out of the candidate set, so the live
   per-adapter counts over-count it.
+
+``SchedulingPolicy.repeats`` is the other half of the contract: when it
+answers True, ``schedule`` keeps returning the same decision while the
+candidates only decode, whatever the clock and the iteration estimate
+read, so the engine may repeat the batch without asking again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.core import SystemBuilder
 from repro.runtime import (
+    DLoRAPolicy,
     FailureDetector,
     FailureDetectorConfig,
     FaultInjector,
     FaultKind,
     FaultSpec,
+    InferenceMode,
+    MergedOnlyPolicy,
     MultiGPUServer,
     Request,
     RequestStatus,
+    UnmergedOnlyPolicy,
+    VLoRAPolicy,
 )
-from repro.runtime.scheduler import SchedulingPolicy
+from repro.runtime.disagg import PhasePinnedPolicy
+from repro.runtime.scheduler import SchedulingContext, SchedulingPolicy
 from repro.workloads import RetrievalWorkload
 
 ADAPTER_IDS = [f"lora-{i}" for i in range(4)]
@@ -118,3 +132,132 @@ def test_contract_holds_while_swap_backoff_filters():
     assert all(r.status is RequestStatus.FINISHED for r in reqs)
     # Backoff really dropped requests from some candidate sets.
     assert recorder.filtered > 0
+
+
+# -- repeats(): a steady decision stands while only decodes advance ---------
+
+#: Prices the lone-tenant merge test the way a real engine does.
+PRICING = SystemBuilder(num_adapters=4).build("v-lora")
+
+
+#: Iteration estimates either side of where a starving request stops
+#: starving under the default theta (0.5 s).
+ITERATION_ESTIMATES = st.sampled_from([1e-4, 1e-3, 0.03, 0.2, 0.45, 1.0])
+
+
+@st.composite
+def decoding_queues(draw):
+    """FCFS-ordered decoding requests (none finished), a context, and
+    how their decodes advance between later ``schedule`` calls."""
+    now = draw(st.floats(0.0, 5.0))
+    reqs = []
+    for i in range(draw(st.integers(1, 12))):
+        output = draw(st.integers(2, 64))
+        age = draw(st.floats(0.0, 1.0))
+        r = Request(adapter_id=draw(st.sampled_from(ADAPTER_IDS[:2])),
+                    arrival_time=max(0.0, now - age),
+                    input_tokens=draw(st.integers(1, 256)),
+                    output_tokens=output, request_id=i)
+        r.prefilled = True
+        r.status = RequestStatus.RUNNING
+        r.generated = draw(st.integers(1, output - 1))
+        reqs.append(r)
+    reqs.sort(key=_fcfs_key)
+    mode, merged = draw(st.sampled_from([
+        (InferenceMode.UNMERGED, None),
+        (InferenceMode.MERGED, "lora-0"),
+        (InferenceMode.MIXTURE, "lora-1"),
+    ]))
+    ctx = dict(now=now, current_mode=mode, current_merged=merged,
+               max_batch_size=draw(st.sampled_from([2, 4, 8, 16])),
+               est_iteration_seconds=draw(ITERATION_ESTIMATES),
+               est_switch_seconds=PRICING._estimate_switch()
+               * draw(st.sampled_from([0.5, 1.0, 4.0, 16.0])))
+    later = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.01, 0.3, 5.0]),
+                  ITERATION_ESTIMATES,
+                  st.lists(st.sampled_from([0, 1, 2, 16]), min_size=len(reqs),
+                           max_size=len(reqs))),
+        min_size=1, max_size=3))
+    return reqs, ctx, later
+
+
+def _context(reqs, **fields):
+    return SchedulingContext(
+        adapter_counts=Counter(r.adapter_id for r in reqs),
+        unmerged_extra_seconds=PRICING._unmerged_extra_seconds,
+        **fields)
+
+
+def _decision_key(decision):
+    return ([r.request_id for r in decision.batch], decision.mode,
+            decision.merged_adapter)
+
+
+@pytest.mark.property
+@settings(max_examples=500, deadline=None)
+@given(data=decoding_queues(),
+       make=st.sampled_from([VLoRAPolicy, UnmergedOnlyPolicy,
+                             lambda: PhasePinnedPolicy(VLoRAPolicy())]))
+def test_repeated_decision_stands_while_decodes_advance(data, make):
+    """When ``repeats`` is True, every later ``schedule`` (any later
+    clock, any positive iteration estimate, decodes advanced short of a
+    finish, the engine now in the decision's mode) returns the same
+    batch ids in the same order, mode and merged adapter."""
+    reqs, fields, later = data
+    policy = make()
+    ctx = _context(reqs, **fields)
+    decision = policy.schedule(reqs, ctx)
+    if not policy.repeats(decision, reqs, ctx):
+        return
+    expected = _decision_key(decision)
+    now = fields["now"]
+    for wait, est_iteration, steps in later:
+        for r, step in zip(reqs, steps):
+            r.generated = min(r.generated + step, r.output_tokens - 1)
+        now += wait
+        ctx = _context(reqs, **dict(
+            fields, now=now, est_iteration_seconds=est_iteration,
+            current_mode=decision.mode,
+            current_merged=decision.merged_adapter))
+        assert _decision_key(policy.schedule(reqs, ctx)) == expected
+
+
+@pytest.mark.property
+@settings(max_examples=60, deadline=None)
+@given(data=decoding_queues(),
+       make=st.sampled_from([
+           DLoRAPolicy, MergedOnlyPolicy,
+           lambda: ContractRecorder(SystemBuilder(num_adapters=4)
+                                    .build("s-lora")),
+       ]))
+def test_time_dependent_and_wrapping_policies_never_repeat(data, make):
+    """dLoRA's starvation test reads the clock, merged-only re-picks
+    its adapter, and a wrapper cannot vouch for what it wraps."""
+    reqs, fields, _ = data
+    policy = make()
+    ctx = _context(reqs, **fields)
+    assert not policy.repeats(policy.schedule(reqs, ctx), reqs, ctx)
+
+
+def test_starving_lone_tenant_does_not_repeat():
+    """A lone tenant that starves now runs unmerged.  A shorter
+    iteration estimate later ends its starvation, and the lone-tenant
+    merge test then merges it, so the unmerged decision must not repeat
+    while its unmerged price exceeds the merge."""
+    r = Request(adapter_id="lora-0", arrival_time=4.7, input_tokens=16,
+                output_tokens=60, request_id=0)
+    r.prefilled = True
+    r.status = RequestStatus.RUNNING
+    r.generated = 1
+    fields = dict(now=5.0, current_mode=InferenceMode.UNMERGED,
+                  current_merged=None, max_batch_size=8,
+                  est_iteration_seconds=0.45,
+                  est_switch_seconds=PRICING._estimate_switch())
+    policy = VLoRAPolicy()
+    ctx = _context([r], **fields)
+    decision = policy.schedule([r], ctx)
+    assert decision.mode is InferenceMode.UNMERGED
+    shorter = _context([r], **dict(fields, est_iteration_seconds=1e-4))
+    assert policy.schedule([r], shorter).mode is InferenceMode.MERGED
+    assert not policy.repeats(decision, [r], ctx)

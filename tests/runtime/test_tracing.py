@@ -107,6 +107,29 @@ class TestTracerIntegration:
         starts = [e.start for e in tracer.events]
         assert starts == sorted(starts)
 
+    def test_traced_steady_decodes_record_every_iteration(self):
+        """Untraced, ``run()`` repeats steady decode batches without
+        re-scheduling them; traced, every iteration is still one event,
+        and the run is the same."""
+        def serve(traced):
+            engine = SystemBuilder(num_adapters=4).build("s-lora")
+            tracer = engine.attach_tracer() if traced else None
+            calls = []
+            schedule = engine.policy.schedule
+            engine.policy.schedule = lambda c, ctx: (
+                calls.append(1) or schedule(c, ctx))
+            engine.submit(RetrievalWorkload(
+                ["lora-0", "lora-1"], rate_rps=2.0, duration_s=10.0,
+                use_task_heads=False, seed=1).generate())
+            return engine.run(), tracer, len(calls)
+
+        metrics, tracer, traced_calls = serve(traced=True)
+        untraced, _, untraced_calls = serve(traced=False)
+        assert len(tracer.events) == metrics.iterations
+        assert traced_calls == metrics.iterations
+        assert untraced_calls < metrics.iterations / 2
+        assert untraced.summary() == metrics.summary()
+
     def test_untraced_engine_records_nothing(self):
         builder = SystemBuilder(num_adapters=2)
         engine = builder.build("v-lora")
