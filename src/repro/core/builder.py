@@ -154,8 +154,9 @@ class SystemBuilder:
 
         ``engine_cls`` swaps in an alternative engine implementation
         with the same constructor: the ``MonolithicEngine`` reference
-        of ``tests/runtime/test_phase_executors.py``, which checks the
-        composed phase executors against a single-loop engine.
+        of the ``test_composed_equals_monolithic`` property, which
+        checks the engine's iteration pricing and finalization against
+        the historical single-loop engine.
         """
         system = system.lower()
         if system == "vlora":

@@ -29,7 +29,7 @@ from repro.models.config import ModelConfig
 from repro.models.costs import IterationCostModel
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.clock import SimClock
-from repro.runtime.costcache import IterationCostCache
+from repro.runtime.costcache import IterationCostCache, PrefillLaunch
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
 from repro.runtime.hedging import RetryBudget, capped_exponential_backoff
@@ -119,164 +119,6 @@ class EngineConfig:
             raise ValueError("tensor_parallel must be >= 1")
         if self.deadline_slo_factor is not None and self.deadline_slo_factor <= 0:
             raise ValueError("deadline_slo_factor must be positive")
-
-
-class PhaseExecutor:
-    """One serving phase (prefill or decode) behind a shared protocol.
-
-    The engine's iteration loop is composed from two of these: each
-    phase carves its share out of the mixed continuous batch
-    (:meth:`select`), hands its cost inputs to the memoized cost layer
-    (:meth:`cost_inputs`), prices itself through the analytical cost
-    tower (:meth:`cost_seconds` — the uncached reference path), adds its
-    per-adapter token contributions to the LoRA-operator cost input
-    (:meth:`accumulate_tokens`), and applies its post-iteration request
-    transition (:meth:`advance`).
-    Disaggregated serving (:mod:`repro.runtime.disagg`) reuses the same
-    executors, with a pool role restricting which phase an engine runs
-    to completion.
-
-    Bit-identity contract: the composed executors evaluate every float
-    in the same order, and draw from the rng stream at the same points,
-    as the pre-refactor monolithic loop — the golden determinism
-    digests and the phase-executor equivalence property cover this.
-    """
-
-    phase = "?"
-
-    def __init__(self, engine: "ServingEngine"):
-        self.engine = engine
-
-    def select(self, batch: Sequence[Request]) -> List[Request]:
-        """This phase's share of a mixed continuous batch."""
-        raise NotImplementedError
-
-    def plan(self, requests: Sequence[Request]):
-        """Phase-specific precomputation shared by the hooks below."""
-        return None
-
-    def cost_inputs(self, requests: Sequence[Request], plan):
-        """This phase's input to :meth:`IterationCostCache.lookup`."""
-        raise NotImplementedError
-
-    def cost_seconds(self, requests: Sequence[Request], plan) -> float:
-        """Base-model cost of this phase (uncached reference path)."""
-        raise NotImplementedError
-
-    def accumulate_tokens(self, requests: Sequence[Request], plan,
-                          adapter_tokens: Dict[str, int]) -> None:
-        """Add this phase's per-adapter token contributions in place."""
-        raise NotImplementedError
-
-    def advance(self, request: Request) -> None:
-        """Post-iteration transition: every batch member appends one
-        token (a prefill's first, a decode's next)."""
-        engine = self.engine
-        engine.kv.append_token(request.request_id)
-        request.generated += 1
-        if request.first_token_time is None:
-            request.first_token_time = engine.clock.now
-
-
-class PrefillExecutor(PhaseExecutor):
-    """Prefill phase: not-yet-prefilled requests pay prompt compute."""
-
-    phase = "prefill"
-
-    def select(self, batch: Sequence[Request]) -> List[Request]:
-        return [r for r in batch if not r.prefilled]
-
-    def plan(self, requests: Sequence[Request]) -> List[int]:
-        # Effective prompt tokens after prefix reuse (floor 1: a fully
-        # reused prompt still pays one positional launch).
-        reused = self.engine._reused_tokens
-        return [
-            max(r.context_len - reused.get(r.request_id, 0), 1)
-            for r in requests
-        ]
-
-    def cost_inputs(self, requests, plan):
-        """One ``((tokens...), images)`` tuple per kernel launch."""
-        if not requests:
-            return ()
-        if self.engine.config.batch_prefills:
-            num_images = sum(r.num_images for r in requests)
-            return ((tuple(plan), num_images),)
-        return tuple(
-            ((tok,), r.num_images) for r, tok in zip(requests, plan)
-        )
-
-    def cost_seconds(self, requests, plan) -> float:
-        if not requests:
-            return 0.0
-        engine = self.engine
-        t = 0.0
-        num_images = sum(r.num_images for r in requests)
-        if engine.config.batch_prefills:
-            t += engine.iter_costs.prefill_seconds(plan, num_images)
-        else:
-            # Per-request prefill: each pays its own iteration.
-            for r, tok in zip(requests, plan):
-                t += engine.iter_costs.prefill_seconds([tok], r.num_images)
-        return t
-
-    def accumulate_tokens(self, requests, plan, adapter_tokens) -> None:
-        for r, tok in zip(requests, plan):
-            adapter_tokens[r.adapter_id] = (
-                adapter_tokens.get(r.adapter_id, 0) + tok
-            )
-
-    def advance(self, request: Request) -> None:
-        request.prefilled = True
-        request.status = RequestStatus.RUNNING
-        super().advance(request)
-
-
-class DecodeExecutor(PhaseExecutor):
-    """Decode phase: prefilled requests each decode one token."""
-
-    phase = "decode"
-
-    def select(self, batch: Sequence[Request]) -> List[Request]:
-        return [r for r in batch if r.prefilled]
-
-    def cost_inputs(self, requests, plan):
-        """``(n, total context, lm_head, head classes)``, or ``None``."""
-        if not requests:
-            return None
-        total_context = 0
-        lm = False
-        head_classes = 0
-        for r in requests:
-            total_context += r.context_len
-            if r.use_task_head:
-                classes = self.engine._task_classes_of(r.adapter_id)
-                if classes > head_classes:
-                    head_classes = classes
-            else:
-                lm = True
-        return (len(requests), total_context, lm, head_classes)
-
-    def cost_seconds(self, requests, plan) -> float:
-        if not requests:
-            return 0.0
-        engine = self.engine
-        contexts = [r.context_len for r in requests]
-        lm = any(not r.use_task_head for r in requests)
-        head_classes = max(
-            (engine.adapters.spec(r.adapter_id).task_head_classes or 101
-             for r in requests if r.use_task_head),
-            default=0,
-        )
-        return engine.iter_costs.decode_seconds(
-            contexts, lm_head=lm, task_head_classes=head_classes
-        )
-
-    def accumulate_tokens(self, requests, plan, adapter_tokens) -> None:
-        for r in requests:
-            adapter_tokens[r.adapter_id] = (
-                adapter_tokens.get(r.adapter_id, 0) + 1
-            )
 
 
 class ServingEngine:
@@ -408,12 +250,6 @@ class ServingEngine:
         )
         self._rank_cache: Dict[str, int] = {}
         self._task_class_cache: Dict[str, int] = {}
-        # -- composable phase executors ------------------------------------
-        self.prefill_exec = PrefillExecutor(self)
-        self.decode_exec = DecodeExecutor(self)
-        self.phase_executors: Tuple[PhaseExecutor, ...] = (
-            self.prefill_exec, self.decode_exec
-        )
         # -- disaggregated serving hooks (runtime/disagg.py) ---------------
         #: Prefill-pool engines park finished prefills here instead of
         #: decoding them; the cluster's KV-transfer pass drains it,
@@ -685,10 +521,12 @@ class ServingEngine:
                 return
 
         preempt_before = self.metrics.num_preemptions
+        # The split _execute prices, read before _finalize moves on.
+        split = self._split(batch) if self.tracer is not None else None
         start, iteration_s = self._iterate(batch, mode, merged)
-        if self.tracer is not None:
-            self._trace(mode, merged, batch, start, iteration_s, switch_s,
-                        stall, preempt_before)
+        if split is not None:
+            self._trace(mode, merged, batch, split, start, iteration_s,
+                        switch_s, stall, preempt_before)
         elif (whole and len(batch) == len(decision.batch) == len(self._active)
                 and mode is InferenceMode.UNMERGED
                 and not (switch_s or stall or failed_swaps)
@@ -1172,17 +1010,11 @@ class ServingEngine:
         self.current_merged = merged
         return cost
 
-    def _trace(self, mode, merged, batch, start, iteration_s, switch_s,
-               swap_stall, preempt_before) -> None:
+    def _trace(self, mode, merged, batch, split, start, iteration_s,
+               switch_s, swap_stall, preempt_before) -> None:
         from repro.runtime.tracing import IterationEvent
 
-        prefill_tokens = sum(
-            max(r.context_len - self._reused_tokens.get(r.request_id, 0), 1)
-            for r in batch if r.generated == 1 and r.prefilled
-            and r.first_token_time == self.clock.now
-        )
-        # Requests past their first round contributed one decode token.
-        decode_tokens = sum(1 for r in batch if r.generated > 1)
+        launches, _, _, decodes = split
         self.tracer.record(IterationEvent(
             index=self.metrics.iterations - 1,
             start=start,
@@ -1190,8 +1022,8 @@ class ServingEngine:
             mode=mode.value,
             merged_adapter=merged,
             batch_size=len(batch),
-            prefill_tokens=prefill_tokens,
-            decode_tokens=decode_tokens,
+            prefill_tokens=sum(sum(tokens) for tokens, _ in launches),
+            decode_tokens=len(decodes),
             adapters=tuple(sorted({r.adapter_id for r in batch})),
             switch_seconds=switch_s,
             swap_stall_seconds=swap_stall,
@@ -1199,45 +1031,40 @@ class ServingEngine:
         ))
 
     def _admit_to_kv(self, batch: Sequence[Request]) -> List[Request]:
+        """The batch members that hold KV, allocating it where missing.
+
+        A fresh prefill allocates its prompt, plus everything it had
+        already generated after a preemption (recompute-style restart),
+        and may reuse a cached prefix.  A hand-off transferred in to a
+        decode-pool engine left its KV on the prefill replica, so a
+        local copy is seeded at its full context with no prefix key
+        (the bytes just crossed the wire; the cluster already charged
+        the move) and reuses nothing.  A sequence that does not fit,
+        even after evicting stale prefixes, stays waiting and is
+        retried next iteration.
+        """
+        kv = self.kv
+        now = self.clock.now
         admitted: List[Request] = []
         for r in batch:
             if r.prefilled:
-                if (self.accepts_kv_transfers
-                        and not self.kv.has_sequence(r.request_id)):
-                    # Transferred-in hand-off: the sequence's KV stayed
-                    # behind on the prefill replica; seed a local copy
-                    # at its full context (the bytes just crossed the
-                    # wire — the cluster already charged the move).
-                    if not self.kv.can_allocate(r.context_len):
-                        self.kv.evict_stale_prefixes(
-                            self.clock.now - PREFIX_TTL_S
-                        )
-                    if not self.kv.can_allocate(r.context_len):
-                        continue  # stays waiting; retried next iteration
-                    self.kv.allocate(
-                        r.request_id, r.context_len, now=self.clock.now,
-                    )
-                    self._reused_tokens[r.request_id] = 0
-                admitted.append(r)
-                continue
-            prefix_key = (
-                r.prefix_key if self.config.enable_prefix_reuse else None
-            )
-            if not self.kv.can_allocate(r.context_len):
-                self.kv.evict_stale_prefixes(
-                    self.clock.now - PREFIX_TTL_S
+                if (not self.accepts_kv_transfers
+                        or kv.has_sequence(r.request_id)):
+                    admitted.append(r)
+                    continue
+                prefix_key = None
+            else:
+                prefix_key = (
+                    r.prefix_key if self.config.enable_prefix_reuse else None
                 )
-            if not self.kv.can_allocate(r.context_len):
-                continue  # stays waiting; retried next iteration
-            # A preempted request re-prefills its prompt plus everything
-            # it had already generated (recompute-style restart).
-            reused = self.kv.allocate(
-                r.request_id, r.context_len,
-                prefix_key=prefix_key,
-                prefix_tokens=r.prefix_tokens,
-                now=self.clock.now,
+            if not kv.can_allocate(r.context_len):
+                kv.evict_stale_prefixes(now - PREFIX_TTL_S)
+                if not kv.can_allocate(r.context_len):
+                    continue
+            self._reused_tokens[r.request_id] = kv.allocate(
+                r.request_id, r.context_len, prefix_key=prefix_key,
+                prefix_tokens=r.prefix_tokens, now=now,
             )
-            self._reused_tokens[r.request_id] = reused
             admitted.append(r)
         return admitted
 
@@ -1359,73 +1186,100 @@ class ServingEngine:
             self._task_class_cache[adapter_id] = classes
         return classes
 
+    def _split(self, batch: Sequence[Request]):
+        """The iteration's prefill/decode split, as it is priced.
+
+        Returns ``(launches, decode, groups, decodes)``:
+
+        * ``launches`` -- one ``((tokens...), images)`` per prefill
+          kernel launch: the whole iteration's prefills batched into
+          one, or one per request without ``batch_prefills`` (Punica).
+          A prefill's tokens are its prompt after prefix reuse, floored
+          at 1 (a fully reused prompt still pays one positional launch);
+        * ``decode`` -- ``(n, total context, lm_head, head classes)`` of
+          the decoding requests, or ``None`` without any;
+        * ``groups`` -- per-adapter token counts in prefill-then-decode
+          order, the insertion order the extra-mean memo and ATMM's
+          config selection key on;
+        * ``decodes`` -- the decoding requests themselves.
+        """
+        prefills = [r for r in batch if not r.prefilled]
+        decodes = [r for r in batch if r.prefilled]
+        groups: Dict[str, int] = {}
+        launches: Tuple[PrefillLaunch, ...] = ()
+        if prefills:
+            reused = self._reused_tokens
+            prompt = [
+                max(r.context_len - reused.get(r.request_id, 0), 1)
+                for r in prefills
+            ]
+            for r, tok in zip(prefills, prompt):
+                groups[r.adapter_id] = groups.get(r.adapter_id, 0) + tok
+            if self.config.batch_prefills:
+                launches = (
+                    (tuple(prompt), sum(r.num_images for r in prefills)),
+                )
+            else:
+                launches = tuple(
+                    ((tok,), r.num_images) for r, tok in zip(prefills, prompt)
+                )
+        decode = None
+        if decodes:
+            total_context = 0
+            lm = False
+            head_classes = 0
+            for r in decodes:
+                total_context += r.context_len
+                groups[r.adapter_id] = groups.get(r.adapter_id, 0) + 1
+                if r.use_task_head:
+                    classes = self._task_classes_of(r.adapter_id)
+                    if classes > head_classes:
+                        head_classes = classes
+                else:
+                    lm = True
+            decode = (len(decodes), total_context, lm, head_classes)
+        return launches, decode, groups, decodes
+
     def _execute(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> float:
-        """Cost one iteration over ``batch`` and return its latency."""
-        if self.cost_cache is not None:
-            return self._execute_cached(batch, mode, merged)
-        return self._execute_uncached(batch, mode, merged)
+        """Cost one iteration over ``batch`` and return its latency.
 
-    def _execute_cached(self, batch: Sequence[Request],
-                        mode: InferenceMode,
-                        merged: Optional[str]) -> float:
-        """Memoized twin of :meth:`_execute_uncached`.
-
-        Each phase executor hands over its cost inputs and adds its
-        adapter-token share, in prefill-then-decode order (the insertion
-        order the extra-mean memo keys on); the cost cache returns
-        ``(base cost, extra-cost mean)``.  Only the jitter sample on the
-        extra cost runs per iteration, drawn from the same rng stream at
-        the same points as the uncached path, so runs are bit-identical
-        either way.
+        Both paths price the one :meth:`_split`, adding each prefill
+        launch, then the decode step, then the LoRA operator's extra
+        time.  The cost cache returns ``(base cost, extra-cost mean)``
+        from memos and only the jitter sample runs per iteration; with
+        ``enable_cost_cache=False`` every cost is re-derived through the
+        model tower (the reference path).  Both draw from the rng stream
+        at the same points, so runs are bit-identical either way.
         """
-        adapter_tokens: Dict[str, int] = {}
-        inputs = []
-        for executor in self.phase_executors:
-            requests = executor.select(batch)
-            plan = executor.plan(requests)
-            inputs.append(executor.cost_inputs(requests, plan))
-            executor.accumulate_tokens(requests, plan, adapter_tokens)
-        launches, decode = inputs
-        base, extra_mean = self.cost_cache.lookup(
-            mode, merged, launches, decode, tuple(adapter_tokens.items()),
-        )
-        if not adapter_tokens:
-            return base
-        extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)
+        launches, decode, groups, decodes = self._split(batch)
+        if self.cost_cache is not None:
+            base, extra_mean = self.cost_cache.lookup(
+                mode, merged, launches, decode, tuple(groups.items()),
+            )
+            if not groups:
+                return base
+            extra = self.mode_exec.extra_seconds_from_mean(
+                extra_mean, self._rng)
+        else:
+            base = 0.0
+            for tokens, num_images in launches:
+                base += self.iter_costs.prefill_seconds(tokens, num_images)
+            if decode is not None:
+                base += self.iter_costs.decode_seconds(
+                    [r.context_len for r in decodes],
+                    lm_head=decode[2], task_head_classes=decode[3],
+                )
+            if not groups:
+                return base
+            ranks = {a: self._rank_of(a) for a in groups}
+            if merged is not None:
+                ranks.setdefault(merged, self._rank_of(merged))
+            extra = self.mode_exec.extra_seconds(
+                mode, groups, ranks, merged_adapter=merged, rng=self._rng,
+            )
         self.metrics.lora_extra_time_total += extra
         return base + extra
-
-    def _execute_uncached(self, batch: Sequence[Request],
-                          mode: InferenceMode,
-                          merged: Optional[str]) -> float:
-        """Reference path: re-derive every cost through the model tower.
-
-        Phase costs add in prefill-then-decode order — the same float
-        evaluation order as the pre-refactor monolithic loop.
-        """
-        t = 0.0
-        adapter_tokens: Dict[str, int] = {}
-        for executor in self.phase_executors:
-            requests = executor.select(batch)
-            plan = executor.plan(requests)
-            t += executor.cost_seconds(requests, plan)
-            executor.accumulate_tokens(requests, plan, adapter_tokens)
-
-        if adapter_tokens:
-            ranks = {
-                a: self.adapters.spec(a).rank for a in adapter_tokens
-            }
-            if merged is not None:
-                ranks.setdefault(merged, self.adapters.spec(merged).rank)
-            extra = self.mode_exec.extra_seconds(
-                mode, adapter_tokens, ranks,
-                merged_adapter=merged,
-                rng=self._rng,
-            )
-            t += extra
-            self.metrics.lora_extra_time_total += extra
-        return t
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
@@ -1436,16 +1290,23 @@ class ServingEngine:
         finished: List[Request] = []
         handoffs: List[Request] = []
         for r in batch:
-            executor = self.decode_exec if r.prefilled else self.prefill_exec
-            executor.advance(r)
+            # Every member appends one token: a prefill its first, a
+            # decode its next.
+            prefill = not r.prefilled
+            if prefill:
+                r.prefilled = True
+                r.status = RequestStatus.RUNNING
+            self.kv.append_token(r.request_id)
+            r.generated += 1
+            if r.first_token_time is None:
+                r.first_token_time = now
             if r.is_finished or (cap is not None and r.generated >= cap):
                 if not r.is_finished:
                     self.metrics.brownout_truncations += 1
                 r.finish_time = now
                 r.status = RequestStatus.FINISHED
                 finished.append(r)
-            elif (self.handoff_after_prefill
-                    and executor is self.prefill_exec):
+            elif prefill and self.handoff_after_prefill:
                 handoffs.append(r)
         for r in finished:
             self.kv.free(r.request_id)

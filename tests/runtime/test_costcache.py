@@ -17,7 +17,9 @@ from repro.core.builder import SystemBuilder
 from repro.models.config import QWEN_VL_7B
 from repro.models.costs import IterationCostModel
 from repro.hardware.gpu import A100_80GB
+from repro.runtime.cluster import MultiGPUServer
 from repro.runtime.costcache import IterationCostCache
+from repro.runtime.disagg import DisaggConfig
 from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import reset_request_ids
@@ -179,7 +181,32 @@ def _run_once(system: str, seed: int, enable_cost_cache: bool,
     ).generate()
     engine = builder.build(system)
     engine.submit(requests)
-    metrics = engine.run()
+    return _outcome(engine.run(), engine.clock.now)
+
+
+def _run_disagg(enable_cost_cache: bool):
+    """One prefill and one decode replica: the prefill engine prices
+    merges with ``decode=False`` and the decode engine serves
+    transferred-in KV."""
+    builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=2,
+                            jitter_seed=3,
+                            enable_cost_cache=enable_cost_cache)
+    reset_request_ids()
+    requests = RetrievalWorkload(
+        builder.adapter_ids, rate_rps=12.0, duration_s=25.0, seed=3,
+    ).generate()
+    server = MultiGPUServer.replicate(
+        lambda: builder.build("v-lora"), 2,
+        disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1))
+    server.submit(requests)
+    metrics = server.run()
+    assert metrics.kv_transfers > 0
+    return _outcome(metrics, tuple(e.clock.now for e in server.engines))
+
+
+def _outcome(metrics, clock):
+    """Final clock, per-request timestamps and the summary without the
+    two counters only the memoized path moves."""
     summary = metrics.summary()
     summary.pop("cost_cache_hits", None)
     summary.pop("cost_cache_misses", None)
@@ -187,7 +214,7 @@ def _run_once(system: str, seed: int, enable_cost_cache: bool,
         (r.request_id, r.arrival_time, r.first_token_time, r.finish_time)
         for r in metrics.records
     )
-    return engine.clock.now, records, summary
+    return clock, records, summary
 
 
 class TestCacheEquivalence:
@@ -214,6 +241,9 @@ class TestCacheEquivalence:
                            with_faults=True)
         assert cached == _run_once(system, seed=5, enable_cost_cache=False,
                                    with_faults=True)
+
+    def test_disaggregated_pools(self):
+        assert _run_disagg(True) == _run_disagg(False)
 
     def test_cache_actually_engages(self):
         builder = SystemBuilder(num_adapters=4)

@@ -120,14 +120,13 @@ def test_iteration_prefills_fit_the_token_budget(data):
     reqs, system = data
     engine = SystemBuilder(num_adapters=3, max_batch_size=8).build(system)
     prefills = []
-    select = engine.prefill_exec.select
+    execute = engine._execute
 
-    def spy(batch):
-        chosen = select(batch)
-        prefills.append([r.context_len for r in chosen])
-        return chosen
+    def spy(batch, mode, merged):
+        prefills.append([r.context_len for r in batch if not r.prefilled])
+        return execute(batch, mode, merged)
 
-    engine.prefill_exec.select = spy
+    engine._execute = spy
     engine.submit(reqs)
     metrics = engine.run()
 

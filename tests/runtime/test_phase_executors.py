@@ -1,18 +1,20 @@
-"""The composed phase-executor engine is the old monolithic loop, bit for bit.
+"""The engine's one prefill/decode split is the old monolithic loop, bit for bit.
 
-The engine's iteration loop was refactored from one monolithic body
-into :class:`PrefillExecutor` / :class:`DecodeExecutor` behind the
-:class:`PhaseExecutor` protocol (and the disaggregated runtime builds
-on that seam).  The contract is *bit-identity*: every float evaluated
-in the same order, every rng draw at the same point, so the composed
-engine reproduces the pre-refactor engine exactly.
+``ServingEngine._execute`` splits each iteration's batch once into
+prefills and decodes and prices that split on both the memoized and the
+reference cost path; ``_finalize`` applies the token append, first token
+and hand-off transition.  The contract is *bit-identity*: every float
+evaluated in the same order, every rng draw at the same point, so the
+engine reproduces the historical monolithic engine exactly.
 
-``MonolithicEngine`` below carries the pre-refactor ``_execute_uncached``
-/ ``_finalize`` bodies **verbatim** (recovered from git history) and
-prices every iteration through that uncached body, cache on or off; a
+``MonolithicEngine`` below carries the historical ``_execute`` /
+``_finalize`` bodies **verbatim** (recovered from git history) and
+prices every iteration through the cost tower, cache on or off; a
 hypothesis property drives both engines over arbitrary bounded
 workloads — systems x seeds x fault menus x cache on/off — and compares
-full digests.
+full digests.  Its ``_finalize`` has no disaggregated hand-off, so
+pool engines are covered by the cache on/off comparison in
+``test_costcache.py`` instead.
 """
 
 from __future__ import annotations
@@ -35,25 +37,17 @@ from typing import Dict, List, Optional, Sequence
 
 
 class MonolithicEngine(ServingEngine):
-    """The pre-refactor engine: one body per concern, no executors.
+    """The historical engine: one body per concern.
 
-    ``_execute_uncached`` and ``_finalize`` below are copied verbatim
+    ``_execute`` and ``_finalize`` below are copied verbatim
     from the last monolithic revision of ``repro/runtime/engine.py``;
     do not "clean them up" — their value is being the historical
     reference.
     """
 
-    def _execute_cached(self, batch: Sequence[Request],
-                        mode: InferenceMode,
-                        merged: Optional[str]) -> float:
-        # The historical memo table this body used to fill is gone;
-        # with the cache on, the composed engine's memoized path is
-        # compared against the historical cost tower below.
-        return self._execute_uncached(batch, mode, merged)
-
-    def _execute_uncached(self, batch: Sequence[Request],
-                          mode: InferenceMode,
-                          merged: Optional[str]) -> float:
+    def _execute(self, batch: Sequence[Request],
+                 mode: InferenceMode,
+                 merged: Optional[str]) -> float:
         prefills = [r for r in batch if not r.prefilled]
         decodes = [r for r in batch if r.prefilled]
         t = 0.0
@@ -152,7 +146,7 @@ def _digest(metrics):
 
     The monolithic engine prices every iteration through the uncached
     cost tower, so it never counts a memo hit or miss; with the cache on
-    the composed engine does.  Every cost, record and abort must still
+    ``ServingEngine`` does.  Every cost, record and abort must still
     agree bit for bit.
     """
     summary = dict(metrics.summary())
@@ -213,12 +207,3 @@ def test_composed_equals_monolithic(seed, system, rate, task_heads,
     monolithic = _run(system, MonolithicEngine, **kw)
     assert composed == monolithic
 
-
-def test_executors_compose_the_engine():
-    """The seam the disaggregated runtime relies on actually exists."""
-    engine = SystemBuilder(num_adapters=2).build("v-lora")
-    prefill, decode = engine.phase_executors
-    assert prefill.phase == "prefill"
-    assert decode.phase == "decode"
-    assert prefill is engine.prefill_exec
-    assert decode is engine.decode_exec

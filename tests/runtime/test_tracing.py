@@ -1,9 +1,12 @@
 """Tests for per-iteration engine tracing."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import SystemBuilder
-from repro.runtime import Request
+from repro.hardware.gpu import A100_80GB
+from repro.runtime import Request, reset_request_ids
 from repro.runtime.tracing import EngineTracer, IterationEvent
 from repro.workloads import RetrievalWorkload
 
@@ -137,3 +140,66 @@ class TestTracerIntegration:
                                input_tokens=32, output_tokens=2)])
         engine.run()
         assert engine.tracer is None
+
+
+#: Small enough that the KV pool starves and requests are preempted,
+#: so some re-prefill with tokens already generated.
+SMALL_GPU = dataclasses.replace(A100_80GB, name="A100-21GB",
+                                hbm_capacity_gb=21.0)
+
+
+def _log_priced_tokens(engine):
+    """Per iteration, ``[prompt tokens, decode tokens]`` as ``_execute``
+    prices them through the reference cost tower."""
+    costs = engine.iter_costs
+    prefill_seconds = costs.prefill_seconds
+    decode_seconds = costs.decode_seconds
+    execute = engine._execute
+    log = []
+
+    def priced_prefill(tokens, num_images=0):
+        log[-1][0] += sum(tokens)
+        return prefill_seconds(tokens, num_images)
+
+    def priced_decode(contexts, **kw):
+        log[-1][1] += len(contexts)
+        return decode_seconds(contexts, **kw)
+
+    def logged_execute(batch, mode, merged):
+        log.append([0, 0])
+        costs.prefill_seconds = priced_prefill
+        costs.decode_seconds = priced_decode
+        try:
+            return execute(batch, mode, merged)
+        finally:
+            del costs.prefill_seconds, costs.decode_seconds
+
+    engine._execute = logged_execute
+    return log
+
+
+@pytest.mark.parametrize("gpu, rate, seed", [
+    (A100_80GB, 8.0, 3),
+    (SMALL_GPU, 16.0, 7),
+], ids=["prefix-reuse", "preemption"])
+def test_events_count_the_priced_tokens(gpu, rate, seed):
+    """An event's ``prefill_tokens`` are the prompt tokens its iteration
+    priced (after prefix reuse) and its ``decode_tokens`` the batch
+    members already prefilled, even for a request that finishes or
+    re-prefills in that iteration."""
+    builder = SystemBuilder(num_adapters=4, max_batch_size=16, gpu=gpu,
+                            enable_cost_cache=False)
+    reset_request_ids()
+    engine = builder.build("v-lora")
+    tracer = engine.attach_tracer()
+    priced = _log_priced_tokens(engine)
+    engine.submit(RetrievalWorkload(
+        builder.adapter_ids, rate_rps=rate, duration_s=10.0,
+        top_adapter_share=0.7, seed=seed).generate())
+    metrics = engine.run()
+
+    assert len(tracer.events) == len(priced) == metrics.iterations
+    assert ([[e.prefill_tokens, e.decode_tokens] for e in tracer.events]
+            == priced)
+    if gpu is SMALL_GPU:
+        assert metrics.num_preemptions > 0
