@@ -367,7 +367,9 @@ class ServingEngine:
         An idle engine stops once its next arrival is due at or after
         ``until``, without serving it.  A fault-injected engine failure
         stops the loop early; the cluster layer can then
-        :meth:`drain_orphans` onto survivors.
+        :meth:`drain_orphans` onto survivors.  ``max_iterations`` bounds
+        the loop turns plus the extra iterations of decode runs; past
+        it, the run raises ``RuntimeError``.
 
         Each iteration is one :meth:`step`, except that a steady batch
         repeats without re-scheduling.  :meth:`step` marks its batch
@@ -379,12 +381,14 @@ class ServingEngine:
         stands while only decodes advance.  The batch then repeats while
         no arrival and no deadline is due and its block-boundary appends
         fit the free KV blocks; otherwise the next iteration is a full
-        :meth:`step`.  A repeat touches the adapters' LRU, counts their
-        hits and runs the same iteration tail as :meth:`step`, so the run
-        is bit-identical to calling :meth:`step` in a loop.
+        :meth:`step`.  With the cost cache on, the repeats up to the
+        one in which a member finishes go as one decode run
+        (:meth:`_repeat_steady`).  Either way the run is bit-identical
+        to calling :meth:`step` in a loop.
         """
         self._steady = None
-        for _ in range(max_iterations):
+        turns = 0
+        while turns < max_iterations:
             if self.failed:
                 break
             if until is not None and self.clock.now >= until:
@@ -394,8 +398,12 @@ class ServingEngine:
                     break
                 if until is not None and self._pending[0][0] >= until:
                     break
-            if self._steady is None or not self._repeat_steady():
+            ran = (0 if self._steady is None
+                   else self._repeat_steady(until, max_iterations - turns))
+            if not ran:
                 self.step()
+                ran = 1
+            turns += ran
         else:
             raise RuntimeError(
                 f"engine exceeded {max_iterations} iterations "
@@ -545,39 +553,117 @@ class ServingEngine:
             iteration_s *= max(
                 1.0, self.faults.engine_slowdown(self.engine_id, start)
             )
+        self._advance(iteration_s)
+        self._finalize(batch)
+        self.metrics.iterations += 1
+        self.metrics.count_mode(mode.value)
+        return start, iteration_s
+
+    def _advance(self, iteration_s: float) -> None:
+        """Move the clock past one iteration and fold its length into
+        the iteration estimate and the straggler EWMA."""
         self.clock.advance(iteration_s)
         self._last_iteration_s = iteration_s
         if self.iter_time_ewma is None:
             self.iter_time_ewma = iteration_s
         else:
             self.iter_time_ewma += 0.2 * (iteration_s - self.iter_time_ewma)
-        self._finalize(batch)
-        self.metrics.iterations += 1
-        self.metrics.count_mode(mode.value)
-        return start, iteration_s
 
-    def _repeat_steady(self) -> bool:
-        """Run the steady batch once more, as :meth:`step` would.
+    def _repeat_steady(self, until: Optional[float], budget: int) -> int:
+        """Run the steady batch on, as :meth:`step` would; returns the
+        iterations run (at most ``budget``).
 
-        False, with nothing done, when the repeat's guards fail: an
+        0, with nothing done, when the first repeat's guards fail: an
         arrival or a deadline is due, or a block-boundary append would
-        not fit (:meth:`step` then preempts).  The batch stops being
-        steady once a member finishes.
+        not fit (:meth:`step` then preempts).  With the cost cache on
+        and no member finishing next, the repeats go as one
+        :meth:`_decode_run`.  Otherwise, and always for the iteration in
+        which a member finishes, one repeat goes through :meth:`_iterate`;
+        the batch stops being steady once a member finishes.
         """
         batch, adapters = self._steady
         now = self.clock.now
         if self._pending and self._pending[0][0] <= now:
-            return False
+            return 0
         if self._deadline_due(now):
-            return False
-        if self._boundary_blocks(batch) > self.kv.free_blocks:
-            return False
+            return 0
+        # due[j % block]: the fresh blocks the run's iteration j appends
+        # need; a sequence of c tokens fills its last block when
+        # (c + j) % block == 0 (the rule of _boundary_blocks).
+        block = self.kv.block_size
+        due = [0] * block
+        for r in batch:
+            due[-r.context_len % block] += 1
+        if due[0] > self.kv.free_blocks:
+            return 0
+        length = min(r.output_tokens - r.generated for r in batch) - 1
+        if self.cost_cache is not None and length > 0:
+            return self._decode_run(batch, adapters, due, until,
+                                    min(length, budget))
         self.adapters.try_ensure_resident(adapters, now)
         self.metrics.adapter_cache_hits += len(adapters)
         self._iterate(batch, InferenceMode.UNMERGED, None)
         if len(self._active) != len(batch):
             self._steady = None
-        return True
+        return 1
+
+    def _decode_run(self, batch: Sequence[Request], adapters: List[str],
+                    due: List[int], until: Optional[float],
+                    limit: int) -> int:
+        """Advance a steady all-decode batch by up to ``limit``
+        iterations in one call; returns how many ran.
+
+        No member joins, leaves or finishes inside the run, so its split
+        is built once and each iteration only adds ``n`` to the decode
+        context.  Each iteration prices the same cost-cache lookup,
+        draws its jitter and advances the clock as :meth:`_iterate`
+        would; before each later one the run stops at ``until``, a due
+        arrival or deadline, or when its boundary appends
+        (``due[j % block]``) exceed the free blocks the run has left.
+        Request and KV state, the adapters' LRU touch (at the start of
+        the last iteration, as the last repeat would leave it) and the
+        integer counters are then updated once, for all ``k``
+        iterations; every float accumulates per iteration.
+        """
+        _, (n, total, lm, head_classes), groups, _ = self._split(batch)
+        groups = tuple(groups.items())
+        lookup = self.cost_cache.lookup
+        jitter = self.mode_exec.extra_seconds_from_mean
+        metrics = self.metrics
+        clock = self.clock
+        pending = self._pending
+        mode = InferenceMode.UNMERGED
+        block = len(due)
+        free = self.kv.free_blocks
+        k = 0
+        while True:
+            start = clock.now
+            base, extra_mean = lookup(mode, None, (),
+                                      (n, total, lm, head_classes), groups)
+            extra = jitter(extra_mean, self._rng)
+            metrics.lora_extra_time_total += extra
+            self._advance(base + extra)
+            free -= due[k % block]
+            k += 1
+            total += n
+            if k == limit:
+                break
+            now = clock.now
+            if ((until is not None and now >= until)
+                    or (pending and pending[0][0] <= now)
+                    or self._deadline_due(now)
+                    or due[k % block] > free):
+                break
+        kv = self.kv
+        for r in batch:
+            kv.append_token(r.request_id, k)
+            r.generated += k
+        self.adapters.try_ensure_resident(adapters, start)
+        metrics.adapter_cache_hits += k * len(adapters)
+        metrics.iterations += k
+        counts = metrics.mode_iterations
+        counts[mode.value] = counts.get(mode.value, 0) + k
+        return k
 
     # -- internals ----------------------------------------------------------------------
 

@@ -151,14 +151,20 @@ class PagedKVCache:
         self._sequences[seq_id] = _Sequence(own, entry, num_tokens, capacity)
         return 0
 
-    def append_token(self, seq_id: int) -> None:
-        """Extend a sequence by one decoded token, growing it if needed."""
+    def append_token(self, seq_id: int, count: int = 1) -> None:
+        """Extend a sequence by ``count`` decoded tokens, growing it by
+        the blocks they need.  A failed append leaves the cache
+        unchanged."""
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
         seq = self._seq(seq_id)
-        if seq.num_tokens + 1 > seq.capacity:
-            self._take_blocks(1)
-            seq.own_blocks += 1
-            seq.capacity += self.block_size
-        seq.num_tokens += 1
+        tokens = seq.num_tokens + count
+        if tokens > seq.capacity:
+            grow = -(-(tokens - seq.capacity) // self.block_size)
+            self._take_blocks(grow)
+            seq.own_blocks += grow
+            seq.capacity += grow * self.block_size
+        seq.num_tokens = tokens
 
     def free(self, seq_id: int) -> None:
         """Release a sequence; shared prefix blocks survive while cached."""

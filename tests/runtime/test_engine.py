@@ -104,6 +104,19 @@ class TestEngineBasics:
             engine.step()
             assert engine.metrics.iterations == before + 1
 
+    def test_max_iterations_bounds_decode_runs(self, builder):
+        """``max_iterations`` bounds simulated iterations, not loop
+        turns: a decode run stops at the budget the turns left it."""
+        engine = builder.build("s-lora")
+        engine.submit([
+            Request(adapter_id="lora-0", arrival_time=0.0,
+                    input_tokens=64, output_tokens=200)
+            for _ in range(4)
+        ])
+        with pytest.raises(RuntimeError, match="exceeded 50 iterations"):
+            engine.run(max_iterations=50)
+        assert engine.metrics.iterations == 50
+
     def test_fcfs_latency_ordering_same_adapter(self, builder):
         engine = builder.build("s-lora")
         reqs = burst(["lora-0"], n=5)

@@ -9,7 +9,7 @@ loop of ``step()`` calls ends, on one engine and on fleets.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import SystemBuilder
 from repro.runtime import DisaggConfig, MultiGPUServer, Request
@@ -126,7 +126,18 @@ def test_iteration_prefills_fit_the_token_budget(data):
         prefills.append([r.context_len for r in batch if not r.prefilled])
         return execute(batch, mode, merged)
 
+    decode_run = engine._decode_run
+
+    def run_spy(*args):
+        # A decode run prices its iterations without _execute; each
+        # one prefills nothing.
+        before = engine.metrics.iterations
+        ran = decode_run(*args)
+        prefills.extend([] for _ in range(engine.metrics.iterations - before))
+        return ran
+
     engine._execute = spy
+    engine._decode_run = run_spy
     engine.submit(reqs)
     metrics = engine.run()
 
@@ -205,6 +216,17 @@ def requests(specs):
     return [Request(**spec) for spec in specs]
 
 
+# A deadline that falls inside a decode run: request 0's 0.6 s deadline
+# (1.5 x its 0.4 s SLO) expires while the four requests are decoding
+# their 200 tokens as one steady batch.
+DEADLINE_MID_RUN = [
+    dict(request_id=i, adapter_id=f"lora-{i % 3}", arrival_time=0.0,
+         input_tokens=64, output_tokens=200, prefix_key=None,
+         prefix_tokens=0, slo_s=0.4 if i == 0 else None)
+    for i in range(4)
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     specs=steady_traces(),
@@ -213,14 +235,19 @@ def requests(specs):
     kv_slack=st.sampled_from([None, 4, 16]),
     chunk_s=st.sampled_from([None, 0.37, 1.1]),
 )
+@example(specs=DEADLINE_MID_RUN, system="s-lora", deadline_factor=1.5,
+         kv_slack=None, chunk_s=None)
 def test_run_matches_one_step_at_a_time(specs, system, deadline_factor,
                                         kv_slack, chunk_s):
     """``run()`` repeats steady batches without re-scheduling them, yet
     ends exactly where ``step()`` in a loop ends: the same first-token
     and finish times, aborts and counters.  A chunked run compares
     ``run(until=...)`` calls against the same calls on a policy that
-    never repeats.  A KV pool ``kv_slack`` blocks over the largest
-    request forces steady batches to preempt as they grow."""
+    never repeats, and checks after each call that every active
+    request's KV sequence holds exactly its ``context_len`` tokens (the
+    invariant the boundary-block counts rely on).  A KV pool
+    ``kv_slack`` blocks over the largest request forces steady batches
+    to preempt as they grow."""
     builder = SystemBuilder(num_adapters=3, max_batch_size=8,
                             deadline_slo_factor=deadline_factor)
 
@@ -237,6 +264,10 @@ def test_run_matches_one_step_at_a_time(specs, system, deadline_factor,
                 rescheduling(engine)
             for i in range(1, 1 + int(4.0 / chunk_s)):
                 engine.run(until=i * chunk_s)
+                for r in engine._active.values():
+                    if engine.kv.has_sequence(r.request_id):
+                        assert (engine.kv.sequence_tokens(r.request_id)
+                                == r.context_len)
             engine.run()
         elif reference:
             while engine._pending or engine._active:

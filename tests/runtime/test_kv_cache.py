@@ -60,6 +60,9 @@ class TestBasics:
             kv.allocate(1, 0)
         with pytest.raises(ValueError):
             kv.allocate(1, 10, prefix_tokens=20)
+        kv.allocate(1, 10)
+        with pytest.raises(ValueError):
+            kv.append_token(1, 0)
 
 
 class TestPrefixReuse:
@@ -211,11 +214,12 @@ class ReferenceBlockAllocator:
         self.seqs[seq_id] = [shared + own, num_tokens]
         return reused
 
-    def append_token(self, seq_id):
+    def append_token(self, seq_id, count=1):
         seq = self._seq(seq_id)
-        if seq[1] + 1 > len(seq[0]) * self.block_size:
-            seq[0].extend(self._take(1))
-        seq[1] += 1
+        grow = -(-(seq[1] + count) // self.block_size) - len(seq[0])
+        if grow > 0:
+            seq[0].extend(self._take(grow))
+        seq[1] += count
 
     def free(self, seq_id):
         self._release(self._seq(seq_id)[0])
@@ -277,9 +281,9 @@ class KVCacheMachine(RuleBasedStateMachine):
                           prefix_tokens=min(tokens, prefix_tokens))
         self._both("allocate", seq, tokens, **kwargs)
 
-    @rule(seq=st.sampled_from(SEQ_IDS))
-    def append(self, seq):
-        self._both("append_token", seq)
+    @rule(seq=st.sampled_from(SEQ_IDS), count=st.integers(1, 40))
+    def append(self, seq, count):
+        self._both("append_token", seq, count)
 
     @rule(seq=st.sampled_from(SEQ_IDS))
     def free(self, seq):
