@@ -134,9 +134,10 @@ class PhasePinnedPolicy(SchedulingPolicy):
                                      mode=InferenceMode.UNMERGED)
         return decision
 
-    def repeats(self, decision, candidates, ctx) -> bool:
+    def repeats(self, decision, candidates, ctx):
         # Pinning a pinned decision changes nothing, so a base that
-        # keeps returning ``decision`` keeps this wrapper returning it.
+        # keeps returning ``decision`` within its horizon keeps this
+        # wrapper returning it there too.
         return self.base.repeats(decision, candidates, ctx)
 
     def refresh_credits(self, requests, ctx) -> None:

@@ -49,6 +49,7 @@ from repro.runtime.overload import (
 )
 from repro.runtime.request import AbortReason, Request, RequestStatus
 from repro.runtime.scheduler import (
+    Horizon,
     SchedulerDecision,
     SchedulingContext,
     SchedulingPolicy,
@@ -190,9 +191,13 @@ class ServingEngine:
         self._last_iteration_s = 0.03
         self._switch_estimate: Optional[float] = None
         self._last_ctx: Optional[SchedulingContext] = None
-        #: ``(batch, adapters)`` of the last step when its decision
-        #: stands until something it reads changes (see :meth:`run`).
-        self._steady: Optional[Tuple[List[Request], List[str]]] = None
+        #: ``(batch, adapters, mode, merged, stands)`` of the last step
+        #: when its decision stands until something it reads changes
+        #: (see :meth:`run`); ``stands`` is the policy's horizon, or
+        #: None when the decision stands for good.
+        self._steady: Optional[Tuple[List[Request], List[str],
+                                     InferenceMode, Optional[str],
+                                     Optional[Horizon]]] = None
         #: Optional per-iteration tracer (attach_tracer()).
         self.tracer = None
         # -- resilience state (fault injection / graceful degradation) -----
@@ -373,13 +378,15 @@ class ServingEngine:
 
         Each iteration is one :meth:`step`, except that a steady batch
         repeats without re-scheduling.  :meth:`step` marks its batch
-        steady when its decision was UNMERGED with no switch and no swap
-        stall or failure, the batch kept the policy's whole decision and
-        the whole active set, no member finished or left, no fault
-        injector, brownout, tracer, breaker or swap backoff is attached,
-        and :meth:`SchedulingPolicy.repeats` vouches that the decision
-        stands while only decodes advance.  The batch then repeats while
-        no arrival and no deadline is due and its block-boundary appends
+        steady, in whatever mode its decision ran, when it paid no
+        switch and no swap stall or failure, the batch kept the policy's
+        whole decision and the whole active set, no member finished or
+        left, no fault injector, brownout, tracer, breaker or swap
+        backoff is attached, and :meth:`SchedulingPolicy.repeats`
+        vouches that the decision stands while only decodes advance,
+        for good or within a horizon.  The batch then repeats in the
+        decision's mode and merged adapter while the horizon holds, no
+        arrival and no deadline is due and its block-boundary appends
         fit the free KV blocks; otherwise the next iteration is a full
         :meth:`step`.  With the cost cache on, the repeats up to the
         one in which a member finishes go as one decode run
@@ -536,12 +543,13 @@ class ServingEngine:
             self._trace(mode, merged, batch, split, start, iteration_s,
                         switch_s, stall, preempt_before)
         elif (whole and len(batch) == len(decision.batch) == len(self._active)
-                and mode is InferenceMode.UNMERGED
                 and not (switch_s or stall or failed_swaps)
                 and self.faults is None and self._brownout is None
-                and not self._breakers and not self._swap_backoff_until
-                and self.policy.repeats(decision, schedulable, ctx)):
-            self._steady = (batch, uniq)
+                and not self._breakers and not self._swap_backoff_until):
+            horizon = self.policy.repeats(decision, schedulable, ctx)
+            if horizon:
+                self._steady = (batch, uniq, mode, merged,
+                                None if horizon is True else horizon)
 
     def _iterate(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> Tuple[float, float]:
@@ -574,18 +582,22 @@ class ServingEngine:
         iterations run (at most ``budget``).
 
         0, with nothing done, when the first repeat's guards fail: an
-        arrival or a deadline is due, or a block-boundary append would
-        not fit (:meth:`step` then preempts).  With the cost cache on
-        and no member finishing next, the repeats go as one
-        :meth:`_decode_run`.  Otherwise, and always for the iteration in
-        which a member finishes, one repeat goes through :meth:`_iterate`;
-        the batch stops being steady once a member finishes.
+        arrival or a deadline is due, the decision's horizon has closed
+        at the current clock and iteration estimate, or a block-boundary
+        append would not fit (:meth:`step` then preempts).  With the
+        cost cache on and no member finishing next, the repeats go as
+        one :meth:`_decode_run`.  Otherwise, and always for the
+        iteration in which a member finishes, one repeat goes through
+        :meth:`_iterate` in the decision's mode; the batch stops being
+        steady once a member finishes.
         """
-        batch, adapters = self._steady
+        batch, adapters, mode, merged, stands = self._steady
         now = self.clock.now
         if self._pending and self._pending[0][0] <= now:
             return 0
         if self._deadline_due(now):
+            return 0
+        if stands is not None and not stands(now, self._last_iteration_s):
             return 0
         # due[j % block]: the fresh blocks the run's iteration j appends
         # need; a sequence of c tokens fills its last block when
@@ -598,28 +610,31 @@ class ServingEngine:
             return 0
         length = min(r.output_tokens - r.generated for r in batch) - 1
         if self.cost_cache is not None and length > 0:
-            return self._decode_run(batch, adapters, due, until,
-                                    min(length, budget))
+            return self._decode_run(batch, adapters, mode, merged, stands,
+                                    due, until, min(length, budget))
         self.adapters.try_ensure_resident(adapters, now)
         self.metrics.adapter_cache_hits += len(adapters)
-        self._iterate(batch, InferenceMode.UNMERGED, None)
+        self._iterate(batch, mode, merged)
         if len(self._active) != len(batch):
             self._steady = None
         return 1
 
     def _decode_run(self, batch: Sequence[Request], adapters: List[str],
-                    due: List[int], until: Optional[float],
-                    limit: int) -> int:
+                    mode: InferenceMode, merged: Optional[str],
+                    stands: Optional[Horizon], due: List[int],
+                    until: Optional[float], limit: int) -> int:
         """Advance a steady all-decode batch by up to ``limit``
         iterations in one call; returns how many ran.
 
         No member joins, leaves or finishes inside the run, so its split
         is built once and each iteration only adds ``n`` to the decode
-        context.  Each iteration prices the same cost-cache lookup,
-        draws its jitter and advances the clock as :meth:`_iterate`
-        would; before each later one the run stops at ``until``, a due
-        arrival or deadline, or when its boundary appends
-        (``due[j % block]``) exceed the free blocks the run has left.
+        context.  Each iteration prices the same cost-cache lookup in
+        ``(mode, merged)``, draws its jitter and advances the clock as
+        :meth:`_iterate` would; before each later one the run stops at
+        ``until``, a due arrival or deadline, when the decision's
+        horizon ``stands`` closes at the new clock and iteration length,
+        or when its boundary appends (``due[j % block]``) exceed the
+        free blocks the run has left.
         Request and KV state, the adapters' LRU touch (at the start of
         the last iteration, as the last repeat would leave it) and the
         integer counters are then updated once, for all ``k``
@@ -632,13 +647,12 @@ class ServingEngine:
         metrics = self.metrics
         clock = self.clock
         pending = self._pending
-        mode = InferenceMode.UNMERGED
         block = len(due)
         free = self.kv.free_blocks
         k = 0
         while True:
             start = clock.now
-            base, extra_mean = lookup(mode, None, (),
+            base, extra_mean = lookup(mode, merged, (),
                                       (n, total, lm, head_classes), groups)
             extra = jitter(extra_mean, self._rng)
             metrics.lora_extra_time_total += extra
@@ -652,7 +666,9 @@ class ServingEngine:
             if ((until is not None and now >= until)
                     or (pending and pending[0][0] <= now)
                     or self._deadline_due(now)
-                    or due[k % block] > free):
+                    or due[k % block] > free
+                    or (stands is not None
+                        and not stands(now, self._last_iteration_s))):
                 break
         kv = self.kv
         for r in batch:

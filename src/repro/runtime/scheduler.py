@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request
@@ -103,14 +103,20 @@ def pick_shed_victim(pool: Sequence[Request],
                                     -r.arrival_time, -r.request_id))
 
 
+#: ``stands(now, est_iteration_seconds)``: whether a decision still
+#: stands at a later clock and iteration estimate (see
+#: :meth:`SchedulingPolicy.repeats`).
+Horizon = Callable[[float, float], bool]
+
+
 class SchedulingPolicy(abc.ABC):
     """Picks the next batch, mode, and merged adapter.
 
     :meth:`repeats` lets the engine skip re-scheduling a decision that
     cannot change: ``ServingEngine.run`` repeats a steady decode batch
     until a guard trips (an arrival or deadline comes due, the batch's
-    KV appends no longer fit, or a member finishes) and only then calls
-    :meth:`schedule` again.
+    KV appends no longer fit, a member finishes, or the decision's
+    horizon closes) and only then calls :meth:`schedule` again.
     """
 
     name: str = "abstract"
@@ -123,17 +129,23 @@ class SchedulingPolicy(abc.ABC):
 
     def repeats(self, decision: SchedulerDecision,
                 candidates: Sequence[Request],
-                ctx: SchedulingContext) -> bool:
-        """Whether ``decision`` stands while only decodes advance.
+                ctx: SchedulingContext) -> Union[bool, Horizon]:
+        """How long ``decision`` stands while only decodes advance.
 
         ``decision`` is what :meth:`schedule` returned for ``candidates``
-        under ``ctx``, and the engine now runs in its mode.  True
-        promises that every later :meth:`schedule` over the same
-        candidates returns the same batch in the same order, the same
-        mode and the same merged adapter, whatever ``ctx.now`` and
-        ``ctx.est_iteration_seconds`` become, as long as the candidates
-        only decode and none finishes.  False, the default, is always
-        safe: the engine then re-schedules every iteration.
+        under ``ctx``, and the engine now runs in its mode and merged
+        adapter.  A later :meth:`schedule` over the same candidates,
+        with the candidates only decoding and none finishing, must then
+        return the same batch in the same order, the same mode and the
+        same merged adapter:
+
+        * ``True``: whatever ``ctx.now`` and
+          ``ctx.est_iteration_seconds`` become;
+        * a :data:`Horizon` ``stands``: at every later ``(now,
+          est_iteration_seconds)`` for which ``stands`` returns True
+          (``ctx``'s other fields stay as they are);
+        * falsy, the default, is always safe: the engine then
+          re-schedules every iteration.
         """
         return False
 
@@ -185,14 +197,16 @@ class VLoRAPolicy(SchedulingPolicy):
             raise ValueError(f"theta must be positive, got {theta}")
         self.theta = theta
 
+    @staticmethod
+    def _credit_at(r, now, est_iteration, est_switch):
+        # One float expression shared by the starve bisection,
+        # refresh_credits and the horizons of repeats(), so all three
+        # see bit-identical credits.
+        return r.waiting_time(now) + est_iteration + est_switch
+
     def _credit(self, r, ctx):
-        # One float expression shared by the starve bisection and
-        # refresh_credits, so both see bit-identical credits.
-        return (
-            r.waiting_time(ctx.now)
-            + ctx.est_iteration_seconds
-            + ctx.est_switch_seconds
-        )
+        return self._credit_at(r, ctx.now, ctx.est_iteration_seconds,
+                               ctx.est_switch_seconds)
 
     def refresh_credits(self, requests, ctx):
         for r in requests:
@@ -305,25 +319,62 @@ class VLoRAPolicy(SchedulingPolicy):
         )
 
     def repeats(self, decision, candidates, ctx):
-        """True when no merge clause of :meth:`schedule` can open.
+        """The horizon of ``decision``: while its starving prefix holds.
 
-        Running UNMERGED keeps (a) shut.  A popular adapter holding at
-        most half a batch keeps (b) shut.  (c) stays shut when two
-        adapters are live, or when the lone tenant's unmerged price is
-        already within the merge: that price only falls as decodes
-        advance.  Every other branch is UNMERGED over the head of the
-        queue, whatever starves, so the rule never reads credits.
+        On a repeat the engine runs ``(decision.mode, top)``, so clause
+        (a) holds for a MERGED or MIXTURE decision, and
+        :meth:`_paid_merge` returns it again exactly while the starving
+        prefix length ``s`` is unchanged: ``candidates[s-1]`` still
+        starves and ``candidates[s]`` still does not.  (A lone tenant's
+        clause-(c) merge is the same batch as its paid merge.)
+
+        Running UNMERGED keeps (a) shut, and every UNMERGED branch runs
+        the head of the queue, so an UNMERGED decision stands while no
+        merge clause can open.  More than half a batch starving shuts
+        them all while ``candidates[half]`` still starves.  Otherwise a
+        popular adapter holding at most half a batch keeps (b) shut for
+        good, and (c) stays shut for good when two adapters are live,
+        or when the lone tenant's unmerged price is already within the
+        merge: that price only falls as decodes advance.  A lone tenant
+        priced above the merge keeps (c) shut while ``candidates[0]``
+        still starves.
+
+        Starvation is re-read with :meth:`_credit_at`, the expression
+        :meth:`schedule` bisects on, since ``est_iteration_seconds``
+        may fall between iterations and end a starvation.
         """
-        if decision.mode is not InferenceMode.UNMERGED:
-            return False
-        counts = ctx.adapter_counts
-        top = self._top_adapter(counts)
         max_bs = ctx.max_batch_size
-        if counts[top] / max_bs > 0.5:
-            return False
-        return (len(counts) > 1
-                or ctx.unmerged_extra_seconds(top, candidates[:max_bs])
-                <= ctx.est_switch_seconds)
+        half = max_bs // 2
+        theta = self.theta
+        est_switch = ctx.est_switch_seconds
+        credit = self._credit_at
+
+        def starves(r, now, est_iteration):
+            return credit(r, now, est_iteration, est_switch) > theta
+
+        s = self._starve_prefix_len(candidates, ctx)
+        if decision.mode is not InferenceMode.UNMERGED:
+            last = candidates[s - 1] if s else None
+            first = candidates[s] if s < len(candidates) else None
+
+            def stands(now, est_iteration):
+                return ((last is None or starves(last, now, est_iteration))
+                        and (first is None
+                             or not starves(first, now, est_iteration)))
+            return stands
+        if s > half:
+            pivot = candidates[half]
+        else:
+            counts = ctx.adapter_counts
+            top = self._top_adapter(counts)
+            if counts[top] / max_bs > 0.5:
+                return False
+            if (len(counts) > 1
+                    or ctx.unmerged_extra_seconds(top, candidates[:max_bs])
+                    <= est_switch):
+                return True
+            pivot = candidates[0]
+        return lambda now, est_iteration: starves(pivot, now, est_iteration)
 
 
 class UnmergedOnlyPolicy(SchedulingPolicy):

@@ -10,6 +10,8 @@ systems, seeds, and fault schedules.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -244,6 +246,42 @@ class TestCacheEquivalence:
 
     def test_disaggregated_pools(self):
         assert _run_disagg(True) == _run_disagg(False)
+
+    def test_merged_and_mixture_repeats(self):
+        """A hot adapter's MERGED and MIXTURE batches repeat as decode
+        runs with the cache on, and one ``_iterate`` at a time with it
+        off; both paths end bit-identical."""
+        def serve(enable_cost_cache):
+            builder = SystemBuilder(num_adapters=4, jitter_seed=2,
+                                    enable_cost_cache=enable_cost_cache)
+            reset_request_ids()
+            requests = RetrievalWorkload(
+                builder.adapter_ids, rate_rps=4.0, duration_s=20.0,
+                top_adapter_share=0.9, use_task_heads=False, seed=2,
+            ).generate()
+            engine = builder.build("v-lora")
+            repeats = Counter()
+            repeat_steady = engine._repeat_steady
+
+            def counted(until, budget):
+                # A repeat pays no switch: it runs in the current mode.
+                mode = engine.current_mode
+                ran = repeat_steady(until, budget)
+                repeats[mode] += ran
+                return ran
+
+            engine._repeat_steady = counted
+            engine.submit(requests)
+            metrics = engine.run()
+            return _outcome(metrics, engine.clock.now), metrics, repeats
+
+        cached, metrics, cached_repeats = serve(True)
+        reference, _, reference_repeats = serve(False)
+        assert cached == reference
+        assert cached_repeats == reference_repeats
+        assert cached_repeats[InferenceMode.MERGED] > 0
+        assert cached_repeats[InferenceMode.MIXTURE] > 0
+        assert metrics.cost_cache_hits > 0
 
     def test_cache_actually_engages(self):
         builder = SystemBuilder(num_adapters=4)

@@ -195,6 +195,31 @@ class TestModeBehaviour:
         assert metrics.num_completed == 12
         assert metrics.num_mode_switches >= len(builder.adapter_ids) - 1
 
+    def test_hot_adapter_batches_repeat_without_rescheduling(self):
+        """A hot adapter keeps V-LoRA MERGED or MIXTURE, and ``run()``
+        repeats those batches while their starving prefix holds: the
+        43-request trace runs 893 iterations on 110 ``schedule()``
+        calls.  Re-scheduling every MERGED or MIXTURE iteration would
+        take at least one call per such iteration."""
+        builder = SystemBuilder(num_adapters=4)
+        engine = builder.build("v-lora")
+        calls = []
+        schedule = engine.policy.schedule
+        engine.policy.schedule = lambda c, ctx: (
+            calls.append(1) or schedule(c, ctx))
+        reset_request_ids()
+        engine.submit(RetrievalWorkload(
+            builder.adapter_ids, rate_rps=4.0, duration_s=10.0,
+            top_adapter_share=0.9, use_task_heads=False, seed=0,
+        ).generate())
+        metrics = engine.run()
+        assert metrics.num_completed == 43
+        assert len(calls) <= 200
+        paid = (metrics.mode_iterations.get(InferenceMode.MERGED.value, 0)
+                + metrics.mode_iterations.get(InferenceMode.MIXTURE.value,
+                                              0))
+        assert paid > len(calls)
+
     def test_task_head_requests_finish_in_one_round(self, builder):
         engine = builder.build("v-lora")
         head_req = Request(adapter_id="lora-0", arrival_time=0.0,

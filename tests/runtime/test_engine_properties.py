@@ -227,6 +227,32 @@ DEADLINE_MID_RUN = [
 ]
 
 
+def _decoding_spec(request_id, adapter, arrival_time, input_tokens,
+                   output_tokens):
+    return dict(request_id=request_id, adapter_id=f"lora-{adapter}",
+                arrival_time=arrival_time, input_tokens=input_tokens,
+                output_tokens=output_tokens, prefix_key=None,
+                prefix_tokens=0, slo_s=None)
+
+
+# Five requests of a hot adapter join an older foreigner, and the six
+# run MIXTURE as a decode run with the foreigner last.  Mid-run the
+# foreigner starts to starve and leads the batch, still MIXTURE; a
+# decode run later the hot requests starve too and the batch falls to
+# UNMERGED.
+MIXTURE_PREFIX_GROWS = [_decoding_spec(0, 1, 0.0, 64, 200)] + [
+    _decoding_spec(i, 0, 0.1, 64, 200) for i in range(1, 6)
+]
+
+# A lone tenant runs MERGED until a 1,024-token prompt arrives.  That
+# long prefill iteration is the next decision's iteration estimate, so
+# request 0 starves and the batch runs MIXTURE; on the first repeat the
+# estimate is one short decode again, request 0 stops starving, and
+# the lone tenant merges back.
+PREFIX_STOPS_STARVING = [_decoding_spec(0, 0, 0.0, 64, 200),
+                         _decoding_spec(1, 0, 0.3, 1024, 100)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     specs=steady_traces(),
@@ -237,6 +263,10 @@ DEADLINE_MID_RUN = [
 )
 @example(specs=DEADLINE_MID_RUN, system="s-lora", deadline_factor=1.5,
          kv_slack=None, chunk_s=None)
+@example(specs=MIXTURE_PREFIX_GROWS, system="v-lora", deadline_factor=None,
+         kv_slack=None, chunk_s=None)
+@example(specs=PREFIX_STOPS_STARVING, system="v-lora",
+         deadline_factor=None, kv_slack=None, chunk_s=None)
 def test_run_matches_one_step_at_a_time(specs, system, deadline_factor,
                                         kv_slack, chunk_s):
     """``run()`` repeats steady batches without re-scheduling them, yet

@@ -9,7 +9,13 @@ engine reproduces the historical monolithic engine exactly.
 
 ``MonolithicEngine`` below carries the historical ``_execute`` /
 ``_finalize`` bodies **verbatim** (recovered from git history) and
-prices every iteration through the cost tower, cache on or off; a
+prices through the uncached cost tower every iteration that reaches
+them: with the cache off, every iteration; with it on, the full
+``step()`` iterations and the one-at-a-time repeats in which a member
+finishes.  With the cache on, the other repeats of a steady batch, in
+any mode, are decode runs (``ServingEngine._decode_run``), which both
+engines share and which never call ``_execute`` or ``_finalize``;
+``test_costcache.py`` compares those against the cache-off path.  A
 hypothesis property drives both engines over arbitrary bounded
 workloads — systems x seeds x fault menus x cache on/off — and compares
 full digests.  Its ``_finalize`` has no disaggregated hand-off, so
@@ -144,10 +150,11 @@ FAULT_MENUS = (
 def _digest(metrics):
     """Comparable form of a run, without the two cost-cache counters.
 
-    The monolithic engine prices every iteration through the uncached
-    cost tower, so it never counts a memo hit or miss; with the cache on
-    ``ServingEngine`` does.  Every cost, record and abort must still
-    agree bit for bit.
+    The monolithic engine prices its ``_execute`` iterations through
+    the uncached cost tower, so it counts a memo hit or miss only
+    inside decode runs; with the cache on ``ServingEngine`` counts one
+    per iteration.  Every cost, record and abort must still agree bit
+    for bit.
     """
     summary = dict(metrics.summary())
     summary.pop("cost_cache_hits", None)

@@ -12,10 +12,11 @@ active set is not that view already:
 * swap backoff filters requests out of the candidate set, so the live
   per-adapter counts over-count it.
 
-``SchedulingPolicy.repeats`` is the other half of the contract: when it
-answers True, ``schedule`` keeps returning the same decision while the
-candidates only decode, whatever the clock and the iteration estimate
-read, so the engine may repeat the batch without asking again.
+``SchedulingPolicy.repeats`` is the other half of the contract: while
+its answer says the decision stands -- for good when True, or wherever
+its horizon returns True for the clock and the iteration estimate --
+``schedule`` keeps returning the same decision while the candidates
+only decode, so the engine may repeat the batch without asking again.
 """
 
 from __future__ import annotations
@@ -200,15 +201,18 @@ def _decision_key(decision):
        make=st.sampled_from([VLoRAPolicy, UnmergedOnlyPolicy,
                              lambda: PhasePinnedPolicy(VLoRAPolicy())]))
 def test_repeated_decision_stands_while_decodes_advance(data, make):
-    """When ``repeats`` is True, every later ``schedule`` (any later
-    clock, any positive iteration estimate, decodes advanced short of a
-    finish, the engine now in the decision's mode) returns the same
-    batch ids in the same order, mode and merged adapter."""
+    """Wherever ``repeats``' answer says the decision stands (always
+    when True, else where its horizon returns True), a later
+    ``schedule`` (any later clock, any positive iteration estimate,
+    decodes advanced short of a finish, the engine now in the
+    decision's mode) returns the same batch ids in the same order, mode
+    and merged adapter."""
     reqs, fields, later = data
     policy = make()
     ctx = _context(reqs, **fields)
     decision = policy.schedule(reqs, ctx)
-    if not policy.repeats(decision, reqs, ctx):
+    horizon = policy.repeats(decision, reqs, ctx)
+    if not horizon:
         return
     expected = _decision_key(decision)
     now = fields["now"]
@@ -216,6 +220,8 @@ def test_repeated_decision_stands_while_decodes_advance(data, make):
         for r, step in zip(reqs, steps):
             r.generated = min(r.generated + step, r.output_tokens - 1)
         now += wait
+        if horizon is not True and not horizon(now, est_iteration):
+            continue
         ctx = _context(reqs, **dict(
             fields, now=now, est_iteration_seconds=est_iteration,
             current_mode=decision.mode,
@@ -240,16 +246,22 @@ def test_time_dependent_and_wrapping_policies_never_repeat(data, make):
     assert not policy.repeats(policy.schedule(reqs, ctx), reqs, ctx)
 
 
-def test_starving_lone_tenant_does_not_repeat():
-    """A lone tenant that starves now runs unmerged.  A shorter
-    iteration estimate later ends its starvation, and the lone-tenant
-    merge test then merges it, so the unmerged decision must not repeat
-    while its unmerged price exceeds the merge."""
-    r = Request(adapter_id="lora-0", arrival_time=4.7, input_tokens=16,
-                output_tokens=60, request_id=0)
+def _decoding(adapter_id, arrival_time, request_id):
+    r = Request(adapter_id=adapter_id, arrival_time=arrival_time,
+                input_tokens=16, output_tokens=60, request_id=request_id)
     r.prefilled = True
     r.status = RequestStatus.RUNNING
     r.generated = 1
+    return r
+
+
+def test_starving_lone_tenant_repeats_only_while_it_starves():
+    """A lone tenant that starves now runs unmerged.  A shorter
+    iteration estimate later ends its starvation, and the lone-tenant
+    merge test then merges it, so the horizon of the unmerged decision
+    must refuse that estimate while its unmerged price exceeds the
+    merge."""
+    r = _decoding("lora-0", 4.7, 0)
     fields = dict(now=5.0, current_mode=InferenceMode.UNMERGED,
                   current_merged=None, max_batch_size=8,
                   est_iteration_seconds=0.45,
@@ -260,4 +272,57 @@ def test_starving_lone_tenant_does_not_repeat():
     assert decision.mode is InferenceMode.UNMERGED
     shorter = _context([r], **dict(fields, est_iteration_seconds=1e-4))
     assert policy.schedule([r], shorter).mode is InferenceMode.MERGED
-    assert not policy.repeats(decision, [r], ctx)
+    horizon = policy.repeats(decision, [r], ctx)
+    assert callable(horizon)
+    assert horizon(5.0, 0.45) and horizon(6.0, 1e-4)
+    assert not horizon(5.0, 1e-4)
+
+
+def _horizon_closes_at_first_change(reqs, fields, expected_mode):
+    """Walk the clock past the head request's starvation: the horizon
+    must stand at exactly the later calls that repeat the decision, up
+    to and including the first call whose decision differs."""
+    policy = VLoRAPolicy()
+    ctx = _context(reqs, **fields)
+    decision = policy.schedule(reqs, ctx)
+    assert decision.mode is expected_mode
+    horizon = policy.repeats(decision, reqs, ctx)
+    assert callable(horizon)
+    expected = _decision_key(decision)
+    est = fields["est_iteration_seconds"]
+    stood = 0
+    for step in range(1, 100):
+        now = fields["now"] + 0.01 * step
+        later = _context(reqs, **dict(
+            fields, now=now, current_mode=decision.mode,
+            current_merged=decision.merged_adapter))
+        same = _decision_key(policy.schedule(reqs, later)) == expected
+        assert horizon(now, est) == same
+        if not same:
+            break
+        stood += 1
+    else:
+        pytest.fail("the decision never changed")
+    assert stood > 0
+
+
+def test_mixture_horizon_closes_when_its_foreigner_starts_to_starve():
+    """A hot adapter's five requests plus one older foreigner run
+    MIXTURE with the foreigner last.  Once it starves it leads the
+    batch, so the decision changes exactly when the prefix grows."""
+    reqs = [_decoding("lora-1", 0.0, 0)]
+    reqs += [_decoding("lora-0", 0.1 + 0.01 * i, 1 + i) for i in range(5)]
+    fields = dict(now=0.2, current_mode=InferenceMode.UNMERGED,
+                  current_merged=None, max_batch_size=8,
+                  est_iteration_seconds=0.03, est_switch_seconds=0.05)
+    _horizon_closes_at_first_change(reqs, fields, InferenceMode.MIXTURE)
+
+
+def test_merged_horizon_closes_when_the_head_starts_to_starve():
+    """A merged lone tenant stays MERGED until its head request starves;
+    the starving prefix then turns the batch into MIXTURE."""
+    reqs = [_decoding("lora-0", 0.1 * i, i) for i in range(3)]
+    fields = dict(now=0.2, current_mode=InferenceMode.MERGED,
+                  current_merged="lora-0", max_batch_size=8,
+                  est_iteration_seconds=0.03, est_switch_seconds=0.05)
+    _horizon_closes_at_first_change(reqs, fields, InferenceMode.MERGED)
