@@ -10,13 +10,52 @@ exactly where S-LoRA, Punica, dLoRA, and ATMM differ (§3.2 C2, §6.3.2).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.hardware.memory import FP16_BYTES
 from repro.kernels.cost_model import GemmCostModel
 from repro.kernels.shapes import lora_gemm_shapes
+
+#: Standard normals :class:`JitterStream` draws from its generator at a
+#: time.
+JITTER_BLOCK = 256
+
+
+class JitterStream:
+    """Scalar normal draws served from blocks of one generator.
+
+    ``Generator.normal(loc, scale)`` computes ``loc + scale *
+    standard_normal()``, and ``standard_normal(n)`` yields the values of
+    ``n`` scalar draws in order, so :meth:`normal` returns exactly the
+    floats the generator's own scalar ``normal`` calls would, at a
+    fraction of the per-call cost.  The generator runs up to one block
+    ahead of the values served, so nothing else may draw from it.
+    """
+
+    __slots__ = ("_gen", "_block", "_next")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._block: List[float] = []
+        self._next = 0
+
+    def normal(self, loc: float, scale: float) -> float:
+        """The next draw of ``Generator.normal(loc, scale)``."""
+        i = self._next
+        block = self._block
+        if i == len(block):
+            block = self._block = self._gen.standard_normal(
+                JITTER_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return loc + scale * block[i]
+
+
+#: What operator jitter may be drawn from: a generator, or a
+#: :class:`JitterStream` over one (the same samples).
+JitterSource = Union[np.random.Generator, JitterStream]
 
 
 class LoRAOperator(abc.ABC):
@@ -77,11 +116,13 @@ class LoRAOperator(abc.ABC):
         return per_proj * num_projections
 
     def sample_seconds(
-        self, mean_seconds: float, rng: Optional[np.random.Generator] = None
+        self, mean_seconds: float, rng: Optional[JitterSource] = None
     ) -> float:
         """One latency sample with this operator's run-to-run jitter.
 
-        Deterministic (returns the mean) when ``rng`` is ``None``.
+        Deterministic (returns the mean) when ``rng`` is ``None``.  A
+        :class:`JitterStream` over a generator returns the same samples
+        as the generator itself.
         """
         if rng is None or self.jitter_frac == 0.0:
             return mean_seconds

@@ -18,7 +18,7 @@ Calibration sanity (A100-80GB, Qwen-VL-7B):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.memory import FP16_BYTES
@@ -50,6 +50,8 @@ class IterationCostModel:
         self.decode_seconds_uniform = lru_cache(maxsize=4096)(
             self._decode_seconds_uniform
         )
+        self._decode_steps: Dict[Tuple[int, bool, int],
+                                 Callable[[int], float]] = {}
         # Tensor parallelism shards every weight matrix across GPUs:
         # per-GPU compute and weight traffic shrink by tp, at the cost of
         # two all-reduces of the activations per layer (Megatron-style).
@@ -170,30 +172,75 @@ class IterationCostModel:
         the per-request context lengths (attention FLOPs and KV traffic
         are both linear in ``c``), and every intermediate product/sum is
         an exact integer-valued float far below 2**53, so the reduction
-        loses nothing.  This is what lets the engine's memoized cost
-        layer key decode iterations on ``(batch, total_context)`` instead
-        of the full per-request KV-length vector.
+        loses nothing.  This lets the cost cache price a decode step
+        from ``(batch, total_context)`` instead of the full per-request
+        KV-length vector.  It evaluates :meth:`decode_step`, the one
+        decode formula.
         """
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
         if total_context < batch:
             raise ValueError(
                 f"total_context {total_context} below batch size {batch} "
                 f"(context lengths are positive)"
             )
-        flops = batch * self.model.flops_per_token()
-        flops += self.model.attention_flops(1, total_context)
-        compute = flops / self._peak
-        kv_bytes = total_context * self.model.kv_bytes_per_token
-        mem = (self._layer_weight_bytes + kv_bytes) / self._bw
-        t = max(compute, mem) + 0.1 * min(compute, mem)
-        t += self._launches + self.ITERATION_OVERHEAD_S
-        t += self._allreduce_seconds(batch)
-        if lm_head:
-            t += self.head_seconds(batch, self.model.vocab_size)
-        if task_head_classes > 0:
-            t += self.head_seconds(batch, task_head_classes)
-        return t
+        return self.decode_step(batch, lm_head, task_head_classes)(
+            total_context)
+
+    def decode_step(
+        self, batch: int, lm_head: bool = True, task_head_classes: int = 0,
+    ) -> Callable[[int], float]:
+        """The decode-step price of a fixed batch, as a function of its
+        total context length.
+
+        Every term that depends only on ``(batch, lm_head,
+        task_head_classes)`` -- the batch's dense FLOPs, the launches and
+        overhead, the all-reduce and the output heads -- is computed
+        once, and the function adds them in the order
+        :meth:`decode_seconds` does, so its result is ``==`` to
+        :meth:`decode_seconds_stats`.  The functions are kept per
+        ``(batch, lm_head, task_head_classes)``; a decode run prices all
+        its iterations with one.
+        """
+        key = (batch, lm_head, task_head_classes)
+        step = self._decode_steps.get(key)
+        if step is None:
+            if batch <= 0:
+                raise ValueError(f"batch must be positive, got {batch}")
+            step = self._decode_steps[key] = self._decode_step(*key)
+        return step
+
+    def _decode_step(self, batch: int, lm_head: bool,
+                     task_head_classes: int) -> Callable[[int], float]:
+        dense = batch * self.model.flops_per_token()
+        # attention_flops is linear in the context: an exact integer
+        # multiple of its one-token value.
+        attention = self.model.attention_flops(1, 1)
+        kv_per_token = self.model.kv_bytes_per_token
+        weights = self._layer_weight_bytes
+        peak, bw = self._peak, self._bw
+        fixed = self._launches + self.ITERATION_OVERHEAD_S
+        allreduce = self._allreduce_seconds(batch)
+        # Adding 0.0 leaves a positive float unchanged, so an absent
+        # head costs nothing and changes no rounding.
+        lm = self.head_seconds(batch, self.model.vocab_size) if lm_head else 0.0
+        task = (self.head_seconds(batch, task_head_classes)
+                if task_head_classes > 0 else 0.0)
+
+        def step(total_context: int) -> float:
+            compute = (dense + attention * total_context) / peak
+            mem = (weights + total_context * kv_per_token) / bw
+            # max(compute, mem) + 0.1 * min(compute, mem), which picks
+            # compute on a tie, without the two builtin calls.
+            if mem > compute:
+                t = mem + 0.1 * compute
+            else:
+                t = compute + 0.1 * mem
+            t += fixed
+            t += allreduce
+            t += lm
+            t += task
+            return t
+
+        return step
 
     # -- convenience -------------------------------------------------------------
 

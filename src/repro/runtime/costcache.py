@@ -3,17 +3,22 @@
 The engine prices every iteration through ``modes.py`` -> ``atmm.py`` ->
 ``cost_model.py`` -> ``models/costs.py``, yet each part of that price is
 a pure function of a little batch-shape information.  The cache keeps
-one memo per part and prices an iteration as a few dict probes:
+two memos and prices an iteration as a few dict probes plus one
+closed-form decode step:
 
 * **prefill launch** ``((tokens...), images)`` -> base seconds;
-* **decode stats** ``(n, total context, lm_head, head classes)`` -> base
-  seconds;
 * **extra mean** ``(mode, merged adapter, adapter-token groups)`` -> the
   deterministic mean of the LoRA operator's extra time.
 
-There is no table keyed on the whole batch: the decode context total
-grows on every iteration, so a whole-batch key almost never repeats and
-building and hashing it costs more than the probes it would save.
+The decode step is priced from its sufficient statistics ``(n, total
+context, lm_head, head classes)`` on every lookup, without a memo: the
+context total grows by ``n`` each iteration, so a decode key almost
+never repeats, and the closed form costs less than the probe and store
+it would save.  For the same reason there is no table keyed on the whole
+batch.  The steady decode runs that make up most iterations do not call
+:meth:`IterationCostCache.lookup` per iteration at all: the engine
+prices a run with one lookup and one decode-step function
+(:meth:`IterationCostModel.decode_step`).
 
 Losslessness
 ------------
@@ -25,7 +30,8 @@ Three properties make that hold bit-for-bit:
   are both linear in it) and every intermediate value is an exact
   integer-valued float far below ``2**53``, so ``(batch size, total
   context)`` reproduces :meth:`IterationCostModel.decode_seconds`
-  exactly (see :meth:`IterationCostModel.decode_seconds_stats`).
+  exactly (see :meth:`IterationCostModel.decode_seconds_stats`, which
+  evaluates the one decode formula, :meth:`~IterationCostModel.decode_step`).
   Prefill launches are keyed on their exact token tuple in batch order,
   and :meth:`IterationCostCache.lookup` adds the launches, then decode,
   in the order the uncached engine does, so float rounding is unchanged.
@@ -42,7 +48,8 @@ Three properties make that hold bit-for-bit:
 
 Each :meth:`~IterationCostCache.lookup` counts one hit or miss on the
 extra-mean memo, written straight into the engine's
-:class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``),
+:class:`MetricsCollector` (``cost_cache_hits`` / ``cost_cache_misses``);
+a decode run of ``k`` iterations adds ``k - 1`` hits to its one lookup,
 so ``hits + misses`` equals the iteration count.
 """
 
@@ -93,7 +100,6 @@ class IterationCostCache:
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.max_entries = max_entries
         self._prefill: Dict[PrefillLaunch, float] = {}
-        self._decode: Dict[DecodeStats, float] = {}
         self._extra: Dict[tuple, float] = {}
 
     def lookup(
@@ -121,15 +127,11 @@ class IterationCostCache:
                 self._store(self._prefill, launch, t)
             base += t
         if decode is not None:
-            t = self._decode.get(decode)
-            if t is None:
-                n, total_context, lm_head, head_classes = decode
-                t = self.iter_costs.decode_seconds_stats(
-                    n, total_context, lm_head=lm_head,
-                    task_head_classes=head_classes,
-                )
-                self._store(self._decode, decode, t)
-            base += t
+            n, total_context, lm_head, head_classes = decode
+            base += self.iter_costs.decode_seconds_stats(
+                n, total_context, lm_head=lm_head,
+                task_head_classes=head_classes,
+            )
         key = (mode, merged, groups)
         extra_mean = self._extra.get(key)
         if extra_mean is not None:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.gpu import GPUSpec
-from repro.kernels.base import LoRAOperator
+from repro.kernels.base import JitterStream, LoRAOperator
 from repro.models.config import ModelConfig
 from repro.models.costs import IterationCostModel
 from repro.runtime.adapters import AdapterManager
@@ -74,6 +74,12 @@ SWAP_RETRY_BASE_S = 0.02
 SWAP_RETRY_CAP_S = 1.0
 
 
+def _may_have_expired(expiry: float, now: float) -> bool:
+    """Whether a deadline-heap key may have passed at ``now``, with the
+    margin :meth:`ServingEngine._expire_deadlines` explains."""
+    return expiry <= now + 1e-9 * (1.0 + abs(now))
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-level knobs."""
@@ -94,9 +100,10 @@ class EngineConfig:
     #: bounded by their own ``deadline_s``).  ``None`` disables.
     deadline_slo_factor: Optional[float] = None
     #: Price iterations from memoized cost components (prefill launch,
-    #: decode stats, LoRA extra mean; see :mod:`repro.runtime.costcache`)
-    #: with bit-identical results.  ``False`` re-derives every iteration
-    #: through the full cost-model tower (the reference path).
+    #: LoRA extra mean) and decode sufficient statistics (see
+    #: :mod:`repro.runtime.costcache`) with bit-identical results.
+    #: ``False`` re-derives every iteration through the full cost-model
+    #: tower (the reference path).
     enable_cost_cache: bool = True
     # -- overload protection (all default off; see runtime/overload.py) ----
     #: Admission control at the queue door: token-bucket rate limiting,
@@ -159,8 +166,9 @@ class ServingEngine:
         )
         self.clock = SimClock()
         self.metrics = MetricsCollector()
+        #: Operator jitter, the only use of the engine's random stream.
         self._rng = (
-            np.random.default_rng(config.jitter_seed)
+            JitterStream(np.random.default_rng(config.jitter_seed))
             if config.jitter_seed is not None else None
         )
         #: Future arrivals as a min-heap of (arrival_time, request_id, req).
@@ -586,10 +594,11 @@ class ServingEngine:
         at the current clock and iteration estimate, or a block-boundary
         append would not fit (:meth:`step` then preempts).  With the
         cost cache on and no member finishing next, the repeats go as
-        one :meth:`_decode_run`.  Otherwise, and always for the
-        iteration in which a member finishes, one repeat goes through
-        :meth:`_iterate` in the decision's mode; the batch stops being
-        steady once a member finishes.
+        one :meth:`_decode_run`, which prices them all with one
+        decode-step function and one extra-mean lookup.  Otherwise, and
+        always for the iteration in which a member finishes, one repeat
+        goes through :meth:`_iterate` in the decision's mode; the batch
+        stops being steady once a member finishes.
         """
         batch, adapters, mode, merged, stands = self._steady
         now = self.clock.now
@@ -628,54 +637,70 @@ class ServingEngine:
 
         No member joins, leaves or finishes inside the run, so its split
         is built once and each iteration only adds ``n`` to the decode
-        context.  Each iteration prices the same cost-cache lookup in
-        ``(mode, merged)``, draws its jitter and advances the clock as
-        :meth:`_iterate` would; before each later one the run stops at
-        ``until``, a due arrival or deadline, when the decision's
-        horizon ``stands`` closes at the new clock and iteration length,
-        or when its boundary appends (``due[j % block]``) exceed the
-        free blocks the run has left.
+        context.  The run is priced once: one decode-step function of
+        the total context (:meth:`IterationCostModel.decode_step`) and
+        one extra-mean lookup in ``(mode, merged)``, counted as a hit
+        for each later iteration.  Each iteration then draws its jitter
+        and advances the clock, the LoRA extra total and the straggler
+        EWMA as :meth:`_iterate` would, as left folds in locals written
+        back once.  Before each later iteration the run stops at
+        ``until``, the next arrival or deadline (both fixed for the
+        run), when the decision's horizon ``stands`` closes at the new
+        clock and iteration length, or when its boundary appends
+        (``due[j % block]``) exceed the free blocks the run has left.
         Request and KV state, the adapters' LRU touch (at the start of
         the last iteration, as the last repeat would leave it) and the
         integer counters are then updated once, for all ``k``
-        iterations; every float accumulates per iteration.
+        iterations.
         """
         _, (n, total, lm, head_classes), groups, _ = self._split(batch)
-        groups = tuple(groups.items())
-        lookup = self.cost_cache.lookup
-        jitter = self.mode_exec.extra_seconds_from_mean
+        price = self.iter_costs.decode_step(n, lm, head_classes)
+        _, mean = self.cost_cache.lookup(mode, merged, (), None,
+                                         tuple(groups.items()))
+        sample = self.mode_exec.operator.sample_seconds
+        rng = self._rng
         metrics = self.metrics
-        clock = self.clock
-        pending = self._pending
+        inf = float("inf")
+        stop = until if until is not None else inf
+        if self._pending:
+            stop = min(stop, self._pending[0][0])
+        heap = self._deadline_heap
+        deadline = heap[0][0] if heap else inf
         block = len(due)
         free = self.kv.free_blocks
+        now = self.clock.now
+        lora_extra = metrics.lora_extra_time_total
+        ewma = self.iter_time_ewma  # set: a steady batch has iterated
         k = 0
         while True:
-            start = clock.now
-            base, extra_mean = lookup(mode, merged, (),
-                                      (n, total, lm, head_classes), groups)
-            extra = jitter(extra_mean, self._rng)
-            metrics.lora_extra_time_total += extra
-            self._advance(base + extra)
+            start = now
+            # Zero means never sample (ModeExecutor.extra_seconds_from_mean).
+            extra = sample(mean, rng) if mean != 0.0 else 0.0
+            lora_extra += extra
+            dt = price(total) + extra
+            now += dt
+            ewma += 0.2 * (dt - ewma)
             free -= due[k % block]
             k += 1
             total += n
             if k == limit:
                 break
-            now = clock.now
-            if ((until is not None and now >= until)
-                    or (pending and pending[0][0] <= now)
-                    or self._deadline_due(now)
+            if (now >= stop
+                    or _may_have_expired(deadline, now)
                     or due[k % block] > free
-                    or (stands is not None
-                        and not stands(now, self._last_iteration_s))):
+                    or (stands is not None and not stands(now, dt))):
                 break
+        self.clock.advance_to(now)
+        self._last_iteration_s = dt
+        self.iter_time_ewma = ewma
+        metrics.lora_extra_time_total = lora_extra
         kv = self.kv
         for r in batch:
             kv.append_token(r.request_id, k)
             r.generated += k
         self.adapters.try_ensure_resident(adapters, start)
         metrics.adapter_cache_hits += k * len(adapters)
+        metrics.cost_cache_hits += k - 1
         metrics.iterations += k
         counts = metrics.mode_iterations
         counts[mode.value] = counts.get(mode.value, 0) + k
@@ -859,7 +884,7 @@ class ServingEngine:
     def _deadline_due(self, now: float) -> bool:
         """Whether the earliest-deadline heap top may have expired."""
         heap = self._deadline_heap
-        return bool(heap) and heap[0][0] <= now + 1e-9 * (1.0 + abs(now))
+        return bool(heap) and _may_have_expired(heap[0][0], now)
 
     def _apply_kv_pressure(self) -> None:
         if self.faults is None:

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.base import LoRAOperator
+from repro.kernels.base import JitterSource, LoRAOperator
 from repro.models.config import ModelConfig
 
 
@@ -81,7 +81,7 @@ class ModeExecutor:
         adapter_tokens: Dict[str, int],
         adapter_ranks: Dict[str, int],
         merged_adapter: Optional[str] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[JitterSource] = None,
     ) -> float:
         """Extra latency this iteration pays on top of base-model compute.
 
@@ -104,7 +104,7 @@ class ModeExecutor:
 
     def extra_seconds_from_mean(
         self, mean_seconds: float,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[JitterSource] = None,
     ) -> float:
         """Apply operator run-to-run jitter to a deterministic mean.
 

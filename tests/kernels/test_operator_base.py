@@ -5,6 +5,7 @@ import pytest
 
 from repro.hardware import A100_80GB
 from repro.kernels import ATMMOperator, GemmCostModel
+from repro.kernels.base import JITTER_BLOCK, JitterStream
 from repro.runtime.memory import MemoryPlan
 
 
@@ -39,6 +40,32 @@ class TestSharedOperatorPieces:
         rng = np.random.default_rng(0)
         samples = [op.sample_seconds(1.0, rng) for _ in range(200)]
         assert min(samples) >= 0.5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_jitter_stream_matches_generator(self, seed):
+        """Samples through a :class:`JitterStream` are the floats the
+        seeded generator's scalar ``normal`` calls give, across block
+        refills, zero means (which never sample) and zero jitter."""
+        op = ATMMOperator(GemmCostModel(A100_80GB))
+        pick = np.random.default_rng(seed + 100)
+        pairs = [
+            (0.0 if i % 7 == 0 else float(pick.lognormal(-6.0, 1.0)),
+             0.0 if i % 5 == 0 else float(pick.choice([0.02, 0.04, 0.06])))
+            for i in range(3 * JITTER_BLOCK + 77)
+        ]
+
+        def samples(rng):
+            out = []
+            for mean, frac in pairs:
+                op.jitter_frac = frac
+                out.append(0.0 if mean == 0.0
+                           else op.sample_seconds(mean, rng))
+            return out
+
+        stream = JitterStream(np.random.default_rng(seed))
+        draws = sum(1 for mean, frac in pairs if mean and frac)
+        assert draws > 2 * JITTER_BLOCK
+        assert samples(stream) == samples(np.random.default_rng(seed))
 
     def test_validation_helpers(self, op):
         with pytest.raises(ValueError):

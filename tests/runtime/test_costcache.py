@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.builder import SystemBuilder
-from repro.models.config import QWEN_VL_7B
+from repro.models.config import INTERNVL2_76B, LLAVA15_13B, QWEN_VL_7B
 from repro.models.costs import IterationCostModel
 from repro.hardware.gpu import A100_80GB
 from repro.runtime.cluster import MultiGPUServer
@@ -131,23 +131,53 @@ def test_base_equals_cost_model_exactly(engine, prefills, contexts,
         decode = (len(contexts), sum(contexts), lm_head, head_classes)
     launches = tuple((tuple(t), i) for t, i in prefills)
     cache = _cache(engine)
-    for _ in range(2):  # miss, then memo hit
+    # Prefill launches miss, then hit their memo; decode has no memo.
+    for _ in range(2):
         base, _ = _lookup(cache, launches=launches, decode=decode)
         assert base == expected
 
 
+_COST_MODELS = {
+    (model.name, tp): IterationCostModel(model, A100_80GB, tp_degree=tp)
+    for model in (QWEN_VL_7B, LLAVA15_13B, INTERNVL2_76B)
+    for tp in (1, 2, 4)
+}
+
+
 class TestDecodeStats:
-    def test_matches_per_request_decode(self):
+    @pytest.mark.property
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(_COST_MODELS)),
+        lens=st.lists(st.integers(1, 32768), min_size=1, max_size=64),
+        lm_head=st.booleans(),
+        classes=st.sampled_from([0, 2, 101, 365]),
+    )
+    @example(key=("Qwen-VL-7B", 1), lens=[17], lm_head=True, classes=0)
+    @example(key=("Qwen-VL-7B", 1), lens=[64, 64, 64], lm_head=False,
+             classes=101)
+    @example(key=("Qwen-VL-7B", 1), lens=[1, 2, 3, 4, 5], lm_head=True,
+             classes=365)
+    @example(key=("Qwen-VL-7B", 1), lens=[1000, 13, 512, 2048],
+             lm_head=False, classes=101)
+    def test_matches_per_request_decode(self, key, lens, lm_head, classes):
+        """The decode-step function at ``sum(lens)``, the sufficient
+        statistics and the per-request contexts price one step ``==``;
+        ``tp_degree > 1`` adds the all-reduce term."""
+        costs = _COST_MODELS[key]
+        step = costs.decode_step(len(lens), lm_head, classes)
+        stats = costs.decode_seconds_stats(
+            len(lens), sum(lens), lm_head=lm_head, task_head_classes=classes)
+        assert step(sum(lens)) == stats == costs.decode_seconds(
+            lens, lm_head=lm_head, task_head_classes=classes)
+
+    def test_decode_step_is_kept_per_batch_shape(self):
         costs = IterationCostModel(QWEN_VL_7B, A100_80GB)
-        for lens in ((17,), (64, 64, 64), (1, 2, 3, 4, 5),
-                     (1000, 13, 512, 2048)):
-            for lm_head, classes in ((True, 0), (False, 101), (True, 365)):
-                assert costs.decode_seconds_stats(
-                    len(lens), sum(lens), lm_head=lm_head,
-                    task_head_classes=classes,
-                ) == costs.decode_seconds(
-                    lens, lm_head=lm_head, task_head_classes=classes,
-                )
+        step = costs.decode_step(4, True, 0)
+        assert costs.decode_step(4, True, 0) is step
+        assert costs.decode_step(4, False, 101) is not step
+        with pytest.raises(ValueError, match="batch"):
+            costs.decode_step(0, True, 0)
 
     def test_uniform_cache_is_per_instance(self):
         a = IterationCostModel(QWEN_VL_7B, A100_80GB)
@@ -296,3 +326,34 @@ class TestCacheEquivalence:
         assert metrics.cost_cache_misses > 0
         assert (metrics.cost_cache_hits + metrics.cost_cache_misses
                 == metrics.iterations)
+
+
+def test_decode_run_looks_up_once():
+    """A decode run prices all its iterations with one cost-cache
+    lookup: lookups are at most the ``_iterate`` iterations plus the
+    runs, fewer than the iterations, and every iteration still counts
+    one hit or miss."""
+    builder = SystemBuilder(num_adapters=4)
+    engine = builder.build("v-lora")
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    engine.cost_cache.lookup = spy("lookup", engine.cost_cache.lookup)
+    engine._iterate = spy("iterate", engine._iterate)
+    engine._decode_run = spy("run", engine._decode_run)
+    reset_request_ids()
+    engine.submit(RetrievalWorkload(
+        builder.adapter_ids, rate_rps=4.0, duration_s=10.0,
+        top_adapter_share=0.9, use_task_heads=False, seed=0,
+    ).generate())
+    metrics = engine.run()
+    assert calls["run"] > 0
+    assert calls["lookup"] <= calls["iterate"] + calls["run"]
+    assert calls["lookup"] < metrics.iterations
+    assert (metrics.cost_cache_hits + metrics.cost_cache_misses
+            == metrics.iterations)
