@@ -116,11 +116,6 @@ class GPUSpec:
         return self.register_file_per_sm_kb * 1024
 
     @property
-    def pcie_bytes_per_s(self) -> float:
-        """Host link bandwidth in bytes/s."""
-        return self.pcie_bandwidth_gbps * 1e9
-
-    @property
     def nvlink_bytes_per_s(self) -> float:
         """GPU-to-GPU interconnect bandwidth in bytes/s."""
         return self.nvlink_bandwidth_gbps * 1e9

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.hardware.gpu import GPUSpec
 
 FP16_BYTES = 2
-FP32_BYTES = 4
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.hardware.gpu import GPUSpec
 from repro.hardware.memory import FP16_BYTES
 from repro.kernels.base import LoRAOperator
 from repro.kernels.cost_model import GemmCostModel
@@ -68,24 +67,7 @@ class ATMMOperator(LoRAOperator):
         # dedupes across merged-adapter choices and across modes.
         self._pair_memo: dict = {}
 
-    @classmethod
-    def for_gpu(cls, gpu: GPUSpec, **kwargs) -> "ATMMOperator":
-        return cls(GemmCostModel(gpu), **kwargs)
-
     # -- config selection -----------------------------------------------------
-
-    def select_config(self, grouped: GroupedGemm):
-        """Pick one launch-wide configuration for a grouped GEMM.
-
-        The hash table is keyed on single-GEMM shapes; for a grouped
-        launch ATMM keys on the aggregate token dimension (sum of group
-        Ms) with the group's K and max N — the shape that dominates both
-        the block count and the traffic.
-        """
-        total_m = sum(p.m for p in grouped.problems)
-        k = grouped.problems[0].k
-        n = grouped.max_n
-        return self._lookup(total_m, k, n)
 
     def _lookup(self, m: int, k: int, n: int):
         if not self.table.contains(m, k, n):
@@ -116,8 +98,10 @@ class ATMMOperator(LoRAOperator):
         # ``(m_i × d) @ (d × r_i)``, expand is ``(m_i × r_i) @ (r_i × d)``
         # — so the cost model is driven via grouped_seconds_mnk without
         # building GemmShape/GroupedGemm objects (pure per-call churn on
-        # the serving engine's cost-miss path).  Config selection keys
-        # match select_config exactly: aggregate m, the group K, max N.
+        # the serving engine's cost-miss path).  One launch-wide config
+        # is looked up by the aggregate m (sum of group Ms), the group's
+        # K and the max N: the shape that dominates both the block count
+        # and the traffic.
         token_counts, ranks = self._validated(token_counts, ranks)
         if hidden_dim <= 0:
             raise ValueError(

@@ -183,9 +183,6 @@ class OptimalTilingTable:
         self._memo[memo_key] = cfg
         return cfg
 
-    def lookup_shape(self, shape: GemmShape) -> TilingConfig:
-        return self.lookup(shape.m, shape.k, shape.n)
-
     def contains(self, m: int, k: int, n: int) -> bool:
         return shape_key(bucket_m(m), k, n) in self._table
 

@@ -241,8 +241,6 @@ class TilingConfigSpace:
     materializes ``TilingConfig`` objects for winners, on demand.
     """
 
-    _COLUMNS = ("bm", "bk", "bn", "wm", "wk", "wn", "split_k")
-
     def __init__(
         self,
         bm: np.ndarray, bk: np.ndarray, bn: np.ndarray,

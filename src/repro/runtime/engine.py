@@ -349,15 +349,11 @@ class ServingEngine:
 
         The cluster's scale-down path quiesces a replica before draining
         it: dispatch routes around it, :meth:`submit` rejects stragglers
-        (catching dispatch bugs loudly), and once :attr:`is_drained` the
-        replica can be retired without losing a request.
+        (catching dispatch bugs loudly), and once it holds no live work
+        (``num_live == 0``) the replica can be retired without losing a
+        request.
         """
         self.quiesced = True
-
-    @property
-    def is_drained(self) -> bool:
-        """True once a quiesced engine holds no live work."""
-        return self.quiesced and self.num_live == 0
 
     @property
     def pending_requests(self) -> List[Request]:

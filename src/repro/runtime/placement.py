@@ -160,10 +160,6 @@ class AdapterPlacement:
 
     # -- membership ---------------------------------------------------------
 
-    @property
-    def replica_ids(self) -> List[str]:
-        return list(self._engines)
-
     def register_replica(self, engine) -> None:
         """Track ``engine``; seed its resident-set model from truth."""
         rid = engine.engine_id
@@ -223,23 +219,6 @@ class AdapterPlacement:
                if self.popularity(a) >= wm]
         hot.sort(key=lambda it: (-it[0], it[1]))
         return [a for _, a in hot]
-
-    # -- swap costs ---------------------------------------------------------
-
-    def swap_cost_s(self, adapter_id: str) -> float:
-        """Modeled cold-swap stall for this adapter (0 when unknown)."""
-        for engine in self._engines.values():
-            adapters = engine.adapters
-            try:
-                spec = adapters.spec(adapter_id)
-            except KeyError:
-                return 0.0
-            return adapters.transfer.swap_seconds(
-                spec.ab_bytes,
-                async_overlap=adapters.async_overlap,
-                software_overhead_s=adapters.swap_software_overhead_s,
-            )
-        return 0.0
 
     # -- consistent-hash ring -----------------------------------------------
 

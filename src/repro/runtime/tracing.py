@@ -75,9 +75,6 @@ class EngineTracer:
     def total_switch_time(self) -> float:
         return sum(e.switch_seconds for e in self.events)
 
-    def total_swap_stall(self) -> float:
-        return sum(e.swap_stall_seconds for e in self.events)
-
     def mode_segments(self) -> List[Tuple[str, float, float]]:
         """Contiguous (mode, start, end) segments of the timeline."""
         segments: List[Tuple[str, float, float]] = []

@@ -310,6 +310,47 @@ def test_run_matches_one_step_at_a_time(specs, system, deadline_factor,
     assert serve(reference=False) == serve(reference=True)
 
 
+@pytest.mark.parametrize("system,specs", [("s-lora", DEADLINE_MID_RUN),
+                                          ("v-lora", MIXTURE_PREFIX_GROWS)])
+def test_horizon_sees_the_iteration_that_just_ended(system, specs):
+    """Each time ``run()`` asks a horizon whether its decision stands at
+    ``now``, inside a decode run as well as before one, the iteration
+    estimate it passes is the length of the iteration that just ended
+    at ``now``: an iteration end and length of a ``step()`` loop, which
+    ``run()`` reproduces bit for bit."""
+    builder = SystemBuilder(num_adapters=3, max_batch_size=8)
+    engine, asked = builder.build(system), []
+    repeats = engine.policy.repeats
+
+    def recording(decision, candidates, ctx):
+        horizon = repeats(decision, candidates, ctx)
+        if not horizon:
+            return horizon
+
+        def stands(now, est_iteration):
+            asked.append((now, est_iteration))
+            return horizon is True or horizon(now, est_iteration)
+        return stands
+
+    engine.policy.repeats = recording
+    engine.submit(requests(specs))
+    engine.run()
+
+    reference, ended = builder.build(system), set()
+    advance = reference._advance
+
+    def recorded(iteration_s):
+        advance(iteration_s)
+        ended.add((reference.clock.now, iteration_s))
+
+    reference._advance = recorded
+    reference.submit(requests(specs))
+    while reference._pending or reference._active:
+        reference.step()
+    assert len(asked) > 100
+    assert [pair for pair in asked if pair not in ended] == []
+
+
 @settings(max_examples=12, deadline=None)
 @given(specs=steady_traces(adapters=6, bursts=6),
        fleet=st.sampled_from(["locality", "disagg"]))
