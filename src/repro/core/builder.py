@@ -31,11 +31,13 @@ from repro.kernels.baseline_ops import (
 )
 from repro.kernels.cost_model import GemmCostModel
 from repro.models.config import QWEN_VL_7B, ModelConfig
+from repro.models.costs import IterationCostModel
 from repro.models.lora import LoRAAdapterSpec
 from repro.runtime.adapters import AdapterManager
 from repro.runtime.engine import EngineConfig, ServingEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.memory import UnifiedMemoryManager
+from repro.runtime.modes import ModeExecutor
 from repro.runtime.overload import (
     AdmissionConfig,
     BreakerConfig,
@@ -149,6 +151,26 @@ class SystemBuilder:
 
     # -- assembly --------------------------------------------------------------------
 
+    def _tower(self, system: str) -> dict:
+        """The pure cost parts of a ``system`` engine.
+
+        The cost model, operator, switcher, iteration cost model and
+        mode executor hold memos only, never engine state, so every
+        engine of one fleet can share one tower (and its memos).
+        """
+        cost_model = GemmCostModel(self.gpu)
+        operator = self._operator(system, cost_model)
+        return dict(
+            switcher=self._switcher(system, operator, cost_model),
+            iter_costs=IterationCostModel(
+                self.model, self.gpu, cost_model,
+                tp_degree=self.tensor_parallel,
+            ),
+            mode_exec=ModeExecutor(
+                self.model, operator, num_projections=self.num_projections
+            ),
+        )
+
     def build(self, system: str, engine_cls=None) -> ServingEngine:
         """Construct a fresh engine for the named system.
 
@@ -158,13 +180,28 @@ class SystemBuilder:
         checks the engine's iteration pricing and finalization against
         the historical single-loop engine.
         """
-        system = system.lower()
-        if system == "vlora":
-            system = "v-lora"
-        cost_model = GemmCostModel(self.gpu)
-        operator = self._operator(system, cost_model)
-        policy = self._policy(system)
-        switcher = self._switcher(system, operator, cost_model)
+        system = _canonical(system)
+        return self._assemble(system, self._tower(system), engine_cls)
+
+    def engine_factory(self, system: str):
+        """Zero-arg callable producing engines for ``system``.
+
+        The shape :class:`repro.runtime.cluster.MultiGPUServer` wants
+        for ``engine_factory=`` (replica spawning) and what the CLI and
+        benchmarks use to stamp out disaggregated pools.  The factory
+        builds one cost tower (cost model, operator, switcher and their
+        memos) and every engine it stamps out shares it, replicas the
+        autoscaler spawns later included, so a fleet prices each shape
+        once.  Each engine keeps its own state: KV cache, adapters,
+        policy, metrics, jitter stream and iteration cost cache.
+        """
+        system = _canonical(system)
+        tower = self._tower(system)
+        return lambda: self._assemble(system, tower)
+
+    def _assemble(self, system: str, tower: dict,
+                  engine_cls=None) -> ServingEngine:
+        """One engine with its own state around the cost ``tower``."""
         transfer = TransferModel(self.gpu)
         adapters = AdapterManager(
             self.adapter_specs,
@@ -199,25 +236,18 @@ class SystemBuilder:
         return cls(
             model=self.model,
             gpu=self.gpu,
-            operator=operator,
-            policy=policy,
-            switcher=switcher,
+            policy=self._policy(system),
             adapter_manager=adapters,
             memory=memory,
             config=config,
             fault_injector=self.fault_injector,
+            **tower,
         )
 
-    def engine_factory(self, system: str):
-        """Zero-arg callable producing fresh engines for ``system``.
 
-        The shape :class:`repro.runtime.cluster.MultiGPUServer` wants
-        for ``engine_factory=`` (replica spawning) and what the CLI and
-        benchmarks use to stamp out disaggregated pools — every engine
-        comes off the same mold, so fleet-shared caches (cost, transfer)
-        stay coherent.
-        """
-        return lambda: self.build(system)
+def _canonical(system: str) -> str:
+    system = system.lower()
+    return "v-lora" if system == "vlora" else system
 
 
 def build_engine(system: str, **kwargs) -> ServingEngine:

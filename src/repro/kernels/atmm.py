@@ -61,11 +61,6 @@ class ATMMOperator(LoRAOperator):
         # switcher re-costs ΔW on every mode-switch estimate and the
         # result is a pure function of these five ints.
         self._dw_memo: dict = {}
-        # (token_counts, ranks, hidden) -> seconds.  Adapter-identity-
-        # free: two batches whose group token counts land in the same
-        # order share an entry even when the adapters differ, so this
-        # dedupes across merged-adapter choices and across modes.
-        self._pair_memo: dict = {}
 
     # -- config selection -----------------------------------------------------
 
@@ -107,10 +102,6 @@ class ATMMOperator(LoRAOperator):
             raise ValueError(
                 f"GEMM dims must be positive, got hidden_dim={hidden_dim}"
             )
-        key = (tuple(token_counts), tuple(ranks), hidden_dim)
-        memoized = self._pair_memo.get(key)
-        if memoized is not None:
-            return memoized
         total_m = sum(token_counts)
         hiddens = [hidden_dim] * len(token_counts)
         t = self.cost_model.grouped_seconds_mnk(
@@ -121,9 +112,6 @@ class ATMMOperator(LoRAOperator):
             token_counts, ranks, hiddens,
             self._config_for(total_m, ranks[0], hidden_dim),
         )
-        if len(self._pair_memo) >= 65536:
-            self._pair_memo.clear()
-        self._pair_memo[key] = t
         return t
 
     def _config_for(self, m: int, k: int, n: int):

@@ -19,9 +19,10 @@ from repro.models.lora import LoRAAdapterSpec
 @dataclass(slots=True)
 class _Residency:
     spec: LoRAAdapterSpec
+    #: Position in registration order (the order of :attr:`resident_ids`).
+    order: int
     on_gpu: bool = False
     last_used: float = 0.0
-    swap_ins: int = 0
 
 
 class AdapterManager:
@@ -57,18 +58,22 @@ class AdapterManager:
             self.PREALLOCATED_SLOT_OVERHEAD_S if async_swap else None
         )
         self._adapters: Dict[str, _Residency] = {
-            s.adapter_id: _Residency(s) for s in specs
+            s.adapter_id: _Residency(s, i) for i, s in enumerate(specs)
         }
+        #: The GPU-resident entries, kept as they change, so residency
+        #: queries and eviction cost O(slots), not O(catalog).
+        self._resident: Dict[str, _Residency] = {}
         #: Soft-pinned adapter ids (fleet placement's hot replicas):
         #: eviction prefers unpinned victims but may still evict a pin
         #: under slot pressure — pins bias, they never deadlock.
         self.pinned: set = set()
         #: Injected swap-in failures observed (fault injection).
         self.swap_failures = 0
+        self._swap_ins = 0
         # Warm start: the first adapters are resident (offline phase loads
         # them before serving begins).
         for res in list(self._adapters.values())[:gpu_slots]:
-            res.on_gpu = True
+            self._load(res)
 
     # -- queries -------------------------------------------------------------
 
@@ -80,7 +85,9 @@ class AdapterManager:
 
     @property
     def resident_ids(self) -> List[str]:
-        return [a for a, r in self._adapters.items() if r.on_gpu]
+        """GPU-resident adapter ids, in registration order."""
+        return sorted(self._resident,
+                      key=lambda a: self._resident[a].order)
 
     @property
     def adapter_ids(self) -> List[str]:
@@ -148,18 +155,26 @@ class AdapterManager:
                     stall += wire  # wasted transfer attempt
                     continue
             self._evict_one(exclude=set(needed))
-            entry.on_gpu = True
-            entry.swap_ins += 1
+            self._load(entry)
+            self._swap_ins += 1
             stall += wire
         return stall, failed
 
+    def _load(self, entry: _Residency) -> None:
+        entry.on_gpu = True
+        self._resident[entry.spec.adapter_id] = entry
+
+    def _unload(self, entry: _Residency) -> None:
+        entry.on_gpu = False
+        del self._resident[entry.spec.adapter_id]
+
     def _evict_one(self, exclude: set) -> None:
-        resident = [
-            (r.last_used, a) for a, r in self._adapters.items()
-            if r.on_gpu and a not in exclude
-        ]
-        if len(self.resident_ids) < self.gpu_slots:
+        if len(self._resident) < self.gpu_slots:
             return  # free slot available
+        resident = [
+            (r.last_used, a) for a, r in self._resident.items()
+            if a not in exclude
+        ]
         if not resident:
             raise RuntimeError("no evictable adapter (all slots pinned)")
         # Soft pins: evict the LRU *unpinned* resident first; fall back
@@ -167,10 +182,9 @@ class AdapterManager:
         # placement, it must never wedge the engine).
         unpinned = [entry for entry in resident
                     if entry[1] not in self.pinned]
-        (unpinned or resident).sort()
-        victim = (unpinned or resident)[0][1]
+        victim = min(unpinned or resident)[1]
         # Swap-out is fully asynchronous (write-back can always overlap).
-        self._adapters[victim].on_gpu = False
+        self._unload(self._resident[victim])
 
     # -- fleet placement hooks (runtime/placement.py) -----------------------
 
@@ -197,9 +211,9 @@ class AdapterManager:
         entry = self._entry(adapter_id)
         if not entry.on_gpu:
             return False
-        if len(self.resident_ids) <= 1:
+        if len(self._resident) <= 1:
             return False
-        entry.on_gpu = False
+        self._unload(entry)
         return True
 
     def make_resident(self, adapter_id: str, now: float) -> bool:
@@ -213,11 +227,11 @@ class AdapterManager:
         if entry.on_gpu:
             return False
         self._evict_one(exclude={adapter_id})
-        entry.on_gpu = True
-        entry.swap_ins += 1
+        self._load(entry)
+        self._swap_ins += 1
         return True
 
     # -- stats -------------------------------------------------------------------------
 
     def total_swap_ins(self) -> int:
-        return sum(r.swap_ins for r in self._adapters.values())
+        return self._swap_ins

@@ -136,9 +136,10 @@ class ServingEngine:
         self,
         model: ModelConfig,
         gpu: GPUSpec,
-        operator: LoRAOperator,
         policy: SchedulingPolicy,
         switcher: ModeSwitcher,
+        iter_costs: IterationCostModel,
+        mode_exec: ModeExecutor,
         adapter_manager: AdapterManager,
         memory: Optional[UnifiedMemoryManager] = None,
         config: EngineConfig = EngineConfig(),
@@ -147,9 +148,15 @@ class ServingEngine:
     ):
         self.model = model
         self.gpu = gpu
-        self.operator = operator
         self.policy = policy
+        #: The pure cost tower: ``switcher``, ``iter_costs`` and
+        #: ``mode_exec`` hold memos only, never engine state, so the
+        #: engines of one fleet may share them
+        #: (:meth:`~repro.core.builder.SystemBuilder.engine_factory`).
         self.switcher = switcher
+        self.iter_costs = iter_costs
+        self.mode_exec = mode_exec
+        self.operator: LoRAOperator = mode_exec.operator
         self.adapters = adapter_manager
         self.config = config
         self.memory = memory or UnifiedMemoryManager(
@@ -157,13 +164,6 @@ class ServingEngine:
             tp_degree=config.tensor_parallel,
         )
         self.kv: PagedKVCache = self.memory.build_kv_cache()
-        self.iter_costs = IterationCostModel(
-            model, gpu, operator.cost_model,
-            tp_degree=config.tensor_parallel,
-        )
-        self.mode_exec = ModeExecutor(
-            model, operator, num_projections=config.num_projections
-        )
         self.clock = SimClock()
         self.metrics = MetricsCollector()
         #: Operator jitter, the only use of the engine's random stream.
@@ -365,6 +365,7 @@ class ServingEngine:
         from repro.runtime.tracing import EngineTracer
 
         self.tracer = tracer or EngineTracer()
+        self._steady = None  # traced iterations always step
         return self.tracer
 
     # -- main loop --------------------------------------------------------------------
@@ -396,8 +397,17 @@ class ServingEngine:
         one in which a member finishes go as one decode run
         (:meth:`_repeat_steady`).  Either way the run is bit-identical
         to calling :meth:`step` in a loop.
+
+        A steady batch outlives the call, so a cluster that runs its
+        replicas epoch by epoch (``until=``) keeps repeating it across
+        epoch boundaries.  On entry it is kept only while the engine
+        has not failed, the batch is still exactly the active set and
+        every adapter of the batch is still resident (fleet placement
+        may have demoted one between calls).  Work submitted between
+        calls is caught by the arrival guard of :meth:`_repeat_steady`.
         """
-        self._steady = None
+        if self._steady is not None and not self._steady_holds():
+            self._steady = None
         turns = 0
         while turns < max_iterations:
             if self.failed:
@@ -580,6 +590,15 @@ class ServingEngine:
             self.iter_time_ewma = iteration_s
         else:
             self.iter_time_ewma += 0.2 * (iteration_s - self.iter_time_ewma)
+
+    def _steady_holds(self) -> bool:
+        """Whether the steady batch survived what happened between two
+        :meth:`run` calls: see there."""
+        batch, adapters = self._steady[:2]
+        active = self._active
+        return (not self.failed and len(batch) == len(active)
+                and all(active.get(r.request_id) is r for r in batch)
+                and all(map(self.adapters.is_resident, adapters)))
 
     def _repeat_steady(self, until: Optional[float], budget: int) -> int:
         """Run the steady batch on, as :meth:`step` would; returns the

@@ -68,11 +68,13 @@ class ModeExecutor:
         self.model = model
         self.operator = operator
         self.num_projections = num_projections
-        # (token_counts, ranks) -> layer_seconds * num_layers.  The
-        # operator cost is a pure function of the group token counts and
-        # ranks — adapter *identities* never enter it — so batches
-        # that differ only in adapter names (which fragment the
-        # engine-level extra-mean memo) collapse onto one entry here.
+        # (token_counts, ranks) -> layer_seconds * num_layers: the one
+        # memo of the bypass price.  The operator cost is a pure function
+        # of the group token counts and ranks — adapter *identities*
+        # never enter it — so batches that differ only in adapter names
+        # (which fragment the engine-level extra-mean memo) collapse onto
+        # one entry here, and so do the engines of a fleet that share
+        # this executor.
         self._mean_memo: Dict[tuple, float] = {}
 
     def extra_seconds(

@@ -128,7 +128,9 @@ class AdapterPlacement:
     ``gpu_slots`` entries, mirroring the engine-side eviction policy)
     and re-synchronized from each engine's ground-truth
     :attr:`~repro.runtime.adapters.AdapterManager.resident_ids` at every
-    control epoch (:meth:`refresh_from_engines`).  Between refreshes the
+    control epoch (:meth:`refresh_from_engines`).  The manager keeps its
+    resident set as it changes, so a refresh costs O(slots) per replica,
+    not O(catalog).  Between refreshes the
     model can be slightly stale — exactly like a production placement
     service whose view lags the data plane — and every decision made on
     a stale entry degrades to one extra swap, never to an error.
@@ -291,8 +293,9 @@ class AdapterPlacement:
         ordering does not reset on refresh.
         """
         for rid, engine in self._engines.items():
-            truth = set(engine.adapters.resident_ids)
             model = self._resident.get(rid, {})
+            # Built from the truth alone, so entries the engine has
+            # since evicted drop out.
             fresh: Dict[str, int] = {}
             for adapter_id in engine.adapters.resident_ids:
                 if adapter_id in model:
@@ -300,10 +303,7 @@ class AdapterPlacement:
                 else:
                     self._use_seq += 1
                     fresh[adapter_id] = self._use_seq
-            # Drop model entries the engine has since evicted.
-            self._resident[rid] = {
-                a: seq for a, seq in fresh.items() if a in truth
-            }
+            self._resident[rid] = fresh
 
     def replica_cache_value(self, replica_id: str) -> float:
         """Σ popularity of the replica's modeled resident set.

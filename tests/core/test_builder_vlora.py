@@ -1,5 +1,7 @@
 """Tests for the system builder and the V-LoRA end-to-end facade."""
 
+from unittest import mock
+
 import pytest
 
 from repro import (
@@ -12,6 +14,8 @@ from repro import (
     build_engine,
 )
 from repro.kernels import ATMMOperator, EinsumOperator, PunicaOperator, SLoRAOperator
+from repro.kernels.cost_model import GemmCostModel
+from repro.runtime import MultiGPUServer, reset_request_ids
 from repro.runtime.scheduler import (
     DLoRAPolicy,
     MergedOnlyPolicy,
@@ -66,6 +70,48 @@ class TestSystemBuilder:
     def test_build_engine_shortcut(self):
         engine = build_engine("v-lora", num_adapters=2)
         assert engine.adapters.num_adapters == 2
+
+    def test_fleet_shares_the_cost_tower_not_engine_state(self):
+        builder = SystemBuilder(num_adapters=2)
+        factory = builder.engine_factory("v-lora")
+        a, b = factory(), factory()
+        assert a.operator is b.operator and a.switcher is b.switcher
+        assert a.mode_exec is b.mode_exec and a.iter_costs is b.iter_costs
+        for part in ("kv", "adapters", "metrics", "cost_cache", "policy"):
+            assert getattr(a, part) is not getattr(b, part), part
+        fresh = builder.build("v-lora")
+        assert fresh.operator is not a.operator
+        assert fresh.mode_exec is not a.mode_exec
+
+    def test_fleet_prices_each_bypass_key_once(self):
+        """Four replicas from one factory price each distinct bypass
+        key (group token counts, ranks) with at most the two grouped
+        GEMMs of one pricing, however many replicas meet it."""
+        builder = SystemBuilder(num_adapters=8, gpu_adapter_slots=4)
+        keys = set()
+        pair_seconds = ATMMOperator.pair_seconds
+
+        def keyed(op, token_counts, ranks, hidden_dim):
+            keys.add((tuple(token_counts), tuple(ranks)))
+            return pair_seconds(op, token_counts, ranks, hidden_dim)
+
+        reset_request_ids()
+        requests = RetrievalWorkload(
+            builder.adapter_ids, rate_rps=12.0, duration_s=6.0,
+            use_task_heads=False, seed=3,
+        ).generate()
+        server = MultiGPUServer.replicate(
+            builder.engine_factory("v-lora"), 4)
+        with mock.patch.object(ATMMOperator, "pair_seconds", keyed), \
+                mock.patch.object(GemmCostModel, "grouped_seconds_mnk",
+                                  autospec=True,
+                                  side_effect=GemmCostModel.grouped_seconds_mnk
+                                  ) as gemms:
+            server.submit(requests)
+            server.run()
+        assert len({id(e.mode_exec) for e in server.engines}) == 1
+        assert all(e.metrics.iterations for e in server.engines)
+        assert keys and gemms.call_count <= 2 * len(keys)
 
 
 class TestVLoRAFacade:

@@ -8,12 +8,26 @@ steady decode batch without re-scheduling it, must end exactly where a
 loop of ``step()`` calls ends, on one engine and on fleets.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import SystemBuilder
-from repro.runtime import DisaggConfig, MultiGPUServer, Request
-from repro.runtime.engine import PREFILL_TOKEN_BUDGET
+from repro.runtime import (
+    AdapterPlacement,
+    AutoscaleConfig,
+    Autoscaler,
+    DisaggConfig,
+    FailureDetector,
+    FailureDetectorConfig,
+    FaultInjector,
+    HedgeConfig,
+    MultiGPUServer,
+    PlacementConfig,
+    Request,
+)
+from repro.runtime.engine import PREFILL_TOKEN_BUDGET, ServingEngine
 from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.scheduler import SchedulingPolicy
 
@@ -377,5 +391,113 @@ def test_cluster_run_matches_rescheduling_every_iteration(specs, fleet):
         for engine in server.engines:
             engine.kv.check_invariants()
         return outcome(metrics)
+
+    assert serve(reference=False) == serve(reference=True)
+
+
+# -- steady batches across run(until=...) calls ------------------------------
+
+
+_run = ServingEngine.run
+
+
+def run_dropping_steady(engine, *args, **kwargs):
+    """``ServingEngine.run`` as it was when the steady batch did not
+    outlive the call: the reference of the properties below."""
+    engine._steady = None
+    return _run(engine, *args, **kwargs)
+
+
+def _fleet(menu, factory):
+    """A 2-replica fleet with the features of ``menu`` attached."""
+    if menu == "placement":
+        placement = AdapterPlacement(PlacementConfig(
+            hot_watermark=0.6, hot_copies=2, cold_watermark=0.3))
+        return MultiGPUServer.replicate(factory, 2, dispatch="locality",
+                                        placement=placement)
+    if menu == "disagg":
+        return MultiGPUServer.replicate(
+            factory, 2,
+            disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1))
+    if menu == "hedging":
+        return MultiGPUServer.replicate(
+            factory, 2,
+            hedge=HedgeConfig(min_observations=4, window=32, after_s=0.25))
+    if menu.startswith("detector"):
+        return MultiGPUServer.replicate(
+            factory, 2, num_hosts=2, max_requeues=4,
+            detector=FailureDetector(FailureDetectorConfig(
+                phi_suspect=1.0, phi_confirm=3.0)))
+    scaler = Autoscaler(AutoscaleConfig(
+        min_replicas=1, max_replicas=3, target_queue_per_replica=2.0,
+        down_fraction=0.7, down_cooldown_s=0.5, spinup_s=0.1,
+        drain_timeout_s=2.0))
+    return MultiGPUServer.replicate(factory, 1, dispatch="locality",
+                                    autoscaler=scaler,
+                                    placement=AdapterPlacement())
+
+
+STEADY_MENUS = ("placement", "disagg", "hedging", "detector",
+                "detector-faults", "autoscaler")
+
+
+# One adapter's three requests; under placement the fleet demotes that
+# adapter on a replica between two epochs while its batch is steady.
+DEMOTED_BETWEEN_EPOCHS = [_decoding_spec(0, 0, 0.0, 32, 5),
+                          _decoding_spec(1, 0, 0.1875, 32, 33),
+                          _decoding_spec(2, 0, 0.0, 32, 92)]
+
+
+@pytest.mark.parametrize("menu", STEADY_MENUS)
+@settings(max_examples=8, deadline=None)
+@given(specs=steady_traces(adapters=6, bursts=6), seed=st.integers(0, 31))
+@example(specs=DEMOTED_BETWEEN_EPOCHS, seed=0)
+def test_steady_batch_outlives_run_calls(menu, specs, seed):
+    """A cluster runs each replica epoch by epoch, and a steady batch
+    repeats across those ``run(until=...)`` calls unless the engine
+    failed, its active set changed or placement demoted one of its
+    adapters in between.  Every fleet feature must end bit-identical to
+    the same run that drops the steady batch at each call."""
+    faults = None
+    if menu == "detector-faults":
+        faults = FaultInjector.random(
+            horizon_s=8.0, seed=seed, adapter_ids=[f"lora-{i}"
+                                                   for i in range(6)],
+            engine_ids=("gpu-0", "gpu-1"), host_ids=("host-0", "host-1"),
+            partition_rate=0.3, heartbeat_loss_rate=0.2,
+            engine_fail_rate=0.05, engine_slow_rate=0.1)
+    builder = SystemBuilder(num_adapters=6, gpu_adapter_slots=2,
+                            max_batch_size=8, jitter_seed=seed,
+                            fault_injector=faults)
+    def serve(reference):
+        server = _fleet(menu, builder.engine_factory("v-lora"))
+        served = requests(specs)
+        server.submit(served)
+        with mock.patch.object(ServingEngine, "run",
+                               run_dropping_steady if reference else _run):
+            metrics = server.run()
+        return ([(r.request_id, r.status, r.first_token_time, r.finish_time)
+                 for r in served], outcome(metrics))
+
+    assert serve(reference=False) == serve(reference=True)
+
+
+def test_steady_batch_dropped_when_its_requests_leave():
+    """A drain between two ``run()`` calls empties the active set (a
+    drain-timeout or a seized lease re-homes the requests); the stale
+    steady batch must not repeat when the requests come back later."""
+    specs = [_decoding_spec(i, 0, 0.0, 64, 120) for i in range(2)]
+
+    def serve(reference):
+        engine = SystemBuilder(num_adapters=2).build("s-lora")
+        engine.submit(requests(specs))
+        with mock.patch.object(ServingEngine, "run",
+                               run_dropping_steady if reference else _run):
+            engine.run(until=0.5)
+            assert reference or engine._steady is not None
+            orphans = engine.drain_orphans(count_hop=False)
+            engine.submit(orphans, not_before=engine.clock.now + 0.3)
+            engine.run()
+        return outcome(engine.metrics)
 
     assert serve(reference=False) == serve(reference=True)

@@ -133,6 +133,20 @@ class TestTracerIntegration:
         assert untraced_calls < metrics.iterations / 2
         assert untraced.summary() == metrics.summary()
 
+    def test_tracer_attached_between_runs_sees_every_later_iteration(self):
+        """A steady batch outlives ``run()`` calls, but not a tracer
+        attached between them: every later iteration is one event."""
+        engine = SystemBuilder(num_adapters=2).build("s-lora")
+        engine.submit([Request(adapter_id=f"lora-{i % 2}", arrival_time=0.0,
+                               input_tokens=64, output_tokens=120)
+                       for i in range(3)])
+        engine.run(until=0.5)
+        assert engine._steady is not None
+        before = engine.metrics.iterations
+        tracer = engine.attach_tracer()
+        metrics = engine.run()
+        assert len(tracer.events) == metrics.iterations - before > 0
+
     def test_untraced_engine_records_nothing(self):
         builder = SystemBuilder(num_adapters=2)
         engine = builder.build("v-lora")
