@@ -6,13 +6,13 @@ million-request traces:
 
 * **engine**: one 50k-request Azure-shaped retrieval trace (bursty
   arrivals at ~1.5x capacity, so the backlog deepens the way long
-  traces do) served by the engine with its cost memo on and off.  Both
-  must produce identical metrics to full float precision.  Each
-  variant runs in its own spawned process, so its ``peak_rss_mb`` is
-  its own footprint.  This leg has no speed floor: host-speed
-  regressions are the repo benchmark's ``sim_rps`` bound
-  (``BENCHMARK.json``), and the simulated behaviour is pinned by the
-  golden snapshots in ``tests/runtime/golden/``.
+  traces do) served by the engine in a spawned process, so its
+  ``peak_rss_mb`` is its own footprint.  This leg has no speed floor:
+  host-speed regressions are the repo benchmark's ``sim_rps`` bound
+  (``BENCHMARK.json``), the simulated behaviour is pinned by the golden
+  snapshots in ``tests/runtime/golden/``, and that the engine's fast
+  paths leave it unchanged is the differential oracle's property
+  (``tests/runtime/test_oracle.py``).
 * **sweep**: the Fig 14 retrieval grid (4 systems x 4 rates) run
   serially and with ``SweepRunner(parallel=4)``.  Cell metrics must be
   identical; the parallel run must be >= 3x faster.
@@ -113,11 +113,9 @@ def _in_child(fn, *args, **kwargs):
         return pool.apply(fn, args, kwargs)
 
 
-def _run_engine(num_requests: int, enable_cost_cache: bool = True,
-                ) -> Tuple[float, Dict[str, float], float]:
-    """(wall seconds, comparable summary, peak RSS MiB) for one variant."""
-    builder = SystemBuilder(num_adapters=8,
-                            enable_cost_cache=enable_cost_cache)
+def _run_engine(num_requests: int) -> Tuple[float, Dict[str, float], float]:
+    """(wall seconds, comparable summary, peak RSS MiB) of the engine."""
+    builder = SystemBuilder(num_adapters=8)
     requests = _generate_trace(builder, num_requests)
     engine = builder.build("v-lora")
     engine.submit(requests)
@@ -128,31 +126,16 @@ def _run_engine(num_requests: int, enable_cost_cache: bool = True,
 
 
 def run_engine_bench(num_requests: int) -> Dict[str, object]:
-    variants = {"optimized": True, "cache_disabled": False}
-    walls: Dict[str, float] = {}
-    summaries: Dict[str, Dict[str, float]] = {}
-    rss: Dict[str, float] = {}
-    for name, enable_cost_cache in variants.items():
-        walls[name], summaries[name], rss[name] = _in_child(
-            _run_engine, num_requests, enable_cost_cache)
-    optimized, uncached = summaries["optimized"], summaries["cache_disabled"]
-    if uncached != optimized:
-        diff = {k: (optimized.get(k), uncached.get(k))
-                for k in set(optimized) | set(uncached)
-                if optimized.get(k) != uncached.get(k)}
-        raise AssertionError(
-            f"metrics diverged between optimized and cache_disabled: {diff}"
-        )
+    wall, summary, rss = _in_child(_run_engine, num_requests)
     return {
         "num_requests": num_requests,
         "rate_rps": ENGINE_RATE_RPS,
-        "wall_seconds": {k: round(v, 3) for k, v in walls.items()},
+        "wall_seconds": {"optimized": round(wall, 3)},
         "sim_requests_per_sec": {
-            k: round(num_requests / v, 1) for k, v in walls.items()
+            "optimized": round(num_requests / wall, 1)
         },
-        "peak_rss_mb": {k: round(v, 1) for k, v in rss.items()},
-        "metrics_identical": True,
-        "completed": optimized["completed"],
+        "peak_rss_mb": {"optimized": round(rss, 1)},
+        "completed": summary["completed"],
     }
 
 
@@ -387,7 +370,6 @@ def _print_payload(payload: Dict[str, object]) -> None:
         mb = engine["peak_rss_mb"][name]
         print(f"  {name:<16} {wall:>8.2f}s  {rps:>9.1f} sim req/s"
               f"  (rss <= {mb:.0f} MiB)")
-    print(f"  metrics identical: {engine['metrics_identical']}")
     print(f"sweep grid: {sweep['cells']} cells, parallel={sweep['parallel']} "
           f"(mode: {sweep['mode']})")
     print(f"  serial   {sweep['wall_seconds']['serial']:>8.2f}s")
@@ -437,9 +419,8 @@ def test_sim_throughput(benchmark, results):
     results.print_table(
         "Simulator throughput (sim requests / wall second)",
         ["variant", "wall (s)", "sim req/s"],
-        [[name, payload["engine"]["wall_seconds"][name],
-          payload["engine"]["sim_requests_per_sec"][name]]
-         for name in ("optimized", "cache_disabled")],
+        [[name, wall, payload["engine"]["sim_requests_per_sec"][name]]
+         for name, wall in payload["engine"]["wall_seconds"].items()],
     )
     results.save("sim_throughput", payload)
 

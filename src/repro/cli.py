@@ -57,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="N",
                        help="cProfile the run and print the top N "
                             "functions by cumulative time (default 20)")
-    serve.add_argument("--no-cost-cache", action="store_true",
-                       help="price every iteration through the full cost "
-                            "model instead of the memoized cost components "
-                            "(the reference path; results are identical)")
     fault = serve.add_argument_group(
         "fault injection (docs/FAULTS.md; rates are events per sim-second)"
     )
@@ -590,7 +586,6 @@ def cmd_serve(args) -> int:
                             jitter_seed=args.seed,
                             fault_injector=injector,
                             deadline_slo_factor=args.deadline_factor,
-                            enable_cost_cache=not args.no_cost_cache,
                             admission=admission,
                             brownout=brownout,
                             breaker=breaker)

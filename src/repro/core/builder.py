@@ -78,9 +78,6 @@ class SystemBuilder:
     #: Abort requests past ``deadline_slo_factor * slo_s`` (see
     #: :class:`~repro.runtime.engine.EngineConfig`).
     deadline_slo_factor: Optional[float] = None
-    #: Price iterations from memoized cost components (bit-identical
-    #: results; ``False`` forces the reference cost path).
-    enable_cost_cache: bool = True
     #: Overload protection (all default-off; see
     #: :mod:`repro.runtime.overload` and ``docs/FAULTS.md``).
     admission: Optional[AdmissionConfig] = None
@@ -175,10 +172,10 @@ class SystemBuilder:
         """Construct a fresh engine for the named system.
 
         ``engine_cls`` swaps in an alternative engine implementation
-        with the same constructor: the ``MonolithicEngine`` reference
-        of the ``test_composed_equals_monolithic`` property, which
-        checks the engine's iteration pricing and finalization against
-        the historical single-loop engine.
+        with the same constructor: the reference engine of the test
+        suite's differential oracle, which takes none of the engine's
+        fast paths and must end bit-identical to it.  Every call builds
+        its own cost tower; :meth:`engine_factory` shares one.
         """
         system = _canonical(system)
         return self._assemble(system, self._tower(system), engine_cls)
@@ -209,10 +206,11 @@ class SystemBuilder:
             transfer_model=transfer,
             async_swap=(system == "v-lora"),
         )
+        # Every slot must hold the largest adapter the catalog can swap in.
         memory = UnifiedMemoryManager(
             self.model, self.gpu,
             adapter_slots=self.gpu_adapter_slots,
-            adapter_spec=self.adapter_specs[0],
+            adapter_spec=max(self.adapter_specs, key=lambda s: s.ab_bytes),
             tp_degree=self.tensor_parallel,
         )
         config = EngineConfig(
@@ -227,7 +225,6 @@ class SystemBuilder:
             batch_prefills=(system != "punica"),
             tensor_parallel=self.tensor_parallel,
             deadline_slo_factor=self.deadline_slo_factor,
-            enable_cost_cache=self.enable_cost_cache,
             admission=self.admission,
             brownout=self.brownout,
             breaker=self.breaker,

@@ -22,8 +22,10 @@ prices a run with one lookup and one decode-step function
 
 Losslessness
 ------------
-The cache must never change simulated results, only wall-clock time.
-Three properties make that hold bit-for-bit:
+The cache must never change simulated results, only wall-clock time:
+the test suite's reference engine, which re-derives every cost through
+the tower (``tests/runtime/test_oracle.py``), must end bit-identical.
+Three properties make that hold:
 
 * **Decode costs reduce to sufficient statistics.**  Per-request decode
   cost is affine in the context length (attention FLOPs and KV traffic
@@ -34,7 +36,7 @@ Three properties make that hold bit-for-bit:
   evaluates the one decode formula, :meth:`~IterationCostModel.decode_step`).
   Prefill launches are keyed on their exact token tuple in batch order,
   and :meth:`IterationCostCache.lookup` adds the launches, then decode,
-  in the order the uncached engine does, so float rounding is unchanged.
+  in the order the reference engine does, so float rounding is unchanged.
 
 * **Ranks are per-engine constants.**  An adapter's rank is fixed by its
   id, so the extra-mean key leaves ranks out; they are looked up only on
@@ -44,7 +46,7 @@ Three properties make that hold bit-for-bit:
   ``sample(mean, rng)``; only the deterministic mean is memoized
   (:meth:`ModeExecutor.mean_extra_seconds`) and the rng draw happens per
   iteration in the engine, consuming the jitter stream exactly as the
-  uncached path does (zero means never sample in either path).
+  reference engine does (zero means never sample in either).
 
 Each :meth:`~IterationCostCache.lookup` counts one hit or miss on the
 extra-mean memo, written straight into the engine's
@@ -116,7 +118,7 @@ class IterationCostCache:
         order (prefills then decodes) — order matters because the ATMM
         config selection keys on the first group's rank.
         """
-        # Accumulate in the exact order the uncached engine adds costs
+        # Accumulate in the exact order the reference engine adds costs
         # (each prefill launch, then the decode step) so float addition
         # order — and therefore rounding — is unchanged.
         base = 0.0

@@ -99,12 +99,6 @@ class EngineConfig:
     #: ``deadline_slo_factor * slo_s`` (requests without an SLO are only
     #: bounded by their own ``deadline_s``).  ``None`` disables.
     deadline_slo_factor: Optional[float] = None
-    #: Price iterations from memoized cost components (prefill launch,
-    #: LoRA extra mean) and decode sufficient statistics (see
-    #: :mod:`repro.runtime.costcache`) with bit-identical results.
-    #: ``False`` re-derives every iteration through the full cost-model
-    #: tower (the reference path).
-    enable_cost_cache: bool = True
     # -- overload protection (all default off; see runtime/overload.py) ----
     #: Admission control at the queue door: token-bucket rate limiting,
     #: queue-depth / KV-headroom watermarks, SLO-aware early rejection.
@@ -256,11 +250,9 @@ class ServingEngine:
         #: EWMA of iteration wall time — the cluster's straggler signal.
         self.iter_time_ewma: Optional[float] = None
         # -- memoized cost layer -------------------------------------------
-        self.cost_cache: Optional[IterationCostCache] = (
-            IterationCostCache(self.iter_costs, self.mode_exec,
-                               self._rank_of, metrics=self.metrics)
-            if config.enable_cost_cache else None
-        )
+        self.cost_cache = IterationCostCache(
+            self.iter_costs, self.mode_exec, self._rank_of,
+            metrics=self.metrics)
         self._rank_cache: Dict[str, int] = {}
         self._task_class_cache: Dict[str, int] = {}
         # -- disaggregated serving hooks (runtime/disagg.py) ---------------
@@ -393,10 +385,9 @@ class ServingEngine:
         decision's mode and merged adapter while the horizon holds, no
         arrival and no deadline is due and its block-boundary appends
         fit the free KV blocks; otherwise the next iteration is a full
-        :meth:`step`.  With the cost cache on, the repeats up to the
-        one in which a member finishes go as one decode run
-        (:meth:`_repeat_steady`).  Either way the run is bit-identical
-        to calling :meth:`step` in a loop.
+        :meth:`step`.  The repeats up to the one in which a member
+        finishes go as one decode run (:meth:`_repeat_steady`).  The run
+        is bit-identical to calling :meth:`step` in a loop.
 
         A steady batch outlives the call, so a cluster that runs its
         replicas epoch by epoch (``until=``) keeps repeating it across
@@ -502,19 +493,16 @@ class ServingEngine:
         # decision, and the decision to cover the whole active set.
         whole = len(batch) == len(decision.batch) == len(self._active)
         if not batch:
-            # KV exhausted: let running requests drain by retrying the
-            # already-admitted subset next iteration after evicting
-            # stale prefixes.
+            # Nothing admitted, so no member holds KV (a hand-off on a
+            # decode-pool engine waits for its local copy): degrade
+            # instead of crashing — flush caches, stall briefly for
+            # transient pressure, then shed the lowest-credit waiting
+            # request.
             self.kv.evict_stale_prefixes(
                 self.clock.now - PREFIX_TTL_S
             )
-            batch = [r for r in decision.batch if r.prefilled]
-            if not batch:
-                # Nothing admitted and nothing running: degrade instead
-                # of crashing — flush caches, stall briefly for transient
-                # pressure, then shed the lowest-credit waiting request.
-                self._handle_kv_starvation(decision.batch)
-                return
+            self._handle_kv_starvation(decision.batch)
+            return
 
         batch = self._ensure_decode_capacity(batch)
         if not batch:
@@ -607,13 +595,12 @@ class ServingEngine:
         0, with nothing done, when the first repeat's guards fail: an
         arrival or a deadline is due, the decision's horizon has closed
         at the current clock and iteration estimate, or a block-boundary
-        append would not fit (:meth:`step` then preempts).  With the
-        cost cache on and no member finishing next, the repeats go as
-        one :meth:`_decode_run`, which prices them all with one
-        decode-step function and one extra-mean lookup.  Otherwise, and
-        always for the iteration in which a member finishes, one repeat
-        goes through :meth:`_iterate` in the decision's mode; the batch
-        stops being steady once a member finishes.
+        append would not fit (:meth:`step` then preempts).  While no
+        member finishes next, the repeats go as one :meth:`_decode_run`,
+        which prices them all with one decode-step function and one
+        extra-mean lookup.  The iteration in which a member finishes
+        goes through :meth:`_iterate` in the decision's mode, and the
+        batch stops being steady.
         """
         batch, adapters, mode, merged, stands = self._steady
         now = self.clock.now
@@ -633,7 +620,7 @@ class ServingEngine:
         if due[0] > self.kv.free_blocks:
             return 0
         length = min(r.output_tokens - r.generated for r in batch) - 1
-        if self.cost_cache is not None and length > 0:
+        if length > 0:
             return self._decode_run(batch, adapters, mode, merged, stands,
                                     due, until, min(length, budget))
         self.adapters.try_ensure_resident(adapters, now)
@@ -1258,12 +1245,15 @@ class ServingEngine:
         return sum(1 for r in batch if r.context_len % block == 0)
 
     def _pick_preemption_victim(self, batch: Sequence[Request]):
-        """Youngest prefilled request (in-batch last, else any active)."""
+        """Youngest prefilled request holding KV (in-batch last, else
+        any active; a hand-off transferred in to a decode-pool engine
+        holds none until it is admitted)."""
         prefilled_batch = [r for r in batch if r.prefilled]
         batch_ids = {r.request_id for r in batch}
         outside = [
             r for r in self._active.values()
             if r.prefilled and r.request_id not in batch_ids
+            and self.kv.has_sequence(r.request_id)
         ]
         pool = outside or prefilled_batch
         if len(pool) <= 1 and pool == prefilled_batch:
@@ -1386,40 +1376,20 @@ class ServingEngine:
                  merged: Optional[str]) -> float:
         """Cost one iteration over ``batch`` and return its latency.
 
-        Both paths price the one :meth:`_split`, adding each prefill
-        launch, then the decode step, then the LoRA operator's extra
-        time.  The cost cache returns ``(base cost, extra-cost mean)``
-        from memos and only the jitter sample runs per iteration; with
-        ``enable_cost_cache=False`` every cost is re-derived through the
-        model tower (the reference path).  Both draw from the rng stream
-        at the same points, so runs are bit-identical either way.
+        The cost cache prices the one :meth:`_split` as ``(base cost,
+        extra-cost mean)``, adding each prefill launch, then the decode
+        step, from memos and a closed form; only the LoRA operator's
+        jitter sample runs per iteration.  The test suite's reference
+        engine re-derives every cost through the model tower instead and
+        must end bit-identical (``tests/runtime/test_oracle.py``).
         """
-        launches, decode, groups, decodes = self._split(batch)
-        if self.cost_cache is not None:
-            base, extra_mean = self.cost_cache.lookup(
-                mode, merged, launches, decode, tuple(groups.items()),
-            )
-            if not groups:
-                return base
-            extra = self.mode_exec.extra_seconds_from_mean(
-                extra_mean, self._rng)
-        else:
-            base = 0.0
-            for tokens, num_images in launches:
-                base += self.iter_costs.prefill_seconds(tokens, num_images)
-            if decode is not None:
-                base += self.iter_costs.decode_seconds(
-                    [r.context_len for r in decodes],
-                    lm_head=decode[2], task_head_classes=decode[3],
-                )
-            if not groups:
-                return base
-            ranks = {a: self._rank_of(a) for a in groups}
-            if merged is not None:
-                ranks.setdefault(merged, self._rank_of(merged))
-            extra = self.mode_exec.extra_seconds(
-                mode, groups, ranks, merged_adapter=merged, rng=self._rng,
-            )
+        launches, decode, groups, _ = self._split(batch)
+        base, extra_mean = self.cost_cache.lookup(
+            mode, merged, launches, decode, tuple(groups.items()),
+        )
+        if not groups:
+            return base
+        extra = self.mode_exec.extra_seconds_from_mean(extra_mean, self._rng)
         self.metrics.lora_extra_time_total += extra
         return base + extra
 

@@ -110,9 +110,10 @@ class ModeExecutor:
     ) -> float:
         """Apply operator run-to-run jitter to a deterministic mean.
 
-        Zero means (merged mode, degenerate mixture) never sample, so the
-        rng stream advances exactly as it did before the mean became
-        memoizable — a prerequisite for cache-on/off bit-identity.
+        Zero means (merged mode, degenerate mixture) never sample.  The
+        engine, with its memoized mean, and the test suite's reference
+        engine, which derives the mean anew, both sample here, so they
+        draw from the rng stream at the same points.
         """
         if mean_seconds == 0.0:
             return 0.0

@@ -67,6 +67,23 @@ class TestSystemBuilder:
         assert builder.num_adapters == 3
         assert builder.adapter_ids == ["x0", "x1", "x2"]
 
+    def test_adapter_slot_holds_the_largest_adapter(self):
+        """KV capacity does not depend on catalog order: every slot is
+        sized for the catalog's largest adapter."""
+        from itertools import permutations
+
+        from repro.models import QWEN_VL_7B, LoRAAdapterSpec
+
+        def kv_blocks(ranks):
+            specs = [LoRAAdapterSpec(f"x{i}", QWEN_VL_7B, rank=r)
+                     for i, r in enumerate(ranks)]
+            builder = SystemBuilder(adapter_specs=specs, gpu_adapter_slots=2)
+            return builder.build("v-lora").kv.num_blocks
+
+        largest = kv_blocks((128, 128, 128))
+        assert {kv_blocks(p) for p in permutations((8, 32, 128))} == {largest}
+        assert kv_blocks((8, 8, 8)) > largest
+
     def test_build_engine_shortcut(self):
         engine = build_engine("v-lora", num_adapters=2)
         assert engine.adapters.num_adapters == 2

@@ -1,11 +1,11 @@
-"""Cost-memoization layer: unit behavior + bit-identical end-to-end runs.
+"""Cost-memoization layer: unit behavior and exact decode pricing.
 
 The cache's contract (see ``repro/runtime/costcache.py``) is that it may
-only change wall-clock time, never simulated results.  The property
-tests here run the same workload through the memoized and reference cost
-paths and require the final clock, every per-request timestamp, and the
-whole metrics summary to match to full float precision — across
-systems, seeds, and fault schedules.
+only change wall-clock time, never simulated results.  The tests here
+check each memo against the cost model it stands in for, and serve
+retrieval traces on the optimized engine and on the reference engine of
+``test_oracle.py``, which prices every iteration without the cache;
+the oracle's property draws the request mixes by hand.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
+from tests.runtime.test_oracle import (
+    ReferenceEngine,
+    check_host_work,
+    digest,
+    serve_engine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +198,13 @@ class TestDecodeStats:
                 != b.decode_seconds_uniform(4, 128))
 
 
-def _run_once(system: str, seed: int, enable_cost_cache: bool,
-              with_faults: bool):
+def _trace(builder, seed, **kwargs):
+    reset_request_ids()
+    return RetrievalWorkload(builder.adapter_ids, seed=seed,
+                             **kwargs).generate()
+
+
+def _run_once(system: str, seed: int, with_faults: bool, engine_cls=None):
     injector = None
     if with_faults:
         injector = FaultInjector.random(
@@ -203,114 +214,85 @@ def _run_once(system: str, seed: int, enable_cost_cache: bool,
             kv_pressure_rate=0.02, engine_slow_rate=0.02,
         )
     builder = SystemBuilder(num_adapters=8, gpu_adapter_slots=4,
-                            jitter_seed=seed,
-                            fault_injector=injector,
-                            enable_cost_cache=enable_cost_cache)
-    reset_request_ids()
-    requests = RetrievalWorkload(
-        builder.adapter_ids, rate_rps=12.0, duration_s=25.0,
-        use_task_heads=(system == "v-lora"), seed=seed,
-    ).generate()
-    engine = builder.build(system)
-    engine.submit(requests)
-    return _outcome(engine.run(), engine.clock.now)
+                            jitter_seed=seed, fault_injector=injector)
+    requests = _trace(builder, seed, rate_rps=12.0, duration_s=25.0,
+                      use_task_heads=(system == "v-lora"))
+    return serve_engine(builder, system, requests, engine_cls)
 
 
-def _run_disagg(enable_cost_cache: bool):
+def _run_disagg(engine_cls=None):
     """One prefill and one decode replica: the prefill engine prices
     merges with ``decode=False`` and the decode engine serves
     transferred-in KV."""
     builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=2,
-                            jitter_seed=3,
-                            enable_cost_cache=enable_cost_cache)
-    reset_request_ids()
-    requests = RetrievalWorkload(
-        builder.adapter_ids, rate_rps=12.0, duration_s=25.0, seed=3,
-    ).generate()
+                            jitter_seed=3)
+    if engine_cls is None:
+        factory = builder.engine_factory("v-lora")
+    else:
+        def factory():
+            return builder.build("v-lora", engine_cls=engine_cls)
     server = MultiGPUServer.replicate(
-        lambda: builder.build("v-lora"), 2,
+        factory, 2,
         disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1))
-    server.submit(requests)
+    server.submit(_trace(builder, 3, rate_rps=12.0, duration_s=25.0))
     metrics = server.run()
     assert metrics.kv_transfers > 0
-    return _outcome(metrics, tuple(e.clock.now for e in server.engines))
-
-
-def _outcome(metrics, clock):
-    """Final clock, per-request timestamps and the summary without the
-    two counters only the memoized path moves."""
-    summary = metrics.summary()
-    summary.pop("cost_cache_hits", None)
-    summary.pop("cost_cache_misses", None)
-    records = sorted(
-        (r.request_id, r.arrival_time, r.first_token_time, r.finish_time)
-        for r in metrics.records
-    )
-    return clock, records, summary
+    if engine_cls is None:
+        check_host_work(metrics)
+    return tuple(e.clock.now for e in server.engines), digest(metrics)
 
 
 class TestCacheEquivalence:
-    """Memoized runs are bit-identical to the reference cost path."""
+    """Memoized runs are bit-identical to the reference engine."""
 
     @pytest.mark.parametrize("system", ["v-lora", "s-lora", "punica",
                                         "dlora"])
     def test_systems(self, system):
-        assert (_run_once(system, seed=3, enable_cost_cache=True,
-                          with_faults=False)
-                == _run_once(system, seed=3, enable_cost_cache=False,
-                             with_faults=False))
+        assert (_run_once(system, 3, False)
+                == _run_once(system, 3, False, ReferenceEngine))
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_seeds(self, seed):
-        assert (_run_once("v-lora", seed=seed, enable_cost_cache=True,
-                          with_faults=False)
-                == _run_once("v-lora", seed=seed, enable_cost_cache=False,
-                             with_faults=False))
+        assert (_run_once("v-lora", seed, False)
+                == _run_once("v-lora", seed, False, ReferenceEngine))
 
     @pytest.mark.parametrize("system", ["v-lora", "dlora"])
     def test_fault_schedules(self, system):
-        cached = _run_once(system, seed=5, enable_cost_cache=True,
-                           with_faults=True)
-        assert cached == _run_once(system, seed=5, enable_cost_cache=False,
-                                   with_faults=True)
+        assert (_run_once(system, 5, True)
+                == _run_once(system, 5, True, ReferenceEngine))
 
     def test_disaggregated_pools(self):
-        assert _run_disagg(True) == _run_disagg(False)
+        assert _run_disagg() == _run_disagg(ReferenceEngine)
 
     def test_merged_and_mixture_repeats(self):
         """A hot adapter's MERGED and MIXTURE batches repeat as decode
-        runs with the cache on, and one ``_iterate`` at a time with it
-        off; both paths end bit-identical."""
-        def serve(enable_cost_cache):
-            builder = SystemBuilder(num_adapters=4, jitter_seed=2,
-                                    enable_cost_cache=enable_cost_cache)
-            reset_request_ids()
-            requests = RetrievalWorkload(
-                builder.adapter_ids, rate_rps=4.0, duration_s=20.0,
-                top_adapter_share=0.9, use_task_heads=False, seed=2,
-            ).generate()
-            engine = builder.build("v-lora")
-            repeats = Counter()
-            repeat_steady = engine._repeat_steady
+        runs, and end bit-identical to the reference, which never
+        repeats."""
+        builder = SystemBuilder(num_adapters=4, jitter_seed=2)
 
-            def counted(until, budget):
-                # A repeat pays no switch: it runs in the current mode.
-                mode = engine.current_mode
-                ran = repeat_steady(until, budget)
-                repeats[mode] += ran
-                return ran
+        def requests():
+            return _trace(builder, 2, rate_rps=4.0, duration_s=20.0,
+                          top_adapter_share=0.9, use_task_heads=False)
 
-            engine._repeat_steady = counted
-            engine.submit(requests)
-            metrics = engine.run()
-            return _outcome(metrics, engine.clock.now), metrics, repeats
+        engine = builder.build("v-lora")
+        repeats = Counter()
+        repeat_steady = engine._repeat_steady
 
-        cached, metrics, cached_repeats = serve(True)
-        reference, _, reference_repeats = serve(False)
-        assert cached == reference
-        assert cached_repeats == reference_repeats
-        assert cached_repeats[InferenceMode.MERGED] > 0
-        assert cached_repeats[InferenceMode.MIXTURE] > 0
+        def counted(until, budget):
+            # A repeat pays no switch: it runs in the current mode.
+            mode = engine.current_mode
+            ran = repeat_steady(until, budget)
+            repeats[mode] += ran
+            return ran
+
+        engine._repeat_steady = counted
+        engine.submit(requests())
+        metrics = engine.run()
+        assert ((engine.clock.now, digest(metrics))
+                == serve_engine(builder, "v-lora", requests(),
+                                ReferenceEngine))
+        assert repeats[InferenceMode.MERGED] > 0
+        assert repeats[InferenceMode.MIXTURE] > 0
         assert metrics.cost_cache_hits > 0
 
     def test_cache_actually_engages(self):

@@ -164,31 +164,16 @@ SMALL_GPU = dataclasses.replace(A100_80GB, name="A100-21GB",
 
 def _log_priced_tokens(engine):
     """Per iteration, ``[prompt tokens, decode tokens]`` as ``_execute``
-    prices them through the reference cost tower."""
-    costs = engine.iter_costs
-    prefill_seconds = costs.prefill_seconds
-    decode_seconds = costs.decode_seconds
-    execute = engine._execute
+    hands them to the cost cache to price."""
+    lookup = engine.cost_cache.lookup
     log = []
 
-    def priced_prefill(tokens, num_images=0):
-        log[-1][0] += sum(tokens)
-        return prefill_seconds(tokens, num_images)
+    def logged_lookup(mode, merged, launches, decode, groups):
+        log.append([sum(sum(tokens) for tokens, _ in launches),
+                    decode[0] if decode is not None else 0])
+        return lookup(mode, merged, launches, decode, groups)
 
-    def priced_decode(contexts, **kw):
-        log[-1][1] += len(contexts)
-        return decode_seconds(contexts, **kw)
-
-    def logged_execute(batch, mode, merged):
-        log.append([0, 0])
-        costs.prefill_seconds = priced_prefill
-        costs.decode_seconds = priced_decode
-        try:
-            return execute(batch, mode, merged)
-        finally:
-            del costs.prefill_seconds, costs.decode_seconds
-
-    engine._execute = logged_execute
+    engine.cost_cache.lookup = logged_lookup
     return log
 
 
@@ -201,8 +186,7 @@ def test_events_count_the_priced_tokens(gpu, rate, seed):
     priced (after prefix reuse) and its ``decode_tokens`` the batch
     members already prefilled, even for a request that finishes or
     re-prefills in that iteration."""
-    builder = SystemBuilder(num_adapters=4, max_batch_size=16, gpu=gpu,
-                            enable_cost_cache=False)
+    builder = SystemBuilder(num_adapters=4, max_batch_size=16, gpu=gpu)
     reset_request_ids()
     engine = builder.build("v-lora")
     tracer = engine.attach_tracer()
