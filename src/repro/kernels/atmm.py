@@ -61,6 +61,9 @@ class ATMMOperator(LoRAOperator):
         # switcher re-costs ΔW on every mode-switch estimate and the
         # result is a pure function of these five ints.
         self._dw_memo: dict = {}
+        # (shrink cfg, expand cfg, hidden, ranks, shrink blocks, expand
+        # blocks) -> seconds: see pair_seconds.
+        self._pair_memo: dict = {}
 
     # -- config selection -----------------------------------------------------
 
@@ -97,21 +100,34 @@ class ATMMOperator(LoRAOperator):
         # is looked up by the aggregate m (sum of group Ms), the group's
         # K and the max N: the shape that dominates both the block count
         # and the traffic.
+        #
+        # grouped_seconds_mnk reads each group's m only through its block
+        # count ceil(m / bm), so the price is memoized on the two
+        # configs, the hidden dim, the ranks and the per-group block
+        # counts under each config's bm: batches whose group sizes
+        # differ only inside a tile share one price, bit for bit.
         token_counts, ranks = self._validated(token_counts, ranks)
         if hidden_dim <= 0:
             raise ValueError(
                 f"GEMM dims must be positive, got hidden_dim={hidden_dim}"
             )
         total_m = sum(token_counts)
-        hiddens = [hidden_dim] * len(token_counts)
-        t = self.cost_model.grouped_seconds_mnk(
-            token_counts, hiddens, ranks,
-            self._config_for(total_m, hidden_dim, max(ranks)),
-        )
-        t += self.cost_model.grouped_seconds_mnk(
-            token_counts, ranks, hiddens,
-            self._config_for(total_m, ranks[0], hidden_dim),
-        )
+        shrink = self._config_for(total_m, hidden_dim, max(ranks))
+        expand = self._config_for(total_m, ranks[0], hidden_dim)
+        bm_s, bm_e = shrink.bm, expand.bm
+        key = (shrink, expand, hidden_dim, tuple(ranks),
+               tuple([-(-m // bm_s) for m in token_counts]),
+               tuple([-(-m // bm_e) for m in token_counts]))
+        t = self._pair_memo.get(key)
+        if t is None:
+            hiddens = [hidden_dim] * len(token_counts)
+            t = self.cost_model.grouped_seconds_mnk(
+                token_counts, hiddens, ranks, shrink)
+            t += self.cost_model.grouped_seconds_mnk(
+                token_counts, ranks, hiddens, expand)
+            if len(self._pair_memo) >= 65536:
+                self._pair_memo.clear()
+            self._pair_memo[key] = t
         return t
 
     def _config_for(self, m: int, k: int, n: int):

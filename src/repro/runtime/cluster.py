@@ -233,6 +233,11 @@ class MultiGPUServer:
         )
         #: Request ids that have had their one hedge fired.
         self._hedged_rids: set = set()
+        #: Primaries dropped off a failed replica while their twin ran
+        #: on (:meth:`_drop_primary_of_live_twin`), by request id: the
+        #: twin now carries the request, and its terminal is mirrored
+        #: onto the primary.
+        self._lost_primaries: Dict[int, Request] = {}
         self._num_hosts = num_hosts
         self._host_seq = 0
         self._rr_next = 0
@@ -1031,6 +1036,9 @@ class MultiGPUServer:
         self._accepted[rid] = comp
         if rid in self._hedged_rids and req.is_hedge:
             self.cluster_metrics.hedge_wins += 1
+            primary = self._lost_primaries.pop(rid, None)
+            if primary is not None:
+                self._mirror_outcome(primary)
         if self._hedge_tracker is not None and comp.kind == "finish":
             self._hedge_tracker.observe(req.priority, comp.record.latency)
         metrics = self._replica_of[comp.token[0]].engine.metrics
@@ -1064,11 +1072,29 @@ class MultiGPUServer:
 
         The primary still carries the request, so the twin is not
         re-homed; its id leaves ``_hedged_rids`` so the primary may be
-        hedged again.  False when ``r`` is not a twin.
+        hedged again.  False when ``r`` is not a twin, or when it is the
+        last copy because its primary was dropped before it
+        (:meth:`_drop_primary_of_live_twin`): then it re-homes.
         """
-        if not r.is_hedge:
+        if not r.is_hedge or r.request_id in self._lost_primaries:
             return False
         self._hedged_rids.discard(r.request_id)
+        self.cluster_metrics.hedge_losses += 1
+        return True
+
+    def _drop_primary_of_live_twin(self, r: Request) -> bool:
+        """Drop a primary cut off from its replica while its hedge twin
+        still runs: a lost race, the mirror of :meth:`_drop_orphaned_twin`.
+
+        Re-homed, the primary could land on its twin's replica, and one
+        engine would hold two copies of one request id.  So the twin
+        carries the request from here on, and its terminal is mirrored
+        onto the primary object.  False when ``r`` is a twin or was
+        never hedged (or its twin was already dropped).
+        """
+        if r.is_hedge or r.request_id not in self._hedged_rids:
+            return False
+        self._lost_primaries[r.request_id] = r
         self.cluster_metrics.hedge_losses += 1
         return True
 
@@ -1486,23 +1512,29 @@ class MultiGPUServer:
         """Terminalize a request the cluster itself gave up on."""
         r.abort(now, reason)
         self.cluster_metrics.record_abort(r)
+        primary = (self._lost_primaries.pop(r.request_id, None)
+                   if r.is_hedge else None)
+        if primary is not None:
+            primary.abort(now, reason)
 
     def _vet_orphans(self, orphans: List[Request]) -> List[Request]:
         """Filter failover orphans before they rejoin the queue.
 
         Hedge housekeeping first: a twin orphaned off a dead host is
         simply a lost race (its primary still carries the request), and
-        an original whose id already has an accepted terminal — the twin
-        won while the primary's host was failing — mirrors the winner's
-        outcome instead of re-homing.  Of the real survivors, those past
-        the failover budget abort (``requeue_limit_aborts``); when a
-        retry budget is attached, each remaining requeue must also buy a
-        token, so correlated failures degrade into aborts instead of an
-        unbounded retry storm.
+        so is a primary whose twin still runs (re-homed, it could land
+        beside the twin); an original whose id already has an accepted
+        terminal — the twin won while the primary's host was failing —
+        mirrors the winner's outcome instead of re-homing.  Of the real
+        survivors, those past the failover budget abort
+        (``requeue_limit_aborts``); when a retry budget is attached, each
+        remaining requeue must also buy a token, so correlated failures
+        degrade into aborts instead of an unbounded retry storm.
         """
         kept: List[Request] = []
         for r in orphans:
-            if self._drop_settled(r) or self._drop_orphaned_twin(r):
+            if (self._drop_settled(r) or self._drop_orphaned_twin(r)
+                    or self._drop_primary_of_live_twin(r)):
                 continue
             if (self.max_requeues is not None
                     and r.requeues > self.max_requeues):

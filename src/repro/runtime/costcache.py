@@ -20,6 +20,23 @@ batch.  The steady decode runs that make up most iterations do not call
 prices a run with one lookup and one decode-step function
 (:meth:`IterationCostModel.decode_step`).
 
+The engine's other fast paths sit around this cache, and the test
+suite's differential oracle (``tests/runtime/test_oracle.py``) checks
+them all together:
+
+* steady batches repeat without re-scheduling, within the horizon the
+  policy vouches for (:meth:`SchedulingPolicy.repeats`);
+* the repeats go as decode runs priced once, and a run ends with the
+  first iteration in which a member finishes; the members that finish
+  complete inside the run and the smaller batch is re-decided in place,
+  so an exit costs no full step;
+* steady batches outlive a ``run(until=...)`` call;
+* the replicas of a fleet share one cost tower, whose ATMM operator
+  memoizes each grouped-GEMM pair price on what the formula reads (the
+  two tiling configs, the ranks and the per-group block counts);
+* the bypass mean is memoized per ``(token counts, ranks)``
+  (``ModeExecutor._mean_memo``).
+
 Losslessness
 ------------
 The cache must never change simulated results, only wall-clock time:

@@ -385,9 +385,13 @@ class ServingEngine:
         decision's mode and merged adapter while the horizon holds, no
         arrival and no deadline is due and its block-boundary appends
         fit the free KV blocks; otherwise the next iteration is a full
-        :meth:`step`.  The repeats up to the one in which a member
-        finishes go as one decode run (:meth:`_repeat_steady`).  The run
-        is bit-identical to calling :meth:`step` in a loop.
+        :meth:`step`.  The repeats up to and including the one in which
+        a member finishes go as one decode run (:meth:`_repeat_steady`).
+        After that exit the policy re-decides over the smaller batch in
+        place, and the batch stays steady when the decision keeps the
+        mode, the merged adapter and the whole active set and
+        ``repeats`` vouches for it again.  The run is bit-identical to
+        calling :meth:`step` in a loop.
 
         A steady batch outlives the call, so a cluster that runs its
         replicas epoch by epoch (``until=``) keeps repeating it across
@@ -454,33 +458,13 @@ class ServingEngine:
         if not schedulable:
             self._advance_past_backoff()
             return
-        # The policy contract (SchedulingContext): FCFS-ordered
-        # candidates with exact per-adapter counts.
-        if not self._active_in_order:
-            schedulable.sort(key=lambda r: (r.arrival_time, r.request_id))
-        if len(schedulable) == len(self._active):
-            counts = self._adapter_counts
-        else:
-            counts = {}
-            for r in schedulable:
-                counts[r.adapter_id] = counts.get(r.adapter_id, 0) + 1
-        ctx = SchedulingContext(
-            now=self.clock.now,
-            current_mode=self.current_mode,
-            current_merged=self.current_merged,
-            max_batch_size=self.config.max_batch_size,
-            est_iteration_seconds=self._last_iteration_s,
-            est_switch_seconds=self._estimate_switch(),
-            adapter_counts=counts,
-            unmerged_extra_seconds=self._unmerged_extra_seconds,
-        )
-        self._last_ctx = ctx
-        decision = self.policy.schedule(schedulable, ctx)
+        ctx, decision = self._decide(schedulable)
         if decision is None:
             return
         if (self._brownout is not None and self._brownout.force_merged
                 and decision.mode is not InferenceMode.MERGED):
-            forced = self._force_merged_decision(schedulable, counts)
+            forced = self._force_merged_decision(schedulable,
+                                                 ctx.adapter_counts)
             if forced is not None:
                 decision = forced
                 self.metrics.brownout_forced_merges += 1
@@ -553,6 +537,36 @@ class ServingEngine:
                 self._steady = (batch, uniq, mode, merged,
                                 None if horizon is True else horizon)
 
+    def _decide(self, schedulable: List[Request]
+                ) -> Tuple[SchedulingContext, Optional[SchedulerDecision]]:
+        """The policy's decision over ``schedulable`` at the current
+        clock; returns it with the context it was made under.
+
+        The candidates are put in FCFS order and counted per adapter
+        first, as the policy contract (:class:`SchedulingContext`)
+        asks.
+        """
+        if not self._active_in_order:
+            schedulable.sort(key=lambda r: (r.arrival_time, r.request_id))
+        if len(schedulable) == len(self._active):
+            counts = self._adapter_counts
+        else:
+            counts = {}
+            for r in schedulable:
+                counts[r.adapter_id] = counts.get(r.adapter_id, 0) + 1
+        ctx = SchedulingContext(
+            now=self.clock.now,
+            current_mode=self.current_mode,
+            current_merged=self.current_merged,
+            max_batch_size=self.config.max_batch_size,
+            est_iteration_seconds=self._last_iteration_s,
+            est_switch_seconds=self._estimate_switch(),
+            adapter_counts=counts,
+            unmerged_extra_seconds=self._unmerged_extra_seconds,
+        )
+        self._last_ctx = ctx
+        return ctx, self.policy.schedule(schedulable, ctx)
+
     def _iterate(self, batch: Sequence[Request], mode: InferenceMode,
                  merged: Optional[str]) -> Tuple[float, float]:
         """Execute ``batch``, advance the clock, finalize and count the
@@ -595,12 +609,12 @@ class ServingEngine:
         0, with nothing done, when the first repeat's guards fail: an
         arrival or a deadline is due, the decision's horizon has closed
         at the current clock and iteration estimate, or a block-boundary
-        append would not fit (:meth:`step` then preempts).  While no
-        member finishes next, the repeats go as one :meth:`_decode_run`,
-        which prices them all with one decode-step function and one
-        extra-mean lookup.  The iteration in which a member finishes
-        goes through :meth:`_iterate` in the decision's mode, and the
-        batch stops being steady.
+        append would not fit (:meth:`step` then preempts).  Otherwise
+        the repeats go as one :meth:`_decode_run`, which prices them all
+        with one decode-step function and one extra-mean lookup, and
+        whose last iteration is at the latest the first in which a
+        member finishes.  After such an exit the smaller batch is
+        re-decided in place (:meth:`_redecide`).
         """
         batch, adapters, mode, merged, stands = self._steady
         now = self.clock.now
@@ -619,16 +633,45 @@ class ServingEngine:
             due[-r.context_len % block] += 1
         if due[0] > self.kv.free_blocks:
             return 0
-        length = min(r.output_tokens - r.generated for r in batch) - 1
-        if length > 0:
-            return self._decode_run(batch, adapters, mode, merged, stands,
-                                    due, until, min(length, budget))
-        self.adapters.try_ensure_resident(adapters, now)
-        self.metrics.adapter_cache_hits += len(adapters)
-        self._iterate(batch, mode, merged)
+        shortest = min(r.output_tokens - r.generated for r in batch)
+        ran = self._decode_run(batch, adapters, mode, merged, stands, due,
+                               until, min(shortest, budget))
         if len(self._active) != len(batch):
-            self._steady = None
-        return 1
+            self._steady = self._redecide()
+        return ran
+
+    def _redecide(self):
+        """The steady batch after members finished inside a decode run,
+        or None.
+
+        The policy decides over the remaining active set as the next
+        :meth:`step` would, under a context built the same way
+        (:meth:`_decide`).  The decision stays steady when it keeps the
+        current mode and merged adapter, covers the whole active set and
+        :meth:`SchedulingPolicy.repeats` gives it a horizon.  Otherwise
+        the next :meth:`step` decides again, and the same way, since
+        :meth:`SchedulingPolicy.schedule` writes no state.  No guard is
+        added here: :meth:`_repeat_steady` checks arrivals, deadlines,
+        the horizon and the KV boundary before the decision's first
+        iteration, and :meth:`_steady_holds` the residency across
+        :meth:`run` calls.  Unlike :meth:`step`, ``repeats`` is asked
+        before the decision's first iteration, not after it.
+        """
+        schedulable = self._schedulable()
+        if not schedulable:
+            return None
+        ctx, decision = self._decide(schedulable)
+        if (decision is None or decision.mode is not self.current_mode
+                or decision.merged_adapter != self.current_merged
+                or len(decision.batch) != len(self._active)):
+            return None
+        horizon = self.policy.repeats(decision, schedulable, ctx)
+        if not horizon:
+            return None
+        return (decision.batch,
+                self._batch_adapters(decision.batch, decision),
+                decision.mode, decision.merged_adapter,
+                None if horizon is True else horizon)
 
     def _decode_run(self, batch: Sequence[Request], adapters: List[str],
                     mode: InferenceMode, merged: Optional[str],
@@ -637,10 +680,12 @@ class ServingEngine:
         """Advance a steady all-decode batch by up to ``limit``
         iterations in one call; returns how many ran.
 
-        No member joins, leaves or finishes inside the run, so its split
-        is built once and each iteration only adds ``n`` to the decode
-        context.  The run is priced once: one decode-step function of
-        the total context (:meth:`IterationCostModel.decode_step`) and
+        ``limit`` is at most the shortest member's remaining tokens, so
+        no member joins, leaves or finishes before the run's last
+        iteration.  Its split is built once and each iteration only adds
+        ``n`` to the decode context.  The run is priced once: one
+        decode-step function of the total context
+        (:meth:`IterationCostModel.decode_step`) and
         one extra-mean lookup in ``(mode, merged)``, counted as a hit
         for each later iteration.  Each iteration then draws its jitter
         and advances the clock, the LoRA extra total and the straggler
@@ -653,7 +698,9 @@ class ServingEngine:
         Request and KV state, the adapters' LRU touch (at the start of
         the last iteration, as the last repeat would leave it) and the
         integer counters are then updated once, for all ``k``
-        iterations.
+        iterations.  The members that finished in the last iteration
+        then complete in batch order, as :meth:`_finalize` completes
+        them (:meth:`_complete`).
         """
         _, (n, total, lm, head_classes), groups, _ = self._split(batch)
         price = self.iter_costs.decode_step(n, lm, head_classes)
@@ -697,15 +744,20 @@ class ServingEngine:
         self.iter_time_ewma = ewma
         metrics.lora_extra_time_total = lora_extra
         kv = self.kv
+        finished: List[Request] = []
         for r in batch:
             kv.append_token(r.request_id, k)
             r.generated += k
+            if r.generated >= r.output_tokens:
+                finished.append(r)
         self.adapters.try_ensure_resident(adapters, start)
         metrics.adapter_cache_hits += k * len(adapters)
         metrics.cost_cache_hits += k - 1
         metrics.iterations += k
         counts = metrics.mode_iterations
         counts[mode.value] = counts.get(mode.value, 0) + k
+        if finished:
+            self._complete(finished, now)
         return k
 
     # -- internals ----------------------------------------------------------------------
@@ -1393,6 +1445,23 @@ class ServingEngine:
         self.metrics.lora_extra_time_total += extra
         return base + extra
 
+    def _complete(self, finished: Sequence[Request], now: float) -> None:
+        """Finish ``finished`` at ``now``, in order: release its KV and
+        record each terminal, directly or through the fenced outbox."""
+        for r in finished:
+            r.finish_time = now
+            r.status = RequestStatus.FINISHED
+            self.kv.free(r.request_id)
+            self._reused_tokens.pop(r.request_id, None)
+            self._drop_active(r)
+            if self._fencing:
+                self.completion_outbox.append(Completion(
+                    request=r, token=r.lease, kind="finish",
+                    record=RequestRecord.from_request(r), time=now,
+                ))
+            else:
+                self.metrics.complete(r)
+
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
         # Brownout level >= 2 caps decode lengths: a capped request
@@ -1415,22 +1484,10 @@ class ServingEngine:
             if r.is_finished or (cap is not None and r.generated >= cap):
                 if not r.is_finished:
                     self.metrics.brownout_truncations += 1
-                r.finish_time = now
-                r.status = RequestStatus.FINISHED
                 finished.append(r)
             elif prefill and self.handoff_after_prefill:
                 handoffs.append(r)
-        for r in finished:
-            self.kv.free(r.request_id)
-            self._reused_tokens.pop(r.request_id, None)
-            self._drop_active(r)
-            if self._fencing:
-                self.completion_outbox.append(Completion(
-                    request=r, token=r.lease, kind="finish",
-                    record=RequestRecord.from_request(r), time=now,
-                ))
-            else:
-                self.metrics.complete(r)
+        self._complete(finished, now)
         for r in handoffs:
             # Disaggregated prefill pool: the request's KV leaves with
             # it over the wire.  The local copy is released here; the

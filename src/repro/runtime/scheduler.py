@@ -116,7 +116,11 @@ class SchedulingPolicy(abc.ABC):
     cannot change: ``ServingEngine.run`` repeats a steady decode batch
     until a guard trips (an arrival or deadline comes due, the batch's
     KV appends no longer fit, a member finishes, or the decision's
-    horizon closes) and only then calls :meth:`schedule` again.
+    horizon closes) and only then calls :meth:`schedule` again.  After
+    a member finishes, the engine calls :meth:`schedule` in place, and
+    the smaller batch stays steady when the decision keeps the mode, the
+    merged adapter and the whole active set and :meth:`repeats` vouches
+    for it again.
     """
 
     name: str = "abstract"
@@ -125,7 +129,15 @@ class SchedulingPolicy(abc.ABC):
     def schedule(
         self, candidates: Sequence[Request], ctx: SchedulingContext
     ) -> Optional[SchedulerDecision]:
-        """Return the next decision, or ``None`` when nothing to run."""
+        """Return the next decision, or ``None`` when nothing to run.
+
+        It must not write state, neither the policy's nor the
+        candidates': the engine may ask again under the same context
+        and must get the same decision.  After a member finishes inside
+        a decode run, the engine decides over the smaller batch in
+        place, and when that decision does not stay steady the next
+        ``step()`` asks again.
+        """
 
     def repeats(self, decision: SchedulerDecision,
                 candidates: Sequence[Request],

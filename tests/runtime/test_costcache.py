@@ -24,7 +24,7 @@ from repro.runtime.costcache import IterationCostCache
 from repro.runtime.disagg import DisaggConfig
 from repro.runtime.faults import FaultInjector
 from repro.runtime.modes import InferenceMode
-from repro.runtime.request import reset_request_ids
+from repro.runtime.request import Request, reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
 from tests.runtime.test_oracle import (
     ReferenceEngine,
@@ -339,3 +339,39 @@ def test_decode_run_looks_up_once():
     assert calls["lookup"] < metrics.iterations
     assert (metrics.cost_cache_hits + metrics.cost_cache_misses
             == metrics.iterations)
+
+
+def test_exit_takes_no_step():
+    """A member that finishes leaves inside its decode run, and the
+    smaller batch is re-decided in place: ``step()`` runs once per
+    arrival burst, not once per exit, and the run takes the
+    reference's iterations."""
+    builder = SystemBuilder(num_adapters=2, max_batch_size=16)
+
+    def requests():
+        reset_request_ids()
+        return [
+            Request(adapter_id=f"lora-{i % 2}", arrival_time=burst,
+                    input_tokens=64, output_tokens=8 + 7 * i)
+            for burst in (0.0, 0.4) for i in range(6)
+        ]
+
+    engine = builder.build("s-lora")
+    steps = Counter()
+    step = engine.step
+
+    def counted():
+        steps["step"] += 1
+        step()
+
+    engine.step = counted
+    engine.submit(requests())
+    metrics = engine.run()
+    reference = builder.build("s-lora", engine_cls=ReferenceEngine)
+    reference.submit(requests())
+    reference.run()
+    assert steps["step"] == 2
+    assert metrics.iterations == reference.metrics.iterations
+    assert ((engine.clock.now, digest(metrics))
+            == (reference.clock.now, digest(reference.metrics)))
+    assert metrics.num_completed == 12

@@ -2,9 +2,11 @@
 
 The engine reaches its simulated results through fast paths that must
 leave those results bit for bit unchanged: the iteration cost cache,
-steady batches that repeat within their decision's horizon, decode runs,
+steady batches that repeat within their decision's horizon, decode runs
+that end with a member's exit and re-decide the smaller batch in place,
 steady batches that outlive a ``run()`` call, and the cost tower the
-replicas of a fleet share.  ``ReferenceEngine`` takes none of them:
+replicas of a fleet share, with ATMM's pair price memoized on its tile
+block counts.  ``ReferenceEngine`` takes none of them:
 
 * its ``_execute`` and ``_finalize`` are the historical monolithic
   bodies, recovered from git history, so every iteration is priced
@@ -283,7 +285,8 @@ class Scenario:
 
 
 @st.composite
-def scenarios(draw, fleets=(None,) + FLEETS):
+def scenarios(draw, fleets=(None,) + FLEETS,
+              menus=(None,) + tuple(FAULT_MENUS)):
     ranks = tuple(draw(st.lists(st.sampled_from(RANKS), min_size=2,
                                 max_size=6)))
     task_heads = draw(st.booleans())
@@ -307,13 +310,6 @@ def scenarios(draw, fleets=(None,) + FLEETS):
                 slo_s=draw(st.sampled_from([None, 0.4, 2.0])),
             ))
     fleet = draw(st.sampled_from(fleets))
-    menus = tuple(FAULT_MENUS)
-    if fleet == "hedging":
-        # Known bug, left open: failover can re-home a primary onto the
-        # replica its hedge twin runs on, where the two copies' shared
-        # request id collides in the KV cache.  Hedged fleets draw no
-        # engine failures until that is fixed.
-        menus = tuple(m for m in menus if m != "gray")
     chunks, drain_after = (), None
     if fleet is None:
         chunks = tuple(sorted(draw(st.lists(
@@ -328,7 +324,7 @@ def scenarios(draw, fleets=(None,) + FLEETS):
         slots=draw(st.integers(2, len(ranks))),
         fleet=fleet,
         features=tuple(f for f in ENGINE_FEATURES if draw(st.booleans())),
-        faults=draw(st.sampled_from((None,) + menus)),
+        faults=draw(st.sampled_from(menus)),
         seed=draw(st.integers(0, 31)),
         kv_slack=draw(st.sampled_from([None, 4, 16])),
         chunks=chunks,
@@ -536,6 +532,34 @@ HANDOFF_BURSTS = tuple(
 # the second adapter's like the first's.
 MIXED_RANKS = tuple(_decoding(i, i % 2, 1.0 * i, 64, 20) for i in range(4))
 
+# Four requests of staggered lengths in one batch: each exit ends a
+# decode run, and the smaller batch is re-decided in place.  The third
+# exit leaves a lone tenant, which merges.  Request 0 finishes at
+# 0.14962 s (seed 0), in the iteration that crosses a 0.1496 s chunk
+# boundary.
+STAGGERED_EXITS = tuple(_decoding(i, i % 2, 0.0, 64, 12 + 9 * i)
+                        for i in range(4))
+
+# STAGGERED_EXITS and an arrival due at the instant request 0 finishes:
+# the re-decision after that exit must not run past it.
+ARRIVAL_AT_EXIT = STAGGERED_EXITS + (
+    _decoding(4, 0, 0.14962134140672273, 64, 12),)
+
+# The first exit leaves a lone V-LoRA tenant whose unmerged price
+# exceeds the merge, so the re-decision flips the mode to MERGED.
+LONE_TENANT_MERGES = (_decoding(0, 1, 0.0, 64, 6),) + tuple(
+    _decoding(i, 0, 0.0, 64, 150) for i in range(1, 5))
+
+# A hedged fleet with engine failures (the shrunk draw): a primary's
+# replica dies while its twin runs on the other one.  Re-homed, the
+# primary would land beside its twin: two copies of one request id on
+# one engine.
+HEDGED_FAILOVER = (
+    tuple(_decoding(i, 0, 0.0, 32, 1) for i in range(4))
+    + (_decoding(4, 0, 2.0, 32, 29), _decoding(5, 0, 2.0, 3072, 24),
+       _decoding(6, 0, 2.0, 3072, 1),
+       dict(_decoding(7, 0, 2.0, 3072, 1), num_images=1)))
+
 
 @pytest.mark.property
 @settings(max_examples=200, deadline=None)
@@ -559,7 +583,28 @@ MIXED_RANKS = tuple(_decoding(i, i % 2, 1.0 * i, 64, 20) for i in range(4))
                     faults="all", kv_slack=2))
 @example(s=Scenario("dlora", MIXTURE_PREFIX_GROWS, ranks=(128, 8, 32),
                     slots=2, faults="all", seed=5))
+@example(s=Scenario("v-lora", LONE_TENANT_MERGES, ranks=(64, 64)))
+@example(s=Scenario("v-lora", ARRIVAL_AT_EXIT, ranks=(64, 64)))
+@example(s=Scenario("v-lora", STAGGERED_EXITS, ranks=(64, 64),
+                    chunks=(0.1496,)))
+@example(s=Scenario("v-lora", STAGGERED_EXITS, ranks=(64, 64),
+                    fleet="disagg"))
+@example(s=Scenario("s-lora", HEDGED_FAILOVER, ranks=(8, 8), slots=2,
+                    fleet="hedging", faults="gray", seed=1))
 def test_optimized_matches_reference(s):
     """Every fast path together is invisible: the optimized system
     leaves the reference's digest, whatever is drawn."""
+    assert serve(s) == serve(s, ReferenceEngine)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(s=st.one_of(scenarios(),
+                   scenarios(fleets=FLEETS, menus=tuple(FAULT_MENUS))))
+def test_optimized_matches_reference_deep(s):
+    """The same property, run deep for CI's slow job: 2,000 draws, half
+    of them fleets under a fault menu, where rare collisions live (two
+    copies of one hedged request met on one engine about once in 1,500
+    hedged draws under engine failures).  About two minutes on a 2-core
+    VM."""
     assert serve(s) == serve(s, ReferenceEngine)
