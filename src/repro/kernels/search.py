@@ -127,34 +127,17 @@ class OptimalTilingTable:
     #: faster than the v1 config-per-entry layout; v1 files still load.
     FORMAT_VERSION = 2
 
-    #: Entries kept in the exact-shape lookup memo before it is cleared
-    #: wholesale (memoization, not state).
-    _MEMO_CAP = 4096
-
     def __init__(self, fallback: Optional[TilingConfig] = None):
         self._table: Dict[int, TilingConfig] = {}
         self._latency: Dict[int, float] = {}
-        self._fallback = fallback
-        # Runtime fast path: exact (m, k, n) -> config for recent hits,
-        # skipping bucket_m + shape_key on repeat lookups.
-        self._memo: Dict[Tuple[int, int, int], TilingConfig] = {}
+        self.fallback = fallback
 
     def __len__(self) -> int:
         return len(self._table)
 
-    @property
-    def fallback(self) -> Optional[TilingConfig]:
-        return self._fallback
-
-    @fallback.setter
-    def fallback(self, cfg: Optional[TilingConfig]) -> None:
-        self._fallback = cfg
-        self._memo.clear()
-
     def insert(self, key: int, cfg: TilingConfig, latency_s: float) -> None:
         self._table[key] = cfg
         self._latency[key] = latency_s
-        self._memo.clear()
 
     def lookup(self, m: int, k: int, n: int) -> TilingConfig:
         """Return the optimal configuration for an input shape.
@@ -162,25 +145,17 @@ class OptimalTilingTable:
         ``m`` is bucketed before lookup.  If the exact (k, n) pair was not
         profiled, falls back to the table-wide fallback configuration
         (ATMM always registers one) rather than failing at runtime.
-        Recent ``(m, k, n)`` hits are memoized so the serving hot path
-        pays one dict probe instead of bucketing + key packing.
+        The serving hot path memoizes the result per ``(m, k, n)`` in
+        :class:`~repro.kernels.atmm.ATMMOperator`.
         """
-        memo_key = (m, k, n)
-        cfg = self._memo.get(memo_key)
-        if cfg is not None:
-            return cfg
-        key = shape_key(bucket_m(m), k, n)
-        cfg = self._table.get(key)
+        cfg = self._table.get(shape_key(bucket_m(m), k, n))
         if cfg is None:
-            if self._fallback is None:
+            if self.fallback is None:
                 raise KeyError(
                     f"no tiling entry for shape ({m},{k},{n}) and no "
                     f"fallback set"
                 )
-            cfg = self._fallback
-        if len(self._memo) >= self._MEMO_CAP:
-            self._memo.clear()
-        self._memo[memo_key] = cfg
+            cfg = self.fallback
         return cfg
 
     def contains(self, m: int, k: int, n: int) -> bool:
@@ -218,7 +193,7 @@ class OptimalTilingTable:
         ]
         return {
             "format": self.FORMAT_VERSION,
-            "fallback": self._fallback.to_dict() if self._fallback else None,
+            "fallback": self.fallback.to_dict() if self.fallback else None,
             "configs": configs,
             "entries": entries,
         }

@@ -1262,9 +1262,10 @@ class MultiGPUServer:
 
         A drain that outlives ``drain_timeout_s`` re-homes its
         remaining work through the queue *without* charging the
-        requests' failover budget or backoff (their host never failed —
-        the cluster chose to retire it), so scale-down churn can never
-        abort a healthy request via ``max_requeues``.
+        requests' failover budget, retry budget or backoff (their host
+        never failed — the cluster chose to retire it), so scale-down
+        churn can never abort a healthy request via ``max_requeues``.
+        Hedge housekeeping still applies (:meth:`_hedge_survivors`).
         """
         for rep in self._members(ReplicaState.DRAINING):
             drain_timeout = self._scaler_of(rep).config.drain_timeout_s
@@ -1273,7 +1274,8 @@ class MultiGPUServer:
                 self._retire(rep, max(t_next, e.clock.now), "retire",
                              "drained empty")
             elif t_next - rep.drain_started_at >= drain_timeout:
-                orphans = e.drain_orphans(count_hop=False)
+                orphans = self._hedge_survivors(
+                    e.drain_orphans(count_hop=False))
                 self.cluster_metrics.drain_requeues += len(orphans)
                 self._requeue(orphans)
                 self._record_event(
@@ -1517,25 +1519,31 @@ class MultiGPUServer:
         if primary is not None:
             primary.abort(now, reason)
 
+    def _hedge_survivors(self, orphans: List[Request]) -> List[Request]:
+        """The orphans that still carry their request.
+
+        A twin cut off from its replica is simply a lost race (its
+        primary still carries the request), and so is a primary whose
+        twin still runs (re-homed, it could land beside the twin); an
+        original whose id already has an accepted terminal — the twin
+        won while the primary's replica was failing or draining —
+        mirrors the winner's outcome instead of re-homing.
+        """
+        return [r for r in orphans
+                if not (self._drop_settled(r) or self._drop_orphaned_twin(r)
+                        or self._drop_primary_of_live_twin(r))]
+
     def _vet_orphans(self, orphans: List[Request]) -> List[Request]:
         """Filter failover orphans before they rejoin the queue.
 
-        Hedge housekeeping first: a twin orphaned off a dead host is
-        simply a lost race (its primary still carries the request), and
-        so is a primary whose twin still runs (re-homed, it could land
-        beside the twin); an original whose id already has an accepted
-        terminal — the twin won while the primary's host was failing —
-        mirrors the winner's outcome instead of re-homing.  Of the real
-        survivors, those past the failover budget abort
+        Hedge housekeeping first (:meth:`_hedge_survivors`).  Of the
+        real survivors, those past the failover budget abort
         (``requeue_limit_aborts``); when a retry budget is attached, each
         remaining requeue must also buy a token, so correlated failures
         degrade into aborts instead of an unbounded retry storm.
         """
         kept: List[Request] = []
-        for r in orphans:
-            if (self._drop_settled(r) or self._drop_orphaned_twin(r)
-                    or self._drop_primary_of_live_twin(r)):
-                continue
+        for r in self._hedge_survivors(orphans):
             if (self.max_requeues is not None
                     and r.requeues > self.max_requeues):
                 self._cluster_abort(r, r.arrival_time)

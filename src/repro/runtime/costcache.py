@@ -96,7 +96,7 @@ KV_TRANSFER_OVERHEAD_S = 0.5e-3
 class IterationCostCache:
     """Prices one iteration as ``(base_seconds, extra_mean_seconds)``.
 
-    Each memo is cleared wholesale when it exceeds ``max_entries`` —
+    Each memo is cleared wholesale when it reaches ``MAX_ENTRIES`` —
     memoization is an optimization, not state, so dropping it is always
     safe.
     """
@@ -109,15 +109,11 @@ class IterationCostCache:
         mode_exec: ModeExecutor,
         rank_of: Callable[[str], int],
         metrics: Optional[MetricsCollector] = None,
-        max_entries: int = MAX_ENTRIES,
     ):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.iter_costs = iter_costs
         self.mode_exec = mode_exec
         self.rank_of = rank_of
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.max_entries = max_entries
         self._prefill: Dict[PrefillLaunch, float] = {}
         self._extra: Dict[tuple, float] = {}
 
@@ -169,7 +165,7 @@ class IterationCostCache:
         return base, extra_mean
 
     def _store(self, memo: dict, key, value: float) -> None:
-        if len(memo) >= self.max_entries:
+        if len(memo) >= self.MAX_ENTRIES:
             memo.clear()
         memo[key] = value
 
@@ -202,8 +198,9 @@ class TransferCostCache:
     compute, and every hand-off pays ``KV_TRANSFER_OVERHEAD_S``.
     """
 
-    def __init__(self, max_entries: int = 65536):
-        self.max_entries = max_entries
+    MAX_ENTRIES = 65536
+
+    def __init__(self):
         self._memo: Dict[int, float] = {}
         self.hits = 0
         self.misses = 0
@@ -215,7 +212,7 @@ class TransferCostCache:
             self.misses += 1
             t = transfer.swap_seconds(
                 nbytes, software_overhead_s=KV_TRANSFER_OVERHEAD_S)
-            if len(self._memo) >= self.max_entries:
+            if len(self._memo) >= self.MAX_ENTRIES:
                 self._memo.clear()
             self._memo[nbytes] = t
         else:

@@ -204,6 +204,10 @@ class ServingEngine:
         self.tracer = None
         # -- resilience state (fault injection / graceful degradation) -----
         self.faults = fault_injector
+        #: The straggler factor as a decode run last read the fault
+        #: schedule, which stays unchanged until ``_faults_until``.
+        self._slowdown = 1.0
+        self._faults_until = float("-inf")
         self.engine_id = engine_id
         #: Failure-domain placement (``HOST_FAIL`` kills every engine on
         #: a host).  Assigned by the cluster; None = no correlated domain.
@@ -378,15 +382,19 @@ class ServingEngine:
         steady, in whatever mode its decision ran, when it paid no
         switch and no swap stall or failure, the batch kept the policy's
         whole decision and the whole active set, no member finished or
-        left, no fault injector, brownout, tracer, breaker or swap
-        backoff is attached, and :meth:`SchedulingPolicy.repeats`
-        vouches that the decision stands while only decodes advance,
-        for good or within a horizon.  The batch then repeats in the
-        decision's mode and merged adapter while the horizon holds, no
-        arrival and no deadline is due and its block-boundary appends
-        fit the free KV blocks; otherwise the next iteration is a full
-        :meth:`step`.  The repeats up to and including the one in which
-        a member finishes go as one decode run (:meth:`_repeat_steady`).
+        left, neither brownout nor a tracer is attached, and
+        :meth:`SchedulingPolicy.repeats` vouches that the decision
+        stands while only decodes advance, for good or within a horizon.
+        The batch then repeats in the decision's mode and merged adapter
+        while the horizon holds, no arrival and no deadline is due, the
+        fault schedule has not changed since the run began and its
+        block-boundary appends fit the free KV blocks; otherwise the
+        next iteration is a full :meth:`step`.  Breakers and swap
+        backoff need no guard: the batch's own adapters swapped in
+        successfully in the step that built it, and another adapter's
+        state matters only to an arrival.  The repeats up to and
+        including the one in which a member finishes go as one decode
+        run (:meth:`_repeat_steady`).
         After that exit the policy re-decides over the smaller batch in
         place, and the batch stays steady when the decision keeps the
         mode, the merged adapter and the whole active set and
@@ -530,8 +538,7 @@ class ServingEngine:
                         switch_s, stall, preempt_before)
         elif (whole and len(batch) == len(decision.batch) == len(self._active)
                 and not (switch_s or stall or failed_swaps)
-                and self.faults is None and self._brownout is None
-                and not self._breakers and not self._swap_backoff_until):
+                and self._brownout is None):
             horizon = self.policy.repeats(decision, schedulable, ctx)
             if horizon:
                 self._steady = (batch, uniq, mode, merged,
@@ -606,36 +613,35 @@ class ServingEngine:
         """Run the steady batch on, as :meth:`step` would; returns the
         iterations run (at most ``budget``).
 
-        0, with nothing done, when the first repeat's guards fail: an
-        arrival or a deadline is due, the decision's horizon has closed
-        at the current clock and iteration estimate, or a block-boundary
-        append would not fit (:meth:`step` then preempts).  Otherwise
-        the repeats go as one :meth:`_decode_run`, which prices them all
-        with one decode-step function and one extra-mean lookup, and
-        whose last iteration is at the latest the first in which a
-        member finishes.  After such an exit the smaller batch is
+        The repeats go as one :meth:`_decode_run`, which stops at
+        ``until``, at the next arrival and at the fault schedule's next
+        change, and whose last iteration is at the latest the first in
+        which a member finishes.  The fault schedule is read as
+        :meth:`step` reads it, at the first run after each of its
+        changes: a dead engine runs nothing (the next :meth:`step` fails
+        it), the KV reservation is brought up to date, and every
+        iteration is slowed by the straggler factor.  All three stay
+        fixed until the next change.  After an exit the smaller batch is
         re-decided in place (:meth:`_redecide`).
         """
         batch, adapters, mode, merged, stands = self._steady
         now = self.clock.now
-        if self._pending and self._pending[0][0] <= now:
-            return 0
-        if self._deadline_due(now):
-            return 0
-        if stands is not None and not stands(now, self._last_iteration_s):
-            return 0
-        # due[j % block]: the fresh blocks the run's iteration j appends
-        # need; a sequence of c tokens fills its last block when
-        # (c + j) % block == 0 (the rule of _boundary_blocks).
-        block = self.kv.block_size
-        due = [0] * block
-        for r in batch:
-            due[-r.context_len % block] += 1
-        if due[0] > self.kv.free_blocks:
-            return 0
+        stop = until if until is not None else float("inf")
+        if self._pending:
+            stop = min(stop, self._pending[0][0])
+        faults = self.faults
+        if faults is not None:
+            if now >= self._faults_until:
+                if faults.engine_failed(self.engine_id, now, host=self.host):
+                    return 0
+                self._apply_kv_pressure()
+                self._slowdown = max(
+                    1.0, faults.engine_slowdown(self.engine_id, now))
+                self._faults_until = faults.next_change(now)
+            stop = min(stop, self._faults_until)
         shortest = min(r.output_tokens - r.generated for r in batch)
-        ran = self._decode_run(batch, adapters, mode, merged, stands, due,
-                               until, min(shortest, budget))
+        ran = self._decode_run(batch, adapters, mode, merged, stands, stop,
+                               self._slowdown, min(shortest, budget))
         if len(self._active) != len(batch):
             self._steady = self._redecide()
         return ran
@@ -651,11 +657,12 @@ class ServingEngine:
         :meth:`SchedulingPolicy.repeats` gives it a horizon.  Otherwise
         the next :meth:`step` decides again, and the same way, since
         :meth:`SchedulingPolicy.schedule` writes no state.  No guard is
-        added here: :meth:`_repeat_steady` checks arrivals, deadlines,
-        the horizon and the KV boundary before the decision's first
-        iteration, and :meth:`_steady_holds` the residency across
-        :meth:`run` calls.  Unlike :meth:`step`, ``repeats`` is asked
-        before the decision's first iteration, not after it.
+        added here: :meth:`_decode_run` checks arrivals, deadlines, the
+        fault schedule, the horizon and the KV boundary before the
+        decision's first iteration, and :meth:`_steady_holds` the
+        residency across :meth:`run` calls.  Unlike :meth:`step`,
+        ``repeats`` is asked before the decision's first iteration, not
+        after it.
         """
         schedulable = self._schedulable()
         if not schedulable:
@@ -675,70 +682,73 @@ class ServingEngine:
 
     def _decode_run(self, batch: Sequence[Request], adapters: List[str],
                     mode: InferenceMode, merged: Optional[str],
-                    stands: Optional[Horizon], due: List[int],
-                    until: Optional[float], limit: int) -> int:
+                    stands: Optional[Horizon], stop: float, slow: float,
+                    limit: int) -> int:
         """Advance a steady all-decode batch by up to ``limit``
         iterations in one call; returns how many ran.
 
         ``limit`` is at most the shortest member's remaining tokens, so
         no member joins, leaves or finishes before the run's last
-        iteration.  Its split is built once and each iteration only adds
-        ``n`` to the decode context.  The run is priced once: one
-        decode-step function of the total context
-        (:meth:`IterationCostModel.decode_step`) and
-        one extra-mean lookup in ``(mode, merged)``, counted as a hit
-        for each later iteration.  Each iteration then draws its jitter
-        and advances the clock, the LoRA extra total and the straggler
-        EWMA as :meth:`_iterate` would, as left folds in locals written
-        back once.  Before each later iteration the run stops at
-        ``until``, the next arrival or deadline (both fixed for the
-        run), when the decision's horizon ``stands`` closes at the new
-        clock and iteration length, or when its boundary appends
-        (``due[j % block]``) exceed the free blocks the run has left.
-        Request and KV state, the adapters' LRU touch (at the start of
-        the last iteration, as the last repeat would leave it) and the
-        integer counters are then updated once, for all ``k``
-        iterations.  The members that finished in the last iteration
-        then complete in batch order, as :meth:`_finalize` completes
-        them (:meth:`_complete`).
+        iteration.  One guard runs before every iteration, the first
+        included, and ends the run: the clock has reached ``stop``, the
+        earliest deadline may have passed (the heap top is fixed for the
+        run), the decision's horizon ``stands`` has closed at the clock
+        and the last iteration's length, or the iteration's block-
+        boundary appends exceed the free blocks the run has left.  A
+        sequence of ``c`` tokens fills its last block in iteration ``j``
+        when ``(c + j) % block == 0``, the rule of
+        :meth:`_boundary_blocks`.
+
+        The run is priced once, when its first iteration is admitted:
+        one decode-step function of the total context
+        (:meth:`IterationCostModel.decode_step`) and one extra-mean
+        lookup in ``(mode, merged)``, counted as a hit for each later
+        iteration.  Each iteration then draws its jitter, is slowed by
+        ``slow`` and advances the clock, the LoRA extra total and the
+        straggler EWMA as :meth:`_iterate` would, as left folds in
+        locals written back once.  Request and KV state, the adapters'
+        LRU touch (at the start of the last iteration, as the last
+        repeat would leave it) and the integer counters are then updated
+        once, for all ``k`` iterations.  The members that finished in
+        the last iteration complete in batch order, as :meth:`_finalize`
+        completes them (:meth:`_complete`).
         """
-        _, (n, total, lm, head_classes), groups, _ = self._split(batch)
-        price = self.iter_costs.decode_step(n, lm, head_classes)
-        _, mean = self.cost_cache.lookup(mode, merged, (), None,
-                                         tuple(groups.items()))
-        sample = self.mode_exec.operator.sample_seconds
-        rng = self._rng
-        metrics = self.metrics
-        inf = float("inf")
-        stop = until if until is not None else inf
-        if self._pending:
-            stop = min(stop, self._pending[0][0])
+        block = self.kv.block_size
+        due = [0] * block
+        for r in batch:
+            due[-r.context_len % block] += 1
         heap = self._deadline_heap
-        deadline = heap[0][0] if heap else inf
-        block = len(due)
+        deadline = heap[0][0] if heap else float("inf")
         free = self.kv.free_blocks
         now = self.clock.now
-        lora_extra = metrics.lora_extra_time_total
-        ewma = self.iter_time_ewma  # set: a steady batch has iterated
+        dt = self._last_iteration_s
+        metrics = self.metrics
         k = 0
-        while True:
+        while (k < limit and now < stop
+               and not _may_have_expired(deadline, now)
+               and due[k % block] <= free
+               and (stands is None or stands(now, dt))):
+            if not k:
+                _, (n, total, lm, head_classes), groups, _ = self._split(batch)
+                price = self.iter_costs.decode_step(n, lm, head_classes)
+                _, mean = self.cost_cache.lookup(mode, merged, (), None,
+                                                 tuple(groups.items()))
+                sample = self.mode_exec.operator.sample_seconds
+                rng = self._rng
+                lora_extra = metrics.lora_extra_time_total
+                ewma = self.iter_time_ewma  # set: a steady batch has iterated
             start = now
             # Zero means never sample (ModeExecutor.extra_seconds_from_mean).
             extra = sample(mean, rng) if mean != 0.0 else 0.0
             lora_extra += extra
-            dt = price(total) + extra
+            dt = (price(total) + extra) * slow
             now += dt
             ewma += 0.2 * (dt - ewma)
             free -= due[k % block]
             k += 1
             total += n
-            if k == limit:
-                break
-            if (now >= stop
-                    or _may_have_expired(deadline, now)
-                    or due[k % block] > free
-                    or (stands is not None and not stands(now, dt))):
-                break
+        if not k:
+            return 0
         self.clock.advance_to(now)
         self._last_iteration_s = dt
         self.iter_time_ewma = ewma
@@ -920,7 +930,7 @@ class ServingEngine:
         now = self.clock.now
         heap = self._deadline_heap
         pushback: List[Tuple[float, int]] = []
-        while self._deadline_due(now):
+        while heap and _may_have_expired(heap[0][0], now):
             expiry, rid = heapq.heappop(heap)
             req = self._active.get(rid)
             if req is None:
@@ -934,11 +944,6 @@ class ServingEngine:
                 pushback.append((expiry, rid))
         for item in pushback:
             heapq.heappush(heap, item)
-
-    def _deadline_due(self, now: float) -> bool:
-        """Whether the earliest-deadline heap top may have expired."""
-        heap = self._deadline_heap
-        return bool(heap) and _may_have_expired(heap[0][0], now)
 
     def _apply_kv_pressure(self) -> None:
         if self.faults is None:

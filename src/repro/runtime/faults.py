@@ -32,6 +32,7 @@ Design points:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -146,6 +147,9 @@ class FaultInjector:
         self.specs: List[FaultSpec] = sorted(
             specs, key=lambda s: (s.start, s.kind.value, s.target or "")
         )
+        #: Every spec's start and end, sorted (:meth:`next_change`).
+        self._changes = sorted({t for s in self.specs
+                                for t in (s.start, s.start + s.duration)})
 
     # -- queries (pure) ------------------------------------------------------
 
@@ -155,6 +159,14 @@ class FaultInjector:
             s for s in self.specs
             if s.kind is kind and s.active_at(now) and s.matches(target)
         ]
+
+    def next_change(self, now: float) -> float:
+        """The earliest spec start or end after ``now`` (``inf`` when
+        there is none).  Every query gives the same answer at any time
+        in ``[now, next_change(now))`` as at ``now``."""
+        changes = self._changes
+        i = bisect.bisect_right(changes, now)
+        return changes[i] if i < len(changes) else math.inf
 
     def swap_should_fail(self, adapter_id: str, now: float) -> bool:
         """True when a swap-in of ``adapter_id`` started now would fail."""

@@ -22,7 +22,7 @@ from repro.hardware.gpu import A100_80GB
 from repro.runtime.cluster import MultiGPUServer
 from repro.runtime.costcache import IterationCostCache
 from repro.runtime.disagg import DisaggConfig
-from repro.runtime.faults import FaultInjector
+from repro.runtime.faults import FaultInjector, FaultKind, FaultSpec
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request, reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
@@ -39,9 +39,9 @@ def engine():
     return SystemBuilder(num_adapters=2).build("v-lora")
 
 
-def _cache(engine, **kwargs) -> IterationCostCache:
+def _cache(engine) -> IterationCostCache:
     return IterationCostCache(engine.iter_costs, engine.mode_exec,
-                              engine._rank_of, **kwargs)
+                              engine._rank_of)
 
 
 def _lookup(cache, mode=InferenceMode.UNMERGED, merged=None,
@@ -95,8 +95,9 @@ class TestIterationCostCache:
         )
         assert _lookup(cache, groups=())[1] == 0.0
 
-    def test_eviction_clears_but_stays_correct(self, engine):
-        cache = _cache(engine, max_entries=2)
+    def test_eviction_clears_but_stays_correct(self, engine, monkeypatch):
+        monkeypatch.setattr(IterationCostCache, "MAX_ENTRIES", 2)
+        cache = _cache(engine)
         keys = [(("lora-0", 5 + i),) for i in range(3)]
         values = [_lookup(cache, groups=g) for g in keys]
         # The third distinct key found the memo full and cleared it.
@@ -106,10 +107,6 @@ class TestIterationCostCache:
         assert _lookup(cache, groups=keys[2]) == values[2]
         assert _lookup(cache, groups=keys[0]) == values[0]
         assert (cache.hits, cache.misses) == (1, 4)
-
-    def test_max_entries_validated(self, engine):
-        with pytest.raises(ValueError, match="max_entries"):
-            _cache(engine, max_entries=0)
 
 
 _tokens = st.lists(st.integers(1, 2048), min_size=1, max_size=6)
@@ -375,3 +372,53 @@ def test_exit_takes_no_step():
     assert ((engine.clock.now, digest(metrics))
             == (reference.clock.now, digest(reference.metrics)))
     assert metrics.num_completed == 12
+
+
+def test_faulted_engine_repeats_like_bare():
+    """Neither an attached fault injector with nothing scheduled, nor
+    the breaker and swap backoff an early swap failure leaves behind,
+    takes an engine off the steady path: over the same trace each makes
+    as many ``step()`` calls as the bare engine, and the same records.
+
+    The failure comes first and alone: a request whose adapter never
+    swaps in retries until its 0.1 s deadline aborts it, with no
+    iteration run, so the trace after it starts from the bare engine's
+    state but for the breaker and the backoff entry."""
+
+    def serve(faults=None, doomed=()):
+        builder = SystemBuilder(num_adapters=4, gpu_adapter_slots=3,
+                                fault_injector=faults)
+        engine = builder.build("s-lora")
+        engine.submit(doomed)
+        engine.run(until=1.0)
+        reset_request_ids()
+        trace = RetrievalWorkload(
+            builder.adapter_ids[:3], rate_rps=4.0, duration_s=10.0,
+            use_task_heads=False, seed=0).generate()
+        for r in trace:
+            r.arrival_time += 1.0
+        steps = Counter()
+        step = engine.step
+
+        def counted():
+            steps["step"] += 1
+            step()
+
+        engine.step = counted
+        engine.submit(trace)
+        metrics = engine.run()
+        return steps["step"], metrics.records, engine
+
+    bare_steps, bare_records, bare = serve()
+    assert bare_steps < bare.metrics.iterations
+    idle_steps, idle_records, _ = serve(FaultInjector(()))
+    assert (idle_steps, idle_records) == (bare_steps, bare_records)
+    doomed = Request(request_id=10_000, adapter_id="lora-3",
+                     arrival_time=0.0, input_tokens=64, output_tokens=8,
+                     deadline_s=0.1)
+    failed_steps, failed_records, engine = serve(
+        FaultInjector([FaultSpec(FaultKind.ADAPTER_SWAP_FAIL, 0.0,
+                                 target="lora-3")]), [doomed])
+    assert engine._breakers and engine._swap_backoff_until
+    assert doomed.is_aborted
+    assert (failed_steps, failed_records) == (bare_steps, bare_records)

@@ -24,7 +24,9 @@ block counts.  ``ReferenceEngine`` takes none of them:
 One hypothesis strategy, :func:`scenarios`, draws the system, the
 workload (task heads or LM head), adapter ranks, the fleet and engine
 features, the fault menu and seed, how ``run(until=...)`` is chunked
-and when a tracer attaches.  The property: the optimized system and the
+and when a tracer attaches.  Faults, breakers and swap backoff take
+the fast paths too; only brownout and a tracer keep an engine off
+them.  The property: the optimized system and the
 reference leave the same :func:`digest`.  The cost-cache counters stay
 out of it (the reference never looks a cost up), but the optimized side
 must count one hit or miss per iteration.  A new fast path stays out of
@@ -51,6 +53,8 @@ from repro.runtime import (
     FailureDetector,
     FailureDetectorConfig,
     FaultInjector,
+    FaultKind,
+    FaultSpec,
     HedgeConfig,
     MultiGPUServer,
     PlacementConfig,
@@ -261,7 +265,8 @@ class Scenario:
     ``ranks`` are the adapters' ranks (adapter ``i`` is ``lora-i``) and
     ``slots`` their GPU slots.  ``kv_slack`` shrinks each engine's KV
     pool to that many blocks over the largest request, so steady
-    batches preempt as they grow.  ``chunks`` are the
+    batches preempt as they grow.  ``fault_specs`` is an explicit fault
+    schedule, used when no ``faults`` menu is drawn.  ``chunks`` are the
     ``run(until=...)`` calls a lone engine makes
     before its final ``run()``.  ``drain_after`` empties the engine
     after that chunk and resubmits its requests 0.3 s later;
@@ -277,6 +282,7 @@ class Scenario:
     fleet: Optional[str] = None
     features: Tuple[str, ...] = ()
     faults: Optional[str] = None
+    fault_specs: Tuple[FaultSpec, ...] = ()
     seed: int = 0
     kv_slack: Optional[int] = None
     chunks: Tuple[float, ...] = ()
@@ -338,7 +344,7 @@ def scenarios(draw, fleets=(None,) + FLEETS,
 
 def _builder(s: Scenario) -> SystemBuilder:
     ids = [f"lora-{i}" for i in range(len(s.ranks))]
-    faults = None
+    faults = FaultInjector(s.fault_specs) if s.fault_specs else None
     if s.faults is not None:
         faults = FaultInjector.random(
             horizon_s=8.0, seed=s.seed, adapter_ids=ids,
@@ -361,6 +367,9 @@ def _builder(s: Scenario) -> SystemBuilder:
     )
 
 
+HEDGE = HedgeConfig(min_observations=4, window=32, after_s=0.25)
+
+
 def _fleet(s: Scenario, factory) -> MultiGPUServer:
     if s.fleet == "placement":
         placement = AdapterPlacement(PlacementConfig(
@@ -372,9 +381,7 @@ def _fleet(s: Scenario, factory) -> MultiGPUServer:
             factory, 2,
             disagg=DisaggConfig(prefill_replicas=1, decode_replicas=1))
     if s.fleet == "hedging":
-        return MultiGPUServer.replicate(
-            factory, 2,
-            hedge=HedgeConfig(min_observations=4, window=32, after_s=0.25))
+        return MultiGPUServer.replicate(factory, 2, hedge=HEDGE)
     if s.fleet == "detector":
         return MultiGPUServer.replicate(
             factory, 2, num_hosts=2, max_requeues=4,
@@ -386,7 +393,8 @@ def _fleet(s: Scenario, factory) -> MultiGPUServer:
         drain_timeout_s=2.0))
     return MultiGPUServer.replicate(factory, 1, dispatch="locality",
                                     autoscaler=scaler,
-                                    placement=AdapterPlacement())
+                                    placement=AdapterPlacement(),
+                                    hedge=HEDGE)
 
 
 def _check_kv(engine: ServingEngine) -> None:
@@ -561,6 +569,30 @@ HEDGED_FAILOVER = (
        dict(_decoding(7, 0, 2.0, 3072, 1), num_images=1)))
 
 
+# After four short requests, eleven arrive at 0.3 s on the autoscaler
+# fleet's one replica: eight fill its batch, and three wait behind them
+# until a hedge twin of each lands on gpu-1 at 1.5 s.  Both replicas
+# drain, and engine-0's drain times out at 6.0 s while the twin of its
+# request 14 still runs on gpu-1: re-homed, the primary could land
+# beside its twin.  Once the primary is dropped, the twin is the last
+# copy, and gpu-1's drain timeout re-homes it.
+DRAIN_BESIDE_TWIN = (
+    tuple(_decoding(i, 0, 0.0, 64, 5) for i in range(4))
+    + tuple(_decoding(i, 0, 0.3, 64, 100) for i in range(4, 14))
+    + (_decoding(14, 0, 0.3, 64, 600),))
+
+# DEADLINE_MID_RUN's four requests decode as one run from 0.03 s to
+# 2.45 s.  Each window below changes the fault schedule inside that
+# run, which must stop there and read the schedule again.
+SLOW_MID_RUN = (FaultSpec(FaultKind.ENGINE_SLOW, 0.8, 0.4, magnitude=2.0,
+                          target="engine-0"),)
+# At 99.6 % reserved the engine preempts down to one request, and the
+# others re-prefill once the window closes.
+KV_PRESSURE_MID_RUN = (FaultSpec(FaultKind.KV_PRESSURE, 0.5, 0.5,
+                                 magnitude=0.996),)
+FAIL_MID_RUN = (FaultSpec(FaultKind.ENGINE_FAIL, 1.2, target="engine-0"),)
+
+
 @pytest.mark.property
 @settings(max_examples=200, deadline=None)
 @given(s=scenarios())
@@ -591,6 +623,12 @@ HEDGED_FAILOVER = (
                     fleet="disagg"))
 @example(s=Scenario("s-lora", HEDGED_FAILOVER, ranks=(8, 8), slots=2,
                     fleet="hedging", faults="gray", seed=1))
+@example(s=Scenario("s-lora", DEADLINE_MID_RUN, fault_specs=SLOW_MID_RUN))
+@example(s=Scenario("s-lora", DEADLINE_MID_RUN,
+                    fault_specs=KV_PRESSURE_MID_RUN))
+@example(s=Scenario("s-lora", DEADLINE_MID_RUN, fault_specs=FAIL_MID_RUN))
+@example(s=Scenario("s-lora", DRAIN_BESIDE_TWIN, ranks=(64, 64),
+                    fleet="autoscaler"))
 def test_optimized_matches_reference(s):
     """Every fast path together is invisible: the optimized system
     leaves the reference's digest, whatever is drawn."""
