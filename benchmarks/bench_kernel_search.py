@@ -1,25 +1,20 @@
-"""Kernel-search bench: vectorized ATMM tiling search + persistent store.
+"""Kernel-search bench: the vectorized ATMM tiling search.
 
 Not a paper figure — this measures the repro's stand-in for the paper's
-CUTLASS-profiler sweep (§4.3.2, Algorithm 2) and its ahead-of-time
-kernel store (§5), at the exact configuration ``default_table()`` uses
-in every serving engine (A100-80GB, hidden dim 4096, ranks
-{16, 32, 64, 128}, M up to 16384, coarse space):
+CUTLASS-profiler sweep (§4.3.2, Algorithm 2), at the exact
+configuration ``default_table()`` uses in every serving engine
+(A100-80GB, hidden dim 4096, ranks {16, 32, 64, 128}, M up to 16384,
+coarse space):
 
 * **search**: full table build via the seed's scalar ``shapes x
   configs`` double loop vs the batched-numpy path with ε-dominance
   pruning.  Winners, latencies, and the fallback must be identical
   entry-for-entry (``winners_identical``); the vectorized build must be
-  >= 10x faster end to end (construction + sweep).
-* **store**: cold save + warm load of the searched table through
-  :class:`~repro.kernels.store.KernelTableStore`.  The warm load must
-  make zero cost-model evaluations, where the vectorized search makes
-  at least ``num_evals`` (a spy on :class:`GemmCostModel` counts both;
-  a count of the work holds still where a ratio of two host wall times
-  moves with host load).  Its wall-time ratio to the search,
-  ``load_speedup_vs_search``, is reported but not gated.
-* **lookup**: the runtime O(1) path (bit-trick ``bucket_m`` + memo),
-  reported as ns/lookup.
+  >= 10x faster end to end (construction + sweep).  A spy on
+  :class:`GemmCostModel` must see at least the ``num_evals`` cells the
+  search reports.
+* **lookup**: the runtime O(1) path (bit-trick ``bucket_m`` + one dict
+  probe), reported as ns/lookup.
 
 Any divergence raises, so the perf-smoke CI job fails if the vectorized
 winners ever drift from the scalar reference.  Run it with
@@ -30,7 +25,6 @@ result lands in ``results/kernel_search.json``.
 from __future__ import annotations
 
 import contextlib
-import tempfile
 import time
 from typing import Dict, Iterator, List
 from unittest import mock
@@ -39,7 +33,6 @@ from repro.hardware.gpu import get_gpu
 from repro.kernels.cost_model import GemmCostModel
 from repro.kernels.search import OptimalTilingTable, TilingSearch
 from repro.kernels.shapes import GemmShape
-from repro.kernels.store import KernelTableStore, table_fingerprint
 
 #: The exact ``default_table()`` configuration.
 GPU_NAME = "A100-80GB"
@@ -49,7 +42,6 @@ MAX_M = 16384
 COARSE = True
 
 SEARCH_REPEATS = 3
-LOAD_REPEATS = 5
 SPEEDUP_FLOOR = 10.0
 
 
@@ -148,37 +140,7 @@ def run_search_bench(gpu) -> Dict[str, object]:
         },
         "speedup": round(scalar / vectorized, 1),
         "winners_identical": True,
-    }, tables["vectorized"], min(scalar, vectorized)
-
-
-def run_store_bench(gpu, table: OptimalTilingTable,
-                    min_search_s: float) -> Dict[str, object]:
-    fingerprint = table_fingerprint(gpu, HIDDEN_DIMS, RANKS, MAX_M, COARSE)
-    with tempfile.TemporaryDirectory(prefix="kernel-store-") as tmp:
-        store = KernelTableStore(tmp)
-        start = time.perf_counter()
-        path = store.save(fingerprint, table, meta={"gpu": gpu.name})
-        cold_save = time.perf_counter() - start
-        size = path.stat().st_size
-
-        loads = []
-        loaded = None
-        with _count_cost_model_evals() as load_evals:
-            for _ in range(LOAD_REPEATS):
-                start = time.perf_counter()
-                loaded = store.load(fingerprint)
-                loads.append(time.perf_counter() - start)
-        warm_load = min(loads)
-        if loaded is None or not _tables_identical(loaded, table):
-            raise AssertionError("store round-trip changed the table")
-    return {
-        "file_bytes": size,
-        "cold_save_ms": round(cold_save * 1e3, 3),
-        "warm_load_ms": round(warm_load * 1e3, 3),
-        "load_speedup_vs_search": round(min_search_s / warm_load, 1),
-        "cost_model_evals": load_evals[0],
-        "roundtrip_identical": True,
-    }
+    }, tables["vectorized"]
 
 
 def run_lookup_bench(table: OptimalTilingTable,
@@ -197,7 +159,7 @@ def run_lookup_bench(table: OptimalTilingTable,
 
 def run_bench() -> Dict[str, object]:
     gpu = get_gpu(GPU_NAME)
-    search_payload, table, min_search_s = run_search_bench(gpu)
+    search_payload, table = run_search_bench(gpu)
     return {
         "bench": "kernel_search",
         "gpu": GPU_NAME,
@@ -206,14 +168,12 @@ def run_bench() -> Dict[str, object]:
         "max_m": MAX_M,
         "coarse": COARSE,
         "search": search_payload,
-        "store": run_store_bench(gpu, table, min_search_s),
         "lookup": run_lookup_bench(table),
     }
 
 
 def _print_payload(payload: Dict[str, object]) -> None:
     search = payload["search"]
-    store = payload["store"]
     lookup = payload["lookup"]
     print(f"search grid: {search['num_shapes']} shapes x "
           f"{search['num_configs']} configs "
@@ -223,13 +183,8 @@ def _print_payload(payload: Dict[str, object]) -> None:
     print(f"  vectorized {search['wall_seconds']['vectorized'] * 1e3:>9.1f} ms")
     print(f"  speedup: {search['speedup']}x "
           f"(winners identical: {search['winners_identical']})")
-    print(f"store: {store['file_bytes']}B file, "
-          f"save {store['cold_save_ms']} ms, "
-          f"warm load {store['warm_load_ms']} ms "
-          f"({store['load_speedup_vs_search']}x faster than any search)")
-    print(f"cost-model cells evaluated: {search['cost_model_evals']} by "
-          f"one search, {store['cost_model_evals']} by {LOAD_REPEATS} "
-          f"warm loads")
+    print(f"cost-model cells evaluated by one search: "
+          f"{search['cost_model_evals']}")
     print(f"lookup: {lookup['ns_per_lookup']} ns")
 
 
@@ -245,11 +200,6 @@ def _assert_floors(payload: Dict[str, object]) -> None:
         f"the cost-model spy saw {search_evals} cells in a search that "
         f"reports {num_evals}"
     )
-    load_evals = payload["store"]["cost_model_evals"]
-    assert load_evals == 0, (
-        f"{LOAD_REPEATS} warm store loads evaluated {load_evals} "
-        f"cost-model cells; a load must not search"
-    )
 
 
 def test_kernel_search(benchmark, results):
@@ -260,8 +210,7 @@ def test_kernel_search(benchmark, results):
         "ATMM tiling search (full default_table build)",
         ["path", "wall (ms)"],
         [["scalar", payload["search"]["wall_seconds"]["scalar"] * 1e3],
-         ["vectorized", payload["search"]["wall_seconds"]["vectorized"] * 1e3],
-         ["store warm load", payload["store"]["warm_load_ms"]]],
+         ["vectorized", payload["search"]["wall_seconds"]["vectorized"] * 1e3]],
     )
     results.save("kernel_search", payload)
 

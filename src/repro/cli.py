@@ -30,6 +30,7 @@ from repro.core.builder import SYSTEM_NAMES, SystemBuilder
 from repro.generation.fusion import KnowledgeFusion, KnowledgeItem, OracleEvaluator
 from repro.hardware.gpu import get_gpu, list_gpus
 from repro.models.config import get_model, list_models
+from repro.runtime.cluster import DISPATCH_POLICIES
 from repro.workloads.replay import load_trace, save_trace, trace_stats
 from repro.workloads.retrieval import RetrievalWorkload
 from repro.workloads.video import VideoAnalyticsWorkload
@@ -134,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replica count (static) or the initial "
                               "replica count (with --autoscale)")
     cluster.add_argument("--dispatch", default="least-loaded",
-                         choices=("least-loaded", "round-robin",
-                                  "adapter-affinity", "locality"),
+                         choices=DISPATCH_POLICIES,
                          help="inter-GPU dispatch policy ('locality' = "
                               "cache-state-aware placement, "
                               "docs/PLACEMENT.md)")
@@ -256,35 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tiling.add_argument("--dim", type=int, default=4096)
     tiling.add_argument("--rank", type=int, default=64)
     tiling.add_argument("--gpu", default="A100-80GB", choices=list_gpus())
-
-    kernels = sub.add_parser(
-        "kernels", help="prebuild or inspect persistent ATMM tiling tables"
-    )
-    kernels_sub = kernels.add_subparsers(dest="kernels_command",
-                                         required=True)
-    ksearch = kernels_sub.add_parser(
-        "search", help="run the tiling search and persist the table"
-    )
-    ksearch.add_argument("--gpu", default="A100-80GB", choices=list_gpus())
-    ksearch.add_argument("--dims", default="4096",
-                         help="comma-separated hidden dims")
-    ksearch.add_argument("--ranks", default="16,32,64,128",
-                         help="comma-separated LoRA ranks")
-    ksearch.add_argument("--max-m", type=int, default=16384)
-    ksearch.add_argument("--full", action="store_true",
-                         help="search the full config space (not coarse)")
-    ksearch.add_argument("--store-dir", default=None,
-                         help="table store directory (default: "
-                              "$REPRO_KERNEL_STORE_DIR or the user cache)")
-    ksearch.add_argument("--force", action="store_true",
-                         help="re-search even if the store has the table")
-    ksearch.add_argument("--json", action="store_true",
-                         help="print machine-readable summary")
-    kinspect = kernels_sub.add_parser(
-        "inspect", help="list the tables in a store directory"
-    )
-    kinspect.add_argument("--store-dir", default=None)
-    kinspect.add_argument("--json", action="store_true")
 
     report = sub.add_parser(
         "report", help="summarize results/ written by the benches"
@@ -813,78 +784,6 @@ def cmd_tiling_search(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def cmd_kernels(args) -> int:
-    import time
-
-    from repro.kernels import store as store_mod
-    from repro.kernels.search import TilingSearch
-    from repro.kernels.shapes import GemmShape
-
-    store_dir = store_mod.resolve_store_dir(args.store_dir)
-    if store_dir is None:
-        store_dir = store_mod.default_user_store_dir()
-    store = store_mod.KernelTableStore(store_dir)
-
-    if args.kernels_command == "inspect":
-        entries = store.entries()
-        if args.json:
-            print(json.dumps({"store_dir": str(store_dir),
-                              "tables": entries}, indent=2, sort_keys=True))
-            return 0
-        print(f"store: {store_dir} ({len(entries)} table(s))")
-        for e in entries:
-            meta = e.get("meta", {})
-            flag = " [stale]" if e.get("stale") else ""
-            print(f"  {e['fingerprint']}  entries={e.get('num_entries', '?')} "
-                  f"gpu={meta.get('gpu', '?')} coarse={meta.get('coarse', '?')}"
-                  f" {e['size_bytes']}B{flag}")
-        return 0
-
-    gpu = get_gpu(args.gpu)
-    dims = _parse_int_list(args.dims)
-    ranks = _parse_int_list(args.ranks)
-    coarse = not args.full
-    fingerprint = store_mod.table_fingerprint(gpu, dims, ranks,
-                                              args.max_m, coarse)
-    source = "store"
-    table = None if args.force else store.load(fingerprint)
-    searched_s = None
-    if table is None:
-        source = "search"
-        t0 = time.perf_counter()
-        search = TilingSearch(gpu, coarse=coarse)
-        pairs = search.kn_pairs_for_model(dims, ranks)
-        extra = [GemmShape(d, r, d) for d in dims for r in ranks]
-        table, _ = search.search(pairs, max_m=args.max_m, extra_shapes=extra)
-        searched_s = time.perf_counter() - t0
-        store.save(fingerprint, table, meta={
-            "gpu": gpu.name, "hidden_dims": sorted(dims),
-            "ranks": sorted(ranks), "max_m": args.max_m, "coarse": coarse,
-        })
-    summary = {
-        "gpu": gpu.name,
-        "fingerprint": fingerprint,
-        "source": source,
-        "entries": len(table),
-        "path": str(store.path_for(fingerprint)),
-    }
-    if searched_s is not None:
-        summary["search_seconds"] = round(searched_s, 4)
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(f"gpu={gpu.name} fingerprint={fingerprint} source={source} "
-              f"entries={len(table)}")
-        print(f"table: {summary['path']}")
-        if searched_s is not None:
-            print(f"searched in {searched_s * 1e3:.1f} ms")
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.analysis.report import render_report
 
@@ -918,7 +817,6 @@ _COMMANDS = {
     "compare": cmd_compare,
     "fuse": cmd_fuse,
     "tiling-search": cmd_tiling_search,
-    "kernels": cmd_kernels,
     "report": cmd_report,
     "trace": cmd_trace,
 }

@@ -34,7 +34,6 @@ from repro.kernels.search import (
     default_table,
     shape_key,
 )
-from repro.kernels.store import KernelTableStore, table_fingerprint
 from repro.kernels.atmm import ATMMOperator
 from repro.kernels.baseline_ops import (
     EinsumOperator,
@@ -60,8 +59,6 @@ __all__ = [
     "TilingSearch",
     "OptimalTilingTable",
     "default_table",
-    "KernelTableStore",
-    "table_fingerprint",
     "shape_key",
     "ATMMOperator",
     "LoRAOperator",

@@ -41,12 +41,6 @@ from repro.hardware.memory import FP16_BYTES
 from repro.kernels.shapes import GemmShape, GroupedGemm
 from repro.kernels.tiling import TilingConfig, TilingConfigSpace
 
-#: Bump whenever any latency formula or model constant changes meaning.
-#: Part of the persistent kernel-table fingerprint: a table profiled
-#: under an older model version must be re-searched, not served.
-COST_MODEL_VERSION = 1
-
-
 @dataclass(frozen=True)
 class KernelLaunch:
     """Accounting record for one kernel launch produced by an operator."""
@@ -204,25 +198,6 @@ class GemmCostModel:
             else self.overlap_residual_single
         )
         return max(c, m) + residual * min(c, m)
-
-    def version_fingerprint(self) -> dict:
-        """The model parameters a profiled table depends on.
-
-        Part of the persistent kernel-table store key: changing any of
-        these (or bumping :data:`COST_MODEL_VERSION` after a formula
-        change) invalidates every stored table built before it.
-        """
-        return {
-            "version": COST_MODEL_VERSION,
-            "mem_efficiency": self.mem_efficiency,
-            "tensor_core_efficiency": self.tensor_core_efficiency,
-            "cuda_core_efficiency": self.cuda_core_efficiency,
-            "overlap_residual": self.overlap_residual,
-            "overlap_residual_single": self.overlap_residual_single,
-            "kstep_overhead_cycles": self.KSTEP_OVERHEAD_CYCLES,
-            "warps_for_peak": self.WARPS_FOR_PEAK,
-            "min_warp_efficiency": self.MIN_WARP_EFFICIENCY,
-        }
 
     def gemm_seconds_batch(
         self,

@@ -28,20 +28,17 @@ Two executions of the sweep coexist:
   bit-identical to the scalar path (property-tested); only wall time
   changes.
 
-Ahead-of-time amortization (§5): :func:`default_table` consults the
-persistent kernel-table store (:mod:`repro.kernels.store`) before
-searching, so serving processes, benches, and parallel sweep workers
-load a prebuilt table from disk instead of re-profiling.
+Ahead-of-time amortization (§5): :func:`default_table` searches once
+per process and input set; every engine built afterwards shares the
+table.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,11 +119,6 @@ class SearchReport:
 class OptimalTilingTable:
     """Hash table mapping shape keys to their optimal tiling configuration."""
 
-    #: On-disk payload format.  v2 deduplicates configurations (entries
-    #: reference a config index), which makes warm store loads ~3x
-    #: faster than the v1 config-per-entry layout; v1 files still load.
-    FORMAT_VERSION = 2
-
     def __init__(self, fallback: Optional[TilingConfig] = None):
         self._table: Dict[int, TilingConfig] = {}
         self._latency: Dict[int, float] = {}
@@ -165,88 +157,6 @@ class OptimalTilingTable:
         """The offline-profiled latency for a shape's bucket, if recorded."""
         return self._latency.get(shape_key(bucket_m(m), k, n))
 
-    # -- persistence --------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-serializable form (shared by :meth:`save` and the store).
-
-        Distinct configurations are stored once; entries reference them
-        by index.  The search typically finds a few dozen winners for
-        ~100 shapes, so deduplication shrinks files ~2.5x and makes the
-        warm-load path (store hit at process start) proportionally
-        faster.
-        """
-        config_index: Dict[TilingConfig, int] = {}
-        configs: List[dict] = []
-
-        def index_of(cfg: TilingConfig) -> int:
-            idx = config_index.get(cfg)
-            if idx is None:
-                idx = len(configs)
-                config_index[cfg] = idx
-                configs.append(cfg.to_dict())
-            return idx
-
-        entries = [
-            [str(key), index_of(cfg), self._latency.get(key)]
-            for key, cfg in self._table.items()
-        ]
-        return {
-            "format": self.FORMAT_VERSION,
-            "fallback": self.fallback.to_dict() if self.fallback else None,
-            "configs": configs,
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "OptimalTilingTable":
-        """Inverse of :meth:`to_payload`; also reads the legacy v1 layout.
-
-        Raises ``KeyError`` / ``TypeError`` / ``ValueError`` on malformed
-        payloads — the store turns those into a cache miss.
-        """
-        fallback = (
-            TilingConfig.from_dict(payload["fallback"])
-            if payload.get("fallback") else None
-        )
-        table = cls(fallback=fallback)
-
-        def latency_of(raw) -> float:
-            return float(raw) if raw is not None else float("nan")
-
-        if payload.get("format", 1) >= 2:
-            configs = [TilingConfig.from_dict(d) for d in payload["configs"]]
-            for key, cfg_idx, latency in payload["entries"]:
-                table.insert(int(key), configs[cfg_idx], latency_of(latency))
-        else:
-            # v1: one config dict per entry.
-            for entry in payload.get("entries", []):
-                table.insert(
-                    int(entry["key"]),
-                    TilingConfig.from_dict(entry["config"]),
-                    latency_of(entry.get("latency_s")),
-                )
-        return table
-
-    def save(self, path: Union[str, pathlib.Path]) -> None:
-        """Persist the table as JSON.
-
-        This plays the role of the paper's ahead-of-time compiled kernel
-        store (§5): the offline search runs once, the serving process
-        loads the table at startup.  (For versioned, fingerprint-keyed,
-        atomically-written persistence use
-        :class:`repro.kernels.store.KernelTableStore`.)
-        """
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: Union[str, pathlib.Path]) -> "OptimalTilingTable":
-        """Inverse of :meth:`save`."""
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls.from_payload(payload)
-
 
 class TilingSearch:
     """Algorithm 2: sweep shapes x configs, record per-shape winners.
@@ -255,8 +165,8 @@ class TilingSearch:
     columns in canonical enumeration order); ``configs`` materializes
     the object list lazily for the scalar reference path.  Ties in the
     cost model are broken deterministically by the first configuration
-    in canonical order — the scalar loop's strict ``<``, the vectorized
-    path's first-occurrence ``argmin``, and any reloaded table all agree.
+    in canonical order — the scalar loop's strict ``<`` and the
+    vectorized path's first-occurrence ``argmin`` agree.
     """
 
     def __init__(
@@ -487,10 +397,12 @@ class TilingSearch:
         return win, lats, evals, pruned
 
 
-#: Process-wide table cache keyed by the store fingerprint.  Guarded by
-#: a lock so concurrent engines in one process neither race the dict nor
+#: Process-wide table cache keyed by the search inputs.  ``GPUSpec`` is
+#: a frozen dataclass, so a custom spec that keeps a registry name but
+#: changes, say, the SM count gets its own entry.  Guarded by a lock so
+#: concurrent engines in one process neither race the dict nor
 #: duplicate a search.
-_TABLE_CACHE: Dict[str, OptimalTilingTable] = {}
+_TABLE_CACHE: Dict[tuple, OptimalTilingTable] = {}
 _TABLE_CACHE_LOCK = threading.Lock()
 
 
@@ -505,59 +417,24 @@ def default_table(
     hidden_dims: Sequence[int] = (4096,),
     ranks: Sequence[int] = (16, 32, 64, 128),
     max_m: int = DEFAULT_MAX_M,
-    coarse: bool = True,
-    store_dir: Optional[Union[str, pathlib.Path]] = None,
 ) -> OptimalTilingTable:
-    """Build (or fetch from cache / disk) an ATMM tiling table.
+    """Build (or fetch from the process-wide cache) an ATMM tiling table.
 
-    Lookup order, mirroring the paper's ahead-of-time compiled kernel
-    set (§5):
-
-    1. the process-wide in-memory cache (one search per fingerprint per
-       process, thread-safe);
-    2. the persistent on-disk store, when configured — ``store_dir``
-       argument, else the ``REPRO_KERNEL_STORE_DIR`` environment
-       variable (see :mod:`repro.kernels.store`).  Parallel sweep
-       workers inherit the environment, so a prebuilt table is loaded
-       by every worker instead of re-searched;
-    3. the vectorized tiling search, whose result is written back to the
-       store (best-effort, atomic) for the next process.
+    The search runs over the coarse configuration space once per
+    ``(gpu, hidden_dims, ranks, max_m)`` per process (thread-safe; the
+    order of ``hidden_dims`` and ``ranks`` does not matter), mirroring
+    the paper's ahead-of-time compiled kernel set (§5).
     """
-    from repro.kernels import store as store_mod
-
-    fingerprint = store_mod.table_fingerprint(
-        gpu, hidden_dims, ranks, max_m, coarse
-    )
-    table = _TABLE_CACHE.get(fingerprint)
+    key = (gpu, tuple(sorted(hidden_dims)), tuple(sorted(ranks)), max_m)
+    table = _TABLE_CACHE.get(key)
     if table is not None:
         return table
     with _TABLE_CACHE_LOCK:
-        table = _TABLE_CACHE.get(fingerprint)
-        if table is not None:
-            return table
-        root = store_mod.resolve_store_dir(store_dir)
-        store = store_mod.KernelTableStore(root) if root is not None else None
-        loaded = False
-        if store is not None:
-            disk_table = store.load(fingerprint)
-            if disk_table is not None:
-                table = disk_table
-                loaded = True
+        table = _TABLE_CACHE.get(key)
         if table is None:
-            search = TilingSearch(gpu, coarse=coarse)
+            search = TilingSearch(gpu, coarse=True)
             pairs = search.kn_pairs_for_model(hidden_dims, ranks)
             extra = [GemmShape(d, r, d) for d in hidden_dims for r in ranks]
             table, _ = search.search(pairs, max_m=max_m, extra_shapes=extra)
-        if store is not None and not loaded:
-            try:
-                store.save(fingerprint, table, meta={
-                    "gpu": gpu.name,
-                    "hidden_dims": sorted(hidden_dims),
-                    "ranks": sorted(ranks),
-                    "max_m": max_m,
-                    "coarse": coarse,
-                })
-            except OSError:
-                pass  # the store is an optimization, never a failure
-        _TABLE_CACHE[fingerprint] = table
+            _TABLE_CACHE[key] = table
     return table

@@ -118,21 +118,6 @@ class TilingConfig:
         """Table-1 style ``(bm, bk, bn, wm, wk, wn)`` tuple."""
         return (self.bm, self.bk, self.bn, self.wm, self.wk, self.wn)
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (for persisted tiling tables)."""
-        return {
-            "bm": self.bm, "bk": self.bk, "bn": self.bn,
-            "wm": self.wm, "wk": self.wk, "wn": self.wn,
-            "split_k": self.split_k,
-            "double_buffered": self.double_buffered,
-            "tensor_cores": self.tensor_cores,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TilingConfig":
-        """Inverse of :meth:`to_dict`; validates like the constructor."""
-        return cls(**data)
-
     def __str__(self) -> str:
         extra = f", split_k={self.split_k}" if self.split_k > 1 else ""
         return f"Tiling{self.as_tuple()}{extra}"
@@ -206,28 +191,6 @@ def canonical_key(cfg: TilingConfig) -> Tuple[int, ...]:
         cfg.split_k,
         0 if cfg.double_buffered else 1,
     )
-
-
-#: Bump when the enumeration rules or dimension menus change, so
-#: persisted kernel tables built against the old space are invalidated.
-SEARCH_SPACE_VERSION = 1
-
-
-def search_space_fingerprint() -> dict:
-    """The enumeration parameters that define the search space.
-
-    Part of the persistent kernel-table store key: a store file built
-    against a different space (or different validity rules) must never
-    be served.
-    """
-    return {
-        "version": SEARCH_SPACE_VERSION,
-        "min_tile": MIN_TILE,
-        "max_warps_per_block": MAX_WARPS_PER_BLOCK,
-        "block_dims": list(_BLOCK_DIMS),
-        "warp_dims": list(_WARP_DIMS),
-        "split_ks": list(_SPLIT_KS),
-    }
 
 
 class TilingConfigSpace:

@@ -18,7 +18,7 @@ paper's future work — four dispatch policies are provided here:
   default registry when none is attached; the registry is rebalanced
   once per control epoch.
 
-All three policies route around *dead* replicas (an engine whose fault
+All four policies route around *dead* replicas (an engine whose fault
 schedule has already killed it receives no fresh traffic — it would all
 come straight back as failover orphans), and, with ``health_aware=True``,
 also around *unhealthy* ones: each replica carries a health score

@@ -214,51 +214,6 @@ class TestTilingSearchCommand:
         assert "m=16" in out
 
 
-class TestKernelsCommands:
-    ARGS = ["--dims", "4096", "--ranks", "16", "--max-m", "256"]
-
-    def test_search_then_hit_store(self, tmp_path, capsys):
-        argv = ["kernels", "search", "--store-dir", str(tmp_path)] + self.ARGS
-        rc = main(argv)
-        assert rc == 0
-        assert "source=search" in capsys.readouterr().out
-        rc = main(argv)
-        assert rc == 0
-        assert "source=store" in capsys.readouterr().out
-
-    def test_force_researches(self, tmp_path, capsys):
-        argv = ["kernels", "search", "--store-dir", str(tmp_path)] + self.ARGS
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv + ["--force"]) == 0
-        assert "source=search" in capsys.readouterr().out
-
-    def test_json_summary(self, tmp_path, capsys):
-        rc = main(["kernels", "search", "--store-dir", str(tmp_path),
-                   "--json"] + self.ARGS)
-        assert rc == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["source"] == "search"
-        assert summary["entries"] > 0
-        assert (tmp_path / f"table-{summary['fingerprint']}.json").exists()
-
-    def test_inspect_lists_tables(self, tmp_path, capsys):
-        assert main(["kernels", "search", "--store-dir", str(tmp_path)]
-                    + self.ARGS) == 0
-        capsys.readouterr()
-        rc = main(["kernels", "inspect", "--store-dir", str(tmp_path),
-                   "--json"])
-        assert rc == 0
-        listing = json.loads(capsys.readouterr().out)
-        assert len(listing["tables"]) == 1
-        assert listing["tables"][0]["stale"] is False
-
-    def test_inspect_empty_store(self, tmp_path, capsys):
-        rc = main(["kernels", "inspect", "--store-dir", str(tmp_path)])
-        assert rc == 0
-        assert "0 table(s)" in capsys.readouterr().out
-
-
 class TestTraceCommands:
     def test_generate_then_stats(self, tmp_path, capsys):
         trace = tmp_path / "wl.jsonl"

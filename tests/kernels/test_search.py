@@ -1,16 +1,20 @@
 """Tests for the profile-based optimal tiling search (Algorithm 2)."""
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro.hardware import A100_80GB
 from repro.kernels import (
+    ATMMOperator,
     GemmCostModel,
     GemmShape,
     OptimalTilingTable,
     TilingSearch,
     shape_key,
 )
-from repro.kernels.search import bucket_m, default_table
+from repro.kernels.search import bucket_m, clear_table_cache, default_table
 from repro.kernels.tiling import CONFIG_1
 
 
@@ -50,6 +54,14 @@ class TestTable:
         table = OptimalTilingTable()
         with pytest.raises(KeyError):
             table.lookup(64, 4096, 64)
+
+    def test_populated_table_without_fallback_raises_on_miss(self):
+        table = OptimalTilingTable()
+        table.insert(shape_key(16, 4096, 64), CONFIG_1, 1e-6)
+        assert table.fallback is None
+        assert table.lookup(16, 4096, 64) is CONFIG_1
+        with pytest.raises(KeyError):
+            table.lookup(16, 1, 1)
 
     def test_fallback_served_on_miss(self):
         table = OptimalTilingTable(fallback=CONFIG_1)
@@ -104,8 +116,16 @@ class TestSearch:
         )
         assert table.contains(4096, 64, 4096)
 
+    def test_searched_table_drives_atmm(self, search):
+        table, _ = search.search([(4096, 64), (64, 4096)], max_m=512)
+        op = ATMMOperator(GemmCostModel(A100_80GB), table=table)
+        assert op.table is table
+        assert op.pair_seconds([128], [64], 4096) > 0
+
 
 class TestDefaultTable:
+    ARGS = dict(hidden_dims=(4096,), ranks=(16,), max_m=256)
+
     def test_cached_across_calls(self):
         t1 = default_table(A100_80GB, hidden_dims=(4096,), ranks=(64,), max_m=256)
         t2 = default_table(A100_80GB, hidden_dims=(4096,), ranks=(64,), max_m=256)
@@ -116,3 +136,57 @@ class TestDefaultTable:
         assert t.contains(32, 4096, 64)    # shrink
         assert t.contains(32, 64, 4096)    # expand
         assert t.contains(4096, 64, 4096)  # delta-W
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Count ``TilingSearch.search`` calls on a cold table cache."""
+        clear_table_cache()
+        calls = []
+        real_search = TilingSearch.search
+
+        def counting_search(self, *a, **k):
+            calls.append(1)
+            return real_search(self, *a, **k)
+
+        monkeypatch.setattr(TilingSearch, "search", counting_search)
+        yield calls
+        clear_table_cache()
+
+    def test_input_order_irrelevant(self, searches):
+        a = default_table(A100_80GB, hidden_dims=(4096, 2048),
+                          ranks=(16, 64), max_m=256)
+        b = default_table(A100_80GB, hidden_dims=(2048, 4096),
+                          ranks=(64, 16), max_m=256)
+        assert a is b
+        assert len(searches) == 1
+
+    def test_custom_spec_with_registry_name_searches_again(self, searches):
+        clone = dataclasses.replace(A100_80GB, num_sms=64)
+        assert clone.name == A100_80GB.name
+        registry = default_table(A100_80GB, **self.ARGS)
+        custom = default_table(clone, **self.ARGS)
+        assert custom is not registry
+        assert len(searches) == 2
+
+    def test_concurrent_default_table_searches_once(self, searches):
+        tables = [None] * 4
+
+        def worker(i):
+            tables[i] = default_table(A100_80GB, **self.ARGS)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(searches) == 1
+        assert all(t is tables[0] for t in tables)
+
+    def test_writes_no_files(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        clear_table_cache()
+        default_table(A100_80GB, **self.ARGS)
+        assert list(tmp_path.iterdir()) == []
+        clear_table_cache()

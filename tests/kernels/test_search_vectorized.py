@@ -3,7 +3,7 @@
 The batched numpy evaluation (``gemm_seconds_batch``) and the pruned
 vectorized sweep are pure wall-clock optimizations — every latency,
 winner, and tie-break must match the seed's scalar double loop exactly
-(``==``, not approx).  These properties are what lets the store cache a
+(``==``, not approx).  These properties are what lets ATMM serve a
 table searched by either path.
 """
 
@@ -147,7 +147,7 @@ class TestTieBreaking:
             n = len(config_idx) if config_idx is not None else len(configs)
             return np.full((len(shapes), n), 1e-6)
 
-    def test_scalar_vectorized_and_reload_agree(self, tmp_path):
+    def test_scalar_and_vectorized_agree(self):
         cm = self._ConstantModel(A100_80GB)
         search = TilingSearch(A100_80GB, cost_model=cm, coarse=True)
         first = search.space.config(0)
@@ -158,10 +158,6 @@ class TestTieBreaking:
         assert vector_cfg == first
         table, _ = search.search([(4096, 16)], max_m=256)
         assert all(cfg == first for cfg in table._table.values())
-        path = tmp_path / "t.json"
-        table.save(path)
-        reloaded = type(table).load(path)
-        assert reloaded._table == table._table
 
     def test_space_order_is_canonical(self):
         space = TilingConfigSpace.enumerate_space(A100_80GB)
@@ -207,16 +203,3 @@ class TestBucketMBitTrick:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             bucket_m(0)
-
-
-class TestCostModelFingerprint:
-    def test_changes_with_constants(self):
-        cm = GemmCostModel(A100_80GB)
-        base = cm.version_fingerprint()
-        tweaked = GemmCostModel(A100_80GB, mem_efficiency=0.5)
-        assert tweaked.version_fingerprint() != base
-
-    def test_independent_of_gpu(self):
-        a = GemmCostModel(get_gpu("A100-80GB")).version_fingerprint()
-        b = GemmCostModel(get_gpu("A10")).version_fingerprint()
-        assert a == b
