@@ -15,10 +15,12 @@ pre-generated cells serially.
 
 Parallelism only pays when there are cores to spread over and enough
 cells to amortize worker startup: on a single-CPU machine the pool
-*loses* to serial (0.66x in BENCH_sim_throughput.json at
-``cpu_count: 1``), so ``run`` auto-degrades to the serial path when the
-machine has one effective CPU or the grid is tiny, and records the mode
-it actually used in :attr:`SweepResult.metadata`.
+*loses* to serial (0.66x, measured at ``cpu_count: 1``), so ``run``
+auto-degrades to the serial path when the machine has one effective
+CPU or the grid is tiny, and records the mode it actually used in
+:attr:`SweepResult.metadata`.  The >= 3x floor of ``parallel=4`` on
+the Fig 14 grid is a ``slow`` test in
+``tests/analysis/test_sweep_parallel.py``.
 """
 
 from __future__ import annotations

@@ -318,6 +318,13 @@ def _workload_flag_error(args) -> Optional[str]:
         if args.workload == "video" and not rate.is_integer():
             return (f"{flag} counts video streams and must be a whole "
                     f"number >= 1, got {rate}")
+    if args.workload == "diurnal":
+        if args.trough is not None and not 0 <= args.trough <= min(rates):
+            return (f"--trough must be in [0, {min(rates)}] (no higher "
+                    f"than {flag}), got {args.trough}")
+        if args.period is not None and not 0 < args.period < math.inf:
+            return (f"--period must be positive and finite, "
+                    f"got {args.period}")
     if not 0 < args.duration < math.inf:
         return (f"--duration must be positive and finite, "
                 f"got {args.duration}")
@@ -328,23 +335,31 @@ def _workload_flag_error(args) -> Optional[str]:
     return None
 
 
+#: ``serve``'s fault-rate flags: argparse dest -> ``FaultInjector.random``
+#: keyword.  Both the negativity check and the injector read this map.
+_FAULT_RATE_FLAGS = {
+    "swap_fail_rate": "swap_fail_rate",
+    "swap_slow_rate": "swap_slow_rate",
+    "kv_pressure_rate": "kv_pressure_rate",
+    "engine_slow_rate": "engine_slow_rate",
+    "burst_rate": "load_burst_rate",
+    "scale_stall_rate": "scale_stall_rate",
+    "partition_rate": "partition_rate",
+    "heartbeat_loss_rate": "heartbeat_loss_rate",
+    "host_fail_rate": "host_fail_rate",
+}
+
+
 def _make_fault_injector(args) -> "Optional[object]":
     from repro.runtime.faults import FaultInjector
 
-    rates = (args.swap_fail_rate, args.swap_slow_rate,
-             args.kv_pressure_rate, args.engine_slow_rate,
-             getattr(args, "burst_rate", 0.0),
-             getattr(args, "scale_stall_rate", 0.0),
-             getattr(args, "partition_rate", 0.0),
-             getattr(args, "heartbeat_loss_rate", 0.0),
-             getattr(args, "host_fail_rate", 0.0))
-    if all(r <= 0 for r in rates):
+    rates = {keyword: getattr(args, dest)
+             for dest, keyword in _FAULT_RATE_FLAGS.items()}
+    if all(r <= 0 for r in rates.values()):
         return None
     adapter_ids = [f"lora-{i}" for i in range(args.adapters)]
-    num_gpus = getattr(args, "num_gpus", 1)
-    engine_ids = (tuple(f"gpu-{i}" for i in range(num_gpus))
-                  if num_gpus > 1 else ("engine-0",))
-    num_hosts = getattr(args, "num_hosts", 0)
+    engine_ids = (tuple(f"gpu-{i}" for i in range(args.num_gpus))
+                  if args.num_gpus > 1 else ("engine-0",))
     # Faults must be able to land after the arrival window too (the
     # queue drains past --duration under load).
     return FaultInjector.random(
@@ -352,16 +367,8 @@ def _make_fault_injector(args) -> "Optional[object]":
         seed=args.fault_seed,
         adapter_ids=adapter_ids,
         engine_ids=engine_ids,
-        swap_fail_rate=args.swap_fail_rate,
-        swap_slow_rate=args.swap_slow_rate,
-        kv_pressure_rate=args.kv_pressure_rate,
-        engine_slow_rate=args.engine_slow_rate,
-        load_burst_rate=getattr(args, "burst_rate", 0.0),
-        scale_stall_rate=getattr(args, "scale_stall_rate", 0.0),
-        partition_rate=getattr(args, "partition_rate", 0.0),
-        heartbeat_loss_rate=getattr(args, "heartbeat_loss_rate", 0.0),
-        host_fail_rate=getattr(args, "host_fail_rate", 0.0),
-        host_ids=tuple(f"host-{i}" for i in range(num_hosts)),
+        host_ids=tuple(f"host-{i}" for i in range(args.num_hosts)),
+        **rates,
     )
 
 
@@ -491,13 +498,12 @@ def cmd_serve(args) -> int:
         print(f"--deadline-factor must be positive, got {args.deadline_factor}",
               file=sys.stderr)
         return 2
-    fault_rates = (args.swap_fail_rate, args.swap_slow_rate,
-                   args.kv_pressure_rate, args.engine_slow_rate,
-                   args.burst_rate, args.partition_rate,
-                   args.heartbeat_loss_rate, args.host_fail_rate)
-    if any(r < 0 for r in fault_rates):
-        print("fault rates must be >= 0", file=sys.stderr)
-        return 2
+    for dest in _FAULT_RATE_FLAGS:
+        rate = getattr(args, dest)
+        if rate < 0:
+            print(f"--{dest.replace('_', '-')} must be >= 0 (fault rates "
+                  f"are events per sim-second), got {rate}", file=sys.stderr)
+            return 2
     if args.num_hosts < 0:
         print(f"--num-hosts must be >= 0, got {args.num_hosts}",
               file=sys.stderr)

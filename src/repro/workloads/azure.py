@@ -102,24 +102,21 @@ class AzureTraceGenerator:
             for a, i, o in zip(arrivals, inputs, outputs)
         ]
 
-    def iter_events(self) -> Iterator[TraceEvent]:
-        yield from self.events()
-
     def event_blocks(self, num_requests: int,
                      block_size: int = 1_000_000,
                      ) -> Iterator[Dict[str, np.ndarray]]:
         """Stream exactly ``num_requests`` arrivals as numpy blocks.
 
         Count-driven companion to :meth:`events` for traces too large to
-        materialize as Python objects all at once (the 10M-request scale
-        bench): each yielded block is a dict of parallel arrays —
+        materialize as Python objects all at once (a 10M-request replay):
+        each yielded block is a dict of parallel arrays —
         ``arrival`` (float64, globally increasing), ``input_tokens`` and
         ``output_tokens`` (int64) — sized ``block_size`` (the last block
         may be shorter).  A caller builds ``Request`` objects from one
         slice at a time and submits them to the engine chunk by chunk,
         running each up to the next chunk's first arrival
-        (``benchmarks/bench_sim_throughput.py``).  ``duration_s`` is
-        ignored: the horizon is the request count.
+        (``examples/stream_trace.py``).  ``duration_s`` is ignored: the
+        horizon is the request count.
 
         RNG-stream contract: blocks draw from a fresh
         ``default_rng(seed)`` in per-block (gaps, inputs, outputs)

@@ -105,7 +105,7 @@ class RetrievalWorkload:
         recent_images: List[str] = []
         burst_adapter: Optional[str] = None
         burst_left = 0
-        for event in trace.iter_events():
+        for event in trace.events():
             task = tasks[int(rng.choice(len(tasks), p=task_probs))]
             profile = TASK_PROFILES[task]
             if burst_left <= 0:

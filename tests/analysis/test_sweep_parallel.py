@@ -1,9 +1,12 @@
-"""Parallel sweep runner: identical results, table() indexing."""
+"""Parallel sweep runner: identical results, speed-up, table() indexing."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import repro.analysis.sweep as sweep_mod
 from repro.analysis.sweep import SweepCell, SweepResult, SweepRunner
 from repro.core.builder import SystemBuilder
 from repro.runtime.metrics import MetricsCollector
@@ -48,8 +51,6 @@ class TestParallelSweep:
         assert _snapshot(a) == _snapshot(b)
 
     def test_fallback_on_broken_pool(self, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
         class BrokenPool:
             def __init__(self, *a, **k):
                 raise OSError("no processes in this sandbox")
@@ -75,6 +76,36 @@ class TestParallelSweep:
             runner.run("rate", [3.0], lambda v, s: [], parallel=2)
 
 
+@pytest.mark.slow
+def test_parallel_sweep_speedup_floor():
+    """The Fig 14 grid (4 systems x 4 rates, 150 s cells) runs at least
+    3x faster on ``parallel=4`` than serially, given 4 cores."""
+    cpus = sweep_mod._effective_cpu_count()
+    if cpus < 4:
+        pytest.skip(f"only {cpus} CPU(s): the 3x parallel-sweep floor "
+                    f"needs >= 4 cores")
+    builder = SystemBuilder(num_adapters=8)
+    runner = SweepRunner(builder,
+                         systems=("v-lora", "s-lora", "punica", "dlora"))
+
+    def factory(rate, system):
+        return RetrievalWorkload(
+            builder.adapter_ids, rate_rps=float(rate), duration_s=150.0,
+            use_task_heads=(system == "v-lora"), seed=14,
+        ).generate()
+
+    walls = {}
+    for parallel in (None, 4):
+        reset_request_ids()
+        start = time.perf_counter()
+        result = runner.run("rate_rps", (2.0, 6.0, 10.0, 14.0), factory,
+                            parallel=parallel)
+        walls[parallel] = time.perf_counter() - start
+    assert result.metadata["mode"] == "parallel"
+    speedup = walls[None] / walls[4]
+    assert speedup >= 3.0, f"sweep speedup {speedup:.2f}x below the 3x floor"
+
+
 class TestAutoDegrade:
     """parallel=N quietly runs serial when a pool cannot win."""
 
@@ -83,8 +114,6 @@ class TestAutoDegrade:
                            systems=("v-lora", "s-lora"))
 
     def test_single_cpu_degrades_to_serial(self, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
         monkeypatch.setattr(sweep_mod, "_effective_cpu_count", lambda: 1)
 
         def no_pool(*a, **k):
@@ -99,8 +128,6 @@ class TestAutoDegrade:
         assert len(result.cells) == 4
 
     def test_tiny_grid_degrades_to_serial(self, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
         monkeypatch.setattr(sweep_mod, "_effective_cpu_count", lambda: 8)
 
         def no_pool(*a, **k):
@@ -113,8 +140,6 @@ class TestAutoDegrade:
         assert "num_cells=2" in result.metadata["degrade_reason"]
 
     def test_degraded_results_equal_serial(self, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
         monkeypatch.setattr(sweep_mod, "_effective_cpu_count", lambda: 1)
         reset_request_ids()
         degraded = self._runner().run("rate", [3.0, 6.0], _factory,

@@ -70,11 +70,18 @@ class TestServe:
         assert rc == 2
         assert "malformed trace" in capsys.readouterr().err
 
+    FAULT_RATE_FLAGS = [
+        "--swap-fail-rate", "--swap-slow-rate", "--kv-pressure-rate",
+        "--engine-slow-rate", "--burst-rate", "--scale-stall-rate",
+        "--partition-rate", "--heartbeat-loss-rate", "--host-fail-rate"]
+
     def test_negative_fault_rate_rejected(self, capsys):
-        rc = main(["serve", "--rate", "2", "--duration", "4",
-                   "--swap-fail-rate", "-1"])
-        assert rc == 2
-        assert "fault rates" in capsys.readouterr().err
+        for flag in self.FAULT_RATE_FLAGS:
+            rc = main(["serve", "--rate", "2", "--duration", "4", flag, "-1"])
+            assert rc == 2, flag
+            err = capsys.readouterr().err
+            assert err.startswith(flag), err
+            assert "fault rates" in err, err
 
     def test_bad_deadline_factor_rejected(self, capsys):
         rc = main(["serve", "--deadline-factor", "0"])
@@ -193,6 +200,18 @@ class TestWorkloadFlags:
         (["compare", "--duration", "0"], "--duration"),
         (["trace", "generate", "--workload", "video", "--rate", "0"],
          "--rate"),
+        (["serve", "--workload", "diurnal", "--trough", "-1"], "--trough"),
+        (["serve", "--workload", "diurnal", "--rate", "6", "--trough", "7"],
+         "--trough"),
+        (["serve", "--workload", "diurnal", "--period", "0"], "--period"),
+        (["compare", "--workload", "diurnal", "--rates", "4,8",
+          "--trough", "5"], "--trough"),
+        (["compare", "--workload", "diurnal", "--period", "-2"],
+         "--period"),
+        (["trace", "generate", "--workload", "diurnal", "--trough", "-1"],
+         "--trough"),
+        (["trace", "generate", "--workload", "diurnal", "--period", "inf"],
+         "--period"),
     ]
 
     @pytest.mark.parametrize("argv, flag", CASES,
