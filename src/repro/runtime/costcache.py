@@ -35,7 +35,10 @@ them all together:
   memoizes each grouped-GEMM pair price on what the formula reads (the
   two tiling configs, the ranks and the per-group block counts);
 * the bypass mean is memoized per ``(token counts, ranks)``
-  (``ModeExecutor._mean_memo``).
+  (``ModeExecutor._mean_memo``);
+* a single-round batch (every member a one-token prefill registering
+  no prefix, whose full KV path provably fits the free blocks) answers
+  without allocating, appending or freeing a KV sequence.
 
 Losslessness
 ------------

@@ -228,6 +228,9 @@ class ServingEngine:
         #: :meth:`quiesce`) but keep running what they already hold.
         self.quiesced = False
         self._kv_stalls = 0
+        #: Whether the batch :meth:`_admit_to_kv` last admitted takes the
+        #: single-round pass (holds no KV; :meth:`_finalize` reads it).
+        self._single_round = False
         self._swap_backoff_until: Dict[str, float] = {}
         # Latest backoff expiry ever armed: once the clock passes it,
         # _schedulable skips the per-request backoff filter entirely.
@@ -401,6 +404,15 @@ class ServingEngine:
         ``repeats`` vouches for it again.  The run is bit-identical to
         calling :meth:`step` in a loop.
 
+        A full step whose batch is single-round (every member an
+        unprefilled request with one token left and no prefix to
+        register, and the blocks the KV path would take fit the free
+        blocks; :meth:`_fits_single_round`) answers it without a KV
+        sequence: the allocations, the decode-capacity check, the
+        appends and the frees would leave the cache as they found it.
+        A batch of task-head requests without a prefix key takes this
+        pass whenever the cache has room for it.
+
         A steady batch outlives the call, so a cluster that runs its
         replicas epoch by epoch (``until=``) keeps repeating it across
         epoch boundaries.  On entry it is kept only while the engine
@@ -449,12 +461,20 @@ class ServingEngine:
         self._expire_deadlines()
         self._apply_kv_pressure()
         if not self._active:
-            if self._pending:
-                self.clock.advance_to(self._pending[0][0])
-                self._admit_arrivals()
-                self._expire_deadlines()
-            else:
+            if not self._pending:
                 return
+            # An idle engine jumps to its next arrival, and reads the
+            # fault schedule again there: it may have died or come
+            # under KV pressure on the way.
+            self.clock.advance_to(self._pending[0][0])
+            if (self.faults is not None
+                    and self.faults.engine_failed(
+                        self.engine_id, self.clock.now, host=self.host)):
+                self._fail()
+                return
+            self._apply_kv_pressure()
+            self._admit_arrivals()
+            self._expire_deadlines()
         if not self._active:
             return
         if self._brownout is not None:
@@ -496,21 +516,21 @@ class ServingEngine:
             self._handle_kv_starvation(decision.batch)
             return
 
-        batch = self._ensure_decode_capacity(batch)
-        if not batch:
-            # Not even one decode step fits: same degradation path.
-            self._handle_kv_starvation(decision.batch)
-            return
+        if not self._single_round:
+            batch = self._ensure_decode_capacity(batch)
+            if not batch:
+                # Not even one decode step fits: same degradation path.
+                self._handle_kv_starvation(decision.batch)
+                return
         self._kv_stalls = 0
 
         needed = self._batch_adapters(batch, decision)
-        uniq = list(dict.fromkeys(needed))
-        hits = sum(1 for a in uniq if self.adapters.is_resident(a))
+        hits = sum(1 for a in needed if self.adapters.is_resident(a))
         stall, failed_swaps = self.adapters.try_ensure_resident(
             needed, self.clock.now, injector=self.faults
         )
         self.metrics.adapter_cache_hits += hits
-        misses = len(uniq) - hits
+        misses = len(needed) - hits
         if misses:
             self.metrics.adapter_cache_misses += misses
             self.metrics.swap_ins += misses - len(failed_swaps)
@@ -541,7 +561,7 @@ class ServingEngine:
                 and self._brownout is None):
             horizon = self.policy.repeats(decision, schedulable, ctx)
             if horizon:
-                self._steady = (batch, uniq, mode, merged,
+                self._steady = (batch, needed, mode, merged,
                                 None if horizon is True else horizon)
 
     def _decide(self, schedulable: List[Request]
@@ -896,9 +916,10 @@ class ServingEngine:
     def _record_terminal_abort(self, req: Request) -> None:
         """Record one abort — directly, or deferred through the outbox.
 
-        All terminal recording funnels through here / :meth:`_finalize`
-        so that lease fencing covers every way a request can end on
-        this engine, not just the happy path.
+        All terminal recording funnels through here and
+        :meth:`_record_terminal_finish`, so that lease fencing covers
+        every way a request can end on this engine, not just the happy
+        path.
         """
         if self._fencing:
             self.completion_outbox.append(Completion(
@@ -1228,7 +1249,14 @@ class ServingEngine:
         the move) and reuses nothing.  A sequence that does not fit,
         even after evicting stale prefixes, stays waiting and is
         retried next iteration.
+
+        A batch that :meth:`_fits_single_round` allocates nothing: every
+        member would allocate, append one token and free its sequence
+        within this iteration, which leaves the cache as it found it.
         """
+        self._single_round = self._fits_single_round(batch)
+        if self._single_round:
+            return list(batch)
         kv = self.kv
         now = self.clock.now
         admitted: List[Request] = []
@@ -1253,6 +1281,31 @@ class ServingEngine:
             )
             admitted.append(r)
         return admitted
+
+    def _fits_single_round(self, batch: Sequence[Request]) -> bool:
+        """Whether every member of ``batch`` answers in this iteration
+        and the full KV path provably admits the whole batch.
+
+        Every member is unprefilled with one token left (a task-head
+        request, or a preempted one re-prefilling its last token) and
+        registers no prefix, and the blocks the full path would take fit
+        the free blocks: ``context_len // block + 1`` per member, which
+        is its prompt's blocks plus the fresh block a block-boundary
+        append needs.  On the full path every sequential
+        ``can_allocate`` of :meth:`_admit_to_kv` would pass (so no stale
+        prefix is evicted), :meth:`_ensure_decode_capacity` would
+        preempt and bounce nothing, and :meth:`_finalize` would free
+        every member's sequence again.
+        """
+        reuse = self.config.enable_prefix_reuse
+        block = self.kv.block_size
+        need = 0  # context_len inlined: this runs on every full step
+        for r in batch:
+            if (r.prefilled or r.output_tokens - r.generated != 1
+                    or (reuse and r.prefix_key is not None)):
+                return False
+            need += (r.input_tokens + r.generated) // block + 1
+        return need <= self.kv.free_blocks
 
     def _ensure_decode_capacity(self, batch: Sequence[Request]) -> List[Request]:
         """Guarantee the decode appends of this iteration can allocate.
@@ -1452,23 +1505,42 @@ class ServingEngine:
 
     def _complete(self, finished: Sequence[Request], now: float) -> None:
         """Finish ``finished`` at ``now``, in order: release its KV and
-        record each terminal, directly or through the fenced outbox."""
+        record each terminal."""
         for r in finished:
             r.finish_time = now
             r.status = RequestStatus.FINISHED
             self.kv.free(r.request_id)
             self._reused_tokens.pop(r.request_id, None)
             self._drop_active(r)
-            if self._fencing:
-                self.completion_outbox.append(Completion(
-                    request=r, token=r.lease, kind="finish",
-                    record=RequestRecord.from_request(r), time=now,
-                ))
-            else:
-                self.metrics.complete(r)
+            self._record_terminal_finish(r, now)
+
+    def _record_terminal_finish(self, r: Request, now: float) -> None:
+        """Record one finish — directly, or deferred through the
+        outbox (see :meth:`_record_terminal_abort`)."""
+        if self._fencing:
+            self.completion_outbox.append(Completion(
+                request=r, token=r.lease, kind="finish",
+                record=RequestRecord.from_request(r), time=now,
+            ))
+        else:
+            self.metrics.complete(r)
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
+        if self._single_round:
+            # Every member answers its one token now and holds no KV
+            # (_admit_to_kv).  A preempted request keeps the first-token
+            # time of its first prefill.
+            for r in batch:
+                r.prefilled = True
+                r.generated += 1
+                if r.first_token_time is None:
+                    r.first_token_time = now
+                r.finish_time = now
+                r.status = RequestStatus.FINISHED
+                self._drop_active(r)
+                self._record_terminal_finish(r, now)
+            return
         # Brownout level >= 2 caps decode lengths: a capped request
         # completes early with a truncated answer (degraded service)
         # instead of holding its batch slot and KV for the full decode.

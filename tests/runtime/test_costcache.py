@@ -23,9 +23,11 @@ from repro.runtime.cluster import MultiGPUServer
 from repro.runtime.costcache import IterationCostCache
 from repro.runtime.disagg import DisaggConfig
 from repro.runtime.faults import FaultInjector, FaultKind, FaultSpec
+from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request, reset_request_ids
 from repro.workloads.retrieval import RetrievalWorkload
+from repro.workloads.video import VideoAnalyticsWorkload
 from tests.runtime.test_oracle import (
     ReferenceEngine,
     check_host_work,
@@ -422,3 +424,55 @@ def test_faulted_engine_repeats_like_bare():
     assert engine._breakers and engine._swap_backoff_until
     assert doomed.is_aborted
     assert (failed_steps, failed_records) == (bare_steps, bare_records)
+
+
+def kv_work(monkeypatch, system: str, make_requests) -> Counter:
+    """Serve ``make_requests(adapter_ids)`` on one ``system`` engine;
+    return the calls
+    ``PagedKVCache.allocate/append_token/free`` made, with the requests
+    served and the preemptions, keyed like per-layer call counts."""
+    counts = Counter()
+    for name in ("allocate", "append_token", "free"):
+        def counted(*args, _name=name, _fn=getattr(PagedKVCache, name),
+                    **kwargs):
+            counts[f"kv_cache.{_name}"] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(PagedKVCache, name, counted)
+    builder = SystemBuilder(num_adapters=4)
+    engine = builder.build(system)
+    engine.submit(make_requests(builder.adapter_ids))
+    metrics = engine.run()
+    counts["engine.completed"] = metrics.num_completed
+    counts["kv_cache.sim_preemptions"] = metrics.num_preemptions
+    return counts
+
+
+def test_single_round_batches_take_no_kv_sequence(monkeypatch):
+    """A task-head trace answers every request in its prefill round
+    without a KV sequence: the single-round pass makes no
+    ``PagedKVCache`` call.  An LM-head trace still allocates and frees
+    once per request.  A refactor that drops the pass leaves behaviour
+    identical, so only these exact counts see it."""
+
+    def video(adapter_ids):
+        reset_request_ids()
+        trace = VideoAnalyticsWorkload(
+            adapter_ids, num_streams=4, duration_s=6.0, seed=0).generate()
+        assert len(trace) == 120 and all(r.use_task_head for r in trace)
+        return trace
+
+    def retrieval(adapter_ids):
+        reset_request_ids()
+        trace = RetrievalWorkload(
+            adapter_ids, rate_rps=4.0, duration_s=10.0,
+            use_task_heads=False, seed=0).generate()
+        assert len(trace) == 43
+        return trace
+
+    assert kv_work(monkeypatch, "v-lora", video) == Counter({
+        "engine.completed": 120})
+    lm = kv_work(monkeypatch, "v-lora", retrieval)
+    assert (lm["engine.completed"], lm["kv_cache.allocate"],
+            lm["kv_cache.free"], lm["kv_cache.sim_preemptions"]) == (
+        43, 43, 43, 0)
+    assert lm["kv_cache.append_token"] >= 43

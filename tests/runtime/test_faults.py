@@ -251,6 +251,46 @@ class TestEngineDegradation:
         assert metrics.num_aborted == 0
 
 
+class TestIdleJump:
+    """An idle engine jumps to its next arrival and reads the fault
+    schedule again there, before it admits anything."""
+
+    @staticmethod
+    def serve(faults, times, kv=None):
+        builder = SystemBuilder(num_adapters=2,
+                                fault_injector=FaultInjector(faults))
+        engine = builder.build("v-lora")
+        if kv is not None:
+            engine.kv = kv
+        reqs = [Request(adapter_id="lora-0", arrival_time=t,
+                        input_tokens=64, output_tokens=1,
+                        use_task_head=True) for t in times]
+        engine.submit(reqs)
+        return engine, reqs, engine.run()
+
+    def test_death_on_the_way_stops_the_engine(self):
+        engine, reqs, metrics = self.serve(
+            [FaultSpec(FaultKind.ENGINE_FAIL, 1.0, target="engine-0")],
+            [0.0, 2.0, 3.0])
+        assert engine.failed and engine.failed_at == 2.0
+        assert [rec.request_id for rec in metrics.records] == [
+            reqs[0].request_id]
+        assert reqs[1].first_token_time is None
+        assert len(engine.pending_requests) == 2
+
+    def test_kv_pressure_on_the_way_reserves_blocks(self):
+        engine, reqs, metrics = self.serve(
+            [FaultSpec(FaultKind.KV_PRESSURE, 1.0, magnitude=0.9999)],
+            [0.0, 2.0], kv=PagedKVCache(num_blocks=64, block_size=16))
+        # 0.9999 is capped at 0.999 of the pool: 63 blocks reserved, so
+        # the 2.0 s arrival's five blocks never fit and it is shed.
+        assert engine.kv.reserved_blocks == 63
+        assert reqs[0].is_finished
+        assert reqs[1].first_token_time is None
+        assert reqs[1].abort_reason is AbortReason.KV_EXHAUSTED
+        assert metrics.kv_stall_iters > 0
+
+
 class TestDeadlines:
     def test_deadline_abort(self):
         builder = SystemBuilder(num_adapters=1)

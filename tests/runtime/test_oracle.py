@@ -4,15 +4,20 @@ The engine reaches its simulated results through fast paths that must
 leave those results bit for bit unchanged: the iteration cost cache,
 steady batches that repeat within their decision's horizon, decode runs
 that end with a member's exit and re-decide the smaller batch in place,
-steady batches that outlive a ``run()`` call, and the cost tower the
+steady batches that outlive a ``run()`` call, the cost tower the
 replicas of a fleet share, with ATMM's pair price memoized on its tile
-block counts.  ``ReferenceEngine`` takes none of them:
+block counts, and the single-round pass, which answers a batch of
+one-token prefills that provably fits without a KV sequence.
+``ReferenceEngine`` takes none of them:
 
 * its ``_execute`` and ``_finalize`` are the historical monolithic
   bodies, recovered from git history, so every iteration is priced
   through the cost-model tower without the iteration cost cache
   (``_finalize`` also hands a prefill-pool engine's finished prefills
   off: the one deliberate extension);
+* its ``_admit_to_kv`` is the engine's body from before the
+  single-round pass, so every member allocates, appends and frees its
+  KV sequence;
 * its policy has no ``repeats``, so it re-schedules every iteration and
   never reaches ``_repeat_steady`` or ``_decode_run``;
 * it prices each LoRA bypass straight from ``operator.layer_seconds``,
@@ -59,7 +64,7 @@ from repro.runtime import (
     MultiGPUServer,
     PlacementConfig,
 )
-from repro.runtime.engine import ServingEngine
+from repro.runtime.engine import PREFIX_TTL_S, ServingEngine
 from repro.runtime.failure_detection import Completion
 from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.metrics import RequestRecord
@@ -108,8 +113,9 @@ class ReferenceEngine(ServingEngine):
     of ``repro/runtime/engine.py``, and so is ``_finalize`` but for one
     deliberate extension: the disaggregated hand-off of a prefill-pool
     engine (``handoff_after_prefill``), so that pool engines are checked
-    against an independent body too.  Do not "clean them up": their
-    value is being the historical reference.
+    against an independent body too.  ``_admit_to_kv`` is copied
+    verbatim from the revision before the single-round pass.  Do not
+    "clean them up": their value is being the historical reference.
     """
 
     def __init__(self, *, policy, mode_exec, **parts):
@@ -175,6 +181,32 @@ class ReferenceEngine(ServingEngine):
             t += extra
             self.metrics.lora_extra_time_total += extra
         return t
+
+    def _admit_to_kv(self, batch: Sequence[Request]) -> List[Request]:
+        kv = self.kv
+        now = self.clock.now
+        admitted: List[Request] = []
+        for r in batch:
+            if r.prefilled:
+                if (not self.accepts_kv_transfers
+                        or kv.has_sequence(r.request_id)):
+                    admitted.append(r)
+                    continue
+                prefix_key = None
+            else:
+                prefix_key = (
+                    r.prefix_key if self.config.enable_prefix_reuse else None
+                )
+            if not kv.can_allocate(r.context_len):
+                kv.evict_stale_prefixes(now - PREFIX_TTL_S)
+                if not kv.can_allocate(r.context_len):
+                    continue
+            self._reused_tokens[r.request_id] = kv.allocate(
+                r.request_id, r.context_len, prefix_key=prefix_key,
+                prefix_tokens=r.prefix_tokens, now=now,
+            )
+            admitted.append(r)
+        return admitted
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
@@ -592,6 +624,21 @@ KV_PRESSURE_MID_RUN = (FaultSpec(FaultKind.KV_PRESSURE, 0.5, 0.5,
                                  magnitude=0.996),)
 FAIL_MID_RUN = (FaultSpec(FaultKind.ENGINE_FAIL, 1.2, target="engine-0"),)
 
+# The single-round pass.  Two requests decode in a pool four blocks over
+# the larger: at 96 generated tokens both cross a block boundary, the
+# younger is preempted with one token left, and it re-prefills that
+# token alone once the elder finishes.  Its first token came from its
+# first prefill and must keep that time.
+PREEMPTED_AT_LAST_TOKEN = (_decoding(0, 0, 0.0, 64, 200),
+                           _decoding(1, 0, 0.0, 64, 97))
+
+# Two task-head requests of block-multiple prompts in a pool one block
+# short of what the full path takes (two prompts of four blocks and a
+# boundary block each): the younger is bounced to the next iteration,
+# so the pass must count each member's boundary block.
+BOUNDARY_SHORT = tuple(
+    dict(_decoding(i, 0, 0.0, 64, 1), use_task_head=True) for i in range(2))
+
 
 @pytest.mark.property
 @settings(max_examples=200, deadline=None)
@@ -629,6 +676,8 @@ FAIL_MID_RUN = (FaultSpec(FaultKind.ENGINE_FAIL, 1.2, target="engine-0"),)
 @example(s=Scenario("s-lora", DEADLINE_MID_RUN, fault_specs=FAIL_MID_RUN))
 @example(s=Scenario("s-lora", DRAIN_BESIDE_TWIN, ranks=(64, 64),
                     fleet="autoscaler"))
+@example(s=Scenario("s-lora", PREEMPTED_AT_LAST_TOKEN, kv_slack=4))
+@example(s=Scenario("s-lora", BOUNDARY_SHORT, kv_slack=4))
 def test_optimized_matches_reference(s):
     """Every fast path together is invisible: the optimized system
     leaves the reference's digest, whatever is drawn."""
