@@ -116,13 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="reject deadline-carrying arrivals whose "
                                "deadline is already unmeetable (needs "
                                "--slo and --deadline-factor)")
-    overload.add_argument("--brownout", action="store_true",
-                          help="enable brownout degraded-service tiers "
-                               "(shed low priority, cap decodes, force "
-                               "merged mode)")
-    overload.add_argument("--brownout-queue-high", type=int, default=None,
-                          help="queue depth that counts as pressure 1.0 "
-                               "(default 64; implies --brownout)")
     overload.add_argument("--breaker-cooldown", type=float, default=None,
                           help="re-probe a quarantined adapter after this "
                                "many seconds (default: quarantine is "
@@ -373,15 +366,14 @@ def _make_fault_injector(args) -> "Optional[object]":
 
 
 def _make_overload_configs(args):
-    """(admission, brownout, breaker) configs from serve flags.
+    """(admission, breaker) configs from serve flags.
 
-    Raises ``ValueError`` on malformed knob values; all three are
-    ``None`` when no overload flag was given.
+    Raises ``ValueError`` on malformed knob values; both are ``None``
+    when no overload flag was given.
     """
     from repro.runtime.overload import (
         AdmissionConfig,
         BreakerConfig,
-        BrownoutConfig,
     )
 
     if args.admission_burst is not None and args.admission_rate is None:
@@ -398,16 +390,10 @@ def _make_overload_configs(args):
             min_kv_headroom=args.admission_kv_headroom,
             slo_reject=args.admission_slo_reject,
         )
-    brownout = None
-    if args.brownout or args.brownout_queue_high is not None:
-        if args.brownout_queue_high is not None:
-            brownout = BrownoutConfig(queue_high=args.brownout_queue_high)
-        else:
-            brownout = BrownoutConfig()
     breaker = None
     if args.breaker_cooldown is not None:
         breaker = BreakerConfig(cooldown_s=args.breaker_cooldown)
-    return admission, brownout, breaker
+    return admission, breaker
 
 
 def _make_tail_configs(args):
@@ -509,7 +495,7 @@ def cmd_serve(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        admission, brownout, breaker = _make_overload_configs(args)
+        admission, breaker = _make_overload_configs(args)
     except ValueError as exc:
         print(f"bad overload-protection flags: {exc}", file=sys.stderr)
         return 2
@@ -564,7 +550,6 @@ def cmd_serve(args) -> int:
                             fault_injector=injector,
                             deadline_slo_factor=args.deadline_factor,
                             admission=admission,
-                            brownout=brownout,
                             breaker=breaker)
     if args.dispatch == "locality" and args.num_gpus < 2 \
             and not args.autoscale:

@@ -41,7 +41,6 @@ from repro.runtime.modes import ModeExecutor
 from repro.runtime.overload import (
     AdmissionConfig,
     BreakerConfig,
-    BrownoutConfig,
 )
 from repro.runtime.scheduler import (
     DLoRAPolicy,
@@ -81,7 +80,6 @@ class SystemBuilder:
     #: Overload protection (all default-off; see
     #: :mod:`repro.runtime.overload` and ``docs/FAULTS.md``).
     admission: Optional[AdmissionConfig] = None
-    brownout: Optional[BrownoutConfig] = None
     breaker: Optional[BreakerConfig] = None
 
     def __post_init__(self) -> None:
@@ -226,7 +224,6 @@ class SystemBuilder:
             tensor_parallel=self.tensor_parallel,
             deadline_slo_factor=self.deadline_slo_factor,
             admission=self.admission,
-            brownout=self.brownout,
             breaker=self.breaker,
         )
         cls = engine_cls if engine_cls is not None else ServingEngine

@@ -74,8 +74,6 @@ from repro.runtime.overload import (
     AdmissionVerdict,
     BreakerConfig,
     BreakerState,
-    BrownoutConfig,
-    BrownoutController,
     EwmaSignal,
     ReplicaHealth,
 )
@@ -148,8 +146,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionVerdict",
-    "BrownoutConfig",
-    "BrownoutController",
     "BreakerConfig",
     "BreakerState",
     "AdapterBreaker",

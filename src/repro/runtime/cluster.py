@@ -802,16 +802,11 @@ class MultiGPUServer:
 
         First completion wins through the lease fence; the loser's
         terminal is counted as a ``hedge_loss``.  One hedge per request,
-        budget-gated, and disabled entirely while any replica is in a
-        brownout tier (L1+) — a degraded fleet sheds load, it does not
-        double it.
+        budget-gated.
         """
         engines = self._hedge_eligible_engines()
         if len(engines) < 2:
             return
-        for e in engines:
-            if e._brownout is not None and not e._brownout.hedging_allowed:
-                return
         allowed, scores = self._routable(engines)
         if len(allowed) < 2:
             return
@@ -1113,6 +1108,7 @@ class MultiGPUServer:
         rec = comp.record
         if comp.kind == "finish":
             req.status = RequestStatus.FINISHED
+            req.generated = comp.request.generated
             req.first_token_time = rec.first_token_time
             req.finish_time = rec.finish_time
             req.abort_time = None

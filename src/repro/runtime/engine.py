@@ -43,8 +43,6 @@ from repro.runtime.overload import (
     AdmissionController,
     BreakerConfig,
     BreakerState,
-    BrownoutConfig,
-    BrownoutController,
     ReplicaHealth,
 )
 from repro.runtime.request import AbortReason, Request, RequestStatus
@@ -104,9 +102,6 @@ class EngineConfig:
     #: queue-depth / KV-headroom watermarks, SLO-aware early rejection.
     #: ``None`` admits everything (legacy behavior).
     admission: Optional[AdmissionConfig] = None
-    #: Brownout degraded-service tiers under sustained pressure.
-    #: ``None`` never degrades (legacy behavior).
-    brownout: Optional[BrownoutConfig] = None
     #: Circuit-breaker recovery for failing adapters.  ``None`` keeps
     #: the legacy permanent quarantine (a default :class:`BreakerConfig`:
     #: open on the swap failure after 5 consecutive ones, never
@@ -250,10 +245,6 @@ class ServingEngine:
             AdmissionController(config.admission)
             if config.admission is not None else None
         )
-        self._brownout = (
-            BrownoutController(config.brownout)
-            if config.brownout is not None else None
-        )
         #: EWMA of iteration wall time — the cluster's straggler signal.
         self.iter_time_ewma: Optional[float] = None
         # -- memoized cost layer -------------------------------------------
@@ -385,7 +376,7 @@ class ServingEngine:
         steady, in whatever mode its decision ran, when it paid no
         switch and no swap stall or failure, the batch kept the policy's
         whole decision and the whole active set, no member finished or
-        left, neither brownout nor a tracer is attached, and
+        left, no tracer is attached, and
         :meth:`SchedulingPolicy.repeats` vouches that the decision
         stands while only decodes advance, for good or within a horizon.
         The batch then repeats in the decision's mode and merged adapter
@@ -477,10 +468,6 @@ class ServingEngine:
             self._expire_deadlines()
         if not self._active:
             return
-        if self._brownout is not None:
-            self._apply_brownout()
-            if not self._active:
-                return
 
         schedulable = self._schedulable()
         if not schedulable:
@@ -489,13 +476,6 @@ class ServingEngine:
         ctx, decision = self._decide(schedulable)
         if decision is None:
             return
-        if (self._brownout is not None and self._brownout.force_merged
-                and decision.mode is not InferenceMode.MERGED):
-            forced = self._force_merged_decision(schedulable,
-                                                 ctx.adapter_counts)
-            if forced is not None:
-                decision = forced
-                self.metrics.brownout_forced_merges += 1
 
         mode, merged = decision.mode, decision.merged_adapter
         switch_s = self._apply_mode(mode, merged)
@@ -557,8 +537,7 @@ class ServingEngine:
             self._trace(mode, merged, batch, split, start, iteration_s,
                         switch_s, stall, preempt_before)
         elif (whole and len(batch) == len(decision.batch) == len(self._active)
-                and not (switch_s or stall or failed_swaps)
-                and self._brownout is None):
+                and not (switch_s or stall or failed_swaps)):
             horizon = self.policy.repeats(decision, schedulable, ctx)
             if horizon:
                 self._steady = (batch, needed, mode, merged,
@@ -867,40 +846,6 @@ class ServingEngine:
         self._record_terminal_abort(req)
         self.metrics.admission_rejections += 1
         return True
-
-    def _apply_brownout(self) -> None:
-        """Sample pressure, transition tiers, shed if in brownout."""
-        ctl = self._brownout
-        level = ctl.observe(
-            self.clock.now,
-            len(self._active),
-            self.kv.free_blocks / self.kv.num_blocks,
-        )
-        self.metrics.brownout_transitions = ctl.transitions
-        self.metrics.brownout_time_s = ctl.time_degraded
-        if level < 1:
-            return
-        excess = len(self._active) - ctl.config.queue_high
-        if excess <= 0:
-            return
-        waiting = [r for r in self._active.values() if not r.prefilled]
-        for victim in ctl.shed_victims(waiting, excess):
-            self._abort(victim, AbortReason.BROWNOUT_SHED)
-            self.metrics.brownout_sheds += 1
-
-    def _force_merged_decision(
-            self, schedulable: Sequence[Request], counts: Dict[str, int]
-    ) -> Optional[SchedulerDecision]:
-        """Brownout level 3: run the hottest adapter merged, max batch."""
-        top = SchedulingPolicy._top_adapter(counts)
-        if top is None:
-            return None
-        return SchedulerDecision(
-            batch=SchedulingPolicy._first_matching(
-                schedulable, top, self.config.max_batch_size
-            ),
-            mode=InferenceMode.MERGED, merged_adapter=top,
-        )
 
     # -- resilience -------------------------------------------------------------------
 
@@ -1541,10 +1486,6 @@ class ServingEngine:
                 self._drop_active(r)
                 self._record_terminal_finish(r, now)
             return
-        # Brownout level >= 2 caps decode lengths: a capped request
-        # completes early with a truncated answer (degraded service)
-        # instead of holding its batch slot and KV for the full decode.
-        cap = self._brownout.decode_cap if self._brownout is not None else None
         finished: List[Request] = []
         handoffs: List[Request] = []
         for r in batch:
@@ -1558,9 +1499,7 @@ class ServingEngine:
             r.generated += 1
             if r.first_token_time is None:
                 r.first_token_time = now
-            if r.is_finished or (cap is not None and r.generated >= cap):
-                if not r.is_finished:
-                    self.metrics.brownout_truncations += 1
+            if r.is_finished:
                 finished.append(r)
             elif prefill and self.handoff_after_prefill:
                 handoffs.append(r)

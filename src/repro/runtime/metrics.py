@@ -202,13 +202,8 @@ class MetricsCollector:
     kv_stall_iters: int = 0
     failover_events: int = 0
     engine_failures: int = 0
-    # -- overload protection (admission / brownout / breakers) -------------
+    # -- overload protection (admission / breakers) ------------------------
     admission_rejections: int = 0
-    brownout_sheds: int = 0
-    brownout_truncations: int = 0
-    brownout_forced_merges: int = 0
-    brownout_transitions: int = 0
-    brownout_time_s: float = 0.0
     breaker_opens: int = 0
     breaker_half_opens: int = 0
     breaker_closes: int = 0

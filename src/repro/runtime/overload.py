@@ -1,10 +1,10 @@
-"""Overload protection: admission control, brownout, circuit breakers.
+"""Overload protection: admission control, circuit breakers, replica health.
 
 PR 1 made the runtime survive injected faults *reactively* (stall, shed,
 quarantine, failover).  This module protects the system *before* it is
 in trouble, the way production multi-tenant LoRA stacks do (S-LoRA's
-early-abort admission control, brownout tiers in overloaded web serving,
-circuit breakers around flaky dependencies):
+early-abort admission control, circuit breakers around flaky
+dependencies):
 
 * :class:`AdmissionController` — token-bucket rate limiting plus
   queue-depth / KV-headroom watermarks and SLO-aware early rejection,
@@ -12,12 +12,6 @@ circuit breakers around flaky dependencies):
   (``AbortReason.ADMISSION_REJECTED``).  Rejecting at the door is far
   cheaper than aborting after prefill: no KV was allocated, no batch
   slot wasted.
-* :class:`BrownoutController` — degraded-service tiers under sustained
-  pressure.  Level 1 sheds the lowest-priority waiting work, level 2
-  additionally caps decode lengths, level 3 additionally forces merged
-  execution of the hottest adapter (maximum throughput mode).  An EWMA
-  pressure signal with enter/exit thresholds and a dwell time gives the
-  controller hysteresis so it recovers cleanly instead of flapping.
 * :class:`AdapterBreaker` — a closed → open → half-open circuit breaker
   per adapter, replacing the engine's permanent quarantine set.  An
   adapter whose swap-ins keep failing is opened (fail fast, abort its
@@ -37,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.runtime.request import (
     PRIORITY_HIGH,
@@ -49,8 +43,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionVerdict",
-    "BrownoutConfig",
-    "BrownoutController",
     "BreakerConfig",
     "BreakerState",
     "AdapterBreaker",
@@ -63,18 +55,6 @@ __all__ = [
 LOW_PRIORITY_DEPTH_FACTOR = 0.5
 #: Upper bound on a breaker's escalating cooldown, in seconds.
 MAX_BREAKER_COOLDOWN_S = 60.0
-#: KV free-space fraction below which brownout pressure rises past 1.
-BROWNOUT_KV_LOW = 0.05
-#: Smoothed pressure above which brownout escalates one level.
-BROWNOUT_ENTER_PRESSURE = 1.0
-#: Smoothed pressure below which brownout de-escalates one level.
-BROWNOUT_EXIT_PRESSURE = 0.6
-#: Per-engine-step EWMA weight of the brownout pressure signal.
-BROWNOUT_EWMA_ALPHA = 0.3
-#: Minimum simulated seconds between two brownout level transitions.
-BROWNOUT_DWELL_S = 0.5
-#: Deepest brownout tier (3: forced merged execution).
-BROWNOUT_MAX_LEVEL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +64,10 @@ BROWNOUT_MAX_LEVEL = 3
 class EwmaSignal:
     """An exponentially-weighted moving average of a pressure signal.
 
-    The shared smoothing primitive behind brownout pressure and the
-    autoscaler's queue-depth / SLO-miss signals: one sample per
-    controller step, ``value += alpha * (raw - value)``.  Deterministic
-    and clock-free — the caller decides the sampling cadence.
+    The smoothing primitive behind the autoscaler's queue-depth /
+    SLO-miss signals: one sample per controller step,
+    ``value += alpha * (raw - value)``.  Deterministic and clock-free —
+    the caller decides the sampling cadence.
     """
 
     def __init__(self, alpha: float, initial: float = 0.0):
@@ -225,113 +205,6 @@ class AdmissionController:
         if cfg.rate_tokens_per_s is not None and not exempt:
             self._tokens -= req.total_tokens
         return None
-
-
-# ---------------------------------------------------------------------------
-# Brownout (degraded service tiers)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Knobs for :class:`BrownoutController`.
-
-    The pressure signal is ``queue_depth / queue_high``, worsened when
-    KV free space drops below ``BROWNOUT_KV_LOW``; it is EWMA-smoothed
-    with ``BROWNOUT_EWMA_ALPHA`` per engine step.  The controller
-    escalates one level (up to ``BROWNOUT_MAX_LEVEL``) when smoothed
-    pressure exceeds ``BROWNOUT_ENTER_PRESSURE`` and de-escalates when
-    it falls below ``BROWNOUT_EXIT_PRESSURE``, with at least
-    ``BROWNOUT_DWELL_S`` simulated seconds between transitions
-    (hysteresis: the exit threshold sits well under the entry threshold
-    so the system must genuinely drain before service is restored).
-
-    Tiers (cumulative):
-
-    1. shed waiting requests below ``PRIORITY_NORMAL``;
-    2. cap decode lengths at ``decode_cap`` tokens;
-    3. force merged execution of the hottest adapter.
-    """
-
-    queue_high: int = 64
-    decode_cap: int = 32
-
-    def __post_init__(self) -> None:
-        if self.queue_high < 1:
-            raise ValueError("queue_high must be >= 1")
-        if self.decode_cap < 1:
-            raise ValueError("decode_cap must be >= 1")
-
-
-class BrownoutController:
-    """Tracks pressure and the current degradation level."""
-
-    def __init__(self, config: BrownoutConfig):
-        self.config = config
-        self.level = 0
-        self._pressure = EwmaSignal(BROWNOUT_EWMA_ALPHA)
-        self._last_transition = float("-inf")
-        self._last_observed: Optional[float] = None
-        self.time_degraded = 0.0
-        self.transitions = 0
-
-    @property
-    def pressure(self) -> float:
-        return self._pressure.value
-
-    def observe(self, now: float, queue_depth: int,
-                kv_free_frac: float) -> int:
-        """Fold one engine-step sample into the signal; returns level."""
-        raw = queue_depth / self.config.queue_high
-        if kv_free_frac < BROWNOUT_KV_LOW:
-            raw = max(raw, 1.0 + (BROWNOUT_KV_LOW - kv_free_frac)
-                      / BROWNOUT_KV_LOW)
-        self._pressure.observe(raw)
-        if self._last_observed is not None and self.level > 0:
-            self.time_degraded += max(0.0, now - self._last_observed)
-        self._last_observed = now
-        if now - self._last_transition >= BROWNOUT_DWELL_S:
-            if (self.pressure > BROWNOUT_ENTER_PRESSURE
-                    and self.level < BROWNOUT_MAX_LEVEL):
-                self.level += 1
-                self._last_transition = now
-                self.transitions += 1
-            elif self.pressure < BROWNOUT_EXIT_PRESSURE and self.level > 0:
-                self.level -= 1
-                self._last_transition = now
-                self.transitions += 1
-        return self.level
-
-    def shed_victims(self, waiting: Sequence[Request],
-                     excess: int) -> List[Request]:
-        """Lowest-priority-first victims among waiting requests.
-
-        Level 1 only sheds below ``PRIORITY_NORMAL``; deeper levels
-        shed any waiting request, still lowest priority (then youngest)
-        first so high-priority work survives longest.
-        """
-        if excess <= 0 or not waiting:
-            return []
-        pool = list(waiting)
-        if self.level <= 1:
-            pool = [r for r in pool if r.priority < PRIORITY_NORMAL]
-        pool.sort(key=lambda r: (r.priority, -r.arrival_time, -r.request_id))
-        return pool[:excess]
-
-    @property
-    def decode_cap(self) -> Optional[int]:
-        """Active decode-length cap, or ``None`` below level 2."""
-        return self.config.decode_cap if self.level >= 2 else None
-
-    @property
-    def force_merged(self) -> bool:
-        return self.level >= 3
-
-    @property
-    def hedging_allowed(self) -> bool:
-        """Tail-tolerance gate: any brownout tier (L1+) disables hedged
-        dispatch — a browned-out replica must shed load, not receive
-        speculative duplicates of work that already exists elsewhere."""
-        return self.level < 1
 
 
 # ---------------------------------------------------------------------------

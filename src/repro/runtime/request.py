@@ -25,10 +25,9 @@ class AbortReason(enum.Enum):
     ADAPTER_UNAVAILABLE = "adapter_unavailable"  # swap retries exhausted
     ENGINE_FAILED = "engine_failed"           # GPU died, no survivor took it
     ADMISSION_REJECTED = "admission_rejected"  # turned away at the door
-    BROWNOUT_SHED = "brownout_shed"           # dropped by degraded-service tier
 
 
-#: Request priority classes (admission and brownout shed lowest first).
+#: Request priority classes (admission turns lowest away first).
 PRIORITY_LOW = 0
 PRIORITY_NORMAL = 1
 PRIORITY_HIGH = 2

@@ -31,7 +31,6 @@ from repro.runtime import (
     percentile,
     reset_request_ids,
 )
-from repro.runtime.overload import BrownoutConfig, BrownoutController
 
 ADAPTER_IDS = [f"lora-{i}" for i in range(3)]
 
@@ -331,34 +330,6 @@ def test_retry_budget_caps_hedges():
     assert metrics.hedges_fired <= 2  # seed token + trace deposits
     assert metrics.retry_budget_exhausted > 0
     assert budget.exhausted > 0
-
-
-def test_brownout_disables_hedging():
-    reset_request_ids()
-    server = _straggler_cluster(
-        hedge=HedgeConfig(min_observations=8, window=64))
-    # Force every replica into a brownout tier: the hedge pass must
-    # refuse to add speculative load to a degraded fleet.  A +inf
-    # transition timestamp freezes the controller at L1 (observe()
-    # only transitions after the dwell period elapses), and the huge
-    # queue_high keeps L1 from shedding anything.
-    for rep in server.replicas:
-        ctl = BrownoutController(BrownoutConfig(queue_high=10_000))
-        ctl.level = 1
-        ctl._last_transition = float("inf")
-        rep.engine._brownout = ctl
-    requests = _trace()
-    server.submit(requests)
-    metrics = server.run()
-    _assert_exactly_once(requests, metrics)
-    assert metrics.hedges_fired == 0
-
-
-def test_brownout_hedging_allowed_property():
-    ctl = BrownoutController(BrownoutConfig())
-    assert ctl.hedging_allowed
-    ctl.level = 1
-    assert not ctl.hedging_allowed
 
 
 def test_give_up_after_stamps_deadlines():

@@ -30,9 +30,10 @@ One hypothesis strategy, :func:`scenarios`, draws the system, the
 workload (task heads or LM head), adapter ranks, the fleet and engine
 features, the fault menu and seed, how ``run(until=...)`` is chunked
 and when a tracer attaches.  Faults, breakers and swap backoff take
-the fast paths too; only brownout and a tracer keep an engine off
-them.  The property: the optimized system and the
-reference leave the same :func:`digest`.  The cost-cache counters stay
+the fast paths too; only a tracer keeps an engine off them.  The
+property: the optimized system and the reference leave the same
+:func:`digest`, and every request either finishes with its whole
+answer or does not finish.  The cost-cache counters stay
 out of it (the reference never looks a cost up), but the optimized side
 must count one hit or miss per iteration.  A new fast path stays out of
 ``ReferenceEngine`` and brings an ``@example`` for each guard it adds.
@@ -72,7 +73,6 @@ from repro.runtime.modes import InferenceMode, ModeExecutor
 from repro.runtime.overload import (
     AdmissionConfig,
     BreakerConfig,
-    BrownoutConfig,
 )
 from repro.runtime.request import Request, RequestStatus
 from repro.runtime.scheduler import SchedulingPolicy
@@ -210,7 +210,6 @@ class ReferenceEngine(ServingEngine):
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
-        cap = self._brownout.decode_cap if self._brownout is not None else None
         finished: List[Request] = []
         handoffs: List[Request] = []
         for r in batch:
@@ -222,9 +221,7 @@ class ReferenceEngine(ServingEngine):
             r.generated += 1
             if r.first_token_time is None:
                 r.first_token_time = now
-            if r.is_finished or (cap is not None and r.generated >= cap):
-                if not r.is_finished:
-                    self.metrics.brownout_truncations += 1
+            if r.is_finished:
                 r.finish_time = now
                 r.status = RequestStatus.FINISHED
                 finished.append(r)
@@ -279,7 +276,7 @@ SYSTEMS = ("v-lora", "s-lora", "punica", "dlora", "merge-only",
            "unmerge-only")
 RANKS = (8, 16, 32, 64, 128)
 FLEETS = ("placement", "disagg", "hedging", "detector", "autoscaler")
-ENGINE_FEATURES = ("deadline", "admission", "brownout", "breaker")
+ENGINE_FEATURES = ("deadline", "admission", "breaker")
 FAULT_MENUS = {
     "swap": dict(swap_fail_rate=0.6, swap_slow_rate=0.4),
     "kv-slow": dict(kv_pressure_rate=0.5, engine_slow_rate=0.4),
@@ -392,8 +389,6 @@ def _builder(s: Scenario) -> SystemBuilder:
         deadline_slo_factor=1.5 if "deadline" in on else None,
         admission=(AdmissionConfig(max_queue_depth=8, slo_reject=True)
                    if "admission" in on else None),
-        brownout=(BrownoutConfig(queue_high=6, decode_cap=24)
-                  if "brownout" in on else None),
         breaker=(BreakerConfig(failure_threshold=2, cooldown_s=0.5)
                  if "breaker" in on else None),
     )
@@ -445,6 +440,14 @@ def check_host_work(metrics) -> None:
             == metrics.iterations)
 
 
+def check_full_answers(requests) -> None:
+    """A finished request carries its whole answer: a truncated one
+    would count as met by the SLO metrics."""
+    for r in requests:
+        if r.status is RequestStatus.FINISHED:
+            assert r.generated == r.output_tokens, r
+
+
 def serve(s: Scenario, engine_cls=None):
     """Serve ``s`` on the optimized system, or on ``engine_cls`` engines
     (one ``build()`` per replica) when given; return its :func:`digest`."""
@@ -489,6 +492,7 @@ def serve(s: Scenario, engine_cls=None):
         engines = [engine]
     for engine in engines:
         _check_kv(engine)
+    check_full_answers(requests)
     if engine_cls is None:
         check_host_work(metrics)
     return digest(metrics, tracers)

@@ -1,4 +1,4 @@
-"""Overload protection: admission control, brownout, circuit breakers,
+"""Overload protection: admission control, circuit breakers,
 health-aware cluster dispatch, and bounded failover requeue."""
 
 import math
@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.core import SystemBuilder
-from repro.runtime import overload
 from repro.runtime import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -18,8 +17,6 @@ from repro.runtime import (
     AdmissionVerdict,
     BreakerConfig,
     BreakerState,
-    BrownoutConfig,
-    BrownoutController,
     FailureDetector,
     FaultInjector,
     FaultKind,
@@ -123,68 +120,6 @@ class TestAdmissionController:
             AdmissionConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             AdmissionConfig(min_kv_headroom=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Brownout (unit)
-# ---------------------------------------------------------------------------
-
-class TestBrownoutController:
-    def test_escalates_and_recovers_with_hysteresis(self, monkeypatch):
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.1)
-        monkeypatch.setattr(overload, "BROWNOUT_EWMA_ALPHA", 1.0)
-        ctl = BrownoutController(BrownoutConfig(queue_high=10))
-        assert ctl.observe(0.0, 30, 1.0) == 1
-        # Dwell time not elapsed: no second escalation yet.
-        assert ctl.observe(0.05, 30, 1.0) == 1
-        assert ctl.observe(0.2, 30, 1.0) == 2
-        # Pressure between exit (0.6) and enter (1.0): level holds.
-        assert ctl.observe(0.4, 8, 1.0) == 2
-        assert ctl.observe(0.6, 2, 1.0) == 1
-        assert ctl.observe(0.8, 2, 1.0) == 0
-        assert ctl.transitions == 4
-        assert ctl.time_degraded > 0
-
-    def test_kv_scarcity_adds_pressure(self, monkeypatch):
-        monkeypatch.setattr(overload, "BROWNOUT_KV_LOW", 0.1)
-        monkeypatch.setattr(overload, "BROWNOUT_EWMA_ALPHA", 1.0)
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.0)
-        ctl = BrownoutController(BrownoutConfig(queue_high=100))
-        # Queue alone is negligible, but KV is nearly exhausted.
-        assert ctl.observe(0.0, 1, 0.01) >= 1
-
-    def test_level1_sheds_only_below_priority_floor(self):
-        ctl = BrownoutController(BrownoutConfig(queue_high=1))
-        ctl.level = 1
-        waiting = [req(priority=PRIORITY_LOW),
-                   req(priority=PRIORITY_NORMAL),
-                   req(priority=PRIORITY_HIGH)]
-        victims = ctl.shed_victims(waiting, excess=3)
-        assert [v.priority for v in victims] == [PRIORITY_LOW]
-
-    def test_deeper_levels_shed_lowest_priority_first(self):
-        ctl = BrownoutController(BrownoutConfig(queue_high=1))
-        ctl.level = 2
-        waiting = [req(priority=PRIORITY_HIGH),
-                   req(priority=PRIORITY_LOW),
-                   req(priority=PRIORITY_NORMAL)]
-        victims = ctl.shed_victims(waiting, excess=2)
-        assert [v.priority for v in victims] == [PRIORITY_LOW,
-                                                PRIORITY_NORMAL]
-
-    def test_tier_properties(self):
-        ctl = BrownoutController(BrownoutConfig(decode_cap=16))
-        assert ctl.decode_cap is None and not ctl.force_merged
-        ctl.level = 2
-        assert ctl.decode_cap == 16 and not ctl.force_merged
-        ctl.level = 3
-        assert ctl.decode_cap == 16 and ctl.force_merged
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="queue_high"):
-            BrownoutConfig(queue_high=0)
-        with pytest.raises(ValueError, match="decode_cap"):
-            BrownoutConfig(decode_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,69 +239,6 @@ class TestEngineAdmission:
         assert metrics.admission_rejections == 0
         assert metrics.num_completed == 40
         assert "admission_rejections" not in metrics.summary()
-
-
-class TestEngineBrownout:
-    def _flood(self, brownout, n=80, **req_kwargs):
-        builder = SystemBuilder(num_adapters=4, brownout=brownout)
-        engine = builder.build("v-lora")
-        reqs = burst(builder.adapter_ids, n=n, output_tokens=64,
-                     **req_kwargs)
-        engine.submit(reqs)
-        return reqs, engine.run()
-
-    def test_level1_sheds_low_priority(self, monkeypatch):
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 10.0)
-        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 1)
-        reqs, metrics = self._flood(BrownoutConfig(queue_high=8),
-                                    priority=PRIORITY_LOW)
-        assert metrics.brownout_sheds > 0
-        shed = [r for r in reqs
-                if r.abort_reason is AbortReason.BROWNOUT_SHED]
-        assert len(shed) == metrics.brownout_sheds
-        assert all(r.priority == PRIORITY_LOW for r in shed)
-        assert metrics.num_completed + metrics.num_aborted == len(reqs)
-
-    def test_level1_spares_normal_priority(self, monkeypatch):
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 10.0)
-        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 1)
-        _, metrics = self._flood(BrownoutConfig(queue_high=8))
-        assert metrics.brownout_sheds == 0
-        assert metrics.brownout_transitions > 0
-
-    def test_level2_caps_decode_lengths(self, monkeypatch):
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.01)
-        monkeypatch.setattr(overload, "BROWNOUT_MAX_LEVEL", 2)
-        reqs, metrics = self._flood(
-            BrownoutConfig(queue_high=8, decode_cap=4),
-        )
-        assert metrics.brownout_truncations > 0
-        truncated = [r for r in reqs if r.status is RequestStatus.FINISHED
-                     and r.generated < r.output_tokens]
-        assert truncated
-
-    def test_level3_forces_merged_mode(self, monkeypatch):
-        # unmerge-only's policy never picks MERGED itself, so any merged
-        # iteration under flood must come from the brownout override.
-        monkeypatch.setattr(overload, "BROWNOUT_DWELL_S", 0.01)
-        builder = SystemBuilder(
-            num_adapters=4,
-            brownout=BrownoutConfig(queue_high=8, decode_cap=4),
-        )
-        engine = builder.build("unmerge-only")
-        engine.submit(burst(builder.adapter_ids, n=80, output_tokens=64))
-        metrics = engine.run()
-        assert metrics.brownout_forced_merges > 0
-        assert metrics.mode_iterations.get("merged", 0) > 0
-
-    def test_brownout_off_by_default(self):
-        builder = SystemBuilder(num_adapters=4)
-        engine = builder.build("v-lora")
-        engine.submit(burst(builder.adapter_ids, n=80, output_tokens=64,
-                            priority=PRIORITY_LOW))
-        metrics = engine.run()
-        assert metrics.brownout_sheds == 0
-        assert metrics.brownout_transitions == 0
 
 
 class TestEngineBreakers:
