@@ -38,7 +38,15 @@ them all together:
   (``ModeExecutor._mean_memo``);
 * a single-round batch (every member a one-token prefill registering
   no prefix, whose full KV path provably fits the free blocks) answers
-  without allocating, appending or freeing a KV sequence.
+  without allocating, appending or freeing a KV sequence;
+* a finishing batch records its terminals with one
+  ``MetricsCollector.complete`` call of tuple records;
+* V-LoRA bisects the starving prefix, and names the popular adapter,
+  only where its decision reads them: no bisection for a queue of at
+  most half a batch unless a paid merge needs it, and clause (c) tests
+  the head's credit alone;
+* the split walks the batch once and probes the reuse map only while
+  it holds an entry.
 
 Losslessness
 ------------

@@ -517,11 +517,12 @@ class ServingEngine:
             self.metrics.swap_in_seconds += stall
         if stall:
             self.clock.advance(stall)
-        for adapter_id in needed:
-            if adapter_id not in failed_swaps:
-                self._swap_backoff_until.pop(adapter_id, None)
-                if self._breakers:
-                    self._record_swap_success(adapter_id)
+        if self._swap_backoff_until or self._breakers:
+            for adapter_id in needed:
+                if adapter_id not in failed_swaps:
+                    self._swap_backoff_until.pop(adapter_id, None)
+                    if self._breakers:
+                        self._record_swap_success(adapter_id)
         if failed_swaps:
             batch, mode, merged = self._handle_swap_failures(
                 batch, failed_swaps, mode, merged
@@ -1389,41 +1390,57 @@ class ServingEngine:
           order, the insertion order the extra-mean memo and ATMM's
           config selection key on;
         * ``decodes`` -- the decoding requests themselves.
+
+        One walk over the batch.  The prefills' groups and the decodes'
+        are kept apart and joined after it, which keeps the
+        prefill-then-decode insertion order.  The reuse map is probed
+        only while it holds an entry: without one, every prompt is its
+        ``context_len``, at least ``input_tokens`` and so at least 1.
         """
-        prefills = [r for r in batch if not r.prefilled]
-        decodes = [r for r in batch if r.prefilled]
+        reused = self._reused_tokens
+        prefills: List[Request] = []
+        prompt: List[int] = []
+        images = 0
+        decodes: List[Request] = []
         groups: Dict[str, int] = {}
+        decode_groups: Dict[str, int] = {}
+        total_context = 0
+        lm = False
+        head_classes = 0
+        for r in batch:
+            adapter_id = r.adapter_id
+            # context_len inlined: this runs on every full step.
+            if r.prefilled:
+                decodes.append(r)
+                total_context += r.input_tokens + r.generated
+                decode_groups[adapter_id] = (
+                    decode_groups.get(adapter_id, 0) + 1)
+                if r.use_task_head:
+                    classes = self._task_classes_of(adapter_id)
+                    if classes > head_classes:
+                        head_classes = classes
+                else:
+                    lm = True
+                continue
+            tok = r.input_tokens + r.generated
+            if reused:
+                tok = max(tok - reused.get(r.request_id, 0), 1)
+            prefills.append(r)
+            prompt.append(tok)
+            images += r.num_images
+            groups[adapter_id] = groups.get(adapter_id, 0) + tok
         launches: Tuple[PrefillLaunch, ...] = ()
         if prefills:
-            reused = self._reused_tokens
-            prompt = [
-                max(r.context_len - reused.get(r.request_id, 0), 1)
-                for r in prefills
-            ]
-            for r, tok in zip(prefills, prompt):
-                groups[r.adapter_id] = groups.get(r.adapter_id, 0) + tok
             if self.config.batch_prefills:
-                launches = (
-                    (tuple(prompt), sum(r.num_images for r in prefills)),
-                )
+                launches = ((tuple(prompt), images),)
             else:
                 launches = tuple(
                     ((tok,), r.num_images) for r, tok in zip(prefills, prompt)
                 )
         decode = None
         if decodes:
-            total_context = 0
-            lm = False
-            head_classes = 0
-            for r in decodes:
-                total_context += r.context_len
-                groups[r.adapter_id] = groups.get(r.adapter_id, 0) + 1
-                if r.use_task_head:
-                    classes = self._task_classes_of(r.adapter_id)
-                    if classes > head_classes:
-                        head_classes = classes
-                else:
-                    lm = True
+            for adapter_id, count in decode_groups.items():
+                groups[adapter_id] = groups.get(adapter_id, 0) + count
             decode = (len(decodes), total_context, lm, head_classes)
         return launches, decode, groups, decodes
 
@@ -1449,26 +1466,28 @@ class ServingEngine:
         return base + extra
 
     def _complete(self, finished: Sequence[Request], now: float) -> None:
-        """Finish ``finished`` at ``now``, in order: release its KV and
-        record each terminal."""
+        """Finish ``finished`` at ``now``, in order: release its KV, then
+        record every terminal in one call."""
         for r in finished:
             r.finish_time = now
             r.status = RequestStatus.FINISHED
             self.kv.free(r.request_id)
             self._reused_tokens.pop(r.request_id, None)
             self._drop_active(r)
-            self._record_terminal_finish(r, now)
+        self._record_terminal_finish(finished, now)
 
-    def _record_terminal_finish(self, r: Request, now: float) -> None:
-        """Record one finish — directly, or deferred through the
-        outbox (see :meth:`_record_terminal_abort`)."""
+    def _record_terminal_finish(self, finished: Sequence[Request],
+                                now: float) -> None:
+        """Record a batch's finishes in order, with one
+        :meth:`MetricsCollector.complete` call — directly, or deferred
+        through the outbox (see :meth:`_record_terminal_abort`)."""
         if self._fencing:
-            self.completion_outbox.append(Completion(
-                request=r, token=r.lease, kind="finish",
-                record=RequestRecord.from_request(r), time=now,
-            ))
+            self.completion_outbox.extend(
+                Completion(request=r, token=r.lease, kind="finish",
+                           record=RequestRecord.from_request(r), time=now)
+                for r in finished)
         else:
-            self.metrics.complete(r)
+            self.metrics.complete(*finished)
 
     def _finalize(self, batch: Sequence[Request]) -> None:
         now = self.clock.now
@@ -1484,7 +1503,7 @@ class ServingEngine:
                 r.finish_time = now
                 r.status = RequestStatus.FINISHED
                 self._drop_active(r)
-                self._record_terminal_finish(r, now)
+            self._record_terminal_finish(batch, now)
             return
         finished: List[Request] = []
         handoffs: List[Request] = []
@@ -1503,7 +1522,8 @@ class ServingEngine:
                 finished.append(r)
             elif prefill and self.handoff_after_prefill:
                 handoffs.append(r)
-        self._complete(finished, now)
+        if finished:
+            self._complete(finished, now)
         for r in handoffs:
             # Disaggregated prefill pool: the request's KV leaves with
             # it over the wire.  The local copy is released here; the

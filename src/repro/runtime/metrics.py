@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class StreamingQuantile:
         return percentile(list(self._buf), q)
 
 
-@dataclass(frozen=True, slots=True)
-class AbortRecord:
+class AbortRecord(NamedTuple):
     """Immutable record of one aborted request (graceful degradation)."""
 
     request_id: int
@@ -83,16 +82,9 @@ class AbortRecord:
         if req.abort_time is None or req.abort_reason is None:
             raise ValueError(f"request {req.request_id} not aborted")
         return cls(
-            request_id=req.request_id,
-            adapter_id=req.adapter_id,
-            task_name=req.task_name,
-            arrival_time=req.arrival_time,
-            abort_time=req.abort_time,
-            reason=req.abort_reason.value,
-            input_tokens=req.input_tokens,
-            output_tokens=req.output_tokens,
-            generated=req.generated,
-            slo_s=req.slo_s,
+            req.request_id, req.adapter_id, req.task_name,
+            req.arrival_time, req.abort_time, req.abort_reason.value,
+            req.input_tokens, req.output_tokens, req.generated, req.slo_s,
         )
 
 
@@ -124,9 +116,12 @@ class ScaleEvent:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class RequestRecord:
-    """Immutable completion record for one request."""
+class RequestRecord(NamedTuple):
+    """Immutable completion record for one request.
+
+    A named tuple, not a frozen dataclass: one is built per finished
+    request, and a tuple builds several times faster.
+    """
 
     request_id: int
     adapter_id: str
@@ -156,15 +151,9 @@ class RequestRecord:
         if req.finish_time is None or req.first_token_time is None:
             raise ValueError(f"request {req.request_id} not finished")
         return cls(
-            request_id=req.request_id,
-            adapter_id=req.adapter_id,
-            task_name=req.task_name,
-            arrival_time=req.arrival_time,
-            first_token_time=req.first_token_time,
-            finish_time=req.finish_time,
-            input_tokens=req.input_tokens,
-            output_tokens=req.output_tokens,
-            slo_s=req.slo_s,
+            req.request_id, req.adapter_id, req.task_name,
+            req.arrival_time, req.first_token_time, req.finish_time,
+            req.input_tokens, req.output_tokens, req.slo_s,
         )
 
 
@@ -268,8 +257,13 @@ class MetricsCollector:
     #: (the requests abort — there is nowhere left to decode).
     kv_transfer_aborts: int = 0
 
-    def complete(self, req: Request) -> None:
-        self.records.append(RequestRecord.from_request(req))
+    def complete(self, *requests: Request) -> None:
+        """Record ``requests`` as finished, in argument order.
+
+        Every request is validated before any record is appended, so a
+        call that includes an unfinished request records nothing.
+        """
+        self.records.extend([RequestRecord.from_request(r) for r in requests])
 
     def record_abort(self, req: Request) -> None:
         self.aborts.append(AbortRecord.from_request(req))

@@ -291,37 +291,57 @@ class VLoRAPolicy(SchedulingPolicy):
         the head of the queue when unmerged, and otherwise
         :meth:`_paid_merge`'s scan, which stops at the last request it
         takes unless the batch comes out short of ``max_bs``.
+
+        The prefix is bisected, and the popular adapter named, only
+        where the decision reads them.  A queue of at most half a batch
+        passes the half-batch test whatever its prefix, since the
+        prefix is no longer than the queue; :meth:`_paid_merge` then
+        bisects, and clause (c) asks only whether the prefix is empty,
+        which is whether ``candidates[0]`` starves.  The popular
+        adapter's count is the largest count; the adapter itself is
+        needed for clause (a), which holds only in MERGED or MIXTURE
+        mode, and for a paid merge.  A lone tenant is the only adapter
+        counted.  Nothing here writes state, so the order of evaluation
+        cannot change the decision.
         """
         if not candidates:
             return None
         max_bs = ctx.max_batch_size
         n = len(candidates)
-        num_starve = self._starve_prefix_len(candidates, ctx)
-        top = self._top_adapter(ctx.adapter_counts)
-        num_merge_total = ctx.adapter_counts.get(top, 0)
+        num_starve = (None if 2 * n <= max_bs
+                      else self._starve_prefix_len(candidates, ctx))
+        counts = ctx.adapter_counts
+        num_merge_total = max(counts.values())
 
-        if num_starve / max_bs <= 0.5:
+        if num_starve is None or num_starve / max_bs <= 0.5:
             # The merge is already paid for when (a) the popular adapter
             # is folded in, so keeping it is free, or (b) it holds more
             # than half a batch (Algorithm 1 as printed).
-            if (
-                ctx.current_merged == top
-                and ctx.current_mode in (InferenceMode.MERGED,
-                                         InferenceMode.MIXTURE)
-            ) or num_merge_total / max_bs > 0.5:
-                return self._paid_merge(candidates, max_bs, num_starve,
-                                        top, num_merge_total)
+            majority = num_merge_total / max_bs > 0.5
+            if majority or ctx.current_mode in (InferenceMode.MERGED,
+                                                InferenceMode.MIXTURE):
+                top = self._top_adapter(counts)
+                if majority or ctx.current_merged == top:
+                    if num_starve is None:
+                        num_starve = self._starve_prefix_len(candidates, ctx)
+                    return self._paid_merge(candidates, max_bs, num_starve,
+                                            top, num_merge_total)
             # (c) A lone tenant merges when nothing starves and its
             # queued work would pay more LoRA extra unmerged than the
             # merge costs.  It has no foreigners to fill with.
-            if (not num_starve and num_merge_total == n
-                    and ctx.unmerged_extra_seconds(top, candidates[:max_bs])
+            # The prefix is empty exactly when its head does not starve,
+            # and the lone tenant is the head's adapter.
+            head = candidates[0]
+            if (num_merge_total == n
+                    and self._credit(head, ctx) <= self.theta
+                    and ctx.unmerged_extra_seconds(head.adapter_id,
+                                                   candidates[:max_bs])
                     > ctx.est_switch_seconds):
                 # Line 6-8: pure merged execution of the popular adapter.
                 return SchedulerDecision(
                     batch=list(candidates[:max_bs]),
                     mode=InferenceMode.MERGED,
-                    merged_adapter=top,
+                    merged_adapter=head.adapter_id,
                 )
         # Line 13-15: unmerged — starving prefix first, then FCFS fill,
         # which for ordered candidates is simply the head of the queue.

@@ -24,8 +24,10 @@ from repro.runtime.costcache import IterationCostCache
 from repro.runtime.disagg import DisaggConfig
 from repro.runtime.faults import FaultInjector, FaultKind, FaultSpec
 from repro.runtime.kv_cache import PagedKVCache
+from repro.runtime.metrics import MetricsCollector
 from repro.runtime.modes import InferenceMode
 from repro.runtime.request import Request, reset_request_ids
+from repro.runtime.scheduler import VLoRAPolicy
 from repro.workloads.retrieval import RetrievalWorkload
 from repro.workloads.video import VideoAnalyticsWorkload
 from tests.runtime.test_oracle import (
@@ -426,18 +428,24 @@ def test_faulted_engine_repeats_like_bare():
     assert (failed_steps, failed_records) == (bare_steps, bare_records)
 
 
+def spy_calls(monkeypatch, counts: Counter, layer: str, cls, *names):
+    """Count each call of ``cls.<name>`` as ``counts[layer.name]``."""
+    for name in names:
+        def counted(*args, _name=f"{layer}.{name}", _fn=getattr(cls, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+
 def kv_work(monkeypatch, system: str, make_requests) -> Counter:
     """Serve ``make_requests(adapter_ids)`` on one ``system`` engine;
     return the calls
     ``PagedKVCache.allocate/append_token/free`` made, with the requests
     served and the preemptions, keyed like per-layer call counts."""
     counts = Counter()
-    for name in ("allocate", "append_token", "free"):
-        def counted(*args, _name=name, _fn=getattr(PagedKVCache, name),
-                    **kwargs):
-            counts[f"kv_cache.{_name}"] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(PagedKVCache, name, counted)
+    spy_calls(monkeypatch, counts, "kv_cache", PagedKVCache,
+              "allocate", "append_token", "free")
     builder = SystemBuilder(num_adapters=4)
     engine = builder.build(system)
     engine.submit(make_requests(builder.adapter_ids))
@@ -447,19 +455,21 @@ def kv_work(monkeypatch, system: str, make_requests) -> Counter:
     return counts
 
 
+def video_heads(adapter_ids):
+    """120 task-head requests from four camera streams over 6 s."""
+    reset_request_ids()
+    trace = VideoAnalyticsWorkload(
+        adapter_ids, num_streams=4, duration_s=6.0, seed=0).generate()
+    assert len(trace) == 120 and all(r.use_task_head for r in trace)
+    return trace
+
+
 def test_single_round_batches_take_no_kv_sequence(monkeypatch):
     """A task-head trace answers every request in its prefill round
     without a KV sequence: the single-round pass makes no
     ``PagedKVCache`` call.  An LM-head trace still allocates and frees
     once per request.  A refactor that drops the pass leaves behaviour
     identical, so only these exact counts see it."""
-
-    def video(adapter_ids):
-        reset_request_ids()
-        trace = VideoAnalyticsWorkload(
-            adapter_ids, num_streams=4, duration_s=6.0, seed=0).generate()
-        assert len(trace) == 120 and all(r.use_task_head for r in trace)
-        return trace
 
     def retrieval(adapter_ids):
         reset_request_ids()
@@ -469,10 +479,33 @@ def test_single_round_batches_take_no_kv_sequence(monkeypatch):
         assert len(trace) == 43
         return trace
 
-    assert kv_work(monkeypatch, "v-lora", video) == Counter({
+    assert kv_work(monkeypatch, "v-lora", video_heads) == Counter({
         "engine.completed": 120})
     lm = kv_work(monkeypatch, "v-lora", retrieval)
     assert (lm["engine.completed"], lm["kv_cache.allocate"],
             lm["kv_cache.free"], lm["kv_cache.sim_preemptions"]) == (
         43, 43, 43, 0)
     assert lm["kv_cache.append_token"] >= 43
+
+
+def test_single_round_steps_cost_per_batch(monkeypatch):
+    """On the task-head trace every full step answers its whole batch,
+    and the step costs per batch, not per request: one
+    ``MetricsCollector.complete`` call per finishing batch (56 steps
+    for 120 requests), and the starving prefix bisected only on the 20
+    steps whose queue exceeds half a batch (none reaches a paid merge).
+    Bisecting on every step or recording per request changes no
+    behaviour, so only these exact counts see it."""
+    counts = Counter()
+    spy_calls(monkeypatch, counts, "scheduler", VLoRAPolicy,
+              "schedule", "_starve_prefix_len")
+    spy_calls(monkeypatch, counts, "metrics", MetricsCollector, "complete")
+    builder = SystemBuilder(num_adapters=4)
+    engine = builder.build("v-lora")
+    engine.submit(video_heads(builder.adapter_ids))
+    metrics = engine.run()
+    assert (metrics.num_completed, metrics.iterations,
+            metrics.mode_iterations) == (120, 56, {"unmerged": 56})
+    assert counts == Counter({"scheduler.schedule": 56,
+                              "scheduler._starve_prefix_len": 20,
+                              "metrics.complete": 56})

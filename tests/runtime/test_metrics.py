@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.runtime import MetricsCollector, Request, RequestRecord
+from repro.runtime import (
+    AbortRecord,
+    MetricsCollector,
+    Request,
+    RequestRecord,
+)
+from repro.runtime.request import AbortReason
 
 
 def finished_request(arrival=0.0, first=0.5, finish=1.0, slo=None,
@@ -32,6 +38,17 @@ class TestRequestRecord:
         with pytest.raises(ValueError):
             RequestRecord.from_request(req)
 
+    def test_records_are_immutable(self):
+        rec = RequestRecord.from_request(finished_request())
+        req = Request(adapter_id="a", arrival_time=0.0,
+                      input_tokens=1, output_tokens=1)
+        req.abort(1.0, AbortReason.DEADLINE_EXCEEDED)
+        abort = AbortRecord.from_request(req)
+        with pytest.raises(AttributeError):
+            rec.finish_time = 2.0
+        with pytest.raises(AttributeError):
+            abort.reason = "other"
+
 
 class TestCollector:
     @pytest.fixture()
@@ -41,6 +58,24 @@ class TestCollector:
         m.complete(finished_request(arrival=1.0, finish=4.0, adapter="b",
                                     task="image_caption"))
         return m
+
+    def test_complete_appends_in_argument_order(self):
+        m = MetricsCollector()
+        a = finished_request(finish=1.0, adapter="a")
+        b = finished_request(finish=2.0, adapter="b")
+        m.complete(b, a)  # against request-id order
+        assert m.records == [RequestRecord.from_request(b),
+                             RequestRecord.from_request(a)]
+
+    def test_complete_with_an_unfinished_request_appends_nothing(self):
+        m = MetricsCollector()
+        m.complete(finished_request())
+        before = list(m.records)
+        unfinished = Request(adapter_id="a", arrival_time=0.0,
+                             input_tokens=1, output_tokens=1)
+        with pytest.raises(ValueError):
+            m.complete(finished_request(), unfinished)
+        assert m.records == before
 
     def test_avg_token_latency_definition(self, metrics):
         """Sum of latencies over total tokens (§6.1)."""

@@ -261,8 +261,8 @@ def digest(metrics, tracers=()):
     summary.pop("cost_cache_hits", None)
     summary.pop("cost_cache_misses", None)
     return (
-        [dataclasses.astuple(r) for r in metrics.records],
-        [dataclasses.astuple(a) for a in metrics.aborts],
+        [tuple(r) for r in metrics.records],
+        [tuple(a) for a in metrics.aborts],
         {name: getattr(metrics, name) for name in COUNTERS},
         summary,
         [[dataclasses.astuple(e) for e in t.events] for t in tracers],

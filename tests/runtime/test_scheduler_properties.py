@@ -19,7 +19,7 @@ from repro.runtime import (
     UnmergedOnlyPolicy,
     VLoRAPolicy,
 )
-from repro.runtime.scheduler import SchedulingContext
+from repro.runtime.scheduler import SchedulerDecision, SchedulingContext
 
 pytestmark = pytest.mark.property
 
@@ -28,13 +28,19 @@ ADAPTERS = ["a", "b", "c", "d"]
 
 @st.composite
 def request_sets(draw):
-    n = draw(st.integers(1, 24))
+    """Live requests and a context.  Besides queues of any length, the
+    draws include queues of at most half a batch (and one past it),
+    lone tenants, requests that arrive at ``now`` and so do not starve,
+    and a merged adapter already folded in."""
+    max_bs = draw(st.integers(1, 16))
+    n = draw(st.one_of(st.integers(1, max_bs // 2 + 1), st.integers(1, 24)))
+    adapters = ADAPTERS[:draw(st.integers(1, len(ADAPTERS)))]
     now = draw(st.floats(1.0, 50.0))
     reqs = []
     for _ in range(n):
-        arrival = draw(st.floats(0.0, now))
+        arrival = draw(st.one_of(st.floats(0.0, now), st.just(now)))
         reqs.append(Request(
-            adapter_id=draw(st.sampled_from(ADAPTERS)),
+            adapter_id=draw(st.sampled_from(adapters)),
             arrival_time=arrival,
             input_tokens=draw(st.integers(1, 512)),
             output_tokens=draw(st.integers(1, 64)),
@@ -43,7 +49,7 @@ def request_sets(draw):
         now=now,
         current_mode=draw(st.sampled_from(list(InferenceMode))),
         current_merged=draw(st.sampled_from([None, *ADAPTERS])),
-        max_batch_size=draw(st.integers(1, 16)),
+        max_batch_size=max_bs,
         est_iteration_seconds=draw(st.floats(0.001, 0.1)),
         est_switch_seconds=draw(st.floats(0.0, 0.05)),
         adapter_counts={},
@@ -241,3 +247,43 @@ def test_deterministic_decisions(data):
     assert a.mode == b.mode
     assert a.merged_adapter == b.merged_adapter
     assert [r.request_id for r in a.batch] == [r.request_id for r in b.batch]
+
+
+def bisect_first(policy, candidates, ctx):
+    """Algorithm 1 as :meth:`VLoRAPolicy.schedule` decided it when it
+    bisected the starving prefix and named the popular adapter before
+    anything else."""
+    max_bs = ctx.max_batch_size
+    num_starve = policy._starve_prefix_len(candidates, ctx)
+    counts = ctx.adapter_counts
+    top = min(counts, key=lambda a: (-counts[a], a))
+    head = list(candidates[:max_bs])
+    if num_starve / max_bs <= 0.5:
+        already = (ctx.current_merged == top
+                   and ctx.current_mode in (InferenceMode.MERGED,
+                                            InferenceMode.MIXTURE))
+        if already or counts[top] / max_bs > 0.5:
+            return policy._paid_merge(candidates, max_bs, num_starve, top,
+                                      counts[top])
+        if (not num_starve and counts[top] == len(candidates)
+                and ctx.unmerged_extra_seconds(top, head)
+                > ctx.est_switch_seconds):
+            return SchedulerDecision(head, InferenceMode.MERGED, top)
+    return SchedulerDecision(head, InferenceMode.UNMERGED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=request_sets())
+def test_vlora_lazy_bisection_matches_bisect_first(data):
+    """Bisecting the starving prefix only where the decision reads it
+    (a queue longer than half a batch, a paid merge), testing the
+    head's credit for clause (c) and naming the popular adapter only
+    for clause (a) or a paid merge decides exactly as doing both first:
+    the same batch in the same order, mode and merged adapter."""
+    reqs, ctx = engine_view(*data)
+    policy = VLoRAPolicy(theta=0.5)
+    got = policy.schedule(reqs, ctx)
+    want = bisect_first(policy, reqs, ctx)
+    assert ([r.request_id for r in got.batch], got.mode,
+            got.merged_adapter) == ([r.request_id for r in want.batch],
+                                    want.mode, want.merged_adapter)
