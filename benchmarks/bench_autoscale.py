@@ -8,8 +8,8 @@ from identical engines:
   the whole run, the capacity you must pre-buy to survive the peak;
 * **autoscaled** — starts at one replica and lets the
   :class:`~repro.runtime.autoscaler.Autoscaler` grow toward
-  ``PEAK_REPLICAS`` when the EWMA queue depth or the SLO-attainment
-  floor demands it, then drain back down through the trough.
+  ``PEAK_REPLICAS`` when the EWMA queue depth demands it, then drain
+  back down through the trough.
 
 The contract under test: the autoscaled cluster spends **at most 80 %**
 of the static cluster's GPU-seconds while matching its SLO attainment.
@@ -69,7 +69,6 @@ def _autoscaler():
         max_replicas=PEAK_REPLICAS,
         target_queue_per_replica=4.0,
         down_fraction=0.7,
-        slo_floor=0.9,
         ewma_alpha=0.5,
         down_cooldown_s=3.0,
         spinup_s=0.5,

@@ -142,21 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--decode-replicas", type=int, default=1,
                          help="decode-pool size with --disagg (default 1)")
     cluster.add_argument("--disagg-kv-target", type=float, default=None,
-                         help="decode-pool KV-residency scaling target in "
-                              "(0, 1] (requires --disagg --autoscale; the "
-                              "prefill pool scales on queue depth as "
-                              "usual; default 0.75)")
+                         help="scale the decode pool on fleet KV residency "
+                              "at this target in (0, 1] (requires --disagg "
+                              "--autoscale; without it both pools scale "
+                              "on queue depth)")
     cluster.add_argument("--placement-hot-watermark", type=float,
                          default=0.03,
                          help="popularity share above which 'locality' "
                               "replicates an adapter")
     cluster.add_argument("--placement-hot-copies", type=int, default=2,
                          help="ring homes a hot adapter is served from")
-    cluster.add_argument("--placement-cold-watermark", type=float,
-                         default=0.0,
-                         help="popularity share below which resident "
-                              "adapters are demoted off non-home "
-                              "replicas (0 = off)")
     cluster.add_argument("--placement-prefetch-top-k", type=int, default=8,
                          help="hot adapters a newly spawned replica "
                               "prefetches during warm-up")
@@ -171,9 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="EWMA live requests per replica the policy "
                               "holds (scale up above, down below a "
                               "fraction of it)")
-    cluster.add_argument("--autoscale-slo-floor", type=float, default=None,
-                         help="also scale up when smoothed SLO attainment "
-                              "drops below this fraction (needs --slo)")
     cluster.add_argument("--autoscale-spinup", type=float, default=0.5,
                          help="flat engine-provisioning part of a new "
                               "replica's cold start, seconds")
@@ -576,7 +568,6 @@ def cmd_serve(args) -> int:
                     min_replicas=args.autoscale_min,
                     max_replicas=args.autoscale_max,
                     target_queue_per_replica=args.autoscale_target_queue,
-                    slo_floor=args.autoscale_slo_floor,
                     spinup_s=args.autoscale_spinup,
                     drain_timeout_s=args.autoscale_drain_timeout,
                 ))
@@ -600,7 +591,6 @@ def cmd_serve(args) -> int:
                 placement = AdapterPlacement(PlacementConfig(
                     hot_watermark=args.placement_hot_watermark,
                     hot_copies=args.placement_hot_copies,
-                    cold_watermark=args.placement_cold_watermark,
                     prefetch_top_k=args.placement_prefetch_top_k,
                 ))
             except ValueError as exc:
@@ -612,20 +602,19 @@ def cmd_serve(args) -> int:
 
             prefill_scale = decode_scale = None
             if scaler is not None:
-                # --disagg --autoscale means per-pool scalers: the
-                # prefill pool keeps the queue-depth policy; the decode
-                # pool scales on fleet KV residency instead.
-                prefill_scale = scaler.config
-                kv_target = args.disagg_kv_target
-                try:
-                    decode_scale = dc_replace(
-                        scaler.config,
-                        target_utilization=(
-                            0.75 if kv_target is None else kv_target),
-                    )
-                except ValueError as exc:
-                    print(f"bad --disagg-kv-target: {exc}", file=sys.stderr)
-                    return 2
+                # --disagg --autoscale means per-pool scalers on queue
+                # depth; --disagg-kv-target moves the decode pool's
+                # onto fleet KV residency.
+                prefill_scale = decode_scale = scaler.config
+                if args.disagg_kv_target is not None:
+                    try:
+                        decode_scale = dc_replace(
+                            scaler.config,
+                            target_utilization=args.disagg_kv_target)
+                    except ValueError as exc:
+                        print(f"bad --disagg-kv-target: {exc}",
+                              file=sys.stderr)
+                        return 2
                 scaler = None
             try:
                 disagg = DisaggConfig(

@@ -21,10 +21,10 @@ vLLM/LightLLM, driven by the analytical cost models:
 * :mod:`repro.runtime.failure_detection` — φ-accrual heartbeat
   suspicion and lease-fenced exactly-once completion delivery;
 * :mod:`repro.runtime.hedging` — tail-tolerant dispatch: hedged
-  requests, per-class retry budgets, and the shared backoff curve;
+  requests, per-class retry budgets, and the swap-retry backoff curve;
 * :mod:`repro.runtime.placement` — fleet-level adapter registry and
   cache-state-aware ``locality`` dispatch (consistent-hash homes,
-  load-aware spill, hot-adapter replication, cold demotion);
+  load-aware spill, hot-adapter replication);
 * :mod:`repro.runtime.disagg` — disaggregated prefill/decode serving:
   pool roles, the decode pool's pinned scheduling policy, and
   size-proportional KV hand-off pricing across the pool boundary;

@@ -200,7 +200,7 @@ class AdapterManager:
         self.pinned.discard(adapter_id)
 
     def demote(self, adapter_id: str) -> bool:
-        """Evict one adapter from its GPU slot (fleet-wide cold demotion).
+        """Evict one adapter from its GPU slot.
 
         Swap-out is asynchronous (no stall); returns whether the adapter
         was actually resident.  A demoted adapter simply swaps back in

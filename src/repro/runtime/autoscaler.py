@@ -11,12 +11,11 @@ and an :class:`Autoscaler` policy decides, once per control interval,
 whether the cluster should grow or shrink:
 
 * **Scale up** when the EWMA queue depth per provisioned replica climbs
-  above ``target_queue_per_replica``, or when recent SLO attainment
-  drops under ``slo_floor``.  A new replica is *not* instantly useful:
-  it pays a modeled cold start (engine spin-up plus synchronous adapter
-  prefetch over the swap path, plus one warm merge of the resident
-  adapter — see :func:`estimate_cold_start_s`) before it turns ACTIVE,
-  and a ``FaultKind.SCALE_STALL`` window can stretch that warm-up.
+  above ``target_queue_per_replica``.  A new replica is *not* instantly
+  useful: it pays a modeled cold start (engine spin-up plus synchronous
+  adapter prefetch over the swap path, plus one warm merge of the
+  resident adapter — see :func:`estimate_cold_start_s`) before it turns
+  ACTIVE, and a ``FaultKind.SCALE_STALL`` window can stretch that warm-up.
 * **Scale down** when the smoothed queue depth falls below
   ``down_fraction`` of the target.  The victim replica is quiesced
   (:meth:`~repro.runtime.engine.ServingEngine.quiesce`): dispatch routes
@@ -25,12 +24,12 @@ whether the cluster should grow or shrink:
   through the cluster's requeue machinery — *without* charging the
   requests' failover budget (their host never failed).
 
-Both signals reuse the overload layer's smoothing primitive
-(:class:`~repro.runtime.overload.EwmaSignal`) and respect per-direction
-cooldowns so the cluster does not flap.  Everything is pure simulation
-state driven by the cluster's control clock: deterministic, replayable,
-and entirely absent (bit-identical metrics) when no autoscaler is
-attached.
+Both directions read one signal, smoothed by the overload layer's
+primitive (:class:`~repro.runtime.overload.EwmaSignal`), and respect
+per-direction cooldowns so the cluster does not flap.  Everything is
+pure simulation state driven by the cluster's control clock:
+deterministic, replayable, and entirely absent (bit-identical metrics)
+when no autoscaler is attached.
 """
 
 from __future__ import annotations
@@ -120,11 +119,9 @@ class AutoscaleConfig:
     ``target_queue_per_replica`` is the operating point: the EWMA of
     live requests per provisioned (ACTIVE + WARMING) replica the policy
     tries to hold.  Crossing it scales up; falling under
-    ``down_fraction`` of it scales down.  ``slo_floor`` additionally
-    scales up whenever smoothed SLO attainment over recently finished
-    requests drops below the floor (``None`` disables the SLO signal).
-    ``spinup_s`` is the engine-provisioning part of the cold start; the
-    adapter-prefetch part is derived from the replica's own swap path
+    ``down_fraction`` of it scales down.  ``spinup_s`` is the
+    engine-provisioning part of the cold start; the adapter-prefetch
+    part is derived from the replica's own swap path
     (:func:`estimate_cold_start_s`).  Scale-ups are ``UP_COOLDOWN_S``
     apart, scale-downs ``down_cooldown_s``.  ``SPAWN_BUDGET`` bounds the
     replicas a pool may ever spawn in one run.
@@ -139,7 +136,6 @@ class AutoscaleConfig:
     #: ``down_fraction`` of it.  ``None`` keeps the queue-depth signal.
     target_utilization: Optional[float] = None
     down_fraction: float = 0.25
-    slo_floor: Optional[float] = None
     ewma_alpha: float = 0.4
     down_cooldown_s: float = 5.0
     spinup_s: float = 0.5
@@ -157,8 +153,6 @@ class AutoscaleConfig:
             raise ValueError("target_utilization must be in (0, 1]")
         if not 0.0 < self.down_fraction < 1.0:
             raise ValueError("down_fraction must be in (0, 1)")
-        if self.slo_floor is not None and not 0.0 < self.slo_floor <= 1.0:
-            raise ValueError("slo_floor must be in (0, 1]")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if self.down_cooldown_s < 0:
@@ -172,9 +166,9 @@ class AutoscaleConfig:
 class Autoscaler:
     """Decides, once per control interval, how the replica set changes.
 
-    The policy is deliberately simple and fully deterministic: two EWMA
-    signals (queue depth per provisioned replica; SLO attainment of
-    recently finished requests), threshold crossings with per-direction
+    The policy is deliberately simple and fully deterministic: one EWMA
+    signal (queue depth per provisioned replica, or the caller's
+    utilization fraction), threshold crossings with per-direction
     cooldowns, and a min-replica floor that doubles as self-healing —
     a cluster whose replicas all died immediately re-provisions back to
     ``min_replicas``.
@@ -184,7 +178,6 @@ class Autoscaler:
         self.config = config
         self.queue_signal = EwmaSignal(config.ewma_alpha)
         self.util_signal = EwmaSignal(config.ewma_alpha)
-        self.slo_signal = EwmaSignal(config.ewma_alpha, initial=1.0)
         self._last_up = float("-inf")
         self._last_down = float("-inf")
         self.decisions = 0
@@ -198,17 +191,13 @@ class Autoscaler:
         num_warming: int,
         num_draining: int = 0,
         num_suspected: int = 0,
-        slo_sample: Optional[float] = None,
         utilization: Optional[float] = None,
     ) -> int:
         """Fold one control-interval sample in; returns the replica delta.
 
         Positive: spawn that many replicas.  Negative: drain one.
         ``queue_depth`` should count every live request the cluster
-        knows about (queued on engines plus overdue undispatched);
-        ``slo_sample`` is the attainment fraction among requests that
-        reached a terminal state since the last call (``None`` when none
-        did — the smoothed value simply carries over).
+        knows about (queued on engines plus overdue undispatched).
         ``num_suspected`` counts ACTIVE replicas the failure detector
         currently suspects: they still hold membership (no drain/spawn
         flap while the detector decides) but their capacity is treated
@@ -218,9 +207,9 @@ class Autoscaler:
         With :attr:`AutoscaleConfig.target_utilization` set *and* a
         ``utilization`` sample supplied, the up/down pressure is judged
         on the smoothed utilization fraction instead of queue depth —
-        the decode pool of a disaggregated cluster scales on its fleet
-        KV residency this way.  The min-replica self-healing floor and
-        the SLO signal are unchanged either way.
+        a disaggregated cluster's decode pool can scale on its fleet KV
+        residency this way.  The min-replica self-healing floor is
+        unchanged either way.
         """
         cfg = self.config
         self.decisions += 1
@@ -236,9 +225,6 @@ class Autoscaler:
             up_pressure = smoothed_q > cfg.target_queue_per_replica
             down_room = smoothed_q < (cfg.target_queue_per_replica
                                       * cfg.down_fraction)
-        if slo_sample is not None:
-            self.slo_signal.observe(slo_sample)
-        smoothed_slo = self.slo_signal.value
 
         # Self-healing floor: dominates cooldowns and thresholds.
         if provisioned < cfg.min_replicas:
@@ -249,11 +235,9 @@ class Autoscaler:
         # they still occupy GPUs even though their capacity is excluded
         # from the queue-pressure arithmetic above.
         members = num_active + num_warming + num_draining
-        slo_pressure = (cfg.slo_floor is not None
-                        and smoothed_slo < cfg.slo_floor)
         if (members < cfg.max_replicas
                 and now - self._last_up >= UP_COOLDOWN_S
-                and (up_pressure or slo_pressure)):
+                and up_pressure):
             self._last_up = now
             # Scaling up also re-arms the down cooldown so the policy
             # cannot immediately retire the replica it just paid to warm.
@@ -263,8 +247,7 @@ class Autoscaler:
         if (num_active - num_suspected > cfg.min_replicas
                 and num_warming == 0
                 and now - self._last_down >= cfg.down_cooldown_s
-                and down_room
-                and not slo_pressure):
+                and down_room):
             self._last_down = now
             return -1
         return 0

@@ -14,9 +14,8 @@ paper's future work — four dispatch policies are provided here:
 * ``locality`` — cache-state-aware placement through the fleet adapter
   registry (:class:`~repro.runtime.placement.AdapterPlacement`):
   consistent-hash homes, load-aware spill to adapter-resident replicas,
-  hot-adapter replication and cold demotion.  The policy builds a
-  default registry when none is attached; the registry is rebalanced
-  once per control epoch.
+  hot-adapter replication.  The policy builds a default registry when
+  none is attached; the registry is rebalanced once per control epoch.
 
 All four policies route around *dead* replicas (an engine whose fault
 schedule has already killed it receives no fresh traffic — it would all
@@ -85,7 +84,6 @@ from repro.runtime.hedging import (
     HedgeConfig,
     HedgeTracker,
     RetryBudget,
-    capped_exponential_backoff,
 )
 from repro.runtime.metrics import MetricsCollector, ScaleEvent
 from repro.runtime.overload import ReplicaHealth
@@ -97,8 +95,6 @@ DISPATCH_POLICIES = ("least-loaded", "round-robin", "adapter-affinity",
 #: Health score under which ``health_aware`` dispatch avoids a replica
 #: (while any replica scores at or above it).
 HEALTH_FLOOR = 0.25
-#: Upper bound on one failover requeue's backoff, in seconds.
-REQUEUE_BACKOFF_CAP_S = 5.0
 
 
 class MultiGPUServer:
@@ -112,13 +108,11 @@ class MultiGPUServer:
 
     Failover requeue is *bounded*: ``max_requeues`` caps how many hosts
     one request may lose before the cluster gives up on it
-    (``None`` = only bounded by the engine count, the legacy behavior),
-    and ``requeue_backoff_s`` spaces repeated requeues of the same
-    request out with exponential backoff, capped at
-    ``REQUEUE_BACKOFF_CAP_S``, so a cascading failure
-    does not instantly pile every orphan onto the next victim.  Only
-    *failover* hops burn that budget — voluntary drain re-homing during
-    scale-down charges the request's ``drain_hops`` instead.
+    (``None`` = only bounded by the engine count, the legacy behavior).
+    A requeued request re-enters dispatch at once, its arrival bumped to
+    the failure time.  Only *failover* hops burn that budget — voluntary
+    drain re-homing during scale-down charges the request's
+    ``drain_hops`` instead.
 
     :meth:`submit` parks requests in a cluster-level queue and
     :meth:`run` dispatches them epoch by epoch to whatever replicas are
@@ -133,7 +127,6 @@ class MultiGPUServer:
                  dispatch: str = "least-loaded", *,
                  health_aware: bool = False,
                  max_requeues: Optional[int] = None,
-                 requeue_backoff_s: float = 0.0,
                  autoscaler: Optional[Autoscaler] = None,
                  engine_factory: Optional[
                      Callable[[], ServingEngine]] = None,
@@ -176,8 +169,6 @@ class MultiGPUServer:
             )
         if max_requeues is not None and max_requeues < 1:
             raise ValueError(f"max_requeues must be >= 1, got {max_requeues}")
-        if requeue_backoff_s < 0:
-            raise ValueError("requeue_backoff_s must be >= 0")
         if autoscaler is not None and engine_factory is None:
             raise ValueError(
                 "autoscaling needs an engine_factory to spawn replicas"
@@ -185,7 +176,6 @@ class MultiGPUServer:
         self.dispatch = dispatch
         self.health_aware = health_aware
         self.max_requeues = max_requeues
-        self.requeue_backoff_s = requeue_backoff_s
         self.engine_factory = engine_factory
         self.detector = detector
         self.hedge = hedge
@@ -271,9 +261,6 @@ class MultiGPUServer:
         #: primary's id, and both can be requeued at the same instant.
         self._undispatched: List[Tuple[float, int, int, Request]] = []
         self._undispatched_seq = itertools.count()
-        # Per-collector (records, aborts) read cursors for incremental
-        # SLO-attainment sampling between scale decisions.
-        self._slo_cursor = {}
         # -- failure-detection state (all unused when detector is None) ----
         #: Next scheduled heartbeat emission per registered replica.
         self._hb_next: Dict[str, float] = {}
@@ -771,7 +758,6 @@ class MultiGPUServer:
                    t_next: float, reason: str) -> None:
         """Requeue a failed replica's vetted orphans, then retire it."""
         orphans = self._vet_orphans(orphans)
-        self._apply_requeue_backoff(orphans)
         self.cluster_metrics.failover_events += len(orphans)
         self._requeue(orphans)
         self._retire(rep, max(t_next, rep.engine.clock.now), "fail", reason)
@@ -881,19 +867,17 @@ class MultiGPUServer:
     # -- adapter placement (runtime/placement.py) ----------------------------------
 
     def _placement_pass(self) -> None:
-        """Re-sync the fleet adapter registry and rebalance hot/cold.
+        """Re-sync the fleet adapter registry and rebalance hot adapters.
 
         Runs once per control epoch: the registry's residency model is
         refreshed from each live engine's ground truth (engines evict on
         their own during the epoch), then hot adapters above the
         watermark get replicated (soft-pinned on ``hot_copies`` ring
-        homes) and cold ones demoted off non-home replicas.  Counter
-        deltas land in cluster metrics.
+        homes).  The promotions land in cluster metrics.
         """
         self.placement.refresh_from_engines()
-        stats = self.placement.rebalance()
-        self.cluster_metrics.placement_replications += stats["replications"]
-        self.cluster_metrics.placement_demotions += stats["demotions"]
+        self.cluster_metrics.placement_replications += (
+            self.placement.rebalance())
 
     # -- disaggregated KV transfer (runtime/disagg.py) -----------------------------
 
@@ -1303,7 +1287,6 @@ class MultiGPUServer:
         return next(s for p, s in self._scalers if p == pool)
 
     def _scale_pass(self, now: float) -> None:
-        slo_sample = self._slo_sample()
         for pool, scaler in self._scalers:
             active = self._pool_members(pool, ReplicaState.ACTIVE)
             warming = self._pool_members(pool, ReplicaState.WARMING)
@@ -1339,7 +1322,6 @@ class MultiGPUServer:
                 num_warming=len(warming),
                 num_draining=len(draining),
                 num_suspected=num_suspected,
-                slo_sample=slo_sample,
                 utilization=utilization,
             )
             if delta > 0:
@@ -1348,34 +1330,6 @@ class MultiGPUServer:
                         break
             elif delta < 0:
                 self._drain_one(now, pool, scaler)
-
-    def _slo_sample(self) -> Optional[float]:
-        """SLO attainment among requests turned terminal since last call.
-
-        Incremental (per-collector cursors into the append-only records
-        and aborts lists), so the control loop stays linear in the trace
-        size.  ``None`` when no SLO-carrying request finished or aborted
-        this epoch.
-        """
-        met = 0
-        total = 0
-        collectors = [self.cluster_metrics] + [
-            rep.engine.metrics for rep in self.replicas
-        ]
-        for m in collectors:
-            rec_i, ab_i = self._slo_cursor.get(id(m), (0, 0))
-            for rec in m.records[rec_i:]:
-                if rec.slo_s is not None:
-                    total += 1
-                    if rec.latency <= rec.slo_s:
-                        met += 1
-            for ab in m.aborts[ab_i:]:
-                if ab.slo_s is not None:
-                    total += 1
-            self._slo_cursor[id(m)] = (len(m.records), len(m.aborts))
-        if total == 0:
-            return None
-        return met / total
 
     def _can_spawn(self, pool: Optional[str]) -> bool:
         """Whether ``pool`` (``None``: any pool) has a scaler with spawn
@@ -1461,10 +1415,10 @@ class MultiGPUServer:
         """No live replicas and no way to spawn any: fail the queue.
 
         Every queued request aborts at ``now``, the moment the cluster
-        found no survivor (or at its arrival, when a requeue backoff
-        put that later).  An autoscaled cluster gets here only once
-        the spawn budget is exhausted or the factory is gone, since
-        min-replica healing otherwise re-provisions.
+        found no survivor (or at its arrival, when that is later).  An
+        autoscaled cluster gets here only once the spawn budget is
+        exhausted or the factory is gone, since min-replica healing
+        otherwise re-provisions.
         """
         if not self._undispatched:
             return
@@ -1552,23 +1506,6 @@ class MultiGPUServer:
                 continue
             kept.append(r)
         return kept
-
-    def _apply_requeue_backoff(self, orphans: Sequence[Request]) -> None:
-        """Space repeated requeues out with capped exponential backoff.
-
-        The curve starts at ``requeue_backoff_s`` and is capped at
-        ``REQUEUE_BACKOFF_CAP_S``; a request carrying a deadline never
-        backs off longer than its ``deadline_s`` — backing off past a
-        deadline only converts a retry into a guaranteed deadline abort.
-        """
-        if self.requeue_backoff_s <= 0:
-            return
-        for r in orphans:
-            cap = REQUEUE_BACKOFF_CAP_S
-            if r.deadline_s is not None:
-                cap = min(cap, r.deadline_s)
-            r.arrival_time += capped_exponential_backoff(
-                self.requeue_backoff_s, r.requeues, cap)
 
     def per_engine_completed(self) -> List[int]:
         """Completed request count per replica, in spawn order.

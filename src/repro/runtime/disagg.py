@@ -41,9 +41,9 @@ The pieces, all opt-in through :class:`DisaggConfig` on
   UNMERGED so one adapter can never monopolize the multiplexed decode
   batch.  MIXTURE (deLoRA) passes through — it *is* the multiplexing
   mode.  Mode transitions still pay the existing switcher's costs.
-* **Per-pool autoscaling** — the prefill pool scales on queue depth,
-  the decode pool on fleet KV residency
-  (:attr:`~repro.runtime.autoscaler.AutoscaleConfig.target_utilization`).
+* **Per-pool autoscaling** — each pool scales on its queue depth, or
+  the decode pool on fleet KV residency when its config sets
+  :attr:`~repro.runtime.autoscaler.AutoscaleConfig.target_utilization`.
 
 Fault tolerance composes with the existing machinery: a prefill
 replica dying with un-collected hand-offs rewinds them through
@@ -90,10 +90,10 @@ class DisaggConfig:
     (:class:`PhasePinnedPolicy`).  Hand-offs are priced by
     :class:`~repro.runtime.costcache.TransferCostCache`.  The per-pool
     autoscale configs are
-    optional — ``None`` leaves that pool at its provisioned size; the
-    decode config usually sets
+    optional — ``None`` leaves that pool at its provisioned size; a
+    decode config that sets
     :attr:`~repro.runtime.autoscaler.AutoscaleConfig.target_utilization`
-    so the pool scales on KV residency rather than queue depth.
+    scales that pool on KV residency rather than queue depth.
     """
 
     prefill_replicas: int = 1

@@ -408,8 +408,9 @@ class ServingEngine:
         replicas epoch by epoch (``until=``) keeps repeating it across
         epoch boundaries.  On entry it is kept only while the engine
         has not failed, the batch is still exactly the active set and
-        every adapter of the batch is still resident (fleet placement
-        may have demoted one between calls).  Work submitted between
+        every adapter of the batch is still resident
+        (:meth:`~repro.runtime.adapters.AdapterManager.demote` may have
+        evicted one between calls).  Work submitted between
         calls is caught by the arrival guard of :meth:`_repeat_steady`.
         """
         if self._steady is not None and not self._steady_holds():
@@ -997,7 +998,7 @@ class ServingEngine:
                             batch: Sequence[Request]) -> float:
         """Backoff before swap retry ``attempt`` for one failed adapter.
 
-        The shared capped-exponential curve over ``SWAP_RETRY_BASE_S`` /
+        The capped-exponential curve over ``SWAP_RETRY_BASE_S`` /
         ``SWAP_RETRY_CAP_S``, gated by a cluster-attached
         :class:`RetryBudget` when there is one — when the budget is dry
         the retry is not forbidden (the adapter's requests would strand)

@@ -7,9 +7,8 @@ healthy.  This module supplies the three classic tail-tolerance
 primitives (Dean & Barroso, "The Tail at Scale"; Google SRE's retry
 budgets), built on PR 6's lease-fenced exactly-once machinery:
 
-* :func:`capped_exponential_backoff` — the one shared backoff curve
-  behind the engine's swap retries and the cluster's failover requeues
-  (previously duplicated ad hoc at both call sites);
+* :func:`capped_exponential_backoff` — the backoff curve behind the
+  engine's adapter-swap retries;
 * :class:`RetryBudget` — a per-priority-class token bucket that gates
   *every* speculative or repeated dispatch (hedges, swap retries,
   failover requeues) so correlated failures degrade to single-shot
@@ -26,8 +25,7 @@ budgets), built on PR 6's lease-fenced exactly-once machinery:
   :meth:`~repro.runtime.cluster.MultiGPUServer.epoch_s`).
 
 Each timeout has exactly one home.  Swap retry backoff lives in
-:class:`~repro.runtime.engine.EngineConfig`, failover-requeue backoff
-in :class:`~repro.runtime.cluster.MultiGPUServer`'s kwargs, the breaker
+:class:`~repro.runtime.engine.EngineConfig`, the breaker
 cooldown in :class:`~repro.runtime.overload.BreakerConfig`, the drain
 timeout in :class:`~repro.runtime.autoscaler.AutoscaleConfig`, the
 fixed hedge threshold in ``HedgeConfig.after_s``, and a request's
@@ -59,10 +57,9 @@ def capped_exponential_backoff(base_s: float, attempt: int,
                                cap_s: float) -> float:
     """Delay before retry number ``attempt`` (1-based): min(base·2^(n-1), cap).
 
-    The single backoff curve shared by the engine's adapter-swap retries
-    (``attempt`` = consecutive swap failures) and the cluster's failover
-    requeues (``attempt`` = requeue count).  ``attempt <= 1`` pays the
-    base delay; the delay doubles per attempt and saturates at ``cap_s``.
+    The curve of the engine's adapter-swap retries (``attempt`` =
+    consecutive swap failures).  ``attempt <= 1`` pays the base delay;
+    the delay doubles per attempt and saturates at ``cap_s``.
     """
     if base_s < 0 or cap_s < 0:
         raise ValueError("backoff base and cap must be >= 0")

@@ -242,8 +242,6 @@ class MetricsCollector:
     placement_spills: int = 0
     #: Hot adapters promoted to k-replica service (watermark crossings).
     placement_replications: int = 0
-    #: Cold adapters demoted out of GPU slots fleet-wide.
-    placement_demotions: int = 0
     #: Hot adapters prefetched onto freshly spawned replicas at warm-up.
     adapters_prefetched: int = 0
     # -- disaggregated prefill/decode serving (runtime/disagg.py) ----------

@@ -64,17 +64,17 @@ MAX_BREAKER_COOLDOWN_S = 60.0
 class EwmaSignal:
     """An exponentially-weighted moving average of a pressure signal.
 
-    The smoothing primitive behind the autoscaler's queue-depth /
-    SLO-miss signals: one sample per controller step,
+    The smoothing primitive behind the autoscaler's queue-depth and
+    utilization signals: one sample per controller step,
     ``value += alpha * (raw - value)``.  Deterministic and clock-free —
     the caller decides the sampling cadence.
     """
 
-    def __init__(self, alpha: float, initial: float = 0.0):
+    def __init__(self, alpha: float):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self.value = initial
+        self.value = 0.0
 
     def observe(self, raw: float) -> float:
         """Fold one sample in; returns the smoothed value."""
@@ -172,8 +172,10 @@ class AdmissionController:
     ) -> Optional[AdmissionVerdict]:
         """``None`` to admit, or the verdict that rejected ``req``.
 
-        An admitted request is charged against the token bucket; a
-        rejected one is not (it consumed no capacity).
+        An admitted request is charged against the token bucket in full;
+        a rejected one is not (it consumed no capacity).  A request
+        larger than the bucket is admitted once the bucket is full, and
+        leaves the balance negative until refill repays it.
         """
         cfg = self.config
         self._refill(now)
@@ -191,7 +193,8 @@ class AdmissionController:
                     and kv_free_frac < cfg.min_kv_headroom):
                 return AdmissionVerdict.KV_PRESSURE
             if (cfg.rate_tokens_per_s is not None
-                    and self._tokens < req.total_tokens):
+                    and self._tokens < min(req.total_tokens,
+                                           self._bucket_capacity)):
                 return AdmissionVerdict.RATE_LIMITED
         if cfg.slo_reject and deadline_s is not None:
             # Lower bound on queueing delay: the requests already in the

@@ -29,10 +29,10 @@ placement decision to cluster dispatch:
 * **hot-adapter replication** — adapters whose popularity EWMA crosses
   ``hot_watermark`` are served from ``hot_copies`` ring homes (and
   soft-pinned in those replicas' GPU slots), trading slots for
-  load-spread on the head of the Zipf curve;
-* **cold-adapter demotion** — adapters whose popularity decays below
-  ``cold_watermark`` are demoted out of GPU slots on every replica but
-  their primary home, freeing slots for the adapters that earn them.
+  load-spread on the head of the Zipf curve.
+
+Cold adapters are left to each engine's LRU eviction: a slot is freed
+when an adapter that earns it swaps in, not before.
 
 The registry also informs the rest of the control plane: hedged twins
 prefer a replica with the adapter resident, the autoscaler's scale-down
@@ -85,19 +85,16 @@ class PlacementConfig:
     per-observation decay ``POPULARITY_EWMA_ALPHA`` (summing to ~1
     across adapters once warm).  ``hot_watermark`` / ``hot_copies``
     control replication: an adapter whose share crosses the watermark
-    is served from that many ring homes.  ``cold_watermark`` controls
-    demotion: a resident adapter whose share decays below it is demoted
-    from GPU slots everywhere but its primary home (0.0 disables
-    demotion).  A home is overloaded for the spill decision past the
-    ``SPILL_LOAD_FACTOR`` / ``SPILL_SLACK_ROUNDS`` bar; a cache miss
-    follows the looser ``MISS_LOAD_FACTOR`` / ``MISS_SLACK_ROUNDS`` bar
-    instead.  ``prefetch_top_k`` bounds the hot set a newly spawned
-    replica prefetches during warm-up.
+    is served from that many ring homes.  A home is overloaded for the
+    spill decision past the ``SPILL_LOAD_FACTOR`` /
+    ``SPILL_SLACK_ROUNDS`` bar; a cache miss follows the looser
+    ``MISS_LOAD_FACTOR`` / ``MISS_SLACK_ROUNDS`` bar instead.
+    ``prefetch_top_k`` bounds the hot set a newly spawned replica
+    prefetches during warm-up.
     """
 
     hot_watermark: float = 0.03
     hot_copies: int = 2
-    cold_watermark: float = 0.0
     prefetch_top_k: int = 8
 
     def __post_init__(self) -> None:
@@ -105,13 +102,6 @@ class PlacementConfig:
             raise ValueError("hot_watermark must be in (0, 1]")
         if self.hot_copies < 1:
             raise ValueError("hot_copies must be >= 1")
-        if self.cold_watermark < 0.0:
-            raise ValueError("cold_watermark must be >= 0")
-        if self.cold_watermark >= self.hot_watermark:
-            if self.cold_watermark != 0.0:
-                raise ValueError(
-                    "cold_watermark must be 0 (off) or < hot_watermark"
-                )
         if self.prefetch_top_k < 0:
             raise ValueError("prefetch_top_k must be >= 0")
 
@@ -157,7 +147,6 @@ class AdapterPlacement:
         # -- lifetime stats (mirrored into cluster metrics by the caller) --
         self.spills = 0
         self.replications = 0
-        self.demotions = 0
         self.prefetches = 0
 
     # -- membership ---------------------------------------------------------
@@ -384,33 +373,26 @@ class AdapterPlacement:
         self.note_assignment(adapter_id, chosen)
         return chosen, why
 
-    # -- replication / demotion (the epoched rebalance pass) -------------------
+    # -- replication (the epoched rebalance pass) -----------------------------
 
-    def rebalance(self) -> Dict[str, int]:
-        """One control-epoch pass: promote hot adapters, demote cold.
+    def rebalance(self) -> int:
+        """One control-epoch pass: promote hot adapters, retire cooled ones.
 
         Promotion adds an adapter to the replicated set (dispatch then
         spreads it over ``hot_copies`` ring homes) and soft-pins it in
         those homes' GPU slots; decay below the watermark reverses both.
-        Demotion evicts cold adapters from GPU slots on every replica
-        except their primary home — correctness is unaffected (a demoted
-        adapter swaps back in on next use); only the slot pressure
-        moves.  Returns ``{"replications": n, "demotions": m}`` for this
-        pass.
+        Returns the adapters promoted in this pass.
         """
-        cfg = self.config
-        stats = {"replications": 0, "demotions": 0}
+        promoted = 0
         hot = set(self.hot_set())
         for adapter_id in sorted(hot - self._replicated):
             self._replicated.add(adapter_id)
             self.replications += 1
-            stats["replications"] += 1
+            promoted += 1
         for adapter_id in sorted(self._replicated - hot):
             self._replicated.discard(adapter_id)
         self._apply_pins()
-        if cfg.cold_watermark > 0.0:
-            stats["demotions"] = self._demote_cold()
-        return stats
+        return promoted
 
     def _apply_pins(self) -> None:
         """Soft-pin replicated adapters in their ring homes' slots."""
@@ -433,25 +415,6 @@ class AdapterPlacement:
             for adapter_id in sorted(want[rid] - have):
                 if engine.adapters.pin(adapter_id):
                     have.add(adapter_id)
-
-    def _demote_cold(self) -> int:
-        """Demote cold adapters from GPU slots off their primary home."""
-        wm = self.config.cold_watermark
-        demoted = 0
-        for rid in sorted(self._engines):
-            engine = self._engines[rid]
-            res = self._resident.get(rid, {})
-            for adapter_id in sorted(res):
-                if self.popularity(adapter_id) >= wm:
-                    continue
-                home = self.homes(adapter_id, 1)
-                if home and home[0] == rid:
-                    continue  # keep one copy at the primary home
-                if engine.adapters.demote(adapter_id):
-                    del res[adapter_id]
-                    demoted += 1
-                    self.demotions += 1
-        return demoted
 
     # -- autoscaler warm-up ------------------------------------------------------
 
@@ -491,6 +454,5 @@ class AdapterPlacement:
             "replicated_adapters": float(len(self._replicated)),
             "spills": float(self.spills),
             "replications": float(self.replications),
-            "demotions": float(self.demotions),
             "prefetches": float(self.prefetches),
         }

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -146,6 +147,29 @@ class TestServeDisagg:
                    "--disagg-kv-target", "5"])
         assert rc == 2
         assert "bad --disagg-kv-target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,target", [
+        ([], None), (["--disagg-kv-target", "0.05"], 0.05)])
+    def test_decode_pool_scales_on_queue_depth_by_default(
+            self, flags, target, monkeypatch, capsys):
+        from repro.runtime import MultiGPUServer
+
+        seen = []
+        replicate = MultiGPUServer.replicate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["disagg"])
+            return replicate(*args, **kwargs)
+
+        monkeypatch.setattr(MultiGPUServer, "replicate", spy)
+        assert main(["serve", "--duration", "2", "--disagg", "--autoscale",
+                     *flags]) == 0
+        (disagg,) = seen
+        assert disagg.decode_autoscale.target_utilization == target
+        assert disagg.prefill_autoscale.target_utilization is None
+        assert (dataclasses.replace(disagg.decode_autoscale,
+                                    target_utilization=None)
+                == disagg.prefill_autoscale)
 
 
 class TestFuse:

@@ -295,8 +295,8 @@ def test_mid_drain_failover_exactly_once():
 
 def test_drain_requeue_does_not_consume_failover_budget():
     """Regression: re-homing during a drain timeout is bookkept as a
-    ``drain_hop``, never as a failover ``requeue`` — so it must neither
-    burn the ``max_requeues`` budget nor add failover backoff."""
+    ``drain_hop``, never as a failover ``requeue`` — so it must not
+    burn the ``max_requeues`` budget."""
     builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8)
     scaler = Autoscaler(AutoscaleConfig(
         min_replicas=1, max_replicas=2,
@@ -308,10 +308,10 @@ def test_drain_requeue_does_not_consume_failover_budget():
     ))
     server = MultiGPUServer.replicate(
         lambda: builder.build("v-lora"), 2, autoscaler=scaler,
-        # Tightest allowed failover budget plus a large backoff: any
-        # accidental use of the failover accounting for drain re-homing
-        # shows up as nonzero ``requeues`` (and aborts on a second hop).
-        max_requeues=1, requeue_backoff_s=1.0,
+        # Tightest allowed failover budget: any accidental use of the
+        # failover accounting for drain re-homing shows up as nonzero
+        # ``requeues`` (and aborts on a second hop).
+        max_requeues=1,
     )
     requests = _long_requests(12)
     server.submit(requests)
@@ -413,7 +413,7 @@ def test_locality_cluster_exactly_once(menu, requests):
 
     reset_request_ids()
     placement = AdapterPlacement(PlacementConfig(
-        hot_watermark=0.2, hot_copies=2, cold_watermark=0.05,
+        hot_watermark=0.2, hot_copies=2,
     ))
     server = _fresh_cluster("locality", FAULT_MENUS[menu],
                             max_requeues=4, placement=placement)

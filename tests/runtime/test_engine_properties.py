@@ -28,6 +28,7 @@ from tests.runtime.test_oracle import (
     TWO_DECODING,
     Rescheduling,
     Scenario,
+    digest,
     scenarios,
     serve,
 )
@@ -258,9 +259,9 @@ def test_cluster_run_matches_rescheduling_every_iteration(s):
 def test_steady_batch_outlives_run_calls(fleet, faults, s):
     """A cluster runs each replica epoch by epoch, and a steady batch
     repeats across those ``run(until=...)`` calls unless the engine
-    failed, its active set changed or placement demoted one of its
-    adapters in between.  Every fleet feature must end bit-identical to
-    the same run that drops the steady batch at each call."""
+    failed, its active set changed or one of its adapters left the GPU
+    in between.  Every fleet feature must end bit-identical to the same
+    run that drops the steady batch at each call."""
     s = dataclasses.replace(s, fleet=fleet, faults=faults)
     assert serve(s) == serve(s, SteadyDroppingEngine)
 
@@ -276,3 +277,23 @@ def test_steady_batch_dropped_when_its_requests_leave():
     engine.run(until=0.5)
     assert engine._steady is not None
     assert serve(s) == serve(s, SteadyDroppingEngine)
+
+
+@pytest.mark.parametrize("system", ["s-lora", "v-lora"])
+def test_steady_batch_dropped_when_its_adapter_is_demoted(system):
+    """An adapter demoted between two ``run()`` calls
+    (:meth:`AdapterManager.demote`) must not let its steady batch
+    repeat: the next iteration is a full step that swaps it back in,
+    bit-identical to dropping the steady batch at every call."""
+    def demoted_mid_run(engine_cls=None):
+        engine = SystemBuilder(num_adapters=2).build(
+            system, engine_cls=engine_cls)
+        engine.submit([Request(**spec) for spec in TWO_DECODING])
+        engine.run(until=0.5)
+        assert engine._steady is not None
+        assert engine.adapters.demote("lora-0")
+        metrics = engine.run()
+        assert metrics.swap_ins == 1
+        return digest(metrics)
+
+    assert demoted_mid_run() == demoted_mid_run(SteadyDroppingEngine)

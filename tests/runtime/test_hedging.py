@@ -1,6 +1,6 @@
-"""Tail-tolerant dispatch: hedging, retry budgets, requeue backoff.
+"""Tail-tolerant dispatch: hedging and retry budgets.
 
-Unit coverage for :mod:`repro.runtime.hedging` (the shared backoff
+Unit coverage for :mod:`repro.runtime.hedging` (the swap-retry backoff
 curve, the token-bucket retry budget, percentile-tracked hedge
 thresholds) plus end-to-end cluster tests: hedges fire under a
 straggler, first completion wins, losers are fenced exactly once, and
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import SystemBuilder
-from repro.runtime import cluster
 from repro.runtime import (
     FaultInjector,
     FaultKind,
@@ -299,20 +298,6 @@ def test_started_request_hedged_only_when_its_twin_can_win():
     ])
     assert slowed.hedges_fired == 1
     assert slowed.hedge_wins == 1
-
-
-def test_requeue_backoff_clamped_to_deadline(monkeypatch):
-    """A requeue never backs off past the request's own deadline."""
-    monkeypatch.setattr(cluster, "REQUEUE_BACKOFF_CAP_S", 30.0)
-    reset_request_ids()
-    server = _straggler_cluster(requeue_backoff_s=1.0)
-    bounded, unbounded = _trace(n=2, spacing=0.0)
-    bounded.deadline_s = 2.5
-    for r in (bounded, unbounded):
-        r.requeues = 10
-    server._apply_requeue_backoff([bounded, unbounded])
-    assert bounded.arrival_time == 2.5
-    assert unbounded.arrival_time == 30.0
 
 
 def test_retry_budget_caps_hedges():

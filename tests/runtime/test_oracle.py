@@ -400,7 +400,7 @@ HEDGE = HedgeConfig(min_observations=4, window=32, after_s=0.25)
 def _fleet(s: Scenario, factory) -> MultiGPUServer:
     if s.fleet == "placement":
         placement = AdapterPlacement(PlacementConfig(
-            hot_watermark=0.6, hot_copies=2, cold_watermark=0.3))
+            hot_watermark=0.6, hot_copies=2))
         return MultiGPUServer.replicate(factory, 2, dispatch="locality",
                                         placement=placement)
     if s.fleet == "disagg":
@@ -551,8 +551,12 @@ PREFIX_STOPS_STARVING = (_decoding(0, 0, 0.0, 64, 200),
 LONG_PROMPTS = (_decoding(0, 0, 0.0, 3072, 200),
                 _decoding(1, 0, 0.2, 2048, 200))
 
-# One adapter's three requests; under placement the fleet demotes that
-# adapter on a replica between two epochs while its batch is steady.
+# One adapter's three requests through a locality fleet of two
+# replicas with two slots each: one request spills, and each replica
+# keeps a steady batch across epoch boundaries.  No fleet control
+# evicts a resident adapter, so the steady batch's residency clause is
+# tested by demoting its adapter directly (test_engine_properties.py,
+# test_steady_batch_dropped_when_its_adapter_is_demoted).
 DEMOTED_BETWEEN_EPOCHS = (_decoding(0, 0, 0.0, 32, 5),
                           _decoding(1, 0, 0.1875, 32, 33),
                           _decoding(2, 0, 0.0, 32, 92))
