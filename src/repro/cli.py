@@ -205,13 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--hedge-after", type=float, default=None,
                       help="fixed hedge threshold in seconds (overrides "
                            "the percentile tracker; implies --hedge)")
-    tail.add_argument("--retry-budget", type=float, default=None,
-                      metavar="RATIO",
-                      help="cap retries (hedges, swap retries, failover "
-                           "requeues) to this fraction of fresh "
-                           "dispatches per priority class (e.g. 0.1)")
-    tail.add_argument("--retry-budget-burst", type=float, default=20.0,
-                      help="token-bucket depth of the retry budget")
     tail.add_argument("--give-up-after", type=float, default=None,
                       help="hard per-request deadline in seconds from "
                            "arrival, for requests without their own")
@@ -388,31 +381,21 @@ def _make_overload_configs(args):
     return admission, breaker
 
 
-def _make_tail_configs(args):
-    """(hedge, retry_budget) from serve flags.
+def _make_hedge_config(args):
+    """The hedge config from serve flags.
 
     Raises ``ValueError`` on malformed knob values (``--give-up-after``
-    included); both are ``None`` when no tail-tolerance flag was given.
+    included); ``None`` when no hedging flag was given.
     """
-    from repro.runtime.hedging import (
-        HedgeConfig,
-        RetryBudget,
-        RetryBudgetConfig,
-    )
+    from repro.runtime.hedging import HedgeConfig
 
     if args.give_up_after is not None and args.give_up_after <= 0:
         raise ValueError(
             f"--give-up-after must be positive, got {args.give_up_after}")
-    hedge = None
-    if args.hedge or args.hedge_after is not None:
-        hedge = HedgeConfig(percentile=args.hedge_percentile,
-                            after_s=args.hedge_after)
-    retry_budget = None
-    if args.retry_budget is not None:
-        retry_budget = RetryBudget(RetryBudgetConfig(
-            ratio=args.retry_budget, burst=args.retry_budget_burst,
-        ))
-    return hedge, retry_budget
+    if not (args.hedge or args.hedge_after is not None):
+        return None
+    return HedgeConfig(percentile=args.hedge_percentile,
+                       after_s=args.hedge_after)
 
 
 def _make_workload(args, system: str) -> list:
@@ -492,7 +475,7 @@ def cmd_serve(args) -> int:
         print(f"bad overload-protection flags: {exc}", file=sys.stderr)
         return 2
     try:
-        hedge, retry_budget = _make_tail_configs(args)
+        hedge = _make_hedge_config(args)
     except ValueError as exc:
         print(f"bad tail-tolerance flags: {exc}", file=sys.stderr)
         return 2
@@ -630,8 +613,7 @@ def cmd_serve(args) -> int:
             lambda: builder.build(args.system), args.num_gpus,
             dispatch=args.dispatch, autoscaler=scaler,
             detector=detector, num_hosts=args.num_hosts,
-            hedge=hedge, retry_budget=retry_budget, placement=placement,
-            disagg=disagg,
+            hedge=hedge, placement=placement, disagg=disagg,
         )
     else:
         engine = builder.build(args.system)

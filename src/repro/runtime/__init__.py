@@ -21,7 +21,7 @@ vLLM/LightLLM, driven by the analytical cost models:
 * :mod:`repro.runtime.failure_detection` — φ-accrual heartbeat
   suspicion and lease-fenced exactly-once completion delivery;
 * :mod:`repro.runtime.hedging` — tail-tolerant dispatch: hedged
-  requests, per-class retry budgets, and the swap-retry backoff curve;
+  requests and the swap-retry backoff curve;
 * :mod:`repro.runtime.placement` — fleet-level adapter registry and
   cache-state-aware ``locality`` dispatch (consistent-hash homes,
   load-aware spill, hot-adapter replication);
@@ -80,8 +80,6 @@ from repro.runtime.overload import (
 from repro.runtime.hedging import (
     HedgeConfig,
     HedgeTracker,
-    RetryBudget,
-    RetryBudgetConfig,
     capped_exponential_backoff,
 )
 from repro.runtime.engine import EngineConfig, ServingEngine
@@ -153,8 +151,6 @@ __all__ = [
     "ReplicaHealth",
     "HedgeConfig",
     "HedgeTracker",
-    "RetryBudget",
-    "RetryBudgetConfig",
     "capped_exponential_backoff",
     "ServingEngine",
     "EngineConfig",

@@ -80,11 +80,7 @@ from repro.runtime.failure_detection import (
     FailureDetector,
     SuspicionState,
 )
-from repro.runtime.hedging import (
-    HedgeConfig,
-    HedgeTracker,
-    RetryBudget,
-)
+from repro.runtime.hedging import HedgeConfig, HedgeTracker
 from repro.runtime.metrics import MetricsCollector, ScaleEvent
 from repro.runtime.overload import ReplicaHealth
 from repro.runtime.placement import AdapterPlacement
@@ -133,7 +129,6 @@ class MultiGPUServer:
                  detector: Optional[FailureDetector] = None,
                  num_hosts: int = 0,
                  hedge: Optional[HedgeConfig] = None,
-                 retry_budget: Optional[RetryBudget] = None,
                  placement: Optional[AdapterPlacement] = None,
                  disagg: Optional[DisaggConfig] = None):
         engines = list(engines)
@@ -179,7 +174,6 @@ class MultiGPUServer:
         self.engine_factory = engine_factory
         self.detector = detector
         self.hedge = hedge
-        self.retry_budget = retry_budget
         #: Fleet-level adapter registry (runtime/placement.py).  The
         #: ``locality`` policy requires it (a default registry is built
         #: when none is passed); any other policy may still attach one
@@ -221,8 +215,9 @@ class MultiGPUServer:
         self._hedge_tracker = (
             HedgeTracker(hedge) if hedge is not None else None
         )
-        #: Request ids that have had their one hedge fired.
-        self._hedged_rids: set = set()
+        #: Requests that have had their one hedge fired: request id ->
+        #: the primary (original) request object.
+        self._hedge_primaries: Dict[int, Request] = {}
         #: Primaries dropped off a failed replica while their twin ran
         #: on (:meth:`_drop_primary_of_live_twin`), by request id: the
         #: twin now carries the request, and its terminal is mirrored
@@ -285,8 +280,8 @@ class MultiGPUServer:
                 placement.register_replica(rep.engine)
 
     def _enroll(self, engine: ServingEngine, pool: Optional[str]) -> None:
-        """Give a new replica's engine its pool role, host, fencing and
-        retry budget (``pool`` is ``None`` on a colocated cluster)."""
+        """Give a new replica's engine its pool role, host and fencing
+        (``pool`` is ``None`` on a colocated cluster)."""
         if pool is not None:
             self._pool_of[engine.engine_id] = pool
             apply_pool_role(engine, pool)
@@ -295,7 +290,6 @@ class MultiGPUServer:
             self._host_seq += 1
         if self._fenced:
             engine.enable_fencing()
-        engine.retry_budget = self.retry_budget
 
     @property
     def engines(self) -> List[ServingEngine]:
@@ -434,11 +428,6 @@ class MultiGPUServer:
         on may not exist yet — and a detector-driven one must not: the
         replica it would pick may already be silently dead.)
         """
-        if self.retry_budget is not None:
-            # First-time dispatches fund the budget that hedges, swap
-            # retries, and failover requeues later spend.
-            for r in requests:
-                self.retry_budget.deposit(r.priority)
         self._requeue(requests)
 
     def _dispatch(self, requests: Sequence[Request],
@@ -787,8 +776,7 @@ class MultiGPUServer:
         hedge threshold (percentile-tracked per priority class).
 
         First completion wins through the lease fence; the loser's
-        terminal is counted as a ``hedge_loss``.  One hedge per request,
-        budget-gated.
+        terminal is counted as a ``hedge_loss``.  One hedge per request.
         """
         engines = self._hedge_eligible_engines()
         if len(engines) < 2:
@@ -801,26 +789,26 @@ class MultiGPUServer:
         snaps = self._snapshots(engines)
         peer = self._peer_iter_ewma(snaps)
         slowdown = [s.slowdown(peer) for s in snaps]
-        # Most-stuck first: when the retry budget cannot cover every
-        # candidate, the tokens go to the requests deepest past the
+        # Most-stuck first: every twin raises its target's load, so the
+        # least-loaded targets go to the requests deepest past the
         # threshold — the ones actually shaping p99 — not to whichever
         # replica happens to be scanned first.
         candidates: List[Tuple[int, float, int, int, Request]] = []
         for i, e in enumerate(engines):
             for r in list(e._active.values()) + e.pending_requests:
                 rid = r.request_id
-                if (r.is_hedge or rid in self._hedged_rids
+                if (r.is_hedge or rid in self._hedge_primaries
                         or rid in self._accepted or r.is_terminal):
                     continue
                 threshold = self._hedge_tracker.threshold(r.priority)
                 if threshold is None:
                     continue
                 # Requests still waiting for a first token hedge at the
-                # threshold and win the budget race: those are the ones
-                # a hedge can rescue from the TTFT tail.  A request
-                # already streaming tokens just past the threshold is
-                # usually about to finish — racing a fresh twin against
-                # it loses and burns budget — so started requests only
+                # threshold and sort first: those are the ones a hedge
+                # can rescue from the TTFT tail.  A request already
+                # streaming tokens just past the threshold is usually
+                # about to finish — racing a fresh twin against it loses
+                # and wastes the work — so started requests only
                 # qualify once they are twice the threshold deep (a
                 # genuinely stuck decode, e.g. a slow replica).
                 started = 0 if r.first_token_time is None else 1
@@ -843,10 +831,6 @@ class MultiGPUServer:
                        and self._takes_fresh_dispatch(engines[j])]
             if not targets:
                 continue
-            if (self.retry_budget is not None
-                    and not self.retry_budget.try_spend(r.priority)):
-                self.cluster_metrics.retry_budget_exhausted += 1
-                continue
             pool = targets
             if self.placement is not None:
                 # A hedge races the stuck primary; landing the twin on
@@ -861,7 +845,7 @@ class MultiGPUServer:
             twin = r.clone_for_hedge()
             engines[j].submit([twin])
             loads[j] += 1
-            self._hedged_rids.add(rid)
+            self._hedge_primaries[rid] = r
             self.cluster_metrics.hedges_fired += 1
 
     # -- adapter placement (runtime/placement.py) ----------------------------------
@@ -1001,7 +985,7 @@ class MultiGPUServer:
         rid = req.request_id
         if (comp.token is None or comp.token != req.lease
                 or rid in self._accepted):
-            if rid in self._hedged_rids:
+            if rid in self._hedge_primaries:
                 # The other copy of a hedged pair already won: duplicate
                 # *work*, never a duplicate terminal.  If the loser is
                 # the original request object, mirror the winning
@@ -1013,8 +997,15 @@ class MultiGPUServer:
                 self.cluster_metrics.fenced_completions += 1
             return
         self._accepted[rid] = comp
-        if rid in self._hedged_rids and req.is_hedge:
+        if rid in self._hedge_primaries and req.is_hedge:
             self.cluster_metrics.hedge_wins += 1
+            # The user saw the first token of whichever copy streamed
+            # first: a primary that started before its twin won keeps
+            # its own TTFT.  The finish stays the twin's.
+            first = self._hedge_primaries[rid].first_token_time
+            if (comp.kind == "finish" and first is not None
+                    and first < comp.record.first_token_time):
+                comp.record = comp.record._replace(first_token_time=first)
             primary = self._lost_primaries.pop(rid, None)
             if primary is not None:
                 self._mirror_outcome(primary)
@@ -1050,14 +1041,14 @@ class MultiGPUServer:
         """Drop a hedge twin cut off from its replica: a lost race.
 
         The primary still carries the request, so the twin is not
-        re-homed; its id leaves ``_hedged_rids`` so the primary may be
+        re-homed; its id leaves ``_hedge_primaries`` so the primary may be
         hedged again.  False when ``r`` is not a twin, or when it is the
         last copy because its primary was dropped before it
         (:meth:`_drop_primary_of_live_twin`): then it re-homes.
         """
         if not r.is_hedge or r.request_id in self._lost_primaries:
             return False
-        self._hedged_rids.discard(r.request_id)
+        self._hedge_primaries.pop(r.request_id, None)
         self.cluster_metrics.hedge_losses += 1
         return True
 
@@ -1071,7 +1062,7 @@ class MultiGPUServer:
         onto the primary object.  False when ``r`` is a twin or was
         never hedged (or its twin was already dropped).
         """
-        if r.is_hedge or r.request_id not in self._hedged_rids:
+        if r.is_hedge or r.request_id not in self._hedge_primaries:
             return False
         self._lost_primaries[r.request_id] = r
         self.cluster_metrics.hedge_losses += 1
@@ -1242,9 +1233,9 @@ class MultiGPUServer:
 
         A drain that outlives ``drain_timeout_s`` re-homes its
         remaining work through the queue *without* charging the
-        requests' failover budget, retry budget or backoff (their host
-        never failed — the cluster chose to retire it), so scale-down
-        churn can never abort a healthy request via ``max_requeues``.
+        requests' failover budget (their host never failed — the
+        cluster chose to retire it), so scale-down churn can never abort
+        a healthy request via ``max_requeues``.
         Hedge housekeeping still applies (:meth:`_hedge_survivors`).
         """
         for rep in self._members(ReplicaState.DRAINING):
@@ -1488,9 +1479,7 @@ class MultiGPUServer:
 
         Hedge housekeeping first (:meth:`_hedge_survivors`).  Of the
         real survivors, those past the failover budget abort
-        (``requeue_limit_aborts``); when a retry budget is attached, each
-        remaining requeue must also buy a token, so correlated failures
-        degrade into aborts instead of an unbounded retry storm.
+        (``requeue_limit_aborts``); the rest are requeued.
         """
         kept: List[Request] = []
         for r in self._hedge_survivors(orphans):
@@ -1498,11 +1487,6 @@ class MultiGPUServer:
                     and r.requeues > self.max_requeues):
                 self._cluster_abort(r, r.arrival_time)
                 self.cluster_metrics.requeue_limit_aborts += 1
-                continue
-            if (self.retry_budget is not None
-                    and not self.retry_budget.try_spend(r.priority)):
-                self.cluster_metrics.retry_budget_exhausted += 1
-                self._cluster_abort(r, r.arrival_time)
                 continue
             kept.append(r)
         return kept

@@ -32,7 +32,7 @@ from repro.runtime.clock import SimClock
 from repro.runtime.costcache import IterationCostCache, PrefillLaunch
 from repro.runtime.failure_detection import Completion
 from repro.runtime.faults import FaultInjector
-from repro.runtime.hedging import RetryBudget, capped_exponential_backoff
+from repro.runtime.hedging import capped_exponential_backoff
 from repro.runtime.kv_cache import PagedKVCache
 from repro.runtime.memory import UnifiedMemoryManager
 from repro.runtime.metrics import AbortRecord, MetricsCollector, RequestRecord
@@ -236,10 +236,6 @@ class ServingEngine:
         # never half-opens: exactly the legacy permanent quarantine.  A
         # cooldown comes only from an explicit ``BreakerConfig.cooldown_s``.
         self._breaker_config = config.breaker or BreakerConfig()
-        #: Shared retry budget (attached by the cluster; None = ungated).
-        #: Swap retries draw from the same bucket as hedges and failover
-        #: requeues, so a fleet-wide swap outage cannot retry-storm.
-        self.retry_budget: Optional[RetryBudget] = None
         self._breakers: Dict[str, AdapterBreaker] = {}
         self._admission = (
             AdmissionController(config.admission)
@@ -968,8 +964,9 @@ class ServingEngine:
             if breaker.record_failure(now):
                 self._open_breaker(adapter_id)
             else:
-                backoff = self._swap_retry_backoff(
-                    adapter_id, breaker.consecutive_failures, batch)
+                backoff = capped_exponential_backoff(
+                    SWAP_RETRY_BASE_S, breaker.consecutive_failures,
+                    SWAP_RETRY_CAP_S)
                 self._swap_backoff_until[adapter_id] = now + backoff
                 if now + backoff > self._backoff_horizon:
                     self._backoff_horizon = now + backoff
@@ -993,28 +990,6 @@ class ServingEngine:
             if kept:
                 self.metrics.mode_fallbacks += 1
         return kept, mode, merged
-
-    def _swap_retry_backoff(self, adapter_id: str, attempt: int,
-                            batch: Sequence[Request]) -> float:
-        """Backoff before swap retry ``attempt`` for one failed adapter.
-
-        The capped-exponential curve over ``SWAP_RETRY_BASE_S`` /
-        ``SWAP_RETRY_CAP_S``, gated by a cluster-attached
-        :class:`RetryBudget` when there is one — when the budget is dry
-        the retry is not forbidden (the adapter's requests would strand)
-        but degrades to maximum spacing, the slowest the schedule allows.
-        """
-        backoff = capped_exponential_backoff(
-            SWAP_RETRY_BASE_S, attempt, SWAP_RETRY_CAP_S)
-        if self.retry_budget is not None:
-            priority = max(
-                (r.priority for r in batch if r.adapter_id == adapter_id),
-                default=0,
-            )
-            if not self.retry_budget.try_spend(priority):
-                self.metrics.retry_budget_exhausted += 1
-                backoff = SWAP_RETRY_CAP_S
-        return backoff
 
     def _open_breaker(self, adapter_id: str) -> None:
         """The adapter's breaker just opened: fail its traffic fast.

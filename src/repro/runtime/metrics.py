@@ -234,8 +234,6 @@ class MetricsCollector:
     #: Late terminals of hedged requests fenced after the winner landed
     #: (duplicate work, never a duplicate terminal).
     hedge_losses: int = 0
-    #: Retries/hedges denied because the retry budget ran dry.
-    retry_budget_exhausted: int = 0
     # -- adapter-locality placement (runtime/placement.py) -----------------
     #: Requests routed off their overloaded home onto a replica already
     #: holding the adapter (locality kept, load respected).

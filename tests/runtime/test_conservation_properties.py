@@ -328,7 +328,7 @@ def test_drain_requeue_does_not_consume_failover_budget():
         assert r.requeues == 0, "drain re-home consumed failover budget"
 
 
-# -- tail-tolerant dispatch (PR 8: hedging / retry budgets) -------------------
+# -- tail-tolerant dispatch (hedging) -----------------------------------------
 
 
 @pytest.mark.parametrize("menu", sorted(FAULT_MENUS))
@@ -339,13 +339,12 @@ def test_hedged_cluster_exactly_once(menu, requests):
     """Exactly-once must survive hedged dispatch under every fault menu:
     two live copies race to a terminal, and the loser is always fenced —
     never a duplicate, never a lost request."""
-    from repro.runtime import HedgeConfig, RetryBudget
+    from repro.runtime import HedgeConfig
 
     reset_request_ids()
     server = _fresh_cluster(
         "least-loaded", FAULT_MENUS[menu], max_requeues=4,
         hedge=HedgeConfig(min_observations=4, window=32, after_s=0.25),
-        retry_budget=RetryBudget(),
     )
     server.submit(requests)
     metrics = server.run()
@@ -644,30 +643,3 @@ def test_disagg_autoscaled_exactly_once_under_chaos(requests, seed):
         metrics = server.run()
     assert_exactly_once_terminal(requests, metrics)
     assert server._undispatched == []
-
-
-def test_drain_rehoming_never_spends_retry_budget():
-    """Voluntary scale-down churn is not a retry: drain re-homes must
-    neither charge the failover budget nor buy retry-budget tokens."""
-    from repro.runtime import RetryBudget, RetryBudgetConfig
-
-    budget = RetryBudget(RetryBudgetConfig(ratio=0.1, burst=5.0,
-                                           initial=5.0))
-    builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8)
-    scaler = Autoscaler(AutoscaleConfig(
-        min_replicas=1, max_replicas=2,
-        target_queue_per_replica=100.0, down_fraction=0.9,
-        down_cooldown_s=0.25, spinup_s=0.1, drain_timeout_s=0.5,
-    ))
-    server = MultiGPUServer.replicate(
-        lambda: builder.build("v-lora"), 2, autoscaler=scaler,
-        max_requeues=1, retry_budget=budget,
-    )
-    requests = _long_requests(12)
-    server.submit(requests)
-    metrics = server.run()
-    assert_exactly_once_terminal(requests, metrics)
-    assert metrics.drain_requeues >= 1, "nothing was re-homed"
-    assert budget.spent == 0, "drain re-home spent retry-budget tokens"
-    assert budget.exhausted == 0
-    assert metrics.num_aborted == 0

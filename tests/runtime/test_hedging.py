@@ -1,10 +1,10 @@
-"""Tail-tolerant dispatch: hedging and retry budgets.
+"""Tail-tolerant dispatch: hedging.
 
 Unit coverage for :mod:`repro.runtime.hedging` (the swap-retry backoff
-curve, the token-bucket retry budget, percentile-tracked hedge
-thresholds) plus end-to-end cluster tests: hedges fire under a
-straggler, first completion wins, losers are fenced exactly once, and
-every knob left at its default changes nothing.
+curve, percentile-tracked hedge thresholds) plus end-to-end cluster
+tests: hedges fire under a straggler, first completion wins, losers are
+fenced exactly once, a twin's win keeps the first token the user saw,
+and every knob left at its default changes nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.runtime import (
     MultiGPUServer,
     Request,
     RequestStatus,
-    RetryBudget,
-    RetryBudgetConfig,
     StreamingQuantile,
     capped_exponential_backoff,
     percentile,
@@ -69,57 +67,6 @@ def test_backoff_rejects_negative():
         capped_exponential_backoff(-1.0, 1, 5.0)
     with pytest.raises(ValueError):
         capped_exponential_backoff(1.0, 1, -5.0)
-
-
-# -- RetryBudget --------------------------------------------------------------
-
-
-def test_retry_budget_config_validation():
-    with pytest.raises(ValueError):
-        RetryBudgetConfig(ratio=0.0)
-    with pytest.raises(ValueError):
-        RetryBudgetConfig(ratio=1.5)
-    with pytest.raises(ValueError):
-        RetryBudgetConfig(burst=0.0)
-    with pytest.raises(ValueError):
-        RetryBudgetConfig(initial=50.0, burst=20.0)
-
-
-def test_retry_budget_spend_and_deposit():
-    budget = RetryBudget(RetryBudgetConfig(ratio=0.5, burst=3.0, initial=1.0))
-    assert budget.tokens(0) == 1.0
-    assert budget.try_spend(0)          # 1.0 -> 0.0
-    assert not budget.try_spend(0)      # broke
-    assert budget.exhausted == 1
-    budget.deposit(0)
-    budget.deposit(0)                   # 0.0 -> 1.0
-    assert budget.try_spend(0)
-    assert budget.spent == 2
-
-
-def test_retry_budget_burst_cap_and_class_isolation():
-    budget = RetryBudget(RetryBudgetConfig(ratio=1.0, burst=2.0, initial=2.0))
-    for _ in range(10):
-        budget.deposit(1)
-    assert budget.tokens(1) == 2.0      # saturates at burst
-    while budget.try_spend(1):
-        pass
-    # Class 1 is broke; class 2's bucket is untouched.
-    assert budget.tokens(1) < 1.0
-    assert budget.try_spend(2)
-
-
-def test_retry_budget_ten_percent_rule():
-    """100 fresh dispatches at ratio 0.1 fund ~10 retries past seed."""
-    budget = RetryBudget(RetryBudgetConfig(ratio=0.1, burst=100.0,
-                                           initial=0.0))
-    for _ in range(100):
-        budget.deposit(0)
-    granted = 0
-    while budget.try_spend(0):
-        granted += 1
-    # 100 deposits of 0.1 accumulate to 10 minus float dust.
-    assert granted in (9, 10)
 
 
 # -- percentile helpers -------------------------------------------------------
@@ -190,8 +137,8 @@ def test_hedge_tracker_fixed_threshold_overrides_percentile():
 # -- cluster integration ------------------------------------------------------
 
 
-def _straggler_cluster(num_gpus=3, *, hedge=None, retry_budget=None,
-                       magnitude=8.0, **kwargs):
+def _straggler_cluster(num_gpus=3, *, hedge=None, magnitude=8.0,
+                       **kwargs):
     injector = FaultInjector([
         FaultSpec(FaultKind.ENGINE_SLOW, start=0.0, duration=60.0,
                   magnitude=magnitude, target="gpu-0"),
@@ -199,8 +146,7 @@ def _straggler_cluster(num_gpus=3, *, hedge=None, retry_budget=None,
     builder = SystemBuilder(num_adapters=len(ADAPTER_IDS), max_batch_size=8,
                             fault_injector=injector)
     return MultiGPUServer.replicate(
-        lambda: builder.build("v-lora"), num_gpus, hedge=hedge,
-        retry_budget=retry_budget, **kwargs,
+        lambda: builder.build("v-lora"), num_gpus, hedge=hedge, **kwargs,
     )
 
 
@@ -300,21 +246,27 @@ def test_started_request_hedged_only_when_its_twin_can_win():
     assert slowed.hedge_wins == 1
 
 
-def test_retry_budget_caps_hedges():
-    """A one-token budget allows at most one hedge and counts denials."""
-    reset_request_ids()
-    budget = RetryBudget(RetryBudgetConfig(ratio=0.01, burst=1.0,
-                                           initial=1.0))
-    server = _straggler_cluster(
-        hedge=HedgeConfig(min_observations=8, window=64),
-        retry_budget=budget)
-    requests = _trace()
-    server.submit(requests)
-    metrics = server.run()
-    _assert_exactly_once(requests, metrics)
-    assert metrics.hedges_fired <= 2  # seed token + trace deposits
-    assert metrics.retry_budget_exhausted > 0
-    assert budget.exhausted > 0
+def test_twin_win_keeps_the_primarys_first_token(monkeypatch):
+    """A twin that beats a started primary finishes the request, but
+    the user saw the primary's first token: the record keeps the
+    primary's first-token time, not the twin's later one."""
+    primary_first = {}
+    clone = Request.clone_for_hedge
+
+    def spy(self):
+        primary_first[self.request_id] = self.first_token_time
+        return clone(self)
+
+    monkeypatch.setattr(Request, "clone_for_hedge", spy)
+    metrics = _long_decode_pair([
+        FaultSpec(FaultKind.ENGINE_SLOW, start=0.5, duration=60.0,
+                  magnitude=8.0, target="gpu-0"),
+    ])
+    assert metrics.hedge_wins == 1
+    [(rid, first)] = primary_first.items()
+    assert first is not None, "the twin raced an unstarted primary"
+    [rec] = [rec for rec in metrics.records if rec.request_id == rid]
+    assert rec.first_token_time == first
 
 
 def test_give_up_after_stamps_deadlines():
@@ -369,6 +321,5 @@ def test_summary_hides_hedge_counters_when_zero():
     engine = builder.build("v-lora")
     engine.submit(_trace(n=4))
     summary = engine.run().summary()
-    for key in ("hedges_fired", "hedge_wins", "hedge_losses",
-                "retry_budget_exhausted"):
+    for key in ("hedges_fired", "hedge_wins", "hedge_losses"):
         assert key not in summary

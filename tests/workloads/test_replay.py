@@ -83,7 +83,7 @@ class TestPriority:
     """Priority classes must survive the trace round trip (regression:
     ``_FIELDS`` used to omit ``priority``, silently flattening every
     replayed trace to PRIORITY_NORMAL and bypassing per-priority
-    admission / retry-budget / hedging behavior)."""
+    admission and hedging behavior)."""
 
     def test_priority_survives_roundtrip(self, tmp_path):
         from repro.runtime.request import (
